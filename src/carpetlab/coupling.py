@@ -19,7 +19,6 @@ for the per-renewal upgrade statistic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,18 +28,11 @@ from .geometry import CarpetGraph
 from .seeding import derive_rng
 
 __all__ = [
-    "CubeIsometry",
-    "AssociationState",
     "CouplingOutcome",
-    "local_coords",
-    "association_isometries",
     "association_level",
-    "initial_state",
-    "coupled_step",
     "run_coupled_walk",
     "pair_catalog",
     "upgrade_statistics",
-    "upgrade_probability",
     "sample_marginal",
 ]
 
@@ -52,54 +44,6 @@ _MASK64 = (1 << 64) - 1
 def _fnv_fold(h: int, value: int) -> int:
     # FNV-1a style rolling fold over vertex ids (whole ints, not bytes).
     return ((h ^ int(value)) * _FNV_PRIME) & _MASK64
-
-
-@dataclass(frozen=True)
-class CubeIsometry:
-    """Signed coordinate permutation between two S_m cubes of side ``cube_side``.
-
-    Maps v (in the source cube) to the target cube, reflecting/permuting about
-    the cube centers: out[i] = signs[i] * in[perm[i]].
-    """
-
-    level: int
-    cube_side: int
-    source_cube: tuple
-    target_cube: tuple
-    perm: tuple
-    signs: tuple
-
-    def apply(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        d = len(self.perm)
-        if coords.shape[-1] != d:
-            raise ValueError("coordinate dimension mismatch")
-        k_m = self.cube_side
-        src = np.asarray(self.source_cube, dtype=np.int64) * k_m
-        tgt = np.asarray(self.target_cube, dtype=np.int64) * k_m
-        loc2 = 2 * (coords - src) + 1 - k_m  # doubled offset from cube center
-        img2 = np.empty_like(loc2)
-        for i in range(d):
-            img2[..., i] = self.signs[i] * loc2[..., self.perm[i]]
-        return tgt + (img2 + k_m - 1) // 2
-
-    @property
-    def is_identity_linear(self) -> bool:
-        d = len(self.perm)
-        return self.perm == tuple(range(d)) and all(s == 1 for s in self.signs)
-
-
-@dataclass
-class AssociationState:
-    """Current coupled-pair state: positions, association level, witness."""
-
-    graph: CarpetGraph
-    x: int
-    y: int
-    level: int
-    witness: CubeIsometry
-    m_max: int
-    holding: float = 0.5
 
 
 @dataclass
@@ -236,16 +180,6 @@ class _Coupler:
                         return m, iso_id
         raise RuntimeError("level-0 association failed; tables are corrupt")
 
-    def isometry_object(self, m: int, iso_id: int, x: int, y: int) -> CubeIsometry:
-        side_m = self.k ** m
-        perm, signs = self.isos[iso_id]
-        src = tuple(c // side_m for c in self.coord_rows[x])
-        tgt = tuple(c // side_m for c in self.coord_rows[y])
-        return CubeIsometry(
-            level=m, cube_side=side_m, source_cube=src, target_cube=tgt,
-            perm=perm, signs=signs,
-        )
-
     def step(self, x, y, m, iso_id, rng, holding=0.5):
         """One coupled move.  Returns (x', y', m', iso_id', moved)."""
         mirrored = x == y or self.mask_map[iso_id][self.mask[x]] == self.mask[y]
@@ -295,40 +229,6 @@ def _coupler(graph: CarpetGraph, m_max: int) -> _Coupler:
     return cache[m_max]
 
 
-def local_coords(graph: CarpetGraph, v: int, m: int) -> np.ndarray:
-    """Offset of the cell center of ``v`` from its S_m cube center."""
-    if not 0 <= m <= graph.level:
-        raise ValueError(f"S_{m} cubes are not decidable in a level-{graph.level} build")
-    side_m = graph.params.k ** m
-    loc2 = 2 * (graph.coords[v] % side_m) + 1 - side_m
-    return loc2 / 2.0
-
-
-def association_isometries(graph: CarpetGraph, x: int, y: int, m: int) -> list[CubeIsometry]:
-    """All signed permutations carrying x's cube position onto y's.
-
-    Empty list means the pair is not m-associated.  S_m cubes tile the built
-    window exactly for m up to the build level, so every cube met here is
-    fully decidable; larger m raises a range error.
-    """
-    if not 0 <= m <= graph.level:
-        raise ValueError(f"S_{m} cubes exceed the built region (level {graph.level})")
-    d = graph.params.d
-    side_m = graph.params.k ** m
-    lx = tuple(int(c) for c in 2 * (graph.coords[x] % side_m) + 1 - side_m)
-    ly = tuple(int(c) for c in 2 * (graph.coords[y] % side_m) + 1 - side_m)
-    out = []
-    for perm, signs in _signed_perms(d):
-        if tuple(signs[i] * lx[perm[i]] for i in range(d)) == ly:
-            src = tuple(int(c) // side_m for c in graph.coords[x])
-            tgt = tuple(int(c) // side_m for c in graph.coords[y])
-            out.append(
-                CubeIsometry(level=m, cube_side=side_m, source_cube=src,
-                             target_cube=tgt, perm=perm, signs=signs)
-            )
-    return out
-
-
 def association_level(graph: CarpetGraph, x: int, y: int, m_max: int) -> int:
     """Largest m <= m_max at which the pair is associated.
 
@@ -347,48 +247,6 @@ def association_level(graph: CarpetGraph, x: int, y: int, m_max: int) -> int:
         elif any(levels[m:]):
             raise RuntimeError(f"association monotonicity violated at level {m}")
     return best
-
-
-def initial_state(
-    graph: CarpetGraph, x: int, y: int, m_max: int, holding: float = 0.5
-) -> AssociationState:
-    eng = _coupler(graph, m_max)
-    m, iso_id = eng.refresh(int(x), int(y))
-    return AssociationState(
-        graph=graph, x=int(x), y=int(y), level=m,
-        witness=eng.isometry_object(m, iso_id, int(x), int(y)),
-        m_max=m_max, holding=holding,
-    )
-
-
-def coupled_step(state: AssociationState, rng) -> AssociationState:
-    """Advance the coupled pair one step and refresh level and witness.
-
-    The first walker draws a lazy-walk increment.  The increment is mirrored
-    through the witness (hold coin shared) when the witness maps the first
-    walker's legal moves bijectively onto the second's — in particular always
-    when the pair has met, so coupling is absorbing — and otherwise the
-    second walker draws its own lazy increment, hold coin included.  Both
-    marginals are exactly the lazy simple random walk either way.
-    """
-    eng = _coupler(state.graph, state.m_max)
-    iso_id = _iso_id(eng, state.witness)
-    x, y, m, niso, _ = eng.step(
-        state.x, state.y, state.level, iso_id, rng, holding=state.holding
-    )
-    return AssociationState(
-        graph=state.graph, x=x, y=y, level=m,
-        witness=eng.isometry_object(m, niso, x, y),
-        m_max=state.m_max, holding=state.holding,
-    )
-
-
-def _iso_id(eng: _Coupler, witness: CubeIsometry) -> int:
-    key = (witness.perm, witness.signs)
-    for i, iso in enumerate(eng.isos):
-        if iso == key:
-            return i
-    raise ValueError("witness isometry is not a signed permutation of this graph")
 
 
 def run_coupled_walk(
@@ -583,20 +441,6 @@ def upgrade_statistics(
         "truncated": truncated,
         "probability": probability,
     }
-
-
-def upgrade_probability(
-    graph: CarpetGraph,
-    m: int,
-    trials: int,
-    n: int,
-    seed: int = 0,
-    j: int = 8,
-    max_steps: int = 100_000,
-) -> float:
-    return upgrade_statistics(graph, m, trials, n, seed=seed, j=j, max_steps=max_steps)[
-        "probability"
-    ]
 
 
 def sample_marginal(

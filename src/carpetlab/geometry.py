@@ -391,7 +391,11 @@ def write_graph(graph: CarpetGraph, path) -> None:
 
 
 def read_graph(path) -> CarpetGraph:
-    """Parse the text interchange format and re-validate its invariants."""
+    """Parse the text interchange format and re-validate its invariants.
+
+    The header names the graph completely, so after the record-level checks
+    the file must list exactly the cells and edges of that carpet.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 7 or header[0] != "carpet":
@@ -408,9 +412,13 @@ def read_graph(path) -> CarpetGraph:
             if parts[0] == "v":
                 if int(parts[1]) != vi:
                     raise ValueError("vertex ids must be consecutive in id order")
+                if vi == nv:
+                    raise ValueError("vertex/edge counts disagree with header")
                 coords[vi] = [int(x) for x in parts[2 : 2 + d]]
                 vi += 1
             elif parts[0] == "e":
+                if ei == ne:
+                    raise ValueError("vertex/edge counts disagree with header")
                 edges[ei] = (int(parts[1]), int(parts[2]))
                 ei += 1
             else:
@@ -419,13 +427,22 @@ def read_graph(path) -> CarpetGraph:
         raise ValueError("vertex/edge counts disagree with header")
     if ne and not (edges[:, 0] < edges[:, 1]).all():
         raise ValueError("edges must be written with id1 < id2")
+    if ne and (edges.min() < 0 or edges.max() >= nv):
+        raise ValueError(f"edge endpoint out of range for {nv} vertices")
     diffs = np.abs(coords[edges[:, 0]] - coords[edges[:, 1]]) if ne else np.zeros((0, d))
     if ne and not (diffs.sum(axis=1) == 1).all():
         raise ValueError("edges must join cells at unit distance")
     if not survival_mask(coords, n, params).all():
         raise ValueError("file lists cells outside the carpet")
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv)).tocsr()
-    adj.sort_indices()
-    return CarpetGraph(params, n, coords, adj.indptr.astype(np.int64), adj.indices.astype(np.int64))
+    cells = count_cells(n, params)
+    if nv != cells:
+        raise ValueError(f"header lists {nv} cells; the level-{n} carpet has {cells}")
+    graph = build_graph(n, params, budget=nv)
+    if not np.array_equal(coords, graph.coords):
+        raise ValueError("cells differ from the carpet named in the header")
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    if ne > 1 and (edges[1:] == edges[:-1]).all(axis=1).any():
+        raise ValueError("duplicated edge")
+    if not np.array_equal(edges, graph.edge_array()):
+        raise ValueError("edge list differs from the carpet named in the header")
+    return graph

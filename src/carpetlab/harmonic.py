@@ -34,7 +34,6 @@ __all__ = [
     "solve_dirichlet",
     "harmonic_measure",
     "harnack_constant",
-    "oscillation_rho",
     "hitting_probability",
     "expected_exit_time",
     "hitting_pair_catalog",
@@ -203,20 +202,19 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     if not 1 <= n <= graph.level:
         raise ValueError(f"need 1 <= n <= graph level, got n={n}")
     part = box_vertices(graph, n)
-    domain = BoxDomain(graph=graph, interior=part.interior, boundary=part.boundary, level=n)
-    system = DirichletSystem(graph, domain.interior, domain.boundary)
+    system = DirichletSystem(graph, part.interior, part.boundary)
     inner = part.inner
     box = part.box
 
     best_ratio = 1.0
-    best_witness = (int(inner[0]), int(inner[0]), int(domain.boundary[0]))
+    best_witness = (int(inner[0]), int(inner[0]), int(part.boundary[0]))
     best_rho = 0.0
     rho_witness = best_witness
     max_residual = 0.0
     degenerate: list[tuple[int, int]] = []
 
-    g = np.zeros(len(domain.boundary))
-    for idx, b in enumerate(domain.boundary):
+    g = np.zeros(len(part.boundary))
+    for idx, b in enumerate(part.boundary):
         g[idx] = 1.0
         values, info = system.solve(g, tol=tolerance)
         g[idx] = 0.0
@@ -251,16 +249,6 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
         max_residual=max_residual,
         degenerate=degenerate,
     )
-
-
-def oscillation_rho(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL) -> float:
-    """Worst inner oscillation relative to the box supremum, over the sweep.
-
-    This maximizes only over harmonic-measure extreme rays; the osc/sup ratio
-    is not linear, so this is an estimator of the contraction factor, not an
-    exact optimum over all positive harmonic functions.
-    """
-    return harnack_constant(graph, n, tolerance).rho
 
 
 def _distances(graph, x: int) -> np.ndarray:

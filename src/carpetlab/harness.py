@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .geometry import (
     CarpetParams,
-    box_vertices,
     build_graph,
     count_cells,
     hausdorff_dimension,
@@ -32,6 +31,7 @@ from .geometry import (
 from .harmonic import harnack_constant, hitting_pair_catalog, hitting_probability, HittingSpec
 from .heat import (
     TransitionOperator,
+    _slope_fit,
     central_vertex,
     estimate_ds,
     estimate_dw,
@@ -266,10 +266,7 @@ def exp_heat(ctx: _SuiteContext) -> dict:
     op = TransitionOperator(graph)
     x = central_vertex(graph)
     ds = estimate_ds(op, x)
-    k = ctx.params.k
-    room = float(graph.side - 1 - graph.coords[x].max())
-    radii = [float(k ** m) for m in range(1, graph.level + 1) if k ** m <= room]
-    dw = estimate_dw(graph, x, radii, tolerance=ctx.config.tolerance)
+    dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
     df = hausdorff_dimension(ctx.params)
 
     # Off-diagonal regime data: targets spread over distances, dyadic times.
@@ -492,14 +489,6 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
     return manifest
 
 
-def _fit_line(points) -> tuple[float, float]:
-    """OLS slope and intercept of log(y) against log(x) for (x, y) pairs."""
-    xs = np.log([p[0] for p in points])
-    ys = np.log([p[1] for p in points])
-    slope = float(np.cov(xs, ys, bias=True)[0, 1] / np.var(xs))
-    return slope, float(ys.mean() - slope * xs.mean())
-
-
 def _write_figure(path: str, header: list, rows: list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -509,11 +498,14 @@ def _write_figure(path: str, header: list, rows: list) -> None:
 
 def _figure_loglog(fig_dir: str, name: str, points, xlab: str, ylab: str) -> str:
     """Per-figure data: the log-log series, its fit line, and residuals."""
-    slope, icept = _fit_line(points)
+    xs = np.log([p[0] for p in points])
+    ys = np.log([p[1] for p in points])
+    slope = _slope_fit(xs, ys)[0]
+    icept = float(ys.mean() - slope * xs.mean())
     rows = []
-    for x, y in points:
-        fit = icept + slope * float(np.log(x))
-        rows.append((x, y, float(np.log(x)), float(np.log(y)), fit, float(np.log(y)) - fit))
+    for (x, y), lx, ly in zip(points, xs.tolist(), ys.tolist()):
+        fit = icept + slope * lx
+        rows.append((x, y, lx, ly, fit, ly - fit))
     path = os.path.join(fig_dir, name)
     _write_figure(path, [xlab, ylab, f"log_{xlab}", f"log_{ylab}", "fit", "residual"], rows)
     return name
@@ -591,7 +583,9 @@ def export_report(manifest_path: str) -> tuple[str, list]:
                     f"  sub-gaussian fit: slope {sub['value']:.6f} +- {sub['standard_error']:.6f}"
                     f" over {sub['n_points']} pairs (r2 {sub['r_squared']:.6f})"
                 )
-                slope, icept = _fit_line([(np.exp(u), np.exp(v)) for u, v in sub["points"]])
+                us, vs = np.array(sub["points"], dtype=np.float64).T
+                slope = _slope_fit(us, vs)[0]
+                icept = float(vs.mean() - slope * us.mean())
                 rows = [
                     (u, v, icept + slope * u, v - (icept + slope * u)) for u, v in sub["points"]
                 ]

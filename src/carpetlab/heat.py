@@ -28,7 +28,6 @@ __all__ = [
     "ExponentEstimate",
     "RegimeFitReport",
     "FitError",
-    "step",
     "heat_kernel_row",
     "central_vertex",
     "saturation_time",
@@ -78,10 +77,6 @@ class HeatKernelRow:
     source: int
     time: int
     probs: np.ndarray
-
-
-def step(op: TransitionOperator, dist: np.ndarray) -> np.ndarray:
-    return op.step(dist)
 
 
 def heat_kernel_row(op: TransitionOperator, x: int, t: int) -> HeatKernelRow:

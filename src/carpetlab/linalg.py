@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-__all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem", "solve_fixed_values"]
+__all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem"]
 
 DEFAULT_TOL = 1e-10
 
@@ -128,16 +128,3 @@ class DirichletSystem:
 
         cg(lap, b, rtol=tol, atol=0.0, maxiter=self._cap, callback=_track)
         return history
-
-
-def solve_fixed_values(graph, fixed_ids, fixed_values, rhs=None, tol: float = DEFAULT_TOL):
-    """One-shot solve with unknowns = complement of ``fixed_ids``."""
-    fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
-    mask = np.ones(graph.num_vertices, dtype=bool)
-    mask[fixed_ids] = False
-    unknown = np.nonzero(mask)[0]
-    system = DirichletSystem(graph, unknown, fixed_ids)
-    rhs_arr = None
-    if rhs is not None:
-        rhs_arr = np.asarray(rhs, dtype=np.float64)[unknown]
-    return system.solve(fixed_values, rhs=rhs_arr, tol=tol)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import CarpetGraph, CarpetParams, VertexGraph, box_vertices, build_graph
-from .linalg import DEFAULT_TOL, solve_fixed_values
+from .linalg import DEFAULT_TOL, DirichletSystem
 
 __all__ = [
     "FlowField",
@@ -86,7 +86,9 @@ def potential_flow(graph, source_ids, ground_ids, tolerance: float = DEFAULT_TOL
     ground_ids = np.asarray(ground_ids, dtype=np.int64)
     fixed = np.concatenate([source_ids, ground_ids])
     values = np.concatenate([np.ones(len(source_ids)), np.zeros(len(ground_ids))])
-    pot, _ = solve_fixed_values(graph, fixed, values, tol=tolerance)
+    unknown = np.ones(graph.num_vertices, dtype=bool)
+    unknown[fixed] = False
+    pot, _ = DirichletSystem(graph, np.nonzero(unknown)[0], fixed).solve(values, tol=tolerance)
     return FlowField(potential=pot, energy=dirichlet_energy(graph, pot))
 
 

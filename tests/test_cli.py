@@ -96,6 +96,25 @@ def test_missing_graph_file(capsys):
     assert main(["harnack", "--graph", "/nonexistent/g.txt", "--level", "2"]) == 2
 
 
+def test_corrupt_graph_file(tmp_path, capsys, g3_file):
+    # An edge id past the vertex count, and a dropped edge with the header
+    # count adjusted to match: both are usage errors, not tracebacks or runs.
+    with open(g3_file, encoding="ascii") as fh:
+        lines = fh.readlines()
+    head = lines[0].split()
+    dropped = " ".join(head[:-1] + [str(int(head[-1]) - 1)]) + "\n"
+    first_edge = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    variants = {
+        "range": lines[:first_edge] + ["e 0 99999\n"] + lines[first_edge + 1 :],
+        "dropped": [dropped] + lines[1:first_edge] + lines[first_edge + 1 :],
+    }
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(text))
+        assert main(["harnack", "--graph", str(path), "--level", "2"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- harnack
 
 

@@ -3,15 +3,11 @@ import pytest
 from scipy import stats
 
 from carpetlab.coupling import (
-    association_isometries,
+    _coupler,
     association_level,
-    coupled_step,
-    initial_state,
-    local_coords,
     pair_catalog,
     run_coupled_walk,
     sample_marginal,
-    upgrade_probability,
     upgrade_statistics,
 )
 from carpetlab.heat import TransitionOperator, heat_kernel_row
@@ -20,62 +16,76 @@ from carpetlab.seeding import derive_rng
 from conftest import vid
 
 
+def witnesses(eng, x, y, m):
+    """Ids of the signed permutations carrying x's S_m cube position onto y's."""
+    return [
+        i for i in range(len(eng.isos))
+        if eng.apply_linear(i, eng.loc2[m][x]) == eng.loc2[m][y]
+    ]
+
+
 # ------------------------------------------------------------- cube geometry
 
 
 def test_local_coords(g2):
+    eng = _coupler(g2, 2)
     v = vid(g2, 0, 0)
-    np.testing.assert_allclose(local_coords(g2, v, 0), [0.0, 0.0])
-    np.testing.assert_allclose(local_coords(g2, v, 1), [-1.0, -1.0])
-    np.testing.assert_allclose(local_coords(g2, vid(g2, 2, 0), 1), [1.0, -1.0])
-    np.testing.assert_allclose(local_coords(g2, vid(g2, 4, 0), 1), [0.0, -1.0])
+    np.testing.assert_allclose(np.array(eng.loc2[0][v]) / 2, [0.0, 0.0])
+    np.testing.assert_allclose(np.array(eng.loc2[1][v]) / 2, [-1.0, -1.0])
+    np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 2, 0)]) / 2, [1.0, -1.0])
+    np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 4, 0)]) / 2, [0.0, -1.0])
     with pytest.raises(ValueError):
-        local_coords(g2, v, 3)
+        _coupler(g2, 3)
 
 
 def test_isometry_preserves_the_carpet(g2):
     # Any witness between level-1 cubes permutes the surviving cells.
-    isos = association_isometries(g2, vid(g2, 0, 0), vid(g2, 2, 0), 1)
+    eng = _coupler(g2, 2)
+    isos = witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     assert isos
-    cube = g2.coords[(g2.coords < 3).all(axis=1)]
-    for iso in isos:
-        image = iso.apply(cube)
-        assert {tuple(map(int, r)) for r in image} == {tuple(map(int, r)) for r in cube}
+    cube = {eng.loc2[1][v] for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
+    for i in isos:
+        assert {eng.apply_linear(i, c) for c in cube} == cube
 
 
 def test_isometry_maps_across_cubes(g2):
     # Witness between different level-1 cubes lands in the target cube.
+    eng = _coupler(g2, 2)
     x, y = vid(g2, 1, 0), vid(g2, 4, 0)
-    isos = association_isometries(g2, x, y, 1)
+    isos = witnesses(eng, x, y, 1)
     assert isos
-    for iso in isos:
-        assert iso.source_cube == (0, 0)
-        assert iso.target_cube == (1, 0)
-        assert tuple(iso.apply(g2.coords[x])) == tuple(g2.coords[y])
+    assert tuple(g2.coords[x] // 3) == (0, 0)
+    assert tuple(g2.coords[y] // 3) == (1, 0)
+    for i in isos:
+        img2 = np.array(eng.apply_linear(i, eng.loc2[1][x]))
+        image = (g2.coords[y] // 3) * 3 + (img2 + 2) // 2
+        assert tuple(image) == tuple(g2.coords[y])
 
 
 def test_identity_witness_for_met_pair(g2):
+    eng = _coupler(g2, 2)
+    assert eng.isos[0] == ((0, 1), (1, 1))  # id 0 is the identity
     v = vid(g2, 5, 2)
-    isos = association_isometries(g2, v, v, 2)
-    assert isos[0].is_identity_linear  # identity is canonically first
+    assert witnesses(eng, v, v, 2)[0] == 0  # identity is canonically first
     # A diagonal cell is also fixed by the axis swap, nothing else.
-    diag = association_isometries(g2, vid(g2, 0, 0), vid(g2, 0, 0), 1)
-    assert diag[0].is_identity_linear
+    diag = witnesses(eng, vid(g2, 0, 0), vid(g2, 0, 0), 1)
+    assert diag[0] == 0
     assert len(diag) == 2
 
 
 def test_association_zero_is_universal(g2):
     # Every pair is 0-associated: all eight signed permutations fix the
     # center of a unit cube.
-    isos = association_isometries(g2, vid(g2, 0, 0), vid(g2, 7, 5), 0)
-    assert len(isos) == 8
+    eng = _coupler(g2, 2)
+    assert len(witnesses(eng, vid(g2, 0, 0), vid(g2, 7, 5), 0)) == 8
 
 
 def test_association_examples(g2):
+    eng = _coupler(g2, 2)
     # Mirror images through the central column: 1-associated.
-    assert association_isometries(g2, vid(g2, 0, 0), vid(g2, 2, 0), 1)
+    assert witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     # An adjacent off-axis pair is not 1-associated.
-    assert association_isometries(g2, vid(g2, 0, 0), vid(g2, 0, 1), 1) == []
+    assert witnesses(eng, vid(g2, 0, 0), vid(g2, 0, 1), 1) == []
 
 
 def test_association_level(g3):
@@ -88,10 +98,13 @@ def test_association_level(g3):
 
 def test_association_is_monotone(g3):
     # Associated at m implies associated at every lower level.
+    eng = _coupler(g3, 3)
     rng = np.random.default_rng(2)
     ids = rng.integers(0, g3.num_vertices, size=40)
     for x, y in zip(ids[::2], ids[1::2]):
-        levels = [bool(association_isometries(g3, int(x), int(y), m)) for m in range(4)]
+        x, y = int(x), int(y)
+        levels = [bool(witnesses(eng, x, y, m)) for m in range(4)]
+        assert levels == [eng.canon[m][x] == eng.canon[m][y] for m in range(4)]
         for m in range(1, 4):
             if levels[m]:
                 assert all(levels[:m])
@@ -101,29 +114,30 @@ def test_association_is_monotone(g3):
 
 
 def test_coupling_is_absorbing(g3):
-    v = vid(g3, 2, 2)
-    state = initial_state(g3, v, v, m_max=3)
+    eng = _coupler(g3, 3)
+    x = y = vid(g3, 2, 2)
+    m, i = eng.refresh(x, y)
     rng = derive_rng(17, "absorbing-test")
     for _ in range(60):
-        state = coupled_step(state, rng)
-        assert state.x == state.y
-        assert state.witness.is_identity_linear
+        x, y, m, i, _ = eng.step(x, y, m, i, rng)
+        assert x == y
+        assert i == 0  # identity witness
 
 
 def test_witness_valid_until_met(g3):
     # A mirrored pair keeps its reflection witness at every step on the way
     # to meeting: the witness maps the first walker onto the second exactly.
+    eng = _coupler(g3, 3)
     x, y = vid(g3, 0, 0), vid(g3, 2, 0)
-    state = initial_state(g3, x, y, m_max=3)
+    m, i = eng.refresh(x, y)
     rng = derive_rng(23, "mirror-test")
     met = False
     for _ in range(2000):
-        if state.x == state.y:
+        if x == y:
             met = True
             break
-        w = state.witness
-        assert tuple(w.apply(g3.coords[state.x])) == tuple(g3.coords[state.y])
-        state = coupled_step(state, rng)
+        assert eng.apply_linear(i, eng.loc2[m][x]) == eng.loc2[m][y]
+        x, y, m, i, _ = eng.step(x, y, m, i, rng)
     assert met, "mirror pair failed to meet in 2000 steps"
 
 
@@ -204,13 +218,14 @@ def test_coupling_probability_positive(g3):
 
 
 def test_pair_catalog(g3):
+    eng = _coupler(g3, 3)
     pairs = pair_catalog(g3, 1, 2)
     assert pairs
     inner = set()
     for x, y in pairs:
         assert x != y
         assert (y, x) in set(pairs)
-        assert association_isometries(g3, x, y, 1)
+        assert witnesses(eng, x, y, 1)
         inner.add(x)
     assert all((g3.coords[v] < 3).all() for v in inner)
     with pytest.raises(ValueError):
@@ -225,7 +240,6 @@ def test_upgrade_statistics(g4):
     assert 0.0 <= up["probability"] <= 1.0
     again = upgrade_statistics(g4, 0, 400, 2, seed=42)
     assert up == again
-    assert upgrade_probability(g4, 0, 400, 2, seed=42) == up["probability"]
 
 
 def test_upgrade_frozen_values(g4):

@@ -259,6 +259,16 @@ def test_graph_file_header_text(tmp_path, g1):
     assert sum(1 for l in lines if l.startswith("e ")) == 8
 
 
+def with_edges(text, change):
+    """Apply ``change`` to the edge records, keeping the header count in step."""
+    lines = text.splitlines(keepends=True)
+    edges = change([line for line in lines if line.startswith("e ")])
+    head = lines[0].split()
+    head[-1] = str(len(edges))
+    rest = [line for line in lines[1:] if not line.startswith("e ")]
+    return " ".join(head) + "\n" + "".join(rest + edges)
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -266,6 +276,10 @@ def test_graph_file_header_text(tmp_path, g1):
         (lambda t: t.replace("v 0 0 0", "v 5 0 0", 1), "consecutive"),
         (lambda t: t.replace("e 0 1", "e 1 0", 1), "id1 < id2"),
         (lambda t: t + "q 1 2\n", "unexpected record"),
+        (lambda t: t.replace("e 0 1\n", "e 0 999\n", 1), "out of range"),
+        (lambda t: t + "e 0 1\n", "counts disagree"),
+        (lambda t: with_edges(t, lambda e: e[1:]), "edge list differs"),
+        (lambda t: with_edges(t, lambda e: e + e[:1]), "duplicated edge"),
     ],
 )
 def test_graph_file_rejects_corruption(tmp_path, g2, mutate, message):

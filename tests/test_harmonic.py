@@ -11,7 +11,6 @@ from carpetlab.harmonic import (
     harnack_constant,
     hitting_pair_catalog,
     hitting_probability,
-    oscillation_rho,
     solve_dirichlet,
 )
 
@@ -137,7 +136,6 @@ def test_oscillation_vs_constant(g4):
     for n in (2, 3):
         rep = harnack_constant(g4, n)
         assert rep.rho <= 1.0 - 1.0 / rep.constant + 1e-9
-        assert oscillation_rho(g4, n) == pytest.approx(rep.rho, rel=1e-9)
 
 
 def test_harnack_needs_room(g2):
