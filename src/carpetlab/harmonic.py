@@ -16,7 +16,7 @@ sampling centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 DEGENERATE_FLOOR = 1e-300
+# Sweep values within this relative distance of an extremum count as ties, so
+# witnesses do not depend on solver rounding between mirror-symmetric maxima.
+WITNESS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,16 @@ class BoxDomain:
     """A solvable region: disjoint interior and boundary vertex sets.
 
     Every interior vertex's neighbors must lie inside the domain, so the
-    Dirichlet problem is self-contained.
+    Dirichlet problem is self-contained.  The domain builds its
+    :class:`DirichletSystem` once, which checks both conditions; every solve
+    on the domain reuses it.
     """
 
     graph: object
     interior: np.ndarray
     boundary: np.ndarray
     level: Optional[int] = None
+    system: DirichletSystem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         interior = np.asarray(self.interior, dtype=np.int64)
@@ -62,14 +68,7 @@ class BoxDomain:
         object.__setattr__(self, "boundary", boundary)
         if boundary.size == 0:
             raise ValueError("domain needs at least one boundary vertex")
-        if np.intersect1d(interior, boundary).size:
-            raise ValueError("interior and boundary vertex sets overlap")
-        mask = np.zeros(self.graph.num_vertices, dtype=bool)
-        mask[interior] = True
-        mask[boundary] = True
-        rows = self.graph.adjacency()[interior]
-        if rows.nnz and not mask[rows.indices].all():
-            raise ValueError("an interior vertex has a neighbor outside the domain")
+        object.__setattr__(self, "system", DirichletSystem(self.graph, interior, boundary))
 
 
 def box_domain(graph: CarpetGraph, j: int) -> BoxDomain:
@@ -167,8 +166,7 @@ def solve_dirichlet(
         g = np.array([boundary_values[int(b)] for b in domain.boundary], dtype=np.float64)
     else:
         g = np.asarray(boundary_values, dtype=np.float64)
-    system = DirichletSystem(domain.graph, domain.interior, domain.boundary)
-    values, info = system.solve(g, tol=tolerance)
+    values, info = domain.system.solve(g, tol=tolerance)
     _max_principle_check(values, domain.interior, float(g.min()), float(g.max()), tolerance)
     return HarmonicField(domain=domain, values=values, residual=info.residual,
                          iterations=info.iterations)
@@ -198,6 +196,9 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     bounded by the worst component ratio, so the sweep maximum is the exact
     Harnack constant of the box.  The oscillation ratio ``rho`` (worst inner
     oscillation over box supremum, same sweep) rides along in the report.
+    Each witness is the first boundary vertex in sweep order, and the first
+    inner vertices, within ``WITNESS_RTOL`` of the extremum, so mirror-image
+    maximizers resolve the same way whatever the solver's rounding.
     """
     if not 1 <= n <= graph.level:
         raise ValueError(f"need 1 <= n <= graph level, got n={n}")
@@ -206,14 +207,14 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     inner = part.inner
     box = part.box
 
-    best_ratio = 1.0
-    best_witness = (int(inner[0]), int(inner[0]), int(part.boundary[0]))
-    best_rho = 0.0
-    rho_witness = best_witness
+    count = len(part.boundary)
+    ratios = np.full(count, np.nan)  # inner max/min per boundary vertex, NaN if degenerate
+    oscs = np.full(count, np.nan)
+    pairs = np.empty((count, 2), dtype=np.int64)  # (argmax x, argmin y) per boundary vertex
     max_residual = 0.0
     degenerate: list[tuple[int, int]] = []
 
-    g = np.zeros(len(part.boundary))
+    g = np.zeros(count)
     for idx, b in enumerate(part.boundary):
         g[idx] = 1.0
         values, info = system.solve(g, tol=tolerance)
@@ -221,34 +222,37 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
         max_residual = max(max_residual, info.residual)
 
         inner_vals = values[inner]
-        i_max = int(np.argmax(inner_vals))
-        i_min = int(np.argmin(inner_vals))
-        hi = float(inner_vals[i_max])
-        lo = float(inner_vals[i_min])
+        hi = float(inner_vals.max())
+        lo = float(inner_vals.min())
+        pairs[idx] = inner[_first_near(inner_vals, hi)], inner[_first_near(inner_vals, lo)]
         sup_box = float(values[box].max())
 
         if sup_box > 0.0:
-            osc = (hi - lo) / sup_box
-            if osc > best_rho:
-                best_rho = osc
-                rho_witness = (int(inner[i_max]), int(inner[i_min]), int(b))
+            oscs[idx] = (hi - lo) / sup_box
         if lo < DEGENERATE_FLOOR:
-            degenerate.append((int(b), int(inner[i_min])))
-            continue
-        ratio = hi / lo
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_witness = (int(inner[i_max]), int(inner[i_min]), int(b))
+            degenerate.append((int(b), int(pairs[idx, 1])))
+        else:
+            ratios[idx] = hi / lo
 
+    constant = float(np.fmax.reduce(ratios, initial=1.0))
+    rho = float(np.fmax.reduce(oscs, initial=0.0))
+    at = _first_near(ratios, constant)
+    rho_at = _first_near(oscs, rho)
     return HarnackReport(
         level=n,
-        constant=best_ratio,
-        rho=best_rho,
-        witness=best_witness,
-        rho_witness=rho_witness,
+        constant=constant,
+        rho=rho,
+        witness=(int(pairs[at, 0]), int(pairs[at, 1]), int(part.boundary[at])),
+        rho_witness=(int(pairs[rho_at, 0]), int(pairs[rho_at, 1]), int(part.boundary[rho_at])),
         max_residual=max_residual,
         degenerate=degenerate,
     )
+
+
+def _first_near(scores: np.ndarray, best: float) -> int:
+    """Index of the first score within ``WITNESS_RTOL`` of ``best`` (0 if none)."""
+    hits = np.flatnonzero(np.abs(scores - best) <= WITNESS_RTOL * abs(best))
+    return int(hits[0]) if hits.size else 0
 
 
 def _distances(graph, x: int) -> np.ndarray:

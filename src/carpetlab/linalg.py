@@ -4,9 +4,14 @@ All potential-theoretic quantities reduce to one primitive: fix values on a
 set of vertices, optionally add a right-hand side on the unknowns, and solve
 the graph Laplacian system ``(L u)_I = rhs_I`` restricted to the unknowns.
 The interior block of ``L = D - A`` is symmetric positive definite whenever
-every unknown component touches a fixed vertex, so a conjugate-gradient
-iteration applies; the relative-residual tolerance and the iteration cap
-(50 * sqrt(#unknowns)) follow the solver contract.
+every unknown component touches a fixed vertex.  A system solved once runs a
+conjugate-gradient iteration; the relative-residual tolerance and the
+iteration cap (50 * sqrt(#unknowns)) follow the solver contract.  A system
+solved a second time is factored once by SuperLU with ``MMD_AT_PLUS_A``
+ordering (X. S. Li, ACM TOMS 31, 2005), and that solve and every later one
+are triangular solves.  A factor costs several CG solves and fills in badly
+on large 3-D systems, so it pays only when it is reused, as in a boundary
+sweep; one-shot systems never factor.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import cg, splu
 
 __all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem"]
 
@@ -25,7 +30,7 @@ DEFAULT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """CG failed to reach the requested residual within the iteration cap."""
+    """CG stalled within its cap, or SuperLU met a singular factor or missed the tolerance."""
 
     def __init__(self, message: str, residuals: Optional[list[float]] = None):
         super().__init__(message)
@@ -39,11 +44,13 @@ class SolveInfo:
 
 
 class DirichletSystem:
-    """Factored description of one boundary-value problem layout.
+    """One boundary-value problem layout, solved for any number of data.
 
-    Building the sliced operator once and reusing it across many right-hand
-    sides is what makes boundary sweeps (one solve per boundary vertex)
-    affordable.
+    The sliced operator is built once.  The first :meth:`solve` runs CG; the
+    second factors the operator with SuperLU and keeps the factor, so that
+    solve and every later one cost two triangular solves.  This is what makes
+    boundary sweeps (one solve per boundary vertex) affordable, while a
+    system solved once never pays for a factor.
 
     Parameters
     ----------
@@ -72,10 +79,11 @@ class DirichletSystem:
             raise ValueError("an unknown vertex has a neighbor outside the domain")
 
         deg = graph.degrees[self.unknown].astype(np.float64)
-        self._interior_adj = rows[:, self.unknown]
         self._coupling = rows[:, self.fixed]
-        self._lap = sp.diags(deg) - self._interior_adj
+        self._lap = sp.diags(deg) - rows[:, self.unknown]
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(self.unknown))))
+        self._solves = 0
+        self._factor = None
 
     def solve(
         self,
@@ -100,6 +108,23 @@ class DirichletSystem:
             values[self.unknown] = 0.0
             return values, SolveInfo(residual=0.0, iterations=0)
 
+        self._solves += 1
+        direct = self._solves > 1
+        if direct:
+            u, iters = self._factored().solve(b), 0
+        else:
+            u, iters = self._solve_cg(b, bnorm, tol)
+        residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
+        if direct and not residual <= tol:
+            raise ConvergenceError(
+                f"SuperLU solve reached relative residual {residual:.3e} on "
+                f"{len(self.unknown)} unknowns (tol {tol:.1e})",
+                residuals=[residual],
+            )
+        values[self.unknown] = u
+        return values, SolveInfo(residual=residual, iterations=iters)
+
+    def _solve_cg(self, b, bnorm, tol) -> tuple[np.ndarray, int]:
         iters = 0
 
         def _count(_):
@@ -107,16 +132,26 @@ class DirichletSystem:
             iters += 1
 
         u, info = cg(self._lap, b, rtol=tol, atol=0.0, maxiter=self._cap, callback=_count)
-        residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
         if info != 0:
+            residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
             history = self._residual_history(b, bnorm, tol)
             raise ConvergenceError(
                 f"CG stalled at relative residual {residual:.3e} after {iters} iterations "
-                f"(cap {self._cap}, tol {tol:.1e})",
+                f"(cap {self._cap}, tol {tol:.1e}, {len(self.unknown)} unknowns)",
                 residuals=history,
             )
-        values[self.unknown] = u
-        return values, SolveInfo(residual=residual, iterations=iters)
+        return u, iters
+
+    def _factored(self):
+        """The SuperLU factor of the operator, computed on first use."""
+        if self._factor is None:
+            try:
+                self._factor = splu(self._lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise ConvergenceError(
+                    f"SuperLU factor failed on {len(self.unknown)} unknowns: {exc}"
+                ) from exc
+        return self._factor
 
     def _residual_history(self, b, bnorm, tol) -> list[float]:
         """Re-run with residual tracking for the failure diagnostic."""

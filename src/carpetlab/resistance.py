@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import CarpetGraph, CarpetParams, VertexGraph, box_vertices, build_graph
 from .linalg import DEFAULT_TOL, DirichletSystem
@@ -80,15 +79,42 @@ def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:
     return float(np.add.reduce(diffs * diffs))
 
 
+def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
+    """Mask of the vertices the source reaches without crossing the ground
+    (source included), found breadth first, and whether it met the ground."""
+    adj = graph.adjacency()
+    ground = np.zeros(graph.num_vertices, dtype=bool)
+    ground[ground_ids] = True
+    reached = np.zeros(graph.num_vertices, dtype=bool)
+    reached[source_ids] = True
+    frontier = np.unique(source_ids)
+    grounded = False
+    while frontier.size:
+        nbrs = adj[frontier].indices
+        grounded = grounded or bool(ground[nbrs].any())
+        frontier = np.unique(nbrs[~reached[nbrs] & ~ground[nbrs]])
+        reached[frontier] = True
+    return reached, grounded
+
+
 def potential_flow(graph, source_ids, ground_ids, tolerance: float = DEFAULT_TOL) -> FlowField:
-    """Unit-potential solve: 1 on the source set, 0 on the ground set."""
+    """Unit-potential solve: 1 on the source set, 0 on the ground set.
+
+    Only the vertices the source reaches without crossing the ground are
+    unknowns; every other vertex sits at potential 0 exactly.  When the
+    ground is out of reach, the potential is 1 on all of the reached set.
+    """
     source_ids = np.asarray(source_ids, dtype=np.int64)
     ground_ids = np.asarray(ground_ids, dtype=np.int64)
-    fixed = np.concatenate([source_ids, ground_ids])
-    values = np.concatenate([np.ones(len(source_ids)), np.zeros(len(ground_ids))])
-    unknown = np.ones(graph.num_vertices, dtype=bool)
-    unknown[fixed] = False
-    pot, _ = DirichletSystem(graph, np.nonzero(unknown)[0], fixed).solve(values, tol=tolerance)
+    reached, grounded = _reached(graph, source_ids, ground_ids)
+    pot = reached.astype(np.float64)
+    if grounded:
+        fixed = np.concatenate([source_ids, ground_ids])
+        values = np.concatenate([np.ones(len(source_ids)), np.zeros(len(ground_ids))])
+        reached[source_ids] = False
+        unknown = np.nonzero(reached)[0]
+        solved, _ = DirichletSystem(graph, unknown, fixed).solve(values, tol=tolerance)
+        pot[unknown] = solved[unknown]
     return FlowField(potential=pot, energy=dirichlet_energy(graph, pot))
 
 
@@ -103,11 +129,8 @@ def effective_resistance(graph, A, B, tolerance: float = DEFAULT_TOL) -> float:
         raise ValueError("resistance needs nonempty vertex sets")
     if np.intersect1d(A, B).size:
         raise ValueError("source and ground sets overlap")
-    _, labels = connected_components(graph.adjacency(), directed=False)
-    if not np.intersect1d(labels[A], labels[B]).size:
-        return float("inf")
-    flow = potential_flow(graph, A, B, tolerance=tolerance)
-    return 1.0 / flow.energy
+    energy = potential_flow(graph, A, B, tolerance=tolerance).energy
+    return 1.0 / energy if energy > 0.0 else float("inf")
 
 
 def resistance_to_infinity(

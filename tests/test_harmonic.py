@@ -110,9 +110,19 @@ def test_harnack_frozen_values(g4):
     rep3 = harnack_constant(g4, 3)
     assert rep3.constant == pytest.approx(1.4665609170196885, rel=1e-8)
     assert rep3.rho == pytest.approx(0.028402719195777262, rel=1e-6)
+    rep4 = harnack_constant(g4, 4)
+    assert rep4.constant == pytest.approx(1.4947579897555368, rel=1e-8)
+    assert rep4.rho == pytest.approx(0.011391894362325235, rel=1e-6)
     # The constant is a property of the box level, not of the ambient build.
     assert rep2.max_residual < 1e-9
     assert rep3.max_residual < 1e-9
+    assert rep4.max_residual < 1e-9
+    # Witnesses are the first near-maximal boundary vertex in sweep order, so
+    # the mirror-symmetric maximizers of each box resolve the same way on the
+    # CG and the SuperLU path.
+    assert rep2.witness == rep2.rho_witness == (2, 135, 8)
+    assert rep3.witness == rep3.rho_witness == (8, 496, 26)
+    assert rep4.witness == rep4.rho_witness == (98, 1456, 80)
 
 
 def test_harnack_witness_attains_constant(g4):
