@@ -27,7 +27,8 @@ from .harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
-from .heat import TransitionOperator, central_vertex, estimate_ds, estimate_dw, regime_fit
+from .heat import TransitionOperator, central_vertex, estimate_ds, estimate_dw
+from .heat import kernel_walk, regime_fit
 from .coupling import run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -160,6 +161,14 @@ def _read_sets(path: str) -> list[list[int]]:
     return [g for g in groups if g]
 
 
+def _check_ids(graph, ids, source: str) -> None:
+    """Reject ids outside [0, |V|), which numpy would wrap or fail on; skip None."""
+    ids = np.asarray([v for v in ids if v is not None], dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= graph.num_vertices)]
+    if bad.size:
+        raise ValueError(f"{source}: vertex id {bad[0]} outside [0, {graph.num_vertices})")
+
+
 def _cmd_build(args) -> int:
     params = validate_params(args.d, args.k, args.a)
     graph = build_graph(args.n, params, budget=args.budget)
@@ -180,6 +189,8 @@ def _cmd_hitting(args) -> int:
     graph = read_graph(args.graph)
     if args.y is not None and args.x is None:
         raise ValueError("--y requires --x")
+    _check_ids(graph, [args.x], "--x")
+    _check_ids(graph, [args.y], "--y")
     if args.x is not None and args.y is not None:
         spec = HittingSpec(x=args.x, r=args.r, c1=args.c1, c2=args.c2)
         p = hitting_probability(graph, spec, args.y, tolerance=args.tol)
@@ -212,15 +223,11 @@ def _cmd_hitting(args) -> int:
 
 def _cmd_heat(args) -> int:
     graph = read_graph(args.graph)
+    _check_ids(graph, [args.x], "--x")
     op = TransitionOperator(graph)
     x = args.x if args.x is not None else central_vertex(graph)
     if args.heat_command == "diag":
-        dist = np.zeros(graph.num_vertices)
-        dist[x] = 1.0
-        rows = []
-        for t in range(1, args.tmax + 1):
-            dist = op.step(dist)
-            rows.append((t, float(dist[x])))
+        rows = [(t, float(p[x])) for t, p in kernel_walk(op, x, range(1, args.tmax + 1))]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("t,p_tt\n")
@@ -239,6 +246,7 @@ def _cmd_heat(args) -> int:
                 continue
             y_str, t_str = s.split(",")
             pairs.append((int(y_str), int(t_str)))
+    _check_ids(graph, [y for y, _ in pairs], args.pairs)
     ds = args.ds if args.ds is not None else estimate_ds(op, x).value
     dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     fit = regime_fit(op, x, pairs, ds=ds, dw=dw)
@@ -260,6 +268,8 @@ def _cmd_couple(args) -> int:
     graph = read_graph(args.graph)
     if args.couple_command == "run":
         x, y = args.x, args.y
+        _check_ids(graph, [x], "--x")
+        _check_ids(graph, [y], "--y")
         if x is None or y is None:
             if (x is None) != (y is None):
                 raise ValueError("give both --x and --y, or neither")
@@ -302,9 +312,11 @@ def _cmd_resist(args) -> int:
         return 0
     graph = read_graph(args.graph)
     levels = [int(s) for s in args.levels.split(",") if s.strip()]
+    groups = _read_sets(args.set_file)
+    _check_ids(graph, [v for group in groups for v in group], args.set_file)
     reports = [
         resistance_to_infinity(graph, group, levels, tolerance=args.tol).to_dict()
-        for group in _read_sets(args.set_file)
+        for group in groups
     ]
     _write_json_out({"levels": levels, "reports": reports}, args.out)
     return 0

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import CarpetGraph
+from .harmonic import HOLD
 from .seeding import derive_rng
 
 __all__ = [
@@ -180,10 +181,10 @@ class _Coupler:
                         return m, iso_id
         raise RuntimeError("level-0 association failed; tables are corrupt")
 
-    def step(self, x, y, m, iso_id, rng, holding=0.5):
+    def step(self, x, y, m, iso_id, rng):
         """One coupled move.  Returns (x', y', m', iso_id', moved)."""
         mirrored = x == y or self.mask_map[iso_id][self.mask[x]] == self.mask[y]
-        if rng.random() < holding:
+        if rng.random() < HOLD:
             nx = x
         else:
             dirs = self.mask_dirs[self.mask[x]]
@@ -207,7 +208,7 @@ class _Coupler:
             # draws its own lazy increment, hold coin included.  Independent
             # holds are what let walkers at odd displacement ever meet: under
             # a shared coin the parity of the offset would never change.
-            if rng.random() < holding:
+            if rng.random() < HOLD:
                 ny = y
             else:
                 dirs_y = self.mask_dirs[self.mask[y]]
@@ -258,7 +259,6 @@ def run_coupled_walk(
     seed: int = 0,
     trial: int = 0,
     m_max: Optional[int] = None,
-    holding: float = 0.5,
 ) -> CouplingOutcome:
     """Run the mirrored coupling until meeting, box exit, or the step cap.
 
@@ -301,7 +301,7 @@ def run_coupled_walk(
     steps = 0
     rows = eng.coord_rows
     for t in range(1, max_steps + 1):
-        x, y, m, iso_id, moved = eng.step(x, y, m, iso_id, rng, holding=holding)
+        x, y, m, iso_id, moved = eng.step(x, y, m, iso_id, rng)
         digest = _fnv_fold(_fnv_fold(digest, x), y)
         steps = t
         if m > max_level:
@@ -359,7 +359,6 @@ def upgrade_statistics(
     seed: int = 0,
     j: int = 8,
     max_steps: int = 100_000,
-    holding: float = 0.5,
 ) -> dict:
     """Fraction of m-associated pairs reaching (m+1)-association in j renewals.
 
@@ -401,7 +400,7 @@ def upgrade_statistics(
         renewals = 0
         outcome = None
         for _ in range(max_steps):
-            x, y, lvl, iso_id, moved = eng.step(x, y, lvl, iso_id, rng, holding=holding)
+            x, y, lvl, iso_id, moved = eng.step(x, y, lvl, iso_id, rng)
             if lvl >= m + 1:
                 outcome = "success"
                 break
@@ -451,7 +450,6 @@ def sample_marginal(
     trials: int,
     seed: int = 0,
     m_max: Optional[int] = None,
-    holding: float = 0.5,
 ) -> np.ndarray:
     """Empirical position counts of the second walker after ``steps`` steps.
 
@@ -468,6 +466,6 @@ def sample_marginal(
         x, y = int(x0), int(y0)
         m, iso_id = eng.refresh(x, y)
         for _ in range(steps):
-            x, y, m, iso_id, _ = eng.step(x, y, m, iso_id, rng, holding=holding)
+            x, y, m, iso_id, _ = eng.step(x, y, m, iso_id, rng)
         counts[y] += 1
     return counts

@@ -258,9 +258,6 @@ class CarpetGraph(VertexGraph):
         out = np.where(found & inside, pos, -1)
         return out
 
-    def key_set(self) -> frozenset:
-        return frozenset(int(x) for x in self._keys)
-
 
 def _digit_block(params: CarpetParams) -> np.ndarray:
     """All non-central digit vectors, lexicographically sorted."""

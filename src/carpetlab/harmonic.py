@@ -1,11 +1,15 @@
-"""Dirichlet problems on carpet boxes: harmonic measure, Harnack ratios,
-hitting probabilities, and expected exit times.
+"""Dirichlet problems on carpet boxes: Harnack ratios, hitting
+probabilities, and expected exit times.
 
 A function on graph vertices is harmonic at ``v`` when it equals the mean of
 its neighbor values; the mean uses the true vertex degree, so the walk
-reflects at the carpet boundary without ghost cells.  Everything here is a
-linear solve against the graph Laplacian restricted to an interior set, via
-:class:`carpetlab.linalg.DirichletSystem`.
+reflects at the carpet boundary without ghost cells.  Every quantity here is
+one linear solve against the graph Laplacian restricted to a set of unknowns,
+through :class:`carpetlab.linalg.DirichletSystem`, the only solve entry
+point; a solve fixes only the vertices that border its unknowns.
+
+The walk is the lazy nearest-neighbour walk that holds with probability
+``HOLD`` = 1/2; the heat kernel and the coupling use the same constant.
 
 Ball-based quantities (hitting probability, exit time) are computed for the
 random walk on the *built* graph.  When every non-fixed vertex of the problem
@@ -16,8 +20,7 @@ sampling centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,73 +29,21 @@ from .linalg import DEFAULT_TOL, DirichletSystem
 from .seeding import derive_rng
 
 __all__ = [
-    "BoxDomain",
-    "HarmonicField",
     "HarnackReport",
     "HittingSpec",
-    "box_domain",
-    "solve_dirichlet",
-    "harmonic_measure",
     "harnack_constant",
     "hitting_probability",
     "expected_exit_time",
     "hitting_pair_catalog",
 ]
 
+# Holding probability of the lazy walk (kills bipartite parity).
+HOLD = 0.5
+
 DEGENERATE_FLOOR = 1e-300
 # Sweep values within this relative distance of an extremum count as ties, so
 # witnesses do not depend on solver rounding between mirror-symmetric maxima.
 WITNESS_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoxDomain:
-    """A solvable region: disjoint interior and boundary vertex sets.
-
-    Every interior vertex's neighbors must lie inside the domain, so the
-    Dirichlet problem is self-contained.  The domain builds its
-    :class:`DirichletSystem` once, which checks both conditions; every solve
-    on the domain reuses it.
-    """
-
-    graph: object
-    interior: np.ndarray
-    boundary: np.ndarray
-    level: Optional[int] = None
-    system: DirichletSystem = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        interior = np.asarray(self.interior, dtype=np.int64)
-        boundary = np.asarray(self.boundary, dtype=np.int64)
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "boundary", boundary)
-        if boundary.size == 0:
-            raise ValueError("domain needs at least one boundary vertex")
-        object.__setattr__(self, "system", DirichletSystem(self.graph, interior, boundary))
-
-
-def box_domain(graph: CarpetGraph, j: int) -> BoxDomain:
-    """Domain for the level-``j`` corner box: interior vs. face cells."""
-    part = box_vertices(graph, j)
-    return BoxDomain(graph=graph, interior=part.interior, boundary=part.boundary, level=j)
-
-
-def domain_from_fixed(graph, fixed_ids) -> BoxDomain:
-    """Ad-hoc domain: the given vertices are boundary, the rest interior."""
-    fixed = np.asarray(fixed_ids, dtype=np.int64)
-    mask = np.ones(graph.num_vertices, dtype=bool)
-    mask[fixed] = False
-    return BoxDomain(graph=graph, interior=np.nonzero(mask)[0], boundary=np.sort(fixed))
-
-
-@dataclass
-class HarmonicField:
-    """Solution of one Dirichlet problem; ``values`` is NaN off-domain."""
-
-    domain: BoxDomain
-    values: np.ndarray
-    residual: float
-    iterations: int = 0
 
 
 @dataclass
@@ -148,42 +99,6 @@ def _max_principle_check(values, interior, lo, hi, tolerance):
             f"[{inner_vals.min():.6g}, {inner_vals.max():.6g}] vs boundary "
             f"[{lo:.6g}, {hi:.6g}]"
         )
-
-
-def solve_dirichlet(
-    domain: BoxDomain,
-    boundary_values: Union[np.ndarray, dict],
-    tolerance: float = DEFAULT_TOL,
-) -> HarmonicField:
-    """Harmonic extension of boundary data into the domain interior.
-
-    ``boundary_values`` is either an array aligned with ``domain.boundary``
-    or a mapping from boundary vertex id to value.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if isinstance(boundary_values, dict):
-        g = np.array([boundary_values[int(b)] for b in domain.boundary], dtype=np.float64)
-    else:
-        g = np.asarray(boundary_values, dtype=np.float64)
-    values, info = domain.system.solve(g, tol=tolerance)
-    _max_principle_check(values, domain.interior, float(g.min()), float(g.max()), tolerance)
-    return HarmonicField(domain=domain, values=values, residual=info.residual,
-                         iterations=info.iterations)
-
-
-def harmonic_measure(domain: BoxDomain, b: int, tolerance: float = DEFAULT_TOL) -> HarmonicField:
-    """Harmonic extension of the indicator of one boundary vertex.
-
-    The value at ``v`` is the probability the walk started at ``v`` first
-    meets the boundary at ``b``.
-    """
-    hits = np.nonzero(domain.boundary == b)[0]
-    if hits.size == 0:
-        raise ValueError(f"vertex {b} is not on the domain boundary")
-    g = np.zeros(len(domain.boundary))
-    g[hits[0]] = 1.0
-    return solve_dirichlet(domain, g, tolerance)
 
 
 def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL) -> HarnackReport:
@@ -291,8 +206,8 @@ def hitting_probability(graph, spec: HittingSpec, y: int, tolerance: float = DEF
         return 1.0
     if outer[y]:
         return 0.0
-    fixed = np.nonzero(inner | outer)[0]
     unknown = np.nonzero(~(inner | outer))[0]
+    fixed = _border(graph, unknown, inner | outer)
     g = inner[fixed].astype(np.float64)
     system = DirichletSystem(graph, unknown, fixed)
     values, _ = system.solve(g, tol=tolerance)
@@ -300,33 +215,30 @@ def hitting_probability(graph, spec: HittingSpec, y: int, tolerance: float = DEF
     return float(values[y])
 
 
-def expected_exit_time(
-    graph,
-    x: int,
-    r: float,
-    holding: float = 0.5,
-    tolerance: float = DEFAULT_TOL,
-) -> float:
-    """Mean number of steps for the walk from ``x`` to reach distance ``r``.
+def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) -> float:
+    """Mean number of lazy-walk steps for the walk from ``x`` to reach distance ``r``.
 
-    Solves the Poisson problem (L u = degree / (1 - holding) inside the ball,
-    u = 0 at distance >= r); with the default holding probability 1/2 the
-    answer is in lazy-walk steps.  A non-positive radius puts ``x`` itself on
-    the exit set, so the answer is 0.
+    Solves the Poisson problem (L u = degree / (1 - HOLD) inside the ball,
+    u = 0 at distance >= r).  A non-positive radius puts ``x`` itself on the
+    exit set, so the answer is 0.
     """
-    if not 0.0 <= holding < 1.0:
-        raise ValueError("holding probability must lie in [0, 1)")
     if r <= 0:
         return 0.0
     dist = _require_absorbing_shell(graph, x, r)
     inside = dist < r
     unknown = np.nonzero(inside)[0]
-    fixed = np.nonzero(~inside)[0]
+    fixed = _border(graph, unknown, ~inside)
     g = np.zeros(len(fixed))
-    rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - holding)
+    rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - HOLD)
     system = DirichletSystem(graph, unknown, fixed)
     values, _ = system.solve(g, rhs=rhs, tol=tolerance)
     return float(values[x])
+
+
+def _border(graph, unknown: np.ndarray, fixable: np.ndarray) -> np.ndarray:
+    """Sorted neighbors of ``unknown`` in the mask ``fixable``: all a solve reads."""
+    nbrs = np.unique(graph.adjacency()[unknown].indices)
+    return nbrs[fixable[nbrs]]
 
 
 def hitting_pair_catalog(

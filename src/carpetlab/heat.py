@@ -1,30 +1,33 @@
 """Lazy random-walk heat kernel: iteration, exponent fits, regime fits.
 
-The walk holds in place with probability 1/2 (killing bipartite parity) and
-otherwise moves to a uniformly random neighbor.  On-diagonal decay
+The walk holds in place with probability ``HOLD`` = 1/2 (killing bipartite
+parity) and otherwise moves to a uniformly random neighbor.  On-diagonal decay
 p_t(x,x) ~ t^(-d_s/2) yields the spectral dimension; exit-time scaling
 E[tau(x,r)] ~ r^(d_w) yields the walk dimension; off-diagonal decay is fitted
 separately in the near regime (|x-y| <= t) and the far regime (|x-y| > t).
 
-All kernel work is sparse operator application — memory stays O(|V|).
+All kernel work is one sparse matrix-vector product per step, and every
+kernel iteration goes through :func:`kernel_walk` — memory stays O(|V|).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import CarpetGraph, VertexGraph
-from .harmonic import expected_exit_time
+from .harmonic import HOLD, expected_exit_time
 from .linalg import DEFAULT_TOL
 from .seeding import derive_rng
 
 __all__ = [
     "TransitionOperator",
     "HeatKernelRow",
+    "kernel_walk",
     "ExponentEstimate",
     "RegimeFitReport",
     "FitError",
@@ -48,28 +51,28 @@ class FitError(RuntimeError):
 
 @dataclass
 class TransitionOperator:
-    """One-step operator of the lazy walk on a vertex graph."""
+    """One-step operator of the lazy walk on a vertex graph.
+
+    A step is ``hold * p + Q @ p``: ``Q = (1 - HOLD) A D^-1`` is built once in
+    the adjacency's index order and ``hold`` is HOLD (1 on an isolated vertex).
+    Folding ``hold`` into ``Q`` would reorder each sum and move last digits.
+    """
 
     graph: VertexGraph
-    laziness: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.laziness < 1.0:
-            raise ValueError("laziness must lie in [0, 1)")
         deg = self.graph.degrees.astype(np.float64)
-        # Isolated vertices (degree 0) just hold; avoid dividing by zero.
-        self._inv_deg = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
-        self._isolated = deg == 0
+        adj = self.graph.adjacency()
+        # Column j scaled by (1 - HOLD) / deg(j); an isolated column is empty.
+        self._q = sp.csr_matrix(
+            ((1.0 - HOLD) / deg[adj.indices], adj.indices, adj.indptr), shape=adj.shape
+        )
+        self._hold = np.where(deg > 0, HOLD, 1.0)
 
     def step(self, dist: np.ndarray) -> np.ndarray:
         """Apply one lazy-walk step to a probability vector."""
         dist = np.asarray(dist, dtype=np.float64)
-        adj = self.graph.adjacency()
-        move = adj @ (dist * self._inv_deg)
-        out = self.laziness * dist + (1.0 - self.laziness) * move
-        if self._isolated.any():
-            out = out + (1.0 - self.laziness) * np.where(self._isolated, dist, 0.0)
-        return out
+        return self._hold * dist + self._q @ dist
 
 
 @dataclass
@@ -79,14 +82,29 @@ class HeatKernelRow:
     probs: np.ndarray
 
 
+def kernel_walk(op: TransitionOperator, x: int, times: Iterable[int]) -> Iterator[tuple]:
+    """Yield ``(t, p_t(x, .))`` for each of the ascending ``times``.
+
+    The only loop that applies ``op.step``: the walk starts from a point mass
+    at ``x`` and advances between consecutive times.
+    """
+    dist = np.zeros(op.graph.num_vertices)
+    dist[x] = 1.0
+    t_cur = 0
+    for t in times:
+        if t < t_cur:
+            raise ValueError("times must be nonnegative and ascending")
+        for _ in range(t - t_cur):
+            dist = op.step(dist)
+        t_cur = t
+        yield t, dist
+
+
 def heat_kernel_row(op: TransitionOperator, x: int, t: int) -> HeatKernelRow:
     """t-fold application of the step operator to a point mass at ``x``."""
     if t < 0:
         raise ValueError("time must be a nonnegative integer")
-    dist = np.zeros(op.graph.num_vertices)
-    dist[x] = 1.0
-    for _ in range(int(t)):
-        dist = op.step(dist)
+    _, dist = next(kernel_walk(op, x, [int(t)]))
     total = dist.sum()
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"kernel row lost mass: sum = {total!r} at t = {t}")
@@ -201,16 +219,7 @@ def estimate_ds(
     if len(times) < 4:
         raise FitError(f"need at least 4 fit points, have {len(times)}")
 
-    diag = []
-    dist = np.zeros(graph.num_vertices)
-    dist[x] = 1.0
-    t_cur = 0
-    for t in times:
-        for _ in range(t - t_cur):
-            dist = op.step(dist)
-        t_cur = t
-        diag.append((t, float(dist[x])))
-
+    diag = [(t, float(dist[x])) for t, dist in kernel_walk(op, x, times)]
     usable = [(t, p) for t, p in diag if p > PROB_FLOOR]
     if len(usable) < 4:
         raise FitError(f"only {len(usable)} points above the probability floor")
@@ -237,7 +246,6 @@ def estimate_dw(
     graph: VertexGraph,
     x: Optional[int] = None,
     radii: Optional[Sequence[float]] = None,
-    holding: float = 0.5,
     tolerance: float = DEFAULT_TOL,
 ) -> ExponentEstimate:
     """Walk dimension from exit-time scaling: slope of log E[tau] vs log r.
@@ -258,8 +266,7 @@ def estimate_dw(
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise FitError(f"need at least 3 radii, have {len(radii)}")
-    taus = [expected_exit_time(graph, x, r, holding=holding, tolerance=tolerance)
-            for r in radii]
+    taus = [expected_exit_time(graph, x, r, tolerance=tolerance) for r in radii]
     if any(t <= 0 for t in taus):
         raise FitError("non-positive exit time in the radius list")
     xs = np.log(radii)
@@ -312,15 +319,7 @@ def regime_fit(
     gauss_pts: list[tuple[float, float]] = []
     floored = 0
 
-    dist = np.zeros(graph.num_vertices)
-    dist[x] = 1.0
-    t_cur = 0
-    for t in sorted(by_time):
-        if t < t_cur:
-            raise ValueError("times must be nonnegative")
-        for _ in range(t - t_cur):
-            dist = op.step(dist)
-        t_cur = t
+    for t, dist in kernel_walk(op, x, sorted(by_time)):
         for y in by_time[t]:
             sep = float(np.linalg.norm(coords[y] - coords[x]))
             p = float(dist[y])
@@ -360,7 +359,6 @@ def monte_carlo_walk(
     steps: int,
     seed: int,
     walker: int = 0,
-    holding: float = 0.5,
 ) -> np.ndarray:
     """One seeded lazy-walk trajectory of ``steps`` moves, starting at ``x``."""
     if steps < 0:
@@ -372,7 +370,7 @@ def monte_carlo_walk(
     indptr = graph.indptr
     indices = graph.indices
     for i in range(steps):
-        if rng.random() >= holding:
+        if rng.random() >= HOLD:
             lo, hi = indptr[pos], indptr[pos + 1]
             if hi > lo:
                 pos = int(indices[lo + rng.integers(hi - lo)])
@@ -386,7 +384,6 @@ def sample_exit_times(
     r: float,
     trials: int,
     seed: int,
-    holding: float = 0.5,
     max_steps: int = 1_000_000,
 ) -> np.ndarray:
     """Batched Monte Carlo exit times from B(x, r); cross-check for the solver."""
@@ -408,7 +405,7 @@ def sample_exit_times(
             break
         coins = rng.random(idx.size)
         draws = rng.random(idx.size)
-        movers = coins >= holding
+        movers = coins >= HOLD
         mi = idx[movers]
         if mi.size:
             offs = (draws[movers] * deg[pos[mi]]).astype(np.int64)

@@ -161,6 +161,13 @@ def test_hitting_y_without_x(capsys, g4_file):
     assert main(["hitting", "--graph", g4_file, "--y", "7", "--r", "3"]) == 2
 
 
+def test_hitting_rejects_bad_vertex_ids(capsys, g4_file):
+    # Out of range, and negative (which numpy would silently wrap around).
+    for ids in (["--x", "99999"], ["--x", "-5"], ["--x", "0", "--y", "4096"]):
+        assert main(["hitting", "--graph", g4_file, "--r", "3", *ids]) == 2
+        assert "outside [0, 4096)" in capsys.readouterr().err
+
+
 def test_hitting_catalog_mode(capsys, g4_file):
     code, payload = run_json(
         capsys, ["hitting", "--graph", g4_file, "--r", "3", "--count", "5", "--seed", "7"]
@@ -204,6 +211,17 @@ def test_heat_regime(tmp_path, capsys, g4_file, g4):
     assert payload["gaussian"] is None
 
 
+def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
+    assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
+    assert "--x: vertex id 99999 outside [0, 4096)" in capsys.readouterr().err
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,16\n-3,32\n")
+    argv = ["heat", "regime", "--graph", g4_file, "--x", "0", "--pairs", str(pairs),
+            "--ds", "1.78", "--dw", "2.09"]
+    assert main(argv) == 2
+    assert "vertex id -3 outside" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- couple
 
 
@@ -229,6 +247,12 @@ def test_couple_run_audit(capsys, g3_file):
 
 def test_couple_run_needs_both_ids(capsys, g3_file):
     assert main(["couple", "run", "--graph", g3_file, "--n", "2", "--x", "0"]) == 2
+
+
+def test_couple_run_rejects_bad_vertex_ids(capsys, g3_file):
+    for ids in (["--x", "0", "--y", "700"], ["--x", "-1", "--y", "1"]):
+        assert main(["couple", "run", "--graph", g3_file, "--n", "2", *ids]) == 2
+        assert "outside [0, 512)" in capsys.readouterr().err
 
 
 def test_couple_upgrade(capsys, g3_file):
@@ -263,6 +287,14 @@ def test_resist_infinity(tmp_path, capsys, g3d_file):
     first = payload["reports"][0]
     assert not first["divergent"]
     assert first["extrapolated"] == pytest.approx(0.7642375536559681, rel=1e-6)
+
+
+def test_resist_infinity_rejects_bad_vertex_ids(tmp_path, capsys, g3_file):
+    sets = tmp_path / "targets.txt"
+    sets.write_text("0\n\n999\n")
+    argv = ["resist", "infinity", "--graph", g3_file, "--set", str(sets), "--levels", "1,2"]
+    assert main(argv) == 2
+    assert "vertex id 999 outside [0, 512)" in capsys.readouterr().err
 
 
 def test_resist_infinity_divergent(tmp_path, capsys, g4_file):

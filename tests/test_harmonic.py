@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
+from carpetlab.geometry import box_vertices
 from carpetlab.harmonic import (
-    BoxDomain,
     HittingSpec,
-    box_domain,
-    domain_from_fixed,
     expected_exit_time,
-    harmonic_measure,
     harnack_constant,
     hitting_pair_catalog,
     hitting_probability,
-    solve_dirichlet,
 )
+from carpetlab.linalg import DirichletSystem
 
 from conftest import make_path, vid
 
@@ -20,64 +17,67 @@ from conftest import make_path, vid
 # ----------------------------------------------------------------- dirichlet
 
 
+def box_system(graph, j):
+    """The level-``j`` corner box: interior unknowns, face cells fixed."""
+    part = box_vertices(graph, j)
+    return part, DirichletSystem(graph, part.interior, part.boundary)
+
+
 def test_ring_dirichlet_exact(g1):
     # Level-1 graph is an 8-cycle; with 0 and 1 pinned at the two corners the
     # solution is linear in ring distance: quarters on one arc, quarters on
     # the other.
-    v00 = vid(g1, 0, 0)
-    v22 = vid(g1, 2, 2)
-    dom = domain_from_fixed(g1, [v00, v22])
-    field = solve_dirichlet(dom, {v00: 0.0, v22: 1.0})
+    fixed = np.array([vid(g1, 0, 0), vid(g1, 2, 2)])
+    unknown = np.setdiff1d(np.arange(g1.num_vertices), fixed)
+    values, info = DirichletSystem(g1, unknown, fixed).solve(np.array([0.0, 1.0]))
     expect = np.array([0.0, 0.25, 0.5, 0.25, 0.75, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(field.values, expect, atol=1e-9)
-    assert field.residual < 1e-9
+    np.testing.assert_allclose(values, expect, atol=1e-9)
+    assert info.residual < 1e-9
 
 
 def test_constants_are_harmonic(g2):
-    dom = box_domain(g2, 1)
-    field = solve_dirichlet(dom, np.full(len(dom.boundary), 0.7))
-    np.testing.assert_allclose(field.values[dom.interior], 0.7, atol=1e-10)
+    part, system = box_system(g2, 1)
+    values, _ = system.solve(np.full(len(part.boundary), 0.7))
+    np.testing.assert_allclose(values[part.interior], 0.7, atol=1e-10)
 
 
 def test_linearity(g3):
-    dom = box_domain(g3, 2)
+    part, system = box_system(g3, 2)
     rng = np.random.default_rng(5)
-    g_a = rng.random(len(dom.boundary))
-    g_b = rng.random(len(dom.boundary))
-    f_a = solve_dirichlet(dom, g_a).values
-    f_b = solve_dirichlet(dom, g_b).values
-    f_ab = solve_dirichlet(dom, 2.0 * g_a - 3.0 * g_b).values
-    sel = dom.interior
+    g_a = rng.random(len(part.boundary))
+    g_b = rng.random(len(part.boundary))
+    f_a = system.solve(g_a)[0]
+    f_b = system.solve(g_b)[0]
+    f_ab = system.solve(2.0 * g_a - 3.0 * g_b)[0]
+    sel = part.interior
     np.testing.assert_allclose(f_ab[sel], 2.0 * f_a[sel] - 3.0 * f_b[sel], atol=1e-8)
 
 
 def test_mean_value_property(g3):
-    dom = box_domain(g3, 2)
+    part, system = box_system(g3, 2)
     rng = np.random.default_rng(11)
-    field = solve_dirichlet(dom, rng.random(len(dom.boundary)))
-    for v in dom.interior[::7]:
+    values, _ = system.solve(rng.random(len(part.boundary)))
+    for v in part.interior[::7]:
         nbrs = g3.neighbors(int(v))
-        assert field.values[v] == pytest.approx(field.values[nbrs].mean(), abs=1e-8)
+        assert values[v] == pytest.approx(values[nbrs].mean(), abs=1e-8)
 
 
 def test_maximum_principle(g3):
-    dom = box_domain(g3, 2)
+    part, system = box_system(g3, 2)
     rng = np.random.default_rng(3)
-    g = rng.random(len(dom.boundary))
-    field = solve_dirichlet(dom, g)
-    inner = field.values[dom.interior]
+    g = rng.random(len(part.boundary))
+    values, _ = system.solve(g)
+    inner = values[part.interior]
     assert inner.min() >= g.min() - 1e-9
     assert inner.max() <= g.max() + 1e-9
 
 
 def test_harmonic_measures_partition_unity(g2):
-    dom = box_domain(g2, 1)
+    part, system = box_system(g2, 1)
     total = np.zeros(g2.num_vertices)
-    for b in dom.boundary:
-        total += harmonic_measure(dom, int(b)).values
-    np.testing.assert_allclose(total[dom.interior], 1.0, atol=1e-9)
-    with pytest.raises(ValueError, match="not on the domain boundary"):
-        harmonic_measure(dom, int(dom.interior[0]))
+    for col in np.eye(len(part.boundary)):
+        total += system.solve(col)[0]
+    np.testing.assert_allclose(total[part.interior], 1.0, atol=1e-9)
 
 
 def test_domain_rejects_leaky_interior(g2):
@@ -85,11 +85,9 @@ def test_domain_rejects_leaky_interior(g2):
     v = vid(g2, 3, 0)
     nbrs = g2.neighbors(v)
     with pytest.raises(ValueError, match="outside the domain"):
-        BoxDomain(graph=g2, interior=np.array([v]), boundary=nbrs[:1])
+        DirichletSystem(g2, np.array([v]), nbrs[:1])
     with pytest.raises(ValueError, match="overlap"):
-        BoxDomain(graph=g2, interior=np.array([v]), boundary=np.array([v]))
-    with pytest.raises(ValueError, match="boundary"):
-        BoxDomain(graph=g2, interior=np.array([v]), boundary=np.array([], dtype=np.int64))
+        DirichletSystem(g2, np.array([v]), np.array([v]))
 
 
 # -------------------------------------------------------------------- harnack
@@ -128,9 +126,9 @@ def test_harnack_frozen_values(g4):
 def test_harnack_witness_attains_constant(g4):
     rep = harnack_constant(g4, 2)
     x, y, b = rep.witness
-    dom = box_domain(g4, 2)
-    field = harmonic_measure(dom, b)
-    assert field.values[x] / field.values[y] == pytest.approx(rep.constant, rel=1e-7)
+    part, system = box_system(g4, 2)
+    values, _ = system.solve((part.boundary == b).astype(np.float64))
+    assert values[x] / values[y] == pytest.approx(rep.constant, rel=1e-7)
 
 
 def test_harnack_box_level_independence(g4, g5):
@@ -219,14 +217,12 @@ def test_exit_time_single_interior_cell():
     # with probability 1/2, so the wait is geometric with mean 2.
     path = make_path(3)
     assert expected_exit_time(path, 1, 1.0) == pytest.approx(2.0, abs=1e-10)
-    assert expected_exit_time(path, 1, 1.0, holding=0.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exit_time_path_interval():
     # Midpoint of a 5-path, absorbed at distance 2: the classical interval
-    # exit time is 4 non-lazy steps, 8 lazy ones.
+    # exit time is 4 non-lazy steps, so 8 lazy ones.
     path = make_path(5)
-    assert expected_exit_time(path, 2, 2.0, holding=0.0) == pytest.approx(4.0, abs=1e-9)
     assert expected_exit_time(path, 2, 2.0) == pytest.approx(8.0, abs=1e-9)
 
 
@@ -235,7 +231,3 @@ def test_exit_time_monotone_in_radius(g5):
     times = [expected_exit_time(g5, x, r) for r in (2.0, 4.0, 8.0)]
     assert times[0] < times[1] < times[2]
 
-
-def test_exit_time_rejects_bad_holding(g4):
-    with pytest.raises(ValueError):
-        expected_exit_time(g4, 0, 2.0, holding=1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carpetlab.geometry import VertexGraph
 from carpetlab.heat import (
     FitError,
     TransitionOperator,
@@ -32,6 +33,29 @@ def test_one_step_distribution(g2):
     nbrs = g2.neighbors(v)
     np.testing.assert_allclose(out[nbrs], 0.5 / len(nbrs))
     assert out.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_step_matches_the_plain_lazy_step(g4):
+    # The precomputed (1 - HOLD) A D^-1 must reproduce the step written out
+    # in full bit for bit, not merely to rounding.
+    op = TransitionOperator(g4)
+    adj = g4.adjacency()
+    inv_deg = 1.0 / g4.degrees.astype(np.float64)
+    p = np.zeros(g4.num_vertices)
+    p[central_vertex(g4)] = 1.0
+    ref = p
+    for _ in range(200):
+        p = op.step(p)
+        ref = 0.5 * ref + 0.5 * (adj @ (ref * inv_deg))
+        assert np.array_equal(p, ref)
+
+
+def test_isolated_vertex_keeps_its_mass():
+    graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5)], [(0, 1), (1, 2)])
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    out = TransitionOperator(graph).step(p)
+    assert out[3] == 0.4
+    np.testing.assert_allclose(out[:3], [0.1, 0.3, 0.2], rtol=1e-15)
 
 
 def test_mass_is_conserved(g3):

@@ -1,0 +1,43 @@
+"""Property tests over small valid carpets, not only (2,3,1) and (3,3,1)."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from carpetlab.geometry import build_graph, count_cells, validate_params
+from carpetlab.heat import TransitionOperator, kernel_walk
+
+MAX_VERTICES = 5000
+
+
+@st.composite
+def carpet_and_pair(draw):
+    """A carpet of at most MAX_VERTICES cells and two of its vertices."""
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(3, 7))
+    a = draw(st.sampled_from([a for a in range(1, k) if (a + k) % 2 == 0]))
+    n = draw(st.integers(1, 3))
+    params = validate_params(d, k, a)
+    assume(count_cells(n, params) <= MAX_VERTICES)
+    graph = build_graph(n, params)
+    x = draw(st.integers(0, graph.num_vertices - 1))
+    y = draw(st.integers(0, graph.num_vertices - 1))
+    return graph, x, y
+
+
+@settings(deadline=None)
+@given(carpet_and_pair())
+def test_lazy_walk_conserves_mass_and_is_reversible(case):
+    # deg(x) p_t(x, y) == deg(y) p_t(y, x) for t <= 6, and no mass is lost.
+    graph, x, y = case
+    op = TransitionOperator(graph)
+    times = range(7)
+    rows_x = [p for _, p in kernel_walk(op, x, times)]
+    rows_y = [p for _, p in kernel_walk(op, y, times)]
+    deg = graph.degrees
+    for px, py in zip(rows_x, rows_y):
+        assert px.sum() == pytest.approx(1.0, rel=1e-12)
+        assert py.sum() == pytest.approx(1.0, rel=1e-12)
+        assert deg[x] * px[y] == pytest.approx(deg[y] * py[x], rel=1e-12, abs=0.0)
+        assert (px >= 0).all()
