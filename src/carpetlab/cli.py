@@ -279,11 +279,8 @@ def _cmd_couple(args) -> int:
             x = graph.vertex_id(origin)
             origin[-1] = 1
             y = graph.vertex_id(origin)
-        outcomes = [
-            run_coupled_walk(graph, x, y, args.n, max_steps=args.max_steps,
-                             seed=args.seed, trial=i)
-            for i in range(args.trials)
-        ]
+        outcomes = run_coupled_walk(graph, x, y, args.n, trials=args.trials,
+                                    max_steps=args.max_steps, seed=args.seed)
         valid = [o for o in outcomes if not o.truncated]
         coupled = sum(1 for o in valid if o.coupled)
         payload = {

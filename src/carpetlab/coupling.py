@@ -14,12 +14,24 @@ walk.
 Association is refreshed after every step (upgrades can only be found
 earlier that way); renewal times at displacement k^m are recorded separately
 for the per-renewal upgrade statistic.
+
+Trials run in lockstep on numpy tables indexed by vertex id, at most
+``_POOL`` at a time, a stopped trial's slot going to the next one.  Stream
+contract: trial ``i`` draws only from its own ``derive_rng(seed, label, i)``,
+and every step takes exactly four uniforms from it, in order hold-x, dir-x,
+hold-y, dir-y, whether or not the second pair is used.  A walker holds when its hold uniform is below ``HOLD``;
+otherwise it moves along ``dirs[floor(u * len(dirs))]``, its present
+directions in table order (``+axis`` before ``-axis``, axes ascending).
+Uniforms are drawn in blocks of whole steps, so a trial's outcome does not
+depend on when it is admitted or on the trials beside it.
+``upgrade_statistics`` draws its catalog index ``rng.integers(len(catalog))``
+first and then steps.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,17 +49,29 @@ __all__ = [
     "sample_marginal",
 ]
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
+
+# Trials under way at once: bounds the live generators and uniform blocks.
+_POOL = 1024
+# Steps of uniforms drawn per trial at a time.
+_BLOCK = 16
+
+# Trial status codes; IDLE marks an empty pool slot.
+ACTIVE, COUPLED, EXITED, UPGRADED, EXHAUSTED, TRUNCATED, IDLE = range(7)
+# The per-walk array fields of _Walks, and the ones a stopped walk reports.
+_STATE = ("trial", "x", "y", "m", "iso", "digest", "steps", "ref", "scale_sq",
+          "renewals", "max_level", "status")
+_OUTPUT = ("y", "digest", "steps", "max_level", "status")
 
 
-def _fnv_fold(h: int, value: int) -> int:
-    # FNV-1a style rolling fold over vertex ids (whole ints, not bytes).
-    return ((h ^ int(value)) * _FNV_PRIME) & _MASK64
+def _fnv_fold(h: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # FNV-1a style rolling fold over vertex ids (whole ints, not bytes),
+    # wrapping mod 2^64.
+    return (h ^ values.astype(np.uint64)) * _FNV_PRIME
 
 
-@dataclass
+@dataclass(slots=True)
 class CouplingOutcome:
     coupled: bool
     steps_taken: int
@@ -69,155 +93,289 @@ class CouplingOutcome:
         }
 
 
-def _signed_perms(d: int) -> list[tuple[tuple, tuple]]:
-    """All 2^d * d! signed permutations, identity first.
+@dataclass
+class _Walks:
+    """Lockstep state of a batch of coupled walks, one entry per walk.
 
-    Canonical order: permutations ascending lexicographically, then signs
-    with +1 before -1 per axis, so (identity, all +1) is element 0 and the
-    first valid entry is the canonical witness.
+    The stopping rule: with ``box_side`` set, a trial stops when the walkers
+    meet or either leaves ``[0, box_side)^d``; with ``target`` set, when the
+    association level reaches it; with ``max_renewals`` set, at that many
+    renewals.  Renewals fire when the first walker has moved ``k^l`` from the
+    last renewal point, with ``l`` fixed at ``renewal_level`` or, if that is
+    None, the association level current at the last renewal.
     """
-    out = []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            out.append((perm, signs))
-    return out
+
+    trial: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    m: np.ndarray
+    iso: np.ndarray
+    digest: np.ndarray
+    steps: np.ndarray
+    ref: np.ndarray
+    scale_sq: np.ndarray
+    renewals: np.ndarray
+    max_level: np.ndarray
+    status: np.ndarray
+    box_side: Optional[int] = None
+    target: Optional[int] = None
+    max_renewals: Optional[int] = None
+    renewal_level: Optional[int] = None
+    # one (trial ids, steps) pair per step that had renewals
+    renewal_log: list = field(default_factory=list)
+
+    @classmethod
+    def empty(cls, size: int, **rule) -> "_Walks":
+        """``size`` idle entries."""
+        arrays = {name: np.zeros(size, dtype=np.int64) for name in _STATE}
+        arrays["digest"] = np.zeros(size, dtype=np.uint64)
+        arrays["status"] = np.full(size, IDLE, dtype=np.int8)
+        return cls(**arrays, **rule)
+
+    def put(self, at, src: "_Walks") -> None:
+        """Copy every entry of ``src`` into entries ``at``."""
+        for name in _STATE:
+            getattr(self, name)[at] = getattr(src, name)
 
 
 class _Coupler:
-    """Precomputed tables driving every coupling computation on one graph."""
+    """Numpy tables driving every coupling computation on one graph."""
 
     def __init__(self, graph: CarpetGraph, m_max: int):
         if not isinstance(graph, CarpetGraph):
             raise TypeError("coupling requires a carpet graph")
         if not 0 <= m_max <= graph.level:
             raise ValueError(f"association level cap {m_max} exceeds the built region")
-        self.graph = graph
         self.m_max = m_max
         d = graph.params.d
         k = graph.params.k
-        self.d = d
-        self.k = k
-        self.isos = _signed_perms(d)
-        n_dirs = 2 * d
         coords = graph.coords
-        n = graph.num_vertices
+        self.coords = coords
+        n_dirs = 2 * d
+
+        # Signed permutations, identity first: permutations ascending
+        # lexicographically, then signs with +1 before -1 per axis, so the
+        # lowest valid id is the canonical witness.  Isometry i maps a vector
+        # v to iso_sign[i] * v[iso_perm[i]].
+        perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+        signs = np.array(list(itertools.product((1, -1), repeat=d)), dtype=np.int64)
+        self.iso_perm = np.repeat(perms, len(signs), axis=0)
+        self.iso_sign = np.tile(signs, (len(perms), 1))
+        n_isos = len(self.iso_perm)
 
         # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1.
-        nbr = np.full((n, n_dirs), -1, dtype=np.int64)
-        for axis in range(d):
-            for sign_bit, sgn in ((0, 1), (1, -1)):
-                shifted = coords.copy()
-                shifted[:, axis] += sgn
-                ids = graph.vertex_ids(shifted)
-                nbr[:, 2 * axis + sign_bit] = ids
-        self.nbr = [tuple(row) for row in nbr]
-        mask_arr = ((nbr >= 0) << np.arange(n_dirs)).sum(axis=1)
-        self.mask = [int(m) for m in mask_arr]
-        self.mask_dirs = [
-            tuple(b for b in range(n_dirs) if (m >> b) & 1) for m in range(1 << n_dirs)
-        ]
+        self.nbr = np.empty((graph.num_vertices, n_dirs), dtype=np.int64)
+        for e in range(n_dirs):
+            shifted = coords.copy()
+            shifted[:, e // 2] += 1 - 2 * (e % 2)
+            self.nbr[:, e] = graph.vertex_ids(shifted)
+        self.mask = ((self.nbr >= 0) << np.arange(n_dirs)).sum(axis=1)
+        bits = (np.arange(1 << n_dirs)[:, None] >> np.arange(n_dirs)) & 1
+        self.dir_count = bits.sum(axis=1)
+        # row M: the directions present in mask M, ascending, then padding
+        self.dir_table = np.argsort(1 - bits, axis=1, kind="stable")
 
-        # sigma action on directions and on direction masks
-        self.dir_map = []
-        self.mask_map = []
-        for perm, signs in self.isos:
-            inv = [0] * d
-            for i in range(d):
-                inv[perm[i]] = i
-            dmap = []
-            for j in range(d):
-                for sign_bit, sgn in ((0, 1), (1, -1)):
-                    i_star = inv[j]
-                    out_sign = signs[i_star] * sgn
-                    dmap.append(2 * i_star + (0 if out_sign > 0 else 1))
-            self.dir_map.append(tuple(dmap))
-            mmap = []
-            for m in range(1 << n_dirs):
-                im = 0
-                for b in range(n_dirs):
-                    if (m >> b) & 1:
-                        im |= 1 << dmap[b]
-                mmap.append(im)
-            self.mask_map.append(tuple(mmap))
+        # Isometry action on directions: e = (axis j, sign s) goes to axis
+        # i with perm[i] == j and sign iso_sign[i] * s.
+        inv = np.argsort(self.iso_perm, axis=1)
+        axis = inv[:, np.arange(n_dirs) // 2]
+        out_sign = np.take_along_axis(self.iso_sign, axis, axis=1) * (
+            1 - 2 * (np.arange(n_dirs) % 2)
+        )
+        self.dir_map = 2 * axis + (out_sign < 0)
+        self.mask_map = np.zeros((n_isos, 1 << n_dirs), dtype=np.int64)
+        for b in range(n_dirs):
+            self.mask_map |= bits[None, :, b] << self.dir_map[:, b, None]
 
-        # Doubled local coordinates and orbit-canonical keys per level.
-        self.loc2 = []  # per m: list of d-tuples
-        self.canon = []  # per m: list of ints
-        self.cube_key = []  # per m: list of ints (packed cube index)
-        for m in range(m_max + 1):
+        # Per level: doubled local coordinates, orbit-canonical keys (one
+        # per position in an S_m cube, then gathered) and packed cube index.
+        levels = m_max + 1
+        self.loc2 = np.empty((levels, graph.num_vertices, d), dtype=np.int64)
+        self.canon = np.empty((levels, graph.num_vertices), dtype=np.int64)
+        self.cube_key = np.empty((levels, graph.num_vertices), dtype=np.int64)
+        for m in range(levels):
             side_m = k ** m
-            l2 = 2 * (coords % side_m) + 1 - side_m
+            local = coords % side_m
+            self.loc2[m] = 2 * local + 1 - side_m
+            grid = np.indices((side_m,) * d).reshape(d, -1).T
+            l2 = 2 * grid + 1 - side_m
             base = 2 * side_m + 1
             best = None
-            for perm, signs in self.isos:
-                img = np.array(signs, dtype=np.int64) * l2[:, list(perm)]
-                packed = np.zeros(n, dtype=np.int64)
-                for i in range(d):
-                    packed = packed * base + (img[:, i] + side_m)
+            for i in range(n_isos):
+                img = self.iso_sign[i] * l2[:, self.iso_perm[i]] + side_m
+                packed = img @ base ** np.arange(d - 1, -1, -1)
                 best = packed if best is None else np.minimum(best, packed)
-            self.canon.append([int(v) for v in best])
-            self.loc2.append([tuple(int(c) for c in row) for row in l2])
-            cubes = coords // side_m
-            ckey = np.zeros(n, dtype=np.int64)
-            span = int(graph.side // side_m)
-            for i in range(d):
-                ckey = ckey * span + cubes[:, i]
-            self.cube_key.append([int(v) for v in ckey])
+            self.canon[m] = best[local @ side_m ** np.arange(d - 1, -1, -1)]
+            span = graph.side // side_m
+            self.cube_key[m] = (coords // side_m) @ span ** np.arange(d - 1, -1, -1)
+        self.scale_sq = k ** (2 * np.arange(levels))
 
-        self.coord_rows = [tuple(int(c) for c in row) for row in coords]
+    def image(self, iso, vec: np.ndarray) -> np.ndarray:
+        """Images of doubled local coordinates ``vec`` (..., d) under ``iso``."""
+        return self.iso_sign[iso] * np.take_along_axis(vec, self.iso_perm[iso], axis=-1)
 
-    def apply_linear(self, iso_id: int, vec: tuple) -> tuple:
-        perm, signs = self.isos[iso_id]
-        return tuple(signs[i] * vec[perm[i]] for i in range(self.d))
+    def refresh(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Highest association level and canonical witness id of each pair."""
+        eq = self.canon[:, x] == self.canon[:, y]
+        m = self.m_max - np.argmax(eq[::-1], axis=0)
+        images = self.loc2[m, x][:, self.iso_perm] * self.iso_sign  # (pairs, isos, d)
+        match = (images == self.loc2[m, y][:, None, :]).all(axis=2)
+        if not match.any(axis=1).all():
+            raise RuntimeError("level-0 association failed; tables are corrupt")
+        return m, np.argmax(match, axis=1)
 
-    def refresh(self, x: int, y: int) -> tuple[int, int]:
-        """Highest association level and canonical witness id for (x, y)."""
-        for m in range(self.m_max, -1, -1):
-            if self.canon[m][x] == self.canon[m][y]:
-                lx = self.loc2[m][x]
-                ly = self.loc2[m][y]
-                for iso_id in range(len(self.isos)):
-                    if self.apply_linear(iso_id, lx) == ly:
-                        return m, iso_id
-        raise RuntimeError("level-0 association failed; tables are corrupt")
+    def start(
+        self,
+        x0: np.ndarray,
+        y0: np.ndarray,
+        trial: Optional[np.ndarray] = None,
+        box_side: Optional[int] = None,
+        target: Optional[int] = None,
+        max_renewals: Optional[int] = None,
+        renewal_level: Optional[int] = None,
+    ) -> _Walks:
+        """Walks of ``trial[i]`` (default i) from the pairs ``(x0[i], y0[i])``.
 
-    def step(self, x, y, m, iso_id, rng):
-        """One coupled move.  Returns (x', y', m', iso_id', moved)."""
-        mirrored = x == y or self.mask_map[iso_id][self.mask[x]] == self.mask[y]
-        if rng.random() < HOLD:
-            nx = x
-        else:
-            dirs = self.mask_dirs[self.mask[x]]
-            e = dirs[rng.integers(len(dirs))] if len(dirs) > 1 else dirs[0]
-            nx = self.nbr[x][e]
-        if mirrored:
-            if nx == x:
-                return x, y, m, iso_id, False
-            ny = self.nbr[y][e if x == y else self.dir_map[iso_id][e]]
-            # In-step invariance: a mirrored move that crosses no S_m cube
-            # wall must leave the witness valid verbatim.
-            if (
-                x != y
-                and self.cube_key[m][nx] == self.cube_key[m][x]
-                and self.cube_key[m][ny] == self.cube_key[m][y]
-            ):
-                if self.apply_linear(iso_id, self.loc2[m][nx]) != self.loc2[m][ny]:
-                    raise RuntimeError("mirrored in-cube step broke its witness")
-        else:
-            # The witness cannot carry this move over, so the second walker
-            # draws its own lazy increment, hold coin included.  Independent
-            # holds are what let walkers at odd displacement ever meet: under
-            # a shared coin the parity of the offset would never change.
-            if rng.random() < HOLD:
-                ny = y
-            else:
-                dirs_y = self.mask_dirs[self.mask[y]]
-                e_y = dirs_y[rng.integers(len(dirs_y))] if len(dirs_y) > 1 else dirs_y[0]
-                ny = self.nbr[y][e_y]
-            if nx == x and ny == y:
-                return x, y, m, iso_id, False
-        nm, niso = self.refresh(nx, ny)
-        return nx, ny, nm, niso, True
+        A walk that already meets the stopping rule starts stopped.
+        """
+        x = np.asarray(x0, dtype=np.int64).copy()
+        y = np.asarray(y0, dtype=np.int64).copy()
+        m, iso = self.refresh(x, y)
+        status = np.full(len(x), ACTIVE, dtype=np.int8)
+        if target is not None:
+            status[m >= target] = UPGRADED
+        if box_side is not None:
+            status[(status == ACTIVE) & (x == y)] = COUPLED
+        fixed = m if renewal_level is None else np.full(len(x), renewal_level)
+        return _Walks(
+            trial=np.arange(len(x)) if trial is None else trial, x=x, y=y, m=m, iso=iso,
+            digest=_fnv_fold(_fnv_fold(np.full(len(x), _FNV_OFFSET), x), y),
+            steps=np.zeros(len(x), dtype=np.int64), ref=x.copy(),
+            scale_sq=self.scale_sq[fixed], renewals=np.zeros(len(x), dtype=np.int64),
+            max_level=m.copy(), status=status, box_side=box_side, target=target,
+            max_renewals=max_renewals, renewal_level=renewal_level,
+        )
+
+    def advance(self, w: _Walks, u: np.ndarray) -> None:
+        """Move every active entry of ``w`` one coupled step and apply its stopping rule.
+
+        ``u[i]`` holds entry i's four uniforms for this step; rows of entries
+        that are not active are ignored.
+        """
+        idx = np.nonzero(w.status == ACTIVE)[0]
+        u = u[idx]
+        x, y, m, iso = w.x[idx], w.y[idx], w.m[idx], w.iso[idx]
+        mx, my = self.mask[x], self.mask[y]
+        # Mirror when the witness carries x's open directions onto y's; a
+        # met pair has the identity witness, so it always mirrors.
+        mirrored = self.mask_map[iso, mx] == my
+        hold_x = u[:, 0] < HOLD
+        ex = self.dir_table[mx, (u[:, 1] * self.dir_count[mx]).astype(np.int64)]
+        nx = np.where(hold_x, x, self.nbr[x, ex])
+        # Otherwise the second walker draws its own lazy increment, hold coin
+        # included.  Independent holds are what let walkers at odd
+        # displacement ever meet: under a shared coin the parity of the
+        # offset would never change.
+        hold_y = np.where(mirrored, hold_x, u[:, 2] < HOLD)
+        ey = np.where(
+            mirrored,
+            self.dir_map[iso, ex],
+            self.dir_table[my, (u[:, 3] * self.dir_count[my]).astype(np.int64)],
+        )
+        ny = np.where(hold_y, y, self.nbr[y, ey])
+        moved = ~(hold_x & hold_y)
+
+        # In-step invariance: a mirrored move that crosses no S_m cube wall
+        # must leave the witness valid verbatim.
+        inside = (
+            mirrored & moved
+            & (self.cube_key[m, nx] == self.cube_key[m, x])
+            & (self.cube_key[m, ny] == self.cube_key[m, y])
+        )
+        if inside.any():
+            c = np.nonzero(inside)[0]
+            img = self.image(iso[c], self.loc2[m[c], nx[c]])
+            if not (img == self.loc2[m[c], ny[c]]).all():
+                raise RuntimeError("mirrored in-cube step broke its witness")
+        mv = np.nonzero(moved)[0]
+        if mv.size:
+            m[mv], iso[mv] = self.refresh(nx[mv], ny[mv])
+
+        w.x[idx], w.y[idx], w.m[idx], w.iso[idx] = nx, ny, m, iso
+        w.digest[idx] = _fnv_fold(_fnv_fold(w.digest[idx], nx), ny)
+        w.steps[idx] += 1
+        w.max_level[idx] = np.maximum(w.max_level[idx], m)
+
+        status = np.full(len(idx), ACTIVE, dtype=np.int8)
+        if w.target is not None:
+            status[m >= w.target] = UPGRADED
+        if w.box_side is not None:
+            out = (self.coords[nx] >= w.box_side).any(axis=1)
+            out |= (self.coords[ny] >= w.box_side).any(axis=1)
+            status[(status == ACTIVE) & out] = EXITED
+            status[(status == ACTIVE) & (nx == ny)] = COUPLED
+        # The first walker's displacement changes only when it moves, and it
+        # was below the scale after the previous step, so testing every
+        # active entry finds exactly the renewals of the movers.
+        disp = ((self.coords[nx] - self.coords[w.ref[idx]]) ** 2).sum(axis=1)
+        renew = (status == ACTIVE) & (disp >= w.scale_sq[idx])
+        if renew.any():
+            r = idx[renew]
+            w.ref[r] = nx[renew]
+            if w.renewal_level is None:
+                w.scale_sq[r] = self.scale_sq[m[renew]]
+            w.renewals[r] += 1
+            w.renewal_log.append((w.trial[r], w.steps[r]))
+            if w.max_renewals is not None:
+                status[renew & (w.renewals[idx] >= w.max_renewals)] = EXHAUSTED
+        w.status[idx] = status
+
+    def run(self, seed: int, label: str, trials: int, max_steps: int, starts, **rule):
+        """Walk trials ``0..trials-1`` to their stop.
+
+        Returns the ``_OUTPUT`` fields of every trial, as arrays indexed by
+        trial id, and the renewal log.
+
+        Trial i draws from ``derive_rng(seed, label, i)``; ``starts(rngs)``
+        returns the start pairs ``(x0, y0)`` of newly admitted trials, and
+        ``rule`` is the stopping rule of ``start``.  A trial still active
+        after ``max_steps`` steps is truncated.  At most ``_POOL`` trials are
+        under way at once; whenever half the pool has stopped, the free slots
+        take the next trials, so a long trial holds one slot, not a batch.
+        """
+        pool = _Walks.empty(_POOL, **rule)
+        done = {name: np.zeros(trials, dtype=getattr(pool, name).dtype) for name in _OUTPUT}
+        rngs = [None] * _POOL
+        u = np.empty((_POOL, _BLOCK, 4))
+        rows = np.arange(_POOL)
+        admitted = 0
+        while True:
+            free = np.nonzero(pool.status == IDLE)[0]
+            if admitted < trials and len(free) >= min(_POOL // 2, trials - admitted):
+                free = free[: trials - admitted]
+                ids = np.arange(admitted, admitted + len(free))
+                admitted += len(free)
+                for slot, i in zip(free, ids):
+                    rngs[slot] = derive_rng(seed, label, index=int(i))
+                starts_at = starts([rngs[slot] for slot in free])
+                pool.put(free, self.start(*starts_at, trial=ids, **rule))
+            pool.status[(pool.status == ACTIVE) & (pool.steps >= max_steps)] = TRUNCATED
+            stopped = np.nonzero((pool.status != ACTIVE) & (pool.status != IDLE))[0]
+            if len(stopped):
+                for name in _OUTPUT:
+                    done[name][pool.trial[stopped]] = getattr(pool, name)[stopped]
+                pool.status[stopped] = IDLE
+                for slot in stopped:
+                    rngs[slot] = None
+            live = np.nonzero(pool.status == ACTIVE)[0]
+            if not len(live):
+                if admitted == trials:
+                    break
+                continue
+            for slot in live[pool.steps[live] % _BLOCK == 0]:
+                rngs[slot].random(out=u[slot])
+            self.advance(pool, u[rows, pool.steps % _BLOCK])
+        return done, pool.renewal_log
 
 
 def _coupler(graph: CarpetGraph, m_max: int) -> _Coupler:
@@ -240,12 +398,12 @@ def association_level(graph: CarpetGraph, x: int, y: int, m_max: int) -> int:
     if not 0 <= m_max <= graph.level:
         raise ValueError(f"m_max {m_max} exceeds the built region (level {graph.level})")
     eng = _coupler(graph, m_max)
-    levels = [eng.canon[m][x] == eng.canon[m][y] for m in range(m_max + 1)]
+    levels = eng.canon[:, x] == eng.canon[:, y]
     best = 0
     for m, ok in enumerate(levels):
         if ok:
             best = m
-        elif any(levels[m:]):
+        elif levels[m:].any():
             raise RuntimeError(f"association monotonicity violated at level {m}")
     return best
 
@@ -255,77 +413,59 @@ def run_coupled_walk(
     x0: int,
     y0: int,
     n: int,
+    trials: int,
     max_steps: int = 100_000,
     seed: int = 0,
-    trial: int = 0,
     m_max: Optional[int] = None,
-) -> CouplingOutcome:
+) -> list[CouplingOutcome]:
     """Run the mirrored coupling until meeting, box exit, or the step cap.
 
-    Both walkers start in the level-(n-1) box; the run ends when they occupy
+    Both walkers start in the level-(n-1) box; a trial ends when they occupy
     the same vertex (coupled), when either leaves the level-n box (exited),
     or at ``max_steps`` (truncated — excluded from probability estimates).
     Renewal times record when the first walker's displacement since the last
     renewal reaches k^m, with m the association level current at that
-    renewal.  Fully reproducible from (seed, trial).
+    renewal.  Returns the outcomes of trials ``0..trials-1``, each fully
+    reproducible from (seed, trial).
     """
+    if n < 1:
+        raise ValueError(f"box level n must be at least 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if graph.level < n + 1:
         raise ValueError(f"need graph level >= {n + 1} for box level {n}")
     k = graph.params.k
     inner_side = k ** (n - 1)
-    box_side = k ** n
     for v in (x0, y0):
         if any(c >= inner_side for c in graph.coords[v]):
             raise ValueError(f"vertex {v} is outside the level-{n - 1} box")
     if m_max is None:
         m_max = n
     eng = _coupler(graph, m_max)
-    rng = derive_rng(seed, "coupled-walk", index=trial)
-
-    x, y = int(x0), int(y0)
-    m, iso_id = eng.refresh(x, y)
-    digest = _fnv_fold(_fnv_fold(_FNV_OFFSET, x), y)
-    max_level = m
-    renewals: list[int] = []
-    ref = eng.coord_rows[x]
-    scale_sq = float(k ** m) ** 2
-
-    if x == y:
-        return CouplingOutcome(
-            coupled=True, steps_taken=0, exited_box=False, renewal_times=[],
-            max_level_reached=m, trajectory_digest=f"{digest:016x}", truncated=False,
-        )
-
-    coupled = False
-    exited = False
-    steps = 0
-    rows = eng.coord_rows
-    for t in range(1, max_steps + 1):
-        x, y, m, iso_id, moved = eng.step(x, y, m, iso_id, rng)
-        digest = _fnv_fold(_fnv_fold(digest, x), y)
-        steps = t
-        if m > max_level:
-            max_level = m
-        cx = rows[x]
-        cy = rows[y]
-        if any(c >= box_side for c in cx) or any(c >= box_side for c in cy):
-            exited = True
-            break
-        if x == y:
-            coupled = True
-            break
-        if moved:
-            disp = sum((a - b) ** 2 for a, b in zip(cx, ref))
-            if disp >= scale_sq:
-                renewals.append(t)
-                ref = cx
-                scale_sq = float(k ** m) ** 2
-    truncated = not (coupled or exited)
-    return CouplingOutcome(
-        coupled=coupled, steps_taken=steps, exited_box=exited,
-        renewal_times=renewals, max_level_reached=max_level,
-        trajectory_digest=f"{digest:016x}", truncated=truncated,
+    done, renewal_log = eng.run(
+        seed, "coupled-walk", trials, max_steps,
+        lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)), box_side=k ** n,
     )
+    renewal_times = [[] for _ in range(trials)]
+    for ids, steps in renewal_log:
+        for i, t in zip(ids.tolist(), steps.tolist()):
+            renewal_times[i].append(t)
+    return [
+        CouplingOutcome(
+            coupled=bool(status == COUPLED),
+            steps_taken=int(steps),
+            exited_box=bool(status == EXITED),
+            renewal_times=times,
+            max_level_reached=int(level),
+            trajectory_digest=f"{int(digest):016x}",
+            truncated=bool(status == TRUNCATED),
+        )
+        for status, steps, times, level, digest in zip(
+            done["status"], done["steps"], renewal_times, done["max_level"], done["digest"]
+        )
+    ]
 
 
 def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
@@ -334,6 +474,8 @@ def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
     Cubes tile the window, so every S_{m+1} cube is decidable whenever
     m + 1 <= build level; nothing near the window edge needs excluding.
     """
+    if m < 0:
+        raise ValueError(f"association level m must be nonnegative, got {m}")
     if graph.level < max(n, m + 1):
         raise ValueError("built region too small for this catalog")
     eng = _coupler(graph, min(graph.level, max(n, m + 1)))
@@ -341,7 +483,7 @@ def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
     ids = np.nonzero((graph.coords < inner_side).all(axis=1))[0]
     groups: dict[int, list[int]] = {}
     for v in ids:
-        groups.setdefault(eng.canon[m][int(v)], []).append(int(v))
+        groups.setdefault(int(eng.canon[m, v]), []).append(int(v))
     pairs = []
     for members in groups.values():
         for a in members:
@@ -371,62 +513,32 @@ def upgrade_statistics(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if m < 0:
+        raise ValueError(f"association level m must be nonnegative, got {m}")
+    if j < 1:
+        raise ValueError(f"renewal count j must be at least 1, got {j}")
     if graph.level < n + 1 or graph.level < m + 1:
         raise ValueError("built region too small for this experiment")
     catalog = pair_catalog(graph, m, n)
     if not catalog:
         raise ValueError(f"no m={m} associated pairs inside the level-{n - 1} box")
+    catalog = np.array(catalog, dtype=np.int64)
     eng = _coupler(graph, max(m + 1, n))
-    k = graph.params.k
-    box_side = k ** n
-    scale_sq = float(k ** m) ** 2
-    rows = eng.coord_rows
+    box_side = graph.params.k ** n
 
-    successes = 0
-    immediate = 0
-    exited = 0
-    exhausted = 0  # j renewal intervals elapsed without an upgrade
-    truncated = 0
-    for trial in range(trials):
-        rng = derive_rng(seed, "upgrade-trial", index=trial)
-        x0, y0 = catalog[rng.integers(len(catalog))]
-        x, y = x0, y0
-        lvl, iso_id = eng.refresh(x, y)
-        if lvl >= m + 1:
-            successes += 1
-            immediate += 1
-            continue
-        ref = rows[x]
-        renewals = 0
-        outcome = None
-        for _ in range(max_steps):
-            x, y, lvl, iso_id, moved = eng.step(x, y, lvl, iso_id, rng)
-            if lvl >= m + 1:
-                outcome = "success"
-                break
-            cx = rows[x]
-            cy = rows[y]
-            if any(c >= box_side for c in cx) or any(c >= box_side for c in cy):
-                outcome = "exit"
-                break
-            if moved:
-                if sum((a - b) ** 2 for a, b in zip(cx, ref)) >= scale_sq:
-                    renewals += 1
-                    ref = cx
-                    if renewals >= j:
-                        outcome = "exhausted"
-                        break
-        if outcome == "success":
-            successes += 1
-        elif outcome == "exit":
-            exited += 1
-        elif outcome == "exhausted":
-            exhausted += 1
-        else:
-            truncated += 1
+    def starts(rngs):
+        pairs = catalog[[rng.integers(len(catalog)) for rng in rngs]]
+        return pairs[:, 0], pairs[:, 1]
 
+    # A met pair is associated at every level, so it stops as an upgrade
+    # before it can count as coupled.
+    done, _ = eng.run(seed, "upgrade-trial", trials, max_steps, starts, box_side=box_side,
+                      target=m + 1, max_renewals=j, renewal_level=m)
+    counts = np.bincount(done["status"], minlength=IDLE)
+    immediate = int(((done["status"] == UPGRADED) & (done["steps"] == 0)).sum())
+    successes = int(counts[UPGRADED])
+    truncated = int(counts[TRUNCATED])
     valid = trials - truncated
-    probability = successes / valid if valid else float("nan")
     return {
         "m": m,
         "n": n,
@@ -435,10 +547,10 @@ def upgrade_statistics(
         "valid": valid,
         "successes": successes,
         "immediate": immediate,
-        "exited": exited,
-        "exhausted": exhausted,
+        "exited": int(counts[EXITED]),
+        "exhausted": int(counts[EXHAUSTED]),  # j renewal intervals without an upgrade
         "truncated": truncated,
-        "probability": probability,
+        "probability": successes / valid if valid else float("nan"),
     }
 
 
@@ -460,12 +572,6 @@ def sample_marginal(
     if m_max is None:
         m_max = graph.level
     eng = _coupler(graph, m_max)
-    counts = np.zeros(graph.num_vertices, dtype=np.int64)
-    for trial in range(trials):
-        rng = derive_rng(seed, "marginal-trial", index=trial)
-        x, y = int(x0), int(y0)
-        m, iso_id = eng.refresh(x, y)
-        for _ in range(steps):
-            x, y, m, iso_id, _ = eng.step(x, y, m, iso_id, rng)
-        counts[y] += 1
-    return counts
+    done, _ = eng.run(seed, "marginal-trial", trials, steps,
+                      lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)))
+    return np.bincount(done["y"], minlength=graph.num_vertices)

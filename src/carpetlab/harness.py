@@ -365,12 +365,13 @@ def exp_couple(ctx: _SuiteContext) -> dict:
     first_dir[-1] = 1
     y0 = int(graph.vertex_id(first_dir))
 
-    def one_trial(trial):
-        return run_coupled_walk(graph, x0, y0, n, seed=ctx.config.seed, trial=trial)
-
-    outcomes = ctx.parallel(one_trial, list(range(ctx.config.trials)))
-    valid = [o for o in outcomes if not o.truncated]
-    coupled = sum(1 for o in valid if o.coupled)
+    # only the flags are kept, so the outcomes are freed before the upgrade run
+    valid = [
+        o.coupled
+        for o in run_coupled_walk(graph, x0, y0, n, trials=ctx.config.trials, seed=ctx.config.seed)
+        if not o.truncated
+    ]
+    coupled = sum(valid)
     p_hat = coupled / len(valid) if valid else float("nan")
     se = (p_hat * (1 - p_hat) / len(valid)) ** 0.5 if valid else float("nan")
 

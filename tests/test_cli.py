@@ -255,6 +255,27 @@ def test_couple_run_rejects_bad_vertex_ids(capsys, g3_file):
         assert "outside [0, 512)" in capsys.readouterr().err
 
 
+def test_couple_run_rejects_bad_counts(capsys, g3_file):
+    base = ["couple", "run", "--graph", g3_file]
+    for extra, message in (
+        (["--n", "2", "--trials", "-5"], "trials must be at least 1"),
+        (["--n", "2", "--max-steps", "-3"], "max_steps must be at least 1"),
+        (["--n", "0"], "box level n must be at least 1"),
+    ):
+        assert main([*base, *extra]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_couple_upgrade_rejects_bad_levels(capsys, g3_file):
+    base = ["couple", "upgrade", "--graph", g3_file, "--n", "2", "--trials", "5"]
+    for extra, message in (
+        (["--m", "-1"], "association level m must be nonnegative"),
+        (["--m", "0", "--j", "0"], "renewal count j must be at least 1"),
+    ):
+        assert main([*base, *extra]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_couple_upgrade(capsys, g3_file):
     code, payload = run_json(
         capsys,

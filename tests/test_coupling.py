@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from carpetlab import coupling
 from carpetlab.coupling import (
+    _Coupler,
     _coupler,
     association_level,
     pair_catalog,
@@ -10,6 +12,7 @@ from carpetlab.coupling import (
     sample_marginal,
     upgrade_statistics,
 )
+from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator, heat_kernel_row
 from carpetlab.seeding import derive_rng
 
@@ -19,8 +22,8 @@ from conftest import vid
 def witnesses(eng, x, y, m):
     """Ids of the signed permutations carrying x's S_m cube position onto y's."""
     return [
-        i for i in range(len(eng.isos))
-        if eng.apply_linear(i, eng.loc2[m][x]) == eng.loc2[m][y]
+        i for i in range(len(eng.iso_perm))
+        if (eng.image(i, eng.loc2[m][x]) == eng.loc2[m][y]).all()
     ]
 
 
@@ -43,9 +46,9 @@ def test_isometry_preserves_the_carpet(g2):
     eng = _coupler(g2, 2)
     isos = witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     assert isos
-    cube = {eng.loc2[1][v] for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
+    cube = {tuple(eng.loc2[1][v]) for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
     for i in isos:
-        assert {eng.apply_linear(i, c) for c in cube} == cube
+        assert {tuple(eng.image(i, np.array(c))) for c in cube} == cube
 
 
 def test_isometry_maps_across_cubes(g2):
@@ -57,14 +60,14 @@ def test_isometry_maps_across_cubes(g2):
     assert tuple(g2.coords[x] // 3) == (0, 0)
     assert tuple(g2.coords[y] // 3) == (1, 0)
     for i in isos:
-        img2 = np.array(eng.apply_linear(i, eng.loc2[1][x]))
+        img2 = eng.image(i, eng.loc2[1][x])
         image = (g2.coords[y] // 3) * 3 + (img2 + 2) // 2
         assert tuple(image) == tuple(g2.coords[y])
 
 
 def test_identity_witness_for_met_pair(g2):
     eng = _coupler(g2, 2)
-    assert eng.isos[0] == ((0, 1), (1, 1))  # id 0 is the identity
+    assert (tuple(eng.iso_perm[0]), tuple(eng.iso_sign[0])) == ((0, 1), (1, 1))  # identity
     v = vid(g2, 5, 2)
     assert witnesses(eng, v, v, 2)[0] == 0  # identity is canonically first
     # A diagonal cell is also fixed by the axis swap, nothing else.
@@ -115,30 +118,50 @@ def test_association_is_monotone(g3):
 
 def test_coupling_is_absorbing(g3):
     eng = _coupler(g3, 3)
-    x = y = vid(g3, 2, 2)
-    m, i = eng.refresh(x, y)
+    x = vid(g3, 2, 2)
+    w = eng.start(np.array([x]), np.array([x]))  # no stopping rule
     rng = derive_rng(17, "absorbing-test")
     for _ in range(60):
-        x, y, m, i, _ = eng.step(x, y, m, i, rng)
-        assert x == y
-        assert i == 0  # identity witness
+        eng.advance(w, rng.random((1, 4)))
+        assert w.x[0] == w.y[0]
+        assert w.iso[0] == 0  # identity witness
 
 
 def test_witness_valid_until_met(g3):
     # A mirrored pair keeps its reflection witness at every step on the way
     # to meeting: the witness maps the first walker onto the second exactly.
     eng = _coupler(g3, 3)
-    x, y = vid(g3, 0, 0), vid(g3, 2, 0)
-    m, i = eng.refresh(x, y)
+    w = eng.start(np.array([vid(g3, 0, 0)]), np.array([vid(g3, 2, 0)]))
     rng = derive_rng(23, "mirror-test")
     met = False
     for _ in range(2000):
+        x, y, m, i = w.x[0], w.y[0], w.m[0], w.iso[0]
         if x == y:
             met = True
             break
-        assert eng.apply_linear(i, eng.loc2[m][x]) == eng.loc2[m][y]
-        x, y, m, i, _ = eng.step(x, y, m, i, rng)
+        assert (eng.image(i, eng.loc2[m][x]) == eng.loc2[m][y]).all()
+        eng.advance(w, rng.random((1, 4)))
     assert met, "mirror pair failed to meet in 2000 steps"
+
+
+def test_corrupt_tables_are_caught(g2):
+    # Both vectorized witness checks fire: refresh finding no witness where
+    # the keys claim one, and a mirrored in-cube move leaving its witness.
+    eng = _Coupler(g2, 2)
+    x, y = np.array([vid(g2, 0, 0)]), np.array([vid(g2, 0, 1)])
+    eng.canon[1, y] = eng.canon[1, x]  # claims 1-association
+    with pytest.raises(RuntimeError, match="tables are corrupt"):
+        eng.refresh(x, y)
+
+    eng = _Coupler(g2, 2)
+    # mirror images across a middle column, with mirrored open directions
+    w = eng.start(np.array([vid(g2, 3, 1)]), np.array([vid(g2, 5, 1)]))
+    assert eng.mask_map[w.iso[0], eng.mask[w.x[0]]] == eng.mask[w.y[0]]
+    eng.dir_map[w.iso[0], [2, 3]] = eng.dir_map[w.iso[0], [3, 2]]  # flip the y moves
+    rng = derive_rng(3, "corrupt-test")
+    with pytest.raises(RuntimeError, match="broke its witness"):
+        for _ in range(100):
+            eng.advance(w, rng.random((1, 4)))
 
 
 def test_marginal_law_of_mirrored_walker(g4):
@@ -165,7 +188,7 @@ def test_marginal_law_of_mirrored_walker(g4):
 
 
 def test_run_from_met_pair(g3):
-    out = run_coupled_walk(g3, 0, 0, 2, seed=1)
+    [out] = run_coupled_walk(g3, 0, 0, 2, trials=1, seed=1)
     assert out.coupled
     assert out.steps_taken == 0
     assert not out.exited_box
@@ -173,10 +196,10 @@ def test_run_from_met_pair(g3):
 
 
 def test_run_determinism(g3):
-    a = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, seed=5, trial=3)
-    b = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, seed=5, trial=3)
+    a = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[3]
+    b = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[3]
     assert a == b
-    c = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, seed=5, trial=4)
+    c = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[4]
     assert a.trajectory_digest != c.trajectory_digest
     assert len(a.trajectory_digest) == 16
     d = a.to_dict()
@@ -184,16 +207,78 @@ def test_run_determinism(g3):
     assert isinstance(d["renewal_times"], list)
 
 
+def replay(eng, rng, x, y, box_side, max_steps):
+    """Scalar replay of one trial under the stream contract: (coupled, steps, digest)."""
+    def fold(h, v):
+        return (h ^ v) * 0x100000001B3 % 2**64
+
+    digest = fold(fold(0xCBF29CE484222325, x), y)
+    _, (iso,) = eng.refresh(np.array([x]), np.array([y]))
+    for t in range(1, max_steps + 1):
+        hold_x, dir_x, hold_y, dir_y = rng.random(4)
+        dirs = np.nonzero(eng.nbr[x] >= 0)[0]
+        e = dirs[int(dir_x * len(dirs))]
+        nx = x if hold_x < HOLD else eng.nbr[x, e]
+        if eng.mask_map[iso, eng.mask[x]] == eng.mask[y]:  # mirrored
+            ny = y if hold_x < HOLD else eng.nbr[y, eng.dir_map[iso, e]]
+        else:
+            dirs_y = np.nonzero(eng.nbr[y] >= 0)[0]
+            ny = y if hold_y < HOLD else eng.nbr[y, dirs_y[int(dir_y * len(dirs_y))]]
+        x, y = int(nx), int(ny)
+        _, (iso,) = eng.refresh(np.array([x]), np.array([y]))
+        digest = fold(fold(digest, x), y)
+        if (eng.coords[x] >= box_side).any() or (eng.coords[y] >= box_side).any():
+            return False, t, f"{digest:016x}"
+        if x == y:
+            return True, t, f"{digest:016x}"
+    return False, max_steps, f"{digest:016x}"
+
+
+def test_batch_follows_the_stream_contract(g4):
+    # Four uniforms per step from the trial's own stream: hold-x, dir-x,
+    # hold-y, dir-y, with direction dirs[floor(u * len(dirs))].
+    x, y = vid(g4, 0, 0), vid(g4, 8, 8)
+    outs = run_coupled_walk(g4, x, y, 3, trials=40, max_steps=400, seed=3)
+    eng = _coupler(g4, 3)
+    for t, out in enumerate(outs):
+        rng = derive_rng(3, "coupled-walk", index=t)
+        assert replay(eng, rng, x, y, 27, 400) == (
+            out.coupled, out.steps_taken, out.trajectory_digest
+        )
+
+
+def test_outcome_does_not_depend_on_batch(g3):
+    # A trial's outcome, digest included, depends only on (seed, trial).
+    x, y = vid(g3, 0, 0), vid(g3, 0, 1)
+    short = run_coupled_walk(g3, x, y, 2, trials=5, seed=5)
+    assert short[3] == run_coupled_walk(g3, x, y, 2, trials=5000, seed=5)[3]
+    # The same for a trial admitted after the first batch fills the pool.
+    t = coupling._POOL + 3
+    a = run_coupled_walk(g3, x, y, 2, trials=t + 1, seed=5)[t]
+    assert a == run_coupled_walk(g3, x, y, 2, trials=2 * coupling._POOL + 100, seed=5)[t]
+
+
+def test_aggregates_do_not_depend_on_chunking(g4, monkeypatch):
+    x, y = vid(g4, 0, 0), vid(g4, 0, 1)
+    up = upgrade_statistics(g4, 0, 300, 3, seed=8)
+    counts = sample_marginal(g4, x, y, steps=9, trials=300, seed=8)
+    # Many pool refills and uniform-block boundaries instead of none.
+    monkeypatch.setattr(coupling, "_POOL", 7)
+    monkeypatch.setattr(coupling, "_BLOCK", 3)
+    assert upgrade_statistics(g4, 0, 300, 3, seed=8) == up
+    assert np.array_equal(sample_marginal(g4, x, y, steps=9, trials=300, seed=8), counts)
+
+
 def test_run_truncation(g4):
     # Separation ~11 cannot close in 3 unit steps: the run must truncate.
-    out = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, max_steps=3, seed=2)
+    [out] = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, trials=1, max_steps=3, seed=2)
     assert out.truncated
     assert not out.coupled
     assert out.steps_taken == 3
 
 
 def test_run_renewals_are_increasing(g4):
-    out = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, seed=11, trial=6)
+    out = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, trials=7, seed=11)[6]
     times = out.renewal_times
     assert times == sorted(times)
     assert all(t > 0 for t in times)
@@ -202,15 +287,21 @@ def test_run_renewals_are_increasing(g4):
 
 def test_run_preconditions(g3):
     with pytest.raises(ValueError, match="level"):
-        run_coupled_walk(g3, 0, 0, 3)  # box level needs headroom above it
+        run_coupled_walk(g3, 0, 0, 3, trials=1)  # box level needs headroom above it
     with pytest.raises(ValueError):
-        run_coupled_walk(g3, 0, vid(g3, 8, 8), 2)  # start outside inner box
+        run_coupled_walk(g3, 0, vid(g3, 8, 8), 2, trials=1)  # start outside inner box
+    with pytest.raises(ValueError, match="box level n must be at least 1"):
+        run_coupled_walk(g3, 0, 0, 0, trials=1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_coupled_walk(g3, 0, 0, 2, trials=0)
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        run_coupled_walk(g3, 0, 0, 2, trials=1, max_steps=0)
 
 
 def test_coupling_probability_positive(g3):
     # Adjacent 0-associated pair, level-2 box: most trials couple.
     x, y = vid(g3, 0, 0), vid(g3, 0, 1)
-    hits = sum(run_coupled_walk(g3, x, y, 2, seed=6, trial=t).coupled for t in range(200))
+    hits = sum(o.coupled for o in run_coupled_walk(g3, x, y, 2, trials=200, seed=6))
     assert hits / 200.0 >= 0.05
 
 
@@ -230,6 +321,8 @@ def test_pair_catalog(g3):
     assert all((g3.coords[v] < 3).all() for v in inner)
     with pytest.raises(ValueError):
         pair_catalog(g3, 3, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pair_catalog(g3, -1, 2)  # would read the top level's keys
 
 
 def test_upgrade_statistics(g4):
@@ -256,3 +349,7 @@ def test_upgrade_rejects_bad_inputs(g3):
         upgrade_statistics(g3, 0, 0, 2)
     with pytest.raises(ValueError):
         upgrade_statistics(g3, 0, 10, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        upgrade_statistics(g3, -1, 10, 2)
+    with pytest.raises(ValueError, match="renewal count j"):
+        upgrade_statistics(g3, 0, 10, 2, j=0)

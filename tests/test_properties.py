@@ -1,5 +1,7 @@
 """Property tests over small valid carpets, not only (2,3,1) and (3,3,1)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,15 +14,21 @@ MAX_VERTICES = 5000
 
 
 @st.composite
-def carpet_and_pair(draw):
-    """A carpet of at most MAX_VERTICES cells and two of its vertices."""
+def carpets(draw):
+    """A carpet graph of at most MAX_VERTICES cells."""
     d = draw(st.integers(2, 3))
     k = draw(st.integers(3, 7))
     a = draw(st.sampled_from([a for a in range(1, k) if (a + k) % 2 == 0]))
     n = draw(st.integers(1, 3))
     params = validate_params(d, k, a)
     assume(count_cells(n, params) <= MAX_VERTICES)
-    graph = build_graph(n, params)
+    return build_graph(n, params)
+
+
+@st.composite
+def carpet_and_pair(draw):
+    """A carpet of at most MAX_VERTICES cells and two of its vertices."""
+    graph = draw(carpets())
     x = draw(st.integers(0, graph.num_vertices - 1))
     y = draw(st.integers(0, graph.num_vertices - 1))
     return graph, x, y
@@ -41,3 +49,20 @@ def test_lazy_walk_conserves_mass_and_is_reversible(case):
         assert py.sum() == pytest.approx(1.0, rel=1e-12)
         assert deg[x] * px[y] == pytest.approx(deg[y] * py[x], rel=1e-12, abs=0.0)
         assert (px >= 0).all()
+
+
+@settings(deadline=None)
+@given(carpets())
+def test_signed_permutations_map_survivors_to_survivors(graph):
+    # Inside every S_m cube, each signed permutation of the local coordinates
+    # (about the cube's center) carries surviving cells onto surviving cells:
+    # the fact the coupling's witness tables rest on.
+    d = graph.params.d
+    for m in range(1, graph.level + 1):
+        side = graph.params.k ** m
+        corner = graph.coords - graph.coords % side
+        loc2 = 2 * (graph.coords % side) + 1 - side
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                image = corner + (np.array(signs) * loc2[:, list(perm)] + side - 1) // 2
+                assert (graph.vertex_ids(image) >= 0).all()
