@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated levels override")
     p.add_argument("--experiments", help="comma-separated experiment override")
     p.add_argument("--out", dest="output_dir", help="artifact directory")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--fail-fast", action="store_true")
 
@@ -323,13 +322,14 @@ def _cmd_suite(args) -> int:
     overrides = {
         "seed": args.seed,
         "output_dir": args.output_dir,
-        "jobs": args.jobs,
         "trials": args.trials,
     }
     if args.levels:
         overrides["levels"] = tuple(int(s) for s in args.levels.split(","))
     if args.experiments:
-        overrides["experiments"] = tuple(s.strip() for s in args.experiments.split(","))
+        overrides["experiments"] = tuple(
+            s.strip() for s in args.experiments.split(",") if s.strip()
+        )
     config = config_from_sources(args.config, overrides)
     manifest = run_suite(config, fail_fast=args.fail_fast)
     failed = [n for n, e in manifest.experiments.items() if e["status"] != "ok"]

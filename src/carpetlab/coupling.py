@@ -416,7 +416,6 @@ def run_coupled_walk(
     trials: int,
     max_steps: int = 100_000,
     seed: int = 0,
-    m_max: Optional[int] = None,
 ) -> list[CouplingOutcome]:
     """Run the mirrored coupling until meeting, box exit, or the step cap.
 
@@ -441,9 +440,7 @@ def run_coupled_walk(
     for v in (x0, y0):
         if any(c >= inner_side for c in graph.coords[v]):
             raise ValueError(f"vertex {v} is outside the level-{n - 1} box")
-    if m_max is None:
-        m_max = n
-    eng = _coupler(graph, m_max)
+    eng = _coupler(graph, n)
     done, renewal_log = eng.run(
         seed, "coupled-walk", trials, max_steps,
         lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)), box_side=k ** n,
@@ -500,7 +497,6 @@ def upgrade_statistics(
     n: int,
     seed: int = 0,
     j: int = 8,
-    max_steps: int = 100_000,
 ) -> dict:
     """Fraction of m-associated pairs reaching (m+1)-association in j renewals.
 
@@ -508,8 +504,8 @@ def upgrade_statistics(
     renewals fire at first-walker displacement k^m (fixed scale).  A trial
     succeeds when the refreshed association level reaches m + 1 before the
     j-th renewal completes and before either walker leaves the level-n box.
-    Already-(m+1)-associated draws count as immediate successes; truncated
-    trials are excluded from the denominator.
+    Already-(m+1)-associated draws count as immediate successes; trials
+    truncated at 100,000 steps are excluded from the denominator.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -532,7 +528,7 @@ def upgrade_statistics(
 
     # A met pair is associated at every level, so it stops as an upgrade
     # before it can count as coupled.
-    done, _ = eng.run(seed, "upgrade-trial", trials, max_steps, starts, box_side=box_side,
+    done, _ = eng.run(seed, "upgrade-trial", trials, 100_000, starts, box_side=box_side,
                       target=m + 1, max_renewals=j, renewal_level=m)
     counts = np.bincount(done["status"], minlength=IDLE)
     immediate = int(((done["status"] == UPGRADED) & (done["steps"] == 0)).sum())
@@ -561,7 +557,6 @@ def sample_marginal(
     steps: int,
     trials: int,
     seed: int = 0,
-    m_max: Optional[int] = None,
 ) -> np.ndarray:
     """Empirical position counts of the second walker after ``steps`` steps.
 
@@ -569,9 +564,7 @@ def sample_marginal(
     length-|V| array counts where the mirrored walker landed, for comparison
     against the heat-kernel row (the marginal-law contract).
     """
-    if m_max is None:
-        m_max = graph.level
-    eng = _coupler(graph, m_max)
+    eng = _coupler(graph, graph.level)
     done, _ = eng.run(seed, "marginal-trial", trials, steps,
                       lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)))
     return np.bincount(done["y"], minlength=graph.num_vertices)

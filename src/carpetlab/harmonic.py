@@ -256,6 +256,8 @@ def hitting_pair_catalog(
     one); starts are drawn from the annulus r <= |y - x| <= c1*r, where the
     probe is nontrivial.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = derive_rng(seed, "hitting-pair-catalog", index=int(round(r)))
     side = graph.side
     margin = (graph.coords + c2 * r <= side - 1).all(axis=1)

@@ -3,9 +3,9 @@
 A plain key=value config (CLI overrides win) selects experiments; each
 experiment writes JSON/CSV artifacts that embed the experiment-defining
 config and contain no timestamps, so identical configs produce byte-identical
-numeric outputs at any parallelism degree.  The manifest records the full
-config (plumbing included), its hash, artifact names, per-experiment status,
-and wall-clock (the one field allowed to differ between runs).
+numeric outputs.  The manifest records the full config (plumbing included),
+its hash, artifact names, per-experiment status, and wall-clock (the one
+field allowed to differ between runs).
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +62,6 @@ class ExperimentConfig:
     tolerance: float = 1e-10
     experiments: tuple = ("build", "harnack", "heat", "hitting", "couple", "resist")
     output_dir: str = "artifacts"
-    jobs: int = 1
     trials: int = 2000
 
     def params(self) -> CarpetParams:
@@ -78,18 +76,16 @@ class ExperimentConfig:
     def echo_dict(self) -> dict:
         """The experiment-defining fields embedded into every artifact.
 
-        Where results land (output_dir) and how many workers compute them
-        (jobs) cannot influence the numbers, so they are left out; this is
-        what makes artifacts byte-comparable across runs and parallelism
-        degrees.  The full config, plumbing included, lives in the manifest.
+        Where results land (output_dir) cannot influence the numbers, so it
+        is left out; this is what makes artifacts byte-comparable across
+        runs.  The full config, plumbing included, lives in the manifest.
         """
         out = self.to_dict()
         del out["output_dir"]
-        del out["jobs"]
         return out
 
 
-_INT_KEYS = {"d", "k", "a", "seed", "jobs", "trials"}
+_INT_KEYS = {"d", "k", "a", "seed", "trials"}
 _FLOAT_KEYS = {"tolerance"}
 _LIST_INT_KEYS = {"levels"}
 _LIST_STR_KEYS = {"experiments"}
@@ -120,6 +116,8 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, raw = stripped.split("=", 1)
             key = key.strip()
+            if key == "jobs" and raw.strip() == "1":
+                continue  # legacy line from when the suite had a worker pool
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             out[key] = _parse_value(key, raw)
@@ -133,7 +131,14 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         data.update(parse_config_file(path))
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**data)
+    config = ExperimentConfig(**data)
+    known = [name for name, _ in EXPERIMENT_ORDER]
+    unknown = [name for name in config.experiments if name not in known]
+    if unknown:
+        raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
+    if config.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {config.trials}")
+    return config
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -197,13 +202,6 @@ class _SuiteContext:
         self.manifest.artifacts.append(name)
         return name
 
-    def parallel(self, fn: Callable, items: list) -> list:
-        """Order-preserving map; results identical at any worker count."""
-        if self.config.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
-            return list(pool.map(fn, items))
-
 
 def _cell(v) -> str:
     if isinstance(v, float):
@@ -234,9 +232,7 @@ def exp_build(ctx: _SuiteContext) -> dict:
 def exp_harnack(ctx: _SuiteContext) -> dict:
     levels = [n for n in sorted(set(ctx.config.levels)) if n >= 2]
     graph = ctx.graph(max(ctx.config.levels))
-    reports = ctx.parallel(
-        lambda n: harnack_constant(graph, n, tolerance=ctx.config.tolerance), levels
-    )
+    reports = [harnack_constant(graph, n, tolerance=ctx.config.tolerance) for n in levels]
     rows = [
         (r.level, r.constant, r.rho, r.witness[0], r.witness[1], r.witness[2], r.max_residual)
         for r in reports
@@ -329,17 +325,14 @@ def exp_hitting(ctx: _SuiteContext) -> dict:
         if not ((graph.coords + c2 * r <= graph.side - 1).all(axis=1)).any():
             continue  # no admissible centers at this radius in this build
         pairs = hitting_pair_catalog(graph, r, c1=c1, c2=c2, count=50, seed=ctx.config.seed)
-
-        def probe(pair, _m=m, _r=r):
-            x, y = pair
-            p = hitting_probability(
-                graph, HittingSpec(x=x, r=_r, c1=c1, c2=c2), y, tolerance=ctx.config.tolerance
+        probs = [
+            hitting_probability(
+                graph, HittingSpec(x=x, r=r, c1=c1, c2=c2), y, tolerance=ctx.config.tolerance
             )
-            return (_m, _r, x, y, p)
-
-        results = ctx.parallel(probe, pairs)
-        rows.extend(results)
-        minima[m] = min(p for (_, _, _, _, p) in results)
+            for x, y in pairs
+        ]
+        rows.extend((m, r, x, y, p) for (x, y), p in zip(pairs, probs))
+        minima[m] = min(probs)
     artifacts = [
         ctx.write_csv("hitting.csv", ["m", "r", "x", "y", "probability"], rows),
         ctx.write_json("hitting.json", {"minima": {str(m): v for m, v in minima.items()},
@@ -403,9 +396,7 @@ def exp_couple(ctx: _SuiteContext) -> dict:
 def exp_resist(ctx: _SuiteContext) -> dict:
     top = max(ctx.config.levels)
     ns = list(range(1, top + 1))
-    values = ctx.parallel(
-        lambda n: face_resistance(ctx.params, n, tolerance=ctx.config.tolerance), ns
-    )
+    values = [face_resistance(ctx.params, n, tolerance=ctx.config.tolerance) for n in ns]
     rows = list(zip(ns, values))
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     stable = (

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-300
+_EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
 
 
 class FitError(RuntimeError):
@@ -192,14 +193,14 @@ def estimate_ds(
     op: TransitionOperator,
     x: Optional[int] = None,
     times: Optional[Sequence[int]] = None,
-    window: Optional[tuple[int, int]] = None,
     max_time: Optional[int] = None,
 ) -> ExponentEstimate:
     """Spectral dimension from on-diagonal decay: d_s = -2 * slope.
 
-    Fits log p_t(x,x) against log t over dyadic times inside the window,
-    capped at the saturation heuristic.  Fewer than 4 usable points is a
-    fit error; a flat series is returned with value 0 and flagged degenerate.
+    Fits log p_t(x,x) against log t over the dyadic times from 16 (or the
+    given times) up to the saturation heuristic.  Fewer than 4 usable points
+    is a fit error; a flat series is returned with value 0 and flagged
+    degenerate.
     """
     graph = op.graph
     if x is None:
@@ -208,14 +209,9 @@ def estimate_ds(
         x = central_vertex(graph)
     cap = max_time if max_time is not None else saturation_time(graph)
     if times is None:
-        lo = window[0] if window else 16
-        hi = min(window[1], cap) if window else cap
-        times = dyadic_times(lo, hi)
+        times = dyadic_times(16, cap)
     else:
-        times = sorted(int(t) for t in times)
-        if window:
-            times = [t for t in times if window[0] <= t <= window[1]]
-        times = [t for t in times if t <= cap]
+        times = [t for t in sorted(int(t) for t in times) if t <= cap]
     if len(times) < 4:
         raise FitError(f"need at least 4 fit points, have {len(times)}")
 
@@ -384,7 +380,6 @@ def sample_exit_times(
     r: float,
     trials: int,
     seed: int,
-    max_steps: int = 1_000_000,
 ) -> np.ndarray:
     """Batched Monte Carlo exit times from B(x, r); cross-check for the solver."""
     delta = (graph.coords - graph.coords[x]).astype(np.float64)
@@ -399,7 +394,7 @@ def sample_exit_times(
     indptr = graph.indptr
     indices = graph.indices
     deg = graph.degrees
-    for t in range(1, max_steps + 1):
+    for t in range(1, _EXIT_STEP_CAP + 1):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -414,5 +409,5 @@ def sample_exit_times(
         exit_at[idx[newly_out]] = t
         active[idx[newly_out]] = False
     if active.any():
-        raise RuntimeError(f"{int(active.sum())} walkers still inside after {max_steps} steps")
+        raise RuntimeError(f"{int(active.sum())} walkers still inside after {_EXIT_STEP_CAP} steps")
     return exit_at

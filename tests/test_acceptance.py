@@ -280,7 +280,6 @@ def test_criterion_9_determinism(tmp_path):
     configs = [
         ExperimentConfig(output_dir=str(tmp_path / "a")),
         ExperimentConfig(output_dir=str(tmp_path / "b")),
-        ExperimentConfig(output_dir=str(tmp_path / "c"), jobs=2),
     ]
     manifests = []
     for cfg in configs:
@@ -299,23 +298,20 @@ def test_criterion_9_determinism(tmp_path):
         }
 
     blobs = [artifact_bytes(c.output_dir) for c in configs]
-    same = blobs[0] == blobs[1] == blobs[2]
+    same = blobs[0] == blobs[1]
 
     def canonical_manifest(outdir):
         man = json.load(open(os.path.join(outdir, "manifest.json")))
         man.pop("wall_clock_seconds")
         man["config"].pop("output_dir")
-        man["config"].pop("jobs")
         return man
 
-    manifests_agree = (
-        canonical_manifest(configs[0].output_dir)
-        == canonical_manifest(configs[1].output_dir)
-        == canonical_manifest(configs[2].output_dir)
+    manifests_agree = canonical_manifest(configs[0].output_dir) == canonical_manifest(
+        configs[1].output_dir
     )
     ok = ok and same and manifests_agree
     assert verdict(
         9, "suite determinism", ok,
-        f"{len(blobs[0])} artifacts byte-identical across two serial runs and a "
-        f"jobs=2 run (config {config_hash(configs[0])})",
+        f"{len(blobs[0])} artifacts byte-identical across two runs "
+        f"(config {config_hash(configs[0])})",
     )

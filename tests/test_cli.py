@@ -177,6 +177,11 @@ def test_hitting_catalog_mode(capsys, g4_file):
     assert len(payload["probes"]) == 5
 
 
+def test_hitting_catalog_rejects_empty_count(capsys, g4_file):
+    assert main(["hitting", "--graph", g4_file, "--r", "3", "--count", "0"]) == 2
+    assert "count must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- heat
 
 
@@ -365,6 +370,27 @@ def test_suite_reports_failures(tmp_path, capsys):
     ])
     assert code == 1
     assert "failed: heat" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--experiments", "build,harnak"], "unknown experiment 'harnak'"),
+    (["--trials", "0"], "trials must be at least 1"),
+])
+def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message):
+    out = tmp_path / "artifacts"
+    assert main(["suite", "--levels", "2,3", "--out", str(out), *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any experiment ran
+
+
+def test_suite_has_no_worker_count(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--jobs", "2", "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert "unknown config key 'jobs'" in capsys.readouterr().err
 
 
 def test_report_empty_manifest(tmp_path, capsys):

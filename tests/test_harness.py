@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -56,10 +59,10 @@ def test_config_file_round_trip(tmp_path):
 
 def test_config_overrides_beat_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("seed = 7\njobs = 4\n")
-    cfg = config_from_sources(str(path), overrides={"seed": 9, "jobs": None})
+    path.write_text("seed = 7\ntrials = 40\n")
+    cfg = config_from_sources(str(path), overrides={"seed": 9, "trials": None})
     assert cfg.seed == 9
-    assert cfg.jobs == 4  # None override means "not given"
+    assert cfg.trials == 40  # None override means "not given"
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -72,14 +75,55 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(path))
 
 
+def test_config_accepts_only_legacy_single_worker_line(tmp_path):
+    # Older config files carry `jobs = 1`; the suite has one execution path,
+    # so that line is skipped and any other worker count is an unknown key.
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 7\njobs = 1\n")
+    assert parse_config_file(str(path)) == {"seed": 7}
+    path.write_text("jobs = 2\n")
+    with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+        parse_config_file(str(path))
+
+
+def test_config_rejects_unknown_experiment(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("experiments = build, harnak\n")
+    with pytest.raises(ValueError, match="unknown experiment 'harnak'"):
+        config_from_sources(str(path))
+    with pytest.raises(ValueError, match="unknown experiment 'heet'"):
+        config_from_sources(overrides={"experiments": ("heet",)})
+    # An empty selection stays legal: it is the "nothing to report" run.
+    assert config_from_sources(overrides={"experiments": ()}).experiments == ()
+
+
+def test_config_rejects_nonpositive_trials():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            config_from_sources(overrides={"trials": trials})
+    assert config_from_sources(overrides={"trials": 1}).trials == 1
+
+
+def test_readme_config_table_matches_fields():
+    # The README's suite config table lists exactly the config fields, with
+    # d, k, a sharing one row; a field added or deleted must update it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key ", 1)[1].split("\n\n", 1)[0]
+    keys = []
+    for row in table.splitlines()[2:]:
+        cell = row.split("|")[1]
+        keys.extend(re.findall(r"\w+", cell))
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
 def test_config_hash_ignores_plumbing():
-    a = ExperimentConfig(output_dir="here", jobs=1)
-    b = ExperimentConfig(output_dir="there", jobs=8)
+    a = ExperimentConfig(output_dir="here")
+    b = ExperimentConfig(output_dir="there")
     assert config_hash(a) == config_hash(b)
     c = ExperimentConfig(seed=43)
     assert config_hash(a) != config_hash(c)
     echo = a.echo_dict()
-    assert "output_dir" not in echo and "jobs" not in echo
+    assert "output_dir" not in echo
     assert echo["seed"] == 42
 
 
@@ -166,7 +210,7 @@ def _artifact_bytes(outdir):
 
 def test_suite_is_deterministic(tmp_path):
     cfg_a = tiny_config(tmp_path / "a")
-    cfg_b = tiny_config(tmp_path / "b", jobs=2)
+    cfg_b = tiny_config(tmp_path / "b")
     for c in (cfg_a, cfg_b):
         os.makedirs(c.output_dir, exist_ok=True)
     run_suite(cfg_a)
@@ -182,7 +226,6 @@ def test_suite_is_deterministic(tmp_path):
     for man in (man_a, man_b):
         man.pop("wall_clock_seconds")
         man["config"].pop("output_dir")
-        man["config"].pop("jobs")
     assert man_a == man_b
 
 

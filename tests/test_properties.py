@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from carpetlab.geometry import build_graph, count_cells, validate_params
 from carpetlab.heat import TransitionOperator, kernel_walk
@@ -32,6 +33,29 @@ def carpet_and_pair(draw):
     x = draw(st.integers(0, graph.num_vertices - 1))
     y = draw(st.integers(0, graph.num_vertices - 1))
     return graph, x, y
+
+
+@settings(deadline=None)
+@given(carpets())
+def test_census_matches_formula_and_graph_is_connected(graph):
+    assert graph.num_vertices == count_cells(graph.level, graph.params)
+    n_components, _ = connected_components(graph.adjacency(), directed=False)
+    assert n_components == 1
+
+
+@settings(deadline=None)
+@given(carpets())
+def test_levels_nest(graph):
+    # The level-n graph restricted to the corner box [0, k^(n-1))^d is the
+    # level-(n-1) graph: same coordinates in the same (lexicographic) order,
+    # and the same edges once ids are relabelled.
+    coarse = build_graph(graph.level - 1, graph.params)
+    inside = (graph.coords < coarse.side).all(axis=1)
+    np.testing.assert_array_equal(graph.coords[inside], coarse.coords)
+    edges = graph.edge_array()
+    keep = inside[edges[:, 0]] & inside[edges[:, 1]]
+    relabel = np.cumsum(inside) - 1
+    np.testing.assert_array_equal(relabel[edges[keep]], coarse.edge_array())
 
 
 @settings(deadline=None)
