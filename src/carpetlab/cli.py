@@ -302,8 +302,8 @@ def _cmd_couple(args) -> int:
 
 def _cmd_resist(args) -> int:
     if args.resist_command == "face":
-        params = read_graph(args.graph).params
-        value = face_resistance(params, args.n, tolerance=args.tol)
+        graph = build_graph(args.n, read_graph(args.graph).params)
+        value = face_resistance(graph, tolerance=args.tol)
         sys.stdout.write(json.dumps({"n": args.n, "resistance": value}) + "\n")
         return 0
     graph = read_graph(args.graph)
@@ -324,8 +324,8 @@ def _cmd_suite(args) -> int:
         "output_dir": args.output_dir,
         "trials": args.trials,
     }
-    if args.levels:
-        overrides["levels"] = tuple(int(s) for s in args.levels.split(","))
+    if args.levels is not None:
+        overrides["levels"] = tuple(int(s) for s in args.levels.split(",") if s.strip())
     if args.experiments:
         overrides["experiments"] = tuple(
             s.strip() for s in args.experiments.split(",") if s.strip()

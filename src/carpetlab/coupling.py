@@ -22,10 +22,12 @@ and every step takes exactly four uniforms from it, in order hold-x, dir-x,
 hold-y, dir-y, whether or not the second pair is used.  A walker holds when its hold uniform is below ``HOLD``;
 otherwise it moves along ``dirs[floor(u * len(dirs))]``, its present
 directions in table order (``+axis`` before ``-axis``, axes ascending).
-Uniforms are drawn in blocks of whole steps, so a trial's outcome does not
-depend on when it is admitted or on the trials beside it.
 ``upgrade_statistics`` draws its catalog index ``rng.integers(len(catalog))``
-first and then steps.
+first and then steps.  The pool holds each slot's PCG64 state and draws
+each step's four uniforms for every live slot at once through the batched
+streams of ``seeding``, which equal ``derive_rng`` bit for bit; so a
+trial's outcome does not depend on when it is admitted or on the trials
+beside it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .geometry import CarpetGraph
 from .harmonic import HOLD
-from .seeding import derive_rng
+from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
     "CouplingOutcome",
@@ -52,10 +54,8 @@ __all__ = [
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
-# Trials under way at once: bounds the live generators and uniform blocks.
+# Trials under way at once: bounds the pool's arrays and each step's draws.
 _POOL = 1024
-# Steps of uniforms drawn per trial at a time.
-_BLOCK = 16
 
 # Trial status codes; IDLE marks an empty pool slot.
 ACTIVE, COUPLED, EXITED, UPGRADED, EXHAUSTED, TRUNCATED, IDLE = range(7)
@@ -259,11 +259,9 @@ class _Coupler:
     def advance(self, w: _Walks, u: np.ndarray) -> None:
         """Move every active entry of ``w`` one coupled step and apply its stopping rule.
 
-        ``u[i]`` holds entry i's four uniforms for this step; rows of entries
-        that are not active are ignored.
+        ``u`` holds four uniforms for each active entry, in entry order.
         """
         idx = np.nonzero(w.status == ACTIVE)[0]
-        u = u[idx]
         x, y, m, iso = w.x[idx], w.y[idx], w.m[idx], w.iso[idx]
         mx, my = self.mask[x], self.mask[y]
         # Mirror when the witness carries x's open directions onto y's; a
@@ -336,8 +334,9 @@ class _Coupler:
         Returns the ``_OUTPUT`` fields of every trial, as arrays indexed by
         trial id, and the renewal log.
 
-        Trial i draws from ``derive_rng(seed, label, i)``; ``starts(rngs)``
-        returns the start pairs ``(x0, y0)`` of newly admitted trials, and
+        Trial i draws from the stream of ``derive_rng(seed, label, i)``;
+        ``starts(states)`` returns the start pairs ``(x0, y0)`` of newly
+        admitted trials, drawing from their stream states in place, and
         ``rule`` is the stopping rule of ``start``.  A trial still active
         after ``max_steps`` steps is truncated.  At most ``_POOL`` trials are
         under way at once; whenever half the pool has stopped, the free slots
@@ -345,9 +344,7 @@ class _Coupler:
         """
         pool = _Walks.empty(_POOL, **rule)
         done = {name: np.zeros(trials, dtype=getattr(pool, name).dtype) for name in _OUTPUT}
-        rngs = [None] * _POOL
-        u = np.empty((_POOL, _BLOCK, 4))
-        rows = np.arange(_POOL)
+        streams = np.zeros((_POOL, 4), dtype=np.uint64)
         admitted = 0
         while True:
             free = np.nonzero(pool.status == IDLE)[0]
@@ -355,9 +352,9 @@ class _Coupler:
                 free = free[: trials - admitted]
                 ids = np.arange(admitted, admitted + len(free))
                 admitted += len(free)
-                for slot, i in zip(free, ids):
-                    rngs[slot] = derive_rng(seed, label, index=int(i))
-                starts_at = starts([rngs[slot] for slot in free])
+                states = stream_states(seed, label, ids)
+                starts_at = starts(states)
+                streams[free] = states
                 pool.put(free, self.start(*starts_at, trial=ids, **rule))
             pool.status[(pool.status == ACTIVE) & (pool.steps >= max_steps)] = TRUNCATED
             stopped = np.nonzero((pool.status != ACTIVE) & (pool.status != IDLE))[0]
@@ -365,16 +362,12 @@ class _Coupler:
                 for name in _OUTPUT:
                     done[name][pool.trial[stopped]] = getattr(pool, name)[stopped]
                 pool.status[stopped] = IDLE
-                for slot in stopped:
-                    rngs[slot] = None
             live = np.nonzero(pool.status == ACTIVE)[0]
             if not len(live):
                 if admitted == trials:
                     break
                 continue
-            for slot in live[pool.steps[live] % _BLOCK == 0]:
-                rngs[slot].random(out=u[slot])
-            self.advance(pool, u[rows, pool.steps % _BLOCK])
+            self.advance(pool, draw_uniforms(streams, live))
         return done, pool.renewal_log
 
 
@@ -443,7 +436,7 @@ def run_coupled_walk(
     eng = _coupler(graph, n)
     done, renewal_log = eng.run(
         seed, "coupled-walk", trials, max_steps,
-        lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)), box_side=k ** n,
+        lambda states: (np.full(len(states), x0), np.full(len(states), y0)), box_side=k ** n,
     )
     renewal_times = [[] for _ in range(trials)]
     for ids, steps in renewal_log:
@@ -522,8 +515,8 @@ def upgrade_statistics(
     eng = _coupler(graph, max(m + 1, n))
     box_side = graph.params.k ** n
 
-    def starts(rngs):
-        pairs = catalog[[rng.integers(len(catalog)) for rng in rngs]]
+    def starts(states):
+        pairs = catalog[stream_integers(states, len(catalog))]
         return pairs[:, 0], pairs[:, 1]
 
     # A met pair is associated at every level, so it stops as an upgrade
@@ -566,5 +559,5 @@ def sample_marginal(
     """
     eng = _coupler(graph, graph.level)
     done, _ = eng.run(seed, "marginal-trial", trials, steps,
-                      lambda rngs: (np.full(len(rngs), x0), np.full(len(rngs), y0)))
+                      lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
     return np.bincount(done["y"], minlength=graph.num_vertices)

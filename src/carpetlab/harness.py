@@ -138,6 +138,10 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
     if config.trials < 1:
         raise ValueError(f"trials must be at least 1, got {config.trials}")
+    if not config.levels:
+        raise ValueError("levels must name at least one level")
+    if min(config.levels) < 0:
+        raise ValueError(f"levels must be nonnegative, got {min(config.levels)}")
     return config
 
 
@@ -396,7 +400,7 @@ def exp_couple(ctx: _SuiteContext) -> dict:
 def exp_resist(ctx: _SuiteContext) -> dict:
     top = max(ctx.config.levels)
     ns = list(range(1, top + 1))
-    values = [face_resistance(ctx.params, n, tolerance=ctx.config.tolerance) for n in ns]
+    values = [face_resistance(ctx.graph(n), tolerance=ctx.config.tolerance) for n in ns]
     rows = list(zip(ns, values))
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     stable = (

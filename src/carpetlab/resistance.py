@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CarpetGraph, CarpetParams, VertexGraph, box_vertices, build_graph
+from .geometry import CarpetGraph, VertexGraph, box_vertices
 from .linalg import DEFAULT_TOL, DirichletSystem
 
 __all__ = [
@@ -195,16 +195,15 @@ def resistance_to_infinity(
     )
 
 
-def face_resistance(params: CarpetParams, n: int, tolerance: float = DEFAULT_TOL) -> float:
-    """Resistance across the level-n carpet between opposite coordinate faces.
+def face_resistance(graph: CarpetGraph, tolerance: float = DEFAULT_TOL) -> float:
+    """Resistance across the whole carpet ``graph`` between opposite coordinate faces.
 
     The source is every cell with first coordinate 0, the ground every cell
-    with first coordinate k^n - 1.  At n = 0 the two faces coincide in the
-    single cell, a degenerate short: 0 by convention.
+    with first coordinate k^n - 1, n = ``graph.level``.  At n = 0 the two
+    faces coincide in the single cell, a degenerate short: 0 by convention.
     """
-    if n == 0:
+    if graph.level == 0:
         return 0.0
-    graph = build_graph(n, params)
     side = graph.side
     A = np.nonzero(graph.coords[:, 0] == 0)[0]
     B = np.nonzero(graph.coords[:, 0] == side - 1)[0]

@@ -65,11 +65,11 @@ def test_criterion_1_graph_census(params2, params3, g5):
 # --------------------------------------------------------------- criterion 2
 
 
-def test_criterion_2_resistance_oracles(g1, params2):
+def test_criterion_2_resistance_oracles(g1):
     series = effective_resistance(make_path(3), [0], [2])
     ring = effective_resistance(g1, [vid(g1, 0, 0)], [vid(g1, 2, 2)])
     adjacent = effective_resistance(g1, [vid(g1, 0, 0)], [vid(g1, 0, 1)])
-    face = face_resistance(params2, 1)
+    face = face_resistance(g1)
     ok = (
         abs(series - 2.0) < 1e-9
         and abs(ring - 2.0) < 1e-9

@@ -375,6 +375,8 @@ def test_suite_reports_failures(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--experiments", "build,harnak"], "unknown experiment 'harnak'"),
     (["--trials", "0"], "trials must be at least 1"),
+    (["--levels", ","], "levels must name at least one level"),
+    (["--levels=-1"], "levels must be nonnegative"),
 ])
 def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message):
     out = tmp_path / "artifacts"

@@ -262,9 +262,8 @@ def test_aggregates_do_not_depend_on_chunking(g4, monkeypatch):
     x, y = vid(g4, 0, 0), vid(g4, 0, 1)
     up = upgrade_statistics(g4, 0, 300, 3, seed=8)
     counts = sample_marginal(g4, x, y, steps=9, trials=300, seed=8)
-    # Many pool refills and uniform-block boundaries instead of none.
+    # Many pool refills instead of none.
     monkeypatch.setattr(coupling, "_POOL", 7)
-    monkeypatch.setattr(coupling, "_BLOCK", 3)
     assert upgrade_statistics(g4, 0, 300, 3, seed=8) == up
     assert np.array_equal(sample_marginal(g4, x, y, steps=9, trials=300, seed=8), counts)
 

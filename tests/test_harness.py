@@ -104,6 +104,16 @@ def test_config_rejects_nonpositive_trials():
     assert config_from_sources(overrides={"trials": 1}).trials == 1
 
 
+def test_config_rejects_empty_or_negative_levels(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("levels = ,\n")
+    with pytest.raises(ValueError, match="levels must name at least one level"):
+        config_from_sources(str(path))
+    with pytest.raises(ValueError, match="levels must be nonnegative, got -1"):
+        config_from_sources(overrides={"levels": (2, -1)})
+    assert config_from_sources(overrides={"levels": (0, 2)}).levels == (0, 2)
+
+
 def test_readme_config_table_matches_fields():
     # The README's suite config table lists exactly the config fields, with
     # d, k, a sharing one row; a field added or deleted must update it.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carpetlab.geometry import VertexGraph
+from carpetlab.geometry import VertexGraph, build_graph
 from carpetlab.resistance import (
     HypothesisError,
     dirichlet_energy,
@@ -93,15 +93,15 @@ def test_disconnected_terminals():
 
 
 def test_face_resistance_frozen(params2):
-    assert face_resistance(params2, 0) == 0.0
-    assert face_resistance(params2, 1) == pytest.approx(1.0, abs=1e-10)
-    assert face_resistance(params2, 2) == pytest.approx(1.657261410788382, rel=1e-9)
-    assert face_resistance(params2, 3) == pytest.approx(2.206765432669249, rel=1e-9)
+    assert face_resistance(build_graph(0, params2)) == 0.0
+    assert face_resistance(build_graph(1, params2)) == pytest.approx(1.0, abs=1e-10)
+    assert face_resistance(build_graph(2, params2)) == pytest.approx(1.657261410788382, rel=1e-9)
+    assert face_resistance(build_graph(3, params2)) == pytest.approx(2.206765432669249, rel=1e-9)
 
 
 def test_face_resistance_grows_geometrically(params2):
     # The per-level ratio settles; that is the renormalization picture.
-    r = [face_resistance(params2, n) for n in (1, 2, 3, 4)]
+    r = [face_resistance(build_graph(n, params2)) for n in (1, 2, 3, 4)]
     assert r[0] < r[1] < r[2] < r[3]
     ratios = [r[i + 1] / r[i] for i in range(3)]
     assert ratios[1] == pytest.approx(ratios[2], rel=0.05)
@@ -109,8 +109,8 @@ def test_face_resistance_grows_geometrically(params2):
 
 def test_face_resistance_3d_decreasing(params3):
     # In three dimensions the carpet is transient; crossing gets easier.
-    assert face_resistance(params3, 1) == pytest.approx(0.25, abs=1e-10)
-    assert face_resistance(params3, 2) == pytest.approx(0.1175376893276021, rel=1e-9)
+    assert face_resistance(build_graph(1, params3)) == pytest.approx(0.25, abs=1e-10)
+    assert face_resistance(build_graph(2, params3)) == pytest.approx(0.1175376893276021, rel=1e-9)
 
 
 # ------------------------------------------------------------------- infinity
