@@ -28,7 +28,7 @@ from .harmonic import (
     hitting_probability,
 )
 from .heat import TransitionOperator, central_vertex, estimate_ds, estimate_dw
-from .heat import kernel_walk, regime_fit
+from .heat import ds_fit_times, fit_ds, kernel_walk, regime_fit, saturation_time
 from .coupling import run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -226,13 +226,16 @@ def _cmd_heat(args) -> int:
     op = TransitionOperator(graph)
     x = args.x if args.x is not None else central_vertex(graph)
     if args.heat_command == "diag":
-        rows = [(t, float(p[x])) for t, p in kernel_walk(op, x, range(1, args.tmax + 1))]
+        # one walk covers both the printed 1..tmax series and the d_s fit times
+        fit_times = ds_fit_times(saturation_time(graph))
+        t_end = max([args.tmax, *fit_times])
+        series = [(t, float(p[x])) for t, p in kernel_walk(op, x, range(1, t_end + 1))]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("t,p_tt\n")
-                for t, ptt in rows:
+                for t, ptt in series[:args.tmax]:
                     fh.write(f"{t},{ptt!r}\n")
-        ds = estimate_ds(op, x)
+        ds = fit_ds([series[t - 1] for t in fit_times])
         dw = estimate_dw(graph, x)
         summary = {"x": x, "ds": ds.to_dict(), "dw": dw.to_dict()}
         sys.stdout.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")

@@ -29,12 +29,16 @@ from .geometry import (
 )
 from .harmonic import harnack_constant, hitting_pair_catalog, hitting_probability, HittingSpec
 from .heat import (
+    DS_MIN_POINTS,
     TransitionOperator,
     _slope_fit,
+    carpet_saturation_time,
     central_vertex,
-    estimate_ds,
+    ds_fit_times,
     estimate_dw,
-    regime_fit,
+    fit_ds,
+    fit_regimes,
+    kernel_walk,
     saturation_time,
 )
 from .coupling import run_coupled_walk, upgrade_statistics
@@ -142,7 +146,25 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         raise ValueError("levels must name at least one level")
     if min(config.levels) < 0:
         raise ValueError(f"levels must be nonnegative, got {min(config.levels)}")
+    _check_levels(config)
     return config
+
+
+def _check_levels(config: ExperimentConfig) -> None:
+    """Reject a top level that a selected experiment cannot use, before anything runs."""
+    top = max(config.levels)
+    if "resist" in config.experiments and top < 1:
+        raise ValueError(f"resist needs a top level of at least 1, got {top}")
+    if "couple" in config.experiments and top < 2:
+        raise ValueError(f"couple needs a top level of at least 2, got {top}")
+    if "heat" in config.experiments:
+        cap = carpet_saturation_time(config.params(), top)
+        fit_times = ds_fit_times(cap)
+        if len(fit_times) < DS_MIN_POINTS:
+            raise ValueError(
+                f"heat needs at least {DS_MIN_POINTS} dyadic times in 16..{cap} for the d_s "
+                f"fit; top level {top} gives {len(fit_times)}"
+            )
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -263,18 +285,20 @@ def exp_harnack(ctx: _SuiteContext) -> dict:
 
 def exp_heat(ctx: _SuiteContext) -> dict:
     graph = ctx.graph(max(ctx.config.levels))
-    op = TransitionOperator(graph)
     x = central_vertex(graph)
-    ds = estimate_ds(op, x)
+    cap = saturation_time(graph)
+    ds_times = ds_fit_times(cap)
+    # Off-diagonal regime data: targets spread over distances, dyadic times.
+    regime_times = [t for t in (64, 128, 256, 512) if t <= cap]
+    targets = _regime_targets(graph, x)
+    # One walk serves both fits: keep p_t(x, x) and p_t(x, y) at the targets.
+    walk = kernel_walk(TransitionOperator(graph), x, sorted({*ds_times, *regime_times}))
+    seen = {t: dist[[x, *targets]] for t, dist in walk}
+    ds = fit_ds([(t, float(seen[t][0])) for t in ds_times])
     dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
     df = hausdorff_dimension(ctx.params)
-
-    # Off-diagonal regime data: targets spread over distances, dyadic times.
-    t_hi = min(512, saturation_time(graph))
-    times = [t for t in (64, 128, 256, 512) if t <= t_hi]
-    targets = _regime_targets(graph, x)
-    pairs = [(y, t) for t in times for y in targets]
-    fit = regime_fit(op, x, pairs, ds=ds.value, dw=dw.value)
+    samples = [(y, t, float(p)) for t in regime_times for y, p in zip(targets, seen[t][1:])]
+    fit = fit_regimes(graph, x, samples, ds=ds.value, dw=dw.value)
 
     artifacts = [
         ctx.write_csv("heat_diag.csv", ["t", "p_tt"], [(t, p) for t, p in ds.points]),

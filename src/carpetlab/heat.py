@@ -8,6 +8,8 @@ separately in the near regime (|x-y| <= t) and the far regime (|x-y| > t).
 
 All kernel work is one sparse matrix-vector product per step, and every
 kernel iteration goes through :func:`kernel_walk` — memory stays O(|V|).
+The fits (:func:`fit_ds`, :func:`fit_regimes`) are split from their walks,
+so one walk can serve both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CarpetGraph, VertexGraph
+from .geometry import CarpetGraph, CarpetParams, VertexGraph
 from .harmonic import HOLD, expected_exit_time
 from .linalg import DEFAULT_TOL
 from .seeding import derive_rng
@@ -34,15 +36,20 @@ __all__ = [
     "heat_kernel_row",
     "central_vertex",
     "saturation_time",
+    "carpet_saturation_time",
     "dyadic_times",
+    "ds_fit_times",
+    "fit_ds",
     "estimate_ds",
     "estimate_dw",
+    "fit_regimes",
     "regime_fit",
     "monte_carlo_walk",
     "sample_exit_times",
 ]
 
 PROB_FLOOR = 1e-300
+DS_MIN_POINTS = 4  # fewest on-diagonal points a d_s fit accepts
 _EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
 
 
@@ -129,11 +136,15 @@ def central_vertex(graph: CarpetGraph) -> int:
 def saturation_time(graph: VertexGraph) -> int:
     """Heuristic cap before finite-size saturation: (diameter/4)^2."""
     if isinstance(graph, CarpetGraph):
-        d = graph.params.d
-        diam = (graph.side - 1) * math.sqrt(d)
-    else:
-        span = graph.coords.max(axis=0) - graph.coords.min(axis=0)
-        diam = float(np.sqrt((span.astype(np.float64) ** 2).sum()))
+        return carpet_saturation_time(graph.params, graph.level)
+    span = graph.coords.max(axis=0) - graph.coords.min(axis=0)
+    diam = float(np.sqrt((span.astype(np.float64) ** 2).sum()))
+    return max(1, int((diam / 4.0) ** 2))
+
+
+def carpet_saturation_time(params: CarpetParams, level: int) -> int:
+    """:func:`saturation_time` of the level-``level`` carpet, without building it."""
+    diam = (params.k ** level - 1) * math.sqrt(params.d)
     return max(1, int((diam / 4.0) ** 2))
 
 
@@ -145,6 +156,11 @@ def dyadic_times(t_lo: int, t_hi: int) -> list[int]:
             times.append(t)
         t *= 2
     return times
+
+
+def ds_fit_times(cap: int) -> list[int]:
+    """The default d_s fit times: dyadic, from 16 up to the saturation ``cap``."""
+    return dyadic_times(16, cap)
 
 
 @dataclass
@@ -189,35 +205,16 @@ def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return slope, se, r2
 
 
-def estimate_ds(
-    op: TransitionOperator,
-    x: Optional[int] = None,
-    times: Optional[Sequence[int]] = None,
-    max_time: Optional[int] = None,
-) -> ExponentEstimate:
-    """Spectral dimension from on-diagonal decay: d_s = -2 * slope.
+def fit_ds(diag: Sequence[tuple[int, float]]) -> ExponentEstimate:
+    """Spectral dimension from an on-diagonal series ``(t, p_t(x,x))``: d_s = -2 * slope.
 
-    Fits log p_t(x,x) against log t over the dyadic times from 16 (or the
-    given times) up to the saturation heuristic.  Fewer than 4 usable points
-    is a fit error; a flat series is returned with value 0 and flagged
-    degenerate.
+    Fewer than 4 points, or fewer than 4 above the probability floor, is a
+    fit error; a flat series is returned with value 0 and flagged degenerate.
     """
-    graph = op.graph
-    if x is None:
-        if not isinstance(graph, CarpetGraph):
-            raise ValueError("source vertex required for non-carpet graphs")
-        x = central_vertex(graph)
-    cap = max_time if max_time is not None else saturation_time(graph)
-    if times is None:
-        times = dyadic_times(16, cap)
-    else:
-        times = [t for t in sorted(int(t) for t in times) if t <= cap]
-    if len(times) < 4:
-        raise FitError(f"need at least 4 fit points, have {len(times)}")
-
-    diag = [(t, float(dist[x])) for t, dist in kernel_walk(op, x, times)]
+    if len(diag) < DS_MIN_POINTS:
+        raise FitError(f"need at least {DS_MIN_POINTS} fit points, have {len(diag)}")
     usable = [(t, p) for t, p in diag if p > PROB_FLOOR]
-    if len(usable) < 4:
+    if len(usable) < DS_MIN_POINTS:
         raise FitError(f"only {len(usable)} points above the probability floor")
     xs = np.log([t for t, _ in usable])
     ys = np.log([p for _, p in usable])
@@ -236,6 +233,30 @@ def estimate_ds(
         n_points=len(usable),
         points=usable,
     )
+
+
+def estimate_ds(
+    op: TransitionOperator,
+    x: Optional[int] = None,
+    times: Optional[Sequence[int]] = None,
+    max_time: Optional[int] = None,
+) -> ExponentEstimate:
+    """Spectral dimension from on-diagonal decay, walking the kernel for :func:`fit_ds`.
+
+    Fits log p_t(x,x) against log t over the dyadic times from 16 (or the
+    given times) up to the saturation heuristic.
+    """
+    graph = op.graph
+    if x is None:
+        if not isinstance(graph, CarpetGraph):
+            raise ValueError("source vertex required for non-carpet graphs")
+        x = central_vertex(graph)
+    cap = max_time if max_time is not None else saturation_time(graph)
+    if times is None:
+        times = ds_fit_times(cap)
+    else:
+        times = [t for t in sorted(int(t) for t in times) if t <= cap]
+    return fit_ds([(t, float(dist[x])) for t, dist in kernel_walk(op, x, times)])
 
 
 def estimate_dw(
@@ -295,38 +316,31 @@ class RegimeFitReport:
     n_floor_excluded: int
 
 
-def regime_fit(
-    op: TransitionOperator,
+def fit_regimes(
+    graph: VertexGraph,
     x: int,
-    pairs: Sequence[tuple[int, int]],
+    samples: Sequence[tuple[int, int, float]],
     ds: float,
     dw: float,
 ) -> RegimeFitReport:
-    """Fit both heat-kernel decay regimes over (target, time) pairs."""
+    """Fit both heat-kernel decay regimes to kernel samples ``(y, t, p_t(x,y))``."""
     if dw <= 1.0:
         raise ValueError("walk dimension must exceed 1")
-    graph = op.graph
     coords = graph.coords.astype(np.float64)
-    by_time: dict[int, list[int]] = {}
-    for y, t in pairs:
-        by_time.setdefault(int(t), []).append(int(y))
-
     sub_pts: list[tuple[float, float]] = []
     gauss_pts: list[tuple[float, float]] = []
     floored = 0
 
-    for t, dist in kernel_walk(op, x, sorted(by_time)):
-        for y in by_time[t]:
-            sep = float(np.linalg.norm(coords[y] - coords[x]))
-            p = float(dist[y])
-            if p <= PROB_FLOOR:
-                floored += 1
-                continue
-            if sep <= t:
-                absc = (sep ** dw / t) ** (1.0 / (dw - 1.0))
-                sub_pts.append((absc, -math.log(p * t ** (ds / 2.0))))
-            else:
-                gauss_pts.append((sep ** 2 / t, -math.log(p)))
+    for y, t, p in samples:
+        sep = float(np.linalg.norm(coords[y] - coords[x]))
+        if p <= PROB_FLOOR:
+            floored += 1
+            continue
+        if sep <= t:
+            absc = (sep ** dw / t) ** (1.0 / (dw - 1.0))
+            sub_pts.append((absc, -math.log(p * t ** (ds / 2.0))))
+        else:
+            gauss_pts.append((sep ** 2 / t, -math.log(p)))
 
     def _regime(points):
         if len(points) < 2:
@@ -347,6 +361,23 @@ def regime_fit(
         n_gauss=len(gauss_pts),
         n_floor_excluded=floored,
     )
+
+
+def regime_fit(
+    op: TransitionOperator,
+    x: int,
+    pairs: Sequence[tuple[int, int]],
+    ds: float,
+    dw: float,
+) -> RegimeFitReport:
+    """Fit both heat-kernel decay regimes over (target, time) pairs, walking the kernel once."""
+    by_time: dict[int, list[int]] = {}
+    for y, t in pairs:
+        by_time.setdefault(int(t), []).append(int(y))
+    samples = [
+        (y, t, float(dist[y])) for t, dist in kernel_walk(op, x, sorted(by_time)) for y in by_time[t]
+    ]
+    return fit_regimes(op.graph, x, samples, ds=ds, dw=dw)
 
 
 def monte_carlo_walk(

@@ -8,6 +8,7 @@ import pytest
 
 from carpetlab.cli import main
 from carpetlab.geometry import read_graph, write_graph
+from carpetlab.heat import TransitionOperator
 
 from conftest import vid
 
@@ -198,6 +199,20 @@ def test_heat_diag(tmp_path, capsys, g4_file):
     assert len(lines) == 65
 
 
+def test_heat_diag_fits_from_its_own_series(capsys, monkeypatch, g4_file):
+    # one walk to max(tmax, 512) serves both the printed series and the d_s
+    # fit times 16..512, whether or not tmax reaches them
+    steps = []
+    step = TransitionOperator.step
+    monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
+    _, short = run_json(capsys, ["heat", "diag", "--graph", g4_file, "--tmax", "64"])
+    assert len(steps) == 512
+    steps.clear()
+    _, covered = run_json(capsys, ["heat", "diag", "--graph", g4_file, "--tmax", "512"])
+    assert len(steps) == 512
+    assert covered["ds"] == short["ds"]
+
+
 def test_heat_regime(tmp_path, capsys, g4_file, g4):
     x = vid(g4, 26, 26)
     pairs = tmp_path / "pairs.csv"
@@ -362,10 +377,14 @@ def test_suite_and_report(tmp_path, capsys):
 
 
 def test_suite_reports_failures(tmp_path, capsys):
+    # The (2, 5, 1) level-3 carpet passes the config checks, but its
+    # exit-time fit has only two radii (5 and 25), so heat fails at run time.
     out = tmp_path / "artifacts"
     out.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 5\n")
     code = main([
-        "suite", "--levels", "2,3", "--experiments", "build,heat",
+        "suite", "--config", str(cfg), "--levels", "2,3", "--experiments", "build,heat",
         "--trials", "30", "--out", str(out),
     ])
     assert code == 1
@@ -377,6 +396,9 @@ def test_suite_reports_failures(tmp_path, capsys):
     (["--trials", "0"], "trials must be at least 1"),
     (["--levels", ","], "levels must name at least one level"),
     (["--levels=-1"], "levels must be nonnegative"),
+    (["--levels", "0", "--experiments", "build,resist"], "resist needs a top level of at least 1"),
+    (["--levels", "1", "--experiments", "couple"], "couple needs a top level of at least 2"),
+    (["--levels", "3", "--experiments", "heat"], "heat needs at least 4 dyadic times"),
 ])
 def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message):
     out = tmp_path / "artifacts"

@@ -14,6 +14,7 @@ from carpetlab.harness import (
     parse_config_file,
     run_suite,
 )
+from carpetlab.heat import TransitionOperator
 
 
 def tiny_config(tmp_path, **kw) -> ExperimentConfig:
@@ -111,7 +112,25 @@ def test_config_rejects_empty_or_negative_levels(tmp_path):
         config_from_sources(str(path))
     with pytest.raises(ValueError, match="levels must be nonnegative, got -1"):
         config_from_sources(overrides={"levels": (2, -1)})
-    assert config_from_sources(overrides={"levels": (0, 2)}).levels == (0, 2)
+    assert config_from_sources(overrides={"levels": (0, 4)}).levels == (0, 4)
+
+
+def test_config_rejects_levels_an_experiment_cannot_use():
+    # Checked from (d, k, n) before any graph is built.
+    cases = [
+        ((0,), ("build", "resist"), "resist needs a top level of at least 1, got 0"),
+        ((1,), ("couple",), "couple needs a top level of at least 2, got 1"),
+        ((2, 3), ("heat",), "heat needs at least 4 dyadic times in 16..84 .* gives 3"),
+    ]
+    for levels, experiments, message in cases:
+        with pytest.raises(ValueError, match=message):
+            config_from_sources(overrides={"levels": levels, "experiments": experiments})
+    for levels, experiments in [((1,), ("resist",)), ((2,), ("couple",)), ((4,), ("heat",)),
+                                ((0,), ("build", "harnack", "hitting"))]:
+        config_from_sources(overrides={"levels": levels, "experiments": experiments})
+    # 3-D level 3 gives 16, 32, 64 below its cap of 126: still too few.
+    with pytest.raises(ValueError, match="16..126"):
+        config_from_sources(overrides={"d": 3, "levels": (3,), "experiments": ("heat",)})
 
 
 def test_readme_config_table_matches_fields():
@@ -195,6 +214,17 @@ def test_suite_fail_fast_stops(tmp_path):
     manifest = run_suite(cfg, fail_fast=True)
     assert manifest.experiments["heat"]["status"] == "failed"
     assert "resist" not in manifest.experiments
+
+
+def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
+    # The d_s times (16..512 at level 4) and the regime times (64..512)
+    # share one walk of 512 steps.
+    steps = []
+    step = TransitionOperator.step
+    monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
+    manifest = run_suite(tiny_config(tmp_path, levels=(4,), experiments=("heat",)))
+    assert manifest.experiments["heat"]["status"] == "ok"
+    assert len(steps) == 512
 
 
 def test_suite_empty_selection(tmp_path):

@@ -6,10 +6,14 @@ from carpetlab.heat import (
     FitError,
     TransitionOperator,
     central_vertex,
+    carpet_saturation_time,
     dyadic_times,
     estimate_ds,
     estimate_dw,
+    fit_ds,
+    fit_regimes,
     heat_kernel_row,
+    kernel_walk,
     monte_carlo_walk,
     regime_fit,
     sample_exit_times,
@@ -124,6 +128,23 @@ def test_central_vertex(g4, g5):
 def test_saturation_time(g4, g5):
     assert saturation_time(g4) == 800
     assert saturation_time(g5) == 7320
+    assert carpet_saturation_time(g4.params, 4) == 800
+    assert carpet_saturation_time(g5.params, 5) == 7320
+
+
+def test_fits_equal_the_estimates_that_walk(g4):
+    # One walk can serve both fits: the values read off it are bit-identical.
+    op = TransitionOperator(g4)
+    x = central_vertex(g4)
+    series = {t: dist[x] for t, dist in kernel_walk(op, x, range(1, 513))}
+    times = dyadic_times(16, saturation_time(g4))
+    assert fit_ds([(t, float(series[t])) for t in times]) == estimate_ds(op, x)
+    pairs = [(y, t) for t in (64, 128) for y in range(0, g4.num_vertices, 600)]
+    samples = [
+        (y, t, float(dist[y])) for t, dist in kernel_walk(op, x, [64, 128])
+        for y, s in pairs if s == t
+    ]
+    assert fit_regimes(g4, x, samples, 1.78, 2.09) == regime_fit(op, x, pairs, 1.78, 2.09)
 
 
 def test_dyadic_times():

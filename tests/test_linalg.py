@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from carpetlab.geometry import box_vertices
+from carpetlab import linalg
+from carpetlab.geometry import VertexGraph, box_vertices, build_graph, validate_params
 from carpetlab.linalg import ConvergenceError, DirichletSystem
+from carpetlab.resistance import dirichlet_energy
 
 from conftest import make_path
 
@@ -60,4 +64,89 @@ def test_exactly_singular_factor_raises():
     rhs = np.array([1.0, 0.0, -1.0])
     system.solve(np.zeros(0), rhs=rhs)
     with pytest.raises(ConvergenceError, match="SuperLU factor failed on 3 unknowns"):
+        system.solve(np.zeros(0), rhs=rhs)
+
+
+# ------------------------------------------------------- multigrid-preconditioned CG
+
+
+def _face_system(graph):
+    """The face-to-face resistance layout: 1 on the x_0 = 0 face, 0 on the far face."""
+    first = graph.coords[:, 0]
+    source = np.nonzero(first == 0)[0]
+    ground = np.nonzero(first == graph.side - 1)[0]
+    fixed = np.concatenate([source, ground])
+    unknown = np.setdiff1d(np.arange(graph.num_vertices), fixed)
+    values = np.concatenate([np.ones(len(source)), np.zeros(len(ground))])
+    return DirichletSystem(graph, unknown, fixed), values
+
+
+def test_multigrid_matches_plain_cg(g5, monkeypatch):
+    # Second method: the same 32,282-unknown system on both one-shot paths.
+    system, values = _face_system(g5)
+    assert len(system.unknown) > linalg.MULTIGRID_MIN
+    mg, mg_info = system.solve(values)
+    monkeypatch.setattr(linalg, "MULTIGRID_MIN", len(system.unknown))
+    plain, plain_info = _face_system(g5)[0].solve(values)
+    assert mg_info.iterations < 40 < plain_info.iterations
+    assert max(mg_info.residual, plain_info.residual) < 1e-10
+    np.testing.assert_allclose(mg, plain, rtol=0.0, atol=1e-8)
+    assert dirichlet_energy(g5, mg) == pytest.approx(dirichlet_energy(g5, plain), rel=1e-9)
+
+
+@pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 5), (2, 3, 1, 6), (3, 3, 1, 4), (2, 5, 3, 4)])
+def test_multigrid_iterations_stay_flat_across_levels(d, k, a, n):
+    # Plain CG needs 1,083 iterations at 2-D level 5 and 3,329 at level 6.
+    system, values = _face_system(build_graph(n, validate_params(d, k, a)))
+    assert len(system.unknown) > linalg.MULTIGRID_MIN
+    _, info = system.solve(values)
+    assert info.residual < 1e-10
+    assert 0 < info.iterations <= 40
+
+
+def test_non_carpet_graph_takes_the_multigrid_path():
+    # A 40,000-vertex path with its ends held at 0 and 1: the potential is
+    # linear.  Plain CG would need about 20,000 iterations, beyond its cap.
+    n = 40_000
+    system = DirichletSystem(make_path(n), np.arange(1, n - 1), [0, n - 1])
+    values, info = system.solve(np.array([0.0, 1.0]))
+    assert info.iterations <= 40
+    np.testing.assert_allclose(values, np.arange(n) / (n - 1), rtol=0.0, atol=1e-8)
+
+
+def test_multigrid_stall_names_the_method(monkeypatch):
+    # A singular path Laplacian with inconsistent data never converges; a
+    # lowered threshold puts this small system on the preconditioned path.
+    monkeypatch.setattr(linalg, "MULTIGRID_MIN", 1000)
+    n = 2000
+    system = DirichletSystem(make_path(n), np.arange(n), [])
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    with pytest.raises(ConvergenceError) as err:
+        system.solve(np.zeros(0), rhs=rhs)
+    message = str(err.value)
+    cap = system._cap
+    assert message.startswith("multigrid-preconditioned CG stalled")
+    assert f"after {cap} iterations (cap {cap}," in message
+    assert f"{n} unknowns" in message
+    # The history is a replay with the same preconditioner: it ends at the
+    # residual the failed solve reported.
+    assert len(err.value.residuals) == cap
+    assert f"residual {err.value.residuals[-1]:.3e} after" in message
+
+
+def test_singular_coarsest_factor_raises():
+    # 15,066 disjoint edges, each inside one 3^5 coordinate block, and no
+    # fixed vertex: the Galerkin operator of the 186 blocks is exactly zero.
+    coords, edges = [], []
+    for block in range(186):
+        for rest in itertools.product(range(3), repeat=4):
+            edges.append((len(coords), len(coords) + 1))
+            coords += [(3 * block, *rest), (3 * block + 1, *rest)]
+    graph = VertexGraph.from_edges(coords, edges)
+    system = DirichletSystem(graph, np.arange(graph.num_vertices), [])
+    rhs = np.zeros(graph.num_vertices)
+    rhs[0] = 1.0
+    with pytest.raises(ConvergenceError, match="multigrid coarsest factor failed on 186 of "
+                                               "30132 unknowns: Factor is exactly singular"):
         system.solve(np.zeros(0), rhs=rhs)
