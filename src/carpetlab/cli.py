@@ -27,8 +27,8 @@ from .harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
-from .heat import TransitionOperator, central_vertex, estimate_ds, estimate_dw
-from .heat import ds_fit_times, fit_ds, kernel_walk, regime_fit, saturation_time
+from .heat import TransitionOperator, central_vertex, estimate_dw
+from .heat import ds_fit_times, fit_ds, fit_regimes, kernel_walk, saturation_time
 from .coupling import run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -249,9 +249,19 @@ def _cmd_heat(args) -> int:
             y_str, t_str = s.split(",")
             pairs.append((int(y_str), int(t_str)))
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
-    ds = args.ds if args.ds is not None else estimate_ds(op, x).value
+    # one walk covers the pair times and, without --ds, the d_s fit times
+    fit_times = ds_fit_times(saturation_time(graph)) if args.ds is None else []
+    by_time: dict[int, list[int]] = {}
+    for y, t in pairs:
+        by_time.setdefault(t, []).append(y)
+    diag, samples = [], []
+    for t, p in kernel_walk(op, x, sorted({*fit_times, *by_time})):
+        if t in fit_times:
+            diag.append((t, float(p[x])))
+        samples.extend((y, t, float(p[y])) for y in by_time.get(t, ()))
+    ds = args.ds if args.ds is not None else fit_ds(diag).value
     dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
-    fit = regime_fit(op, x, pairs, ds=ds, dw=dw)
+    fit = fit_regimes(graph, x, samples, ds=ds, dw=dw)
     _write_json_out(
         {
             "x": x,

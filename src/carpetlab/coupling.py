@@ -32,13 +32,12 @@ beside it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .geometry import CarpetGraph
+from .geometry import CarpetGraph, signed_permutations
 from .harmonic import HOLD
 from .seeding import draw_uniforms, stream_integers, stream_states
 
@@ -153,14 +152,10 @@ class _Coupler:
         self.coords = coords
         n_dirs = 2 * d
 
-        # Signed permutations, identity first: permutations ascending
-        # lexicographically, then signs with +1 before -1 per axis, so the
-        # lowest valid id is the canonical witness.  Isometry i maps a vector
-        # v to iso_sign[i] * v[iso_perm[i]].
-        perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-        signs = np.array(list(itertools.product((1, -1), repeat=d)), dtype=np.int64)
-        self.iso_perm = np.repeat(perms, len(signs), axis=0)
-        self.iso_sign = np.tile(signs, (len(perms), 1))
+        # Signed permutations, identity first, so the lowest valid id is the
+        # canonical witness.  Isometry i maps a vector v to
+        # iso_sign[i] * v[iso_perm[i]].
+        self.iso_perm, self.iso_sign = signed_permutations(d)
         n_isos = len(self.iso_perm)
 
         # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1.

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +33,7 @@ __all__ = [
     "survival_mask",
     "count_cells",
     "hausdorff_dimension",
+    "signed_permutations",
     "VertexGraph",
     "CarpetGraph",
     "build_graph",
@@ -169,6 +170,18 @@ def hausdorff_dimension(params: CarpetParams) -> float:
     return math.log(params.cells_per_level) / math.log(params.k)
 
 
+def signed_permutations(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^d d! signed permutations of ``d`` axes as ``(perm, sign)`` rows.
+
+    Element i maps a vector v to ``sign[i] * v[perm[i]]``.  Permutations
+    ascend lexicographically, then signs with +1 before -1 per axis, so the
+    identity comes first.
+    """
+    perms = np.array(list(permutations(range(d))), dtype=np.int64)
+    signs = np.array(list(product((1, -1), repeat=d)), dtype=np.int64)
+    return np.repeat(perms, len(signs), axis=0), np.tile(signs, (len(perms), 1))
+
+
 class VertexGraph:
     """Generic immutable unit-edge graph on integer lattice points.
 
@@ -225,6 +238,15 @@ class VertexGraph:
             self._edges.setflags(write=False)
         return self._edges
 
+    def orbit_keys(self, x: int) -> tuple[np.ndarray, int]:
+        """Orbit key of every vertex under the graph symmetries fixing ``x``, and their number.
+
+        Two vertices share a key iff one symmetry maps one onto the other.  A
+        plain vertex graph knows no symmetry but the identity, so every vertex
+        is its own orbit and the key is its id.
+        """
+        return np.arange(self.num_vertices, dtype=np.int64), 1
+
 
 class CarpetGraph(VertexGraph):
     """Level-n graphical carpet; immutable after construction."""
@@ -257,6 +279,29 @@ class CarpetGraph(VertexGraph):
         inside = ((coords >= 0) & (coords < self.side)).all(axis=1)
         out = np.where(found & inside, pos, -1)
         return out
+
+    def symmetry_images(self, x: int) -> Iterator[np.ndarray]:
+        """``coords`` under each window symmetry that fixes vertex ``x``, identity first.
+
+        The window symmetries are the signed permutations of the axes about the
+        window center, where a reflected axis maps c to side - 1 - c.  The
+        carpet is invariant under every one of them: reflection reverses each
+        base-k digit, and the removed digit range is symmetric under reversal
+        because a + k is even.
+        """
+        loc2 = 2 * self.coords + 1 - self.side  # doubled offsets from the center
+        for perm, sign in zip(*signed_permutations(self.params.d)):
+            if np.array_equal(sign * loc2[x, perm], loc2[x]):
+                yield (sign * loc2[:, perm] + self.side - 1) // 2
+
+    def orbit_keys(self, x: int) -> tuple[np.ndarray, int]:
+        """Orbit keys under the window symmetries fixing ``x``: the least coordinate key of each orbit."""
+        keys, order = None, 0
+        for image in self.symmetry_images(x):
+            image_keys = image @ self._strides
+            keys = image_keys if keys is None else np.minimum(keys, image_keys)
+            order += 1
+        return keys, order
 
 
 def _digit_block(params: CarpetParams) -> np.ndarray:

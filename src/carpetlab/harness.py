@@ -292,8 +292,10 @@ def exp_heat(ctx: _SuiteContext) -> dict:
     regime_times = [t for t in (64, 128, 256, 512) if t <= cap]
     targets = _regime_targets(graph, x)
     # One walk serves both fits: keep p_t(x, x) and p_t(x, y) at the targets.
-    walk = kernel_walk(TransitionOperator(graph), x, sorted({*ds_times, *regime_times}))
-    seen = {t: dist[[x, *targets]] for t, dist in walk}
+    op = TransitionOperator(graph)
+    times = sorted({*ds_times, *regime_times})
+    seen = {t: dist[[x, *targets]] for t, dist in kernel_walk(op, x, times)}
+    quotient = op.quotient(x)
     ds = fit_ds([(t, float(seen[t][0])) for t in ds_times])
     dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
     df = hausdorff_dimension(ctx.params)
@@ -312,6 +314,12 @@ def exp_heat(ctx: _SuiteContext) -> dict:
                 "sub_gaussian": fit.sub_gaussian.to_dict() if fit.sub_gaussian else None,
                 "gaussian": fit.gaussian.to_dict() if fit.gaussian else None,
                 "n_floor_excluded": fit.n_floor_excluded,
+                "walk": {
+                    "vertices": graph.num_vertices,
+                    "states": quotient.states,
+                    "symmetry_order": quotient.symmetry_order,
+                    "steps": times[-1],
+                },
             },
         ),
     ]
@@ -595,6 +603,11 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             lines.append(f"  d_s = {ds['value']:.6f} +- {ds['standard_error']:.6f} (r2 {ds['r_squared']:.6f})")
             lines.append(f"  d_w = {dw['value']:.6f} +- {dw['standard_error']:.6f} (r2 {dw['r_squared']:.6f})")
             lines.append(f"  d_f = {data['df']:.6f}; |d_w - 2 d_f / d_s| = {data['relation_gap']:.6f}")
+            if walk := data.get("walk"):
+                lines.append(
+                    f"  kernel walk: {walk['steps']} steps on {walk['states']} orbit states of"
+                    f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']})"
+                )
             figures.append(_figure_loglog(base, "report_heat_diag.csv", ds["points"], "t", "p_t"))
             figures.append(_figure_loglog(base, "report_heat_exit.csv", dw["points"], "r", "exit_time"))
             if data.get("sub_gaussian"):

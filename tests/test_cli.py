@@ -8,7 +8,7 @@ import pytest
 
 from carpetlab.cli import main
 from carpetlab.geometry import read_graph, write_graph
-from carpetlab.heat import TransitionOperator
+from carpetlab.heat import TransitionOperator, estimate_ds
 
 from conftest import vid
 
@@ -229,6 +229,26 @@ def test_heat_regime(tmp_path, capsys, g4_file, g4):
     assert code == 0
     assert payload["sub_gaussian"]["n_points"] == 8
     assert payload["gaussian"] is None
+
+
+def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_file, g4):
+    # Without --ds the d_s fit times (16..512) and the pair times (64, 128)
+    # share one walk of 512 steps; the estimate equals estimate_ds.
+    x = vid(g4, 26, 26)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(f"{vid(g4, 26, 26 + dy)},{t}\n" for dy in (1, 2, 3) for t in (64, 128)))
+    steps = []
+    step = TransitionOperator.step
+    monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
+    code, payload = run_json(
+        capsys,
+        ["heat", "regime", "--graph", g4_file, "--x", str(x), "--pairs", str(pairs), "--dw", "2.09"],
+    )
+    assert code == 0
+    assert len(steps) == 512
+    monkeypatch.setattr(TransitionOperator, "step", step)
+    assert payload["ds"] == estimate_ds(TransitionOperator(g4), x).value
+    assert payload["sub_gaussian"]["n_points"] == 6
 
 
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):

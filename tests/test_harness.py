@@ -225,6 +225,13 @@ def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
     manifest = run_suite(tiny_config(tmp_path, levels=(4,), experiments=("heat",)))
     assert manifest.experiments["heat"]["status"] == "ok"
     assert len(steps) == 512
+    # The walk steps the orbits of the symmetries fixing x = (26, 26): the
+    # identity and the diagonal reflection.
+    with open(os.path.join(str(tmp_path), "heat.json"), encoding="utf-8") as fh:
+        walk = json.load(fh)["walk"]
+    assert walk == {"vertices": 4096, "states": 2056, "symmetry_order": 2, "steps": 512}
+    text, _ = export_report(os.path.join(str(tmp_path), "manifest.json"))
+    assert "kernel walk: 512 steps on 2056 orbit states of 4096 vertices (symmetry order 2)" in text
 
 
 def test_suite_empty_selection(tmp_path):

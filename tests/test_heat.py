@@ -54,6 +54,21 @@ def test_step_matches_the_plain_lazy_step(g4):
         assert np.array_equal(p, ref)
 
 
+def test_plain_graph_walks_singleton_orbits():
+    # A plain vertex graph knows no symmetry: its quotient is the walk
+    # itself, and kernel_walk repeats op.step bit for bit.
+    torus = make_torus(8)
+    op = TransitionOperator(torus)
+    quotient = op.quotient(5)
+    assert (quotient.states, quotient.symmetry_order) == (torus.num_vertices, 1)
+    np.testing.assert_array_equal(quotient.orbit, np.arange(torus.num_vertices))
+    p = np.zeros(torus.num_vertices)
+    p[5] = 1.0
+    for t, dist in kernel_walk(op, 5, range(40)):
+        assert np.array_equal(dist, p)
+        p = op.step(p)
+
+
 def test_isolated_vertex_keeps_its_mass():
     graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5)], [(0, 1), (1, 2)])
     p = np.array([0.1, 0.2, 0.3, 0.4])

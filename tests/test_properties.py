@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from carpetlab import linalg
 from carpetlab.geometry import build_graph, count_cells, validate_params
-from carpetlab.heat import TransitionOperator, kernel_walk
+from carpetlab.heat import TransitionOperator, central_vertex, kernel_walk
+from carpetlab.linalg import DirichletSystem
 
 MAX_VERTICES = 5000
 
@@ -24,6 +26,29 @@ def carpets(draw):
     params = validate_params(d, k, a)
     assume(count_cells(n, params) <= MAX_VERTICES)
     return build_graph(n, params)
+
+
+# Carpets beyond (2,3,1) and (3,3,1) that the symmetry and solver properties
+# must cover, built at levels 1 and 2.
+NAMED = [(2, 5, 1), (2, 4, 2), (3, 3, 1), (4, 3, 1)]
+
+
+@st.composite
+def small_carpets(draw):
+    """A carpet from :func:`carpets`, or one of NAMED at level 1 or 2."""
+    if draw(st.booleans()):
+        return draw(carpets())
+    d, k, a = draw(st.sampled_from(NAMED))
+    return build_graph(draw(st.integers(1, 2)), validate_params(d, k, a))
+
+
+@st.composite
+def carpet_and_source(draw):
+    """A small carpet and a source vertex: any vertex, or one on the main diagonal."""
+    graph = draw(small_carpets())
+    diagonal = np.nonzero((graph.coords == graph.coords[:, :1]).all(axis=1))[0]
+    x = draw(st.one_of(st.integers(0, graph.num_vertices - 1), st.sampled_from(list(diagonal))))
+    return graph, x
 
 
 @st.composite
@@ -90,3 +115,71 @@ def test_signed_permutations_map_survivors_to_survivors(graph):
             for signs in itertools.product((1, -1), repeat=d):
                 image = corner + (np.array(signs) * loc2[:, list(perm)] + side - 1) // 2
                 assert (graph.vertex_ids(image) >= 0).all()
+
+
+def _named_central(d, k, a):
+    graph = build_graph(2, validate_params(d, k, a))
+    return graph, central_vertex(graph)
+
+
+@settings(deadline=None)
+@given(carpet_and_source())
+@example(_named_central(2, 5, 1))
+@example(_named_central(2, 4, 2))
+@example(_named_central(3, 3, 1))
+@example(_named_central(4, 3, 1))
+def test_quotient_walk_matches_the_plain_walk(case):
+    # kernel_walk steps the orbits of the symmetries fixing x; stepping every
+    # vertex with op.step must give the same kernel.
+    graph, x = case
+    op = TransitionOperator(graph)
+    times = [0, 1, 2, 5, 9, 16]
+    walked = dict(kernel_walk(op, x, times))
+    plain = np.zeros(graph.num_vertices)
+    plain[x] = 1.0
+    for t in range(times[-1] + 1):
+        if t in walked:
+            p = walked[t]
+            assert np.abs(p - plain).max() <= 1e-12 * plain.max()
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        plain = op.step(plain)
+    quotient = op.quotient(x)
+    assert quotient.orbit.shape == (graph.num_vertices,)
+    assert quotient.states == len(np.unique(quotient.orbit))
+    assert quotient.symmetry_order == len(list(graph.symmetry_images(x)))
+
+    # Every symmetry fixing x is a graph automorphism: it permutes the
+    # vertices, fixes x and carries the edge set onto itself.
+    edges = graph.edge_array()
+    for image in graph.symmetry_images(x):
+        ids = graph.vertex_ids(image)
+        np.testing.assert_array_equal(np.sort(ids), np.arange(graph.num_vertices))
+        assert ids[x] == x
+        mapped = np.sort(ids[edges], axis=1)
+        mapped = mapped[np.lexsort((mapped[:, 1], mapped[:, 0]))]
+        np.testing.assert_array_equal(mapped, edges)
+
+
+@settings(deadline=None)
+@given(small_carpets(), st.integers(0, 2**32 - 1), st.floats(0.02, 0.5))
+def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
+    # A harmonic function takes its extremes on the fixed set: on every
+    # solver path (plain CG, the multigrid V-cycle, SuperLU) each solved
+    # value lies within [min, max] of the boundary data.
+    rng = np.random.default_rng(seed)
+    fixed_mask = rng.random(graph.num_vertices) < share
+    fixed_mask[rng.integers(graph.num_vertices)] = True
+    fixed = np.nonzero(fixed_mask)[0]
+    unknown = np.nonzero(~fixed_mask)[0]
+    assume(unknown.size > 0)
+    g = rng.uniform(-1.0, 1.0, len(fixed))
+    slack = 1e-9 * (g.max() - g.min()) + 1e-12
+    system = DirichletSystem(graph, unknown, fixed)
+    solutions = [system.solve(g, tol=1e-12)[0], system.solve(g, tol=1e-12)[0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MULTIGRID_MIN", 0)
+        solutions.append(DirichletSystem(graph, unknown, fixed).solve(g, tol=1e-12)[0])
+    for values in solutions:
+        solved = values[unknown]
+        assert solved.min() >= g.min() - slack
+        assert solved.max() <= g.max() + slack
