@@ -28,7 +28,7 @@ from .harmonic import (
     hitting_probability,
 )
 from .heat import TransitionOperator, central_vertex, estimate_dw
-from .heat import ds_fit_times, fit_ds, fit_regimes, kernel_walk, saturation_time
+from .heat import ds_fit_times, fit_ds, fit_regimes, kernel_entries, saturation_time
 from .coupling import run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -229,7 +229,7 @@ def _cmd_heat(args) -> int:
         # one walk covers both the printed 1..tmax series and the d_s fit times
         fit_times = ds_fit_times(saturation_time(graph))
         t_end = max([args.tmax, *fit_times])
-        series = [(t, float(p[x])) for t, p in kernel_walk(op, x, range(1, t_end + 1))]
+        series = [(t, float(p[0])) for t, p in kernel_entries(op, x, [x], range(1, t_end + 1))]
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("t,p_tt\n")
@@ -251,14 +251,16 @@ def _cmd_heat(args) -> int:
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
     # one walk covers the pair times and, without --ds, the d_s fit times
     fit_times = ds_fit_times(saturation_time(graph)) if args.ds is None else []
-    by_time: dict[int, list[int]] = {}
-    for y, t in pairs:
-        by_time.setdefault(t, []).append(y)
+    by_time: dict[int, list[int]] = {}  # time -> indices of its pairs
+    for i, (_, t) in enumerate(pairs):
+        by_time.setdefault(t, []).append(i)
     diag, samples = [], []
-    for t, p in kernel_walk(op, x, sorted({*fit_times, *by_time})):
+    # entry 0 is p_t(x, x), entry i + 1 that of pair i
+    ids = [x, *(y for y, _ in pairs)]
+    for t, p in kernel_entries(op, x, ids, sorted({*fit_times, *by_time})):
         if t in fit_times:
-            diag.append((t, float(p[x])))
-        samples.extend((y, t, float(p[y])) for y in by_time.get(t, ()))
+            diag.append((t, float(p[0])))
+        samples.extend((pairs[i][0], t, float(p[i + 1])) for i in by_time.get(t, ()))
     ds = args.ds if args.ds is not None else fit_ds(diag).value
     dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     fit = fit_regimes(graph, x, samples, ds=ds, dw=dw)

@@ -238,14 +238,20 @@ class VertexGraph:
             self._edges.setflags(write=False)
         return self._edges
 
-    def orbit_keys(self, x: int) -> tuple[np.ndarray, int]:
-        """Orbit key of every vertex under the graph symmetries fixing ``x``, and their number.
+    def symmetries(self, *vertex_sets) -> np.ndarray:
+        """Rows of :func:`signed_permutations` that act on this graph and map each set onto itself.
 
-        Two vertices share a key iff one symmetry maps one onto the other.  A
-        plain vertex graph knows no symmetry but the identity, so every vertex
-        is its own orbit and the key is its id.
+        A plain vertex graph knows no symmetry but the identity, row 0.
         """
-        return np.arange(self.num_vertices, dtype=np.int64), 1
+        return np.zeros(1, dtype=np.int64)
+
+    def orbits(self, rows) -> np.ndarray:
+        """The least vertex of each vertex's orbit under the symmetries ``rows``.
+
+        A plain vertex graph knows no symmetry but the identity, so every
+        vertex is its own orbit.
+        """
+        return np.arange(self.num_vertices, dtype=np.int64)
 
 
 class CarpetGraph(VertexGraph):
@@ -260,6 +266,7 @@ class CarpetGraph(VertexGraph):
         self._strides = np.array(strides, dtype=np.int64)
         self._keys = self.coords @ self._strides
         self._keys.setflags(write=False)
+        self._orbits: dict[tuple, np.ndarray] = {}
 
     def vertex_id(self, coords: Sequence[int]) -> Optional[int]:
         """Vertex id for a coordinate tuple, or None if absent."""
@@ -280,28 +287,63 @@ class CarpetGraph(VertexGraph):
         out = np.where(found & inside, pos, -1)
         return out
 
-    def symmetry_images(self, x: int) -> Iterator[np.ndarray]:
-        """``coords`` under each window symmetry that fixes vertex ``x``, identity first.
+    def symmetry_images(self, rows, ids=None) -> Iterator[np.ndarray]:
+        """Coordinates of the vertices ``ids`` (default all) under each window symmetry ``rows``.
 
-        The window symmetries are the signed permutations of the axes about the
-        window center, where a reflected axis maps c to side - 1 - c.  The
-        carpet is invariant under every one of them: reflection reverses each
-        base-k digit, and the removed digit range is symmetric under reversal
-        because a + k is even.
+        ``rows`` index :func:`signed_permutations`.  The window symmetries are
+        the signed permutations of the axes about the window center, where a
+        reflected axis maps c to side - 1 - c.  The carpet is invariant under
+        every one of them: reflection reverses each base-k digit, and the
+        removed digit range is symmetric under reversal because a + k is even.
         """
-        loc2 = 2 * self.coords + 1 - self.side  # doubled offsets from the center
-        for perm, sign in zip(*signed_permutations(self.params.d)):
-            if np.array_equal(sign * loc2[x, perm], loc2[x]):
-                yield (sign * loc2[:, perm] + self.side - 1) // 2
+        perms, signs = signed_permutations(self.params.d)
+        coords = self.coords if ids is None else self.coords[np.asarray(ids, dtype=np.int64)]
+        for i in rows:
+            moved = coords[:, perms[i]]
+            yield np.where(signs[i] < 0, self.side - 1 - moved, moved)
 
-    def orbit_keys(self, x: int) -> tuple[np.ndarray, int]:
-        """Orbit keys under the window symmetries fixing ``x``: the least coordinate key of each orbit."""
-        keys, order = None, 0
-        for image in self.symmetry_images(x):
-            image_keys = image @ self._strides
-            keys = image_keys if keys is None else np.minimum(keys, image_keys)
-            order += 1
-        return keys, order
+    def symmetries(self, *vertex_sets) -> np.ndarray:
+        """Rows of :func:`signed_permutations` whose window symmetry keeps each vertex set.
+
+        Identity first.  One vertex gives its stabilizer; the two faces
+        x_0 = 0 and x_0 = side - 1 give the 2^(d-1) (d-1)! rows that keep
+        axis 0 and its direction; a target in a corner box together with that
+        box's outer faces gives the axis permutations that map the target
+        onto itself.
+        """
+        rows = np.arange(2 ** self.params.d * math.factorial(self.params.d))
+        for ids in vertex_sets:
+            member = np.zeros(self.num_vertices + 1, dtype=bool)  # slot -1: not a vertex
+            member[ids] = True
+            # an injective map of a finite set into itself is onto
+            images = self.symmetry_images(rows, ids)
+            rows = rows[np.array([member[self.vertex_ids(im)].all() for im in images], dtype=bool)]
+        return rows
+
+    def orbits(self, rows) -> np.ndarray:
+        """The least vertex of each vertex's orbit under the window symmetries ``rows``.
+
+        The least coordinate key over a vertex's images is its orbit's key;
+        vertex ids ascend with the key, so that key's vertex is the orbit's
+        least vertex.  Keys are summed axis by axis, which is faster than
+        keying :meth:`symmetry_images`.  The result is read-only and kept
+        per group, since the levels of one resistance series and the radii
+        of one exit-time fit share their group.
+        """
+        group = tuple(int(i) for i in rows)
+        if group not in self._orbits:
+            perms, signs = signed_permutations(self.params.d)
+            cols = np.ascontiguousarray(self.coords.T)
+            keys = None
+            for i in group:
+                image_keys = np.zeros(self.num_vertices, dtype=np.int64)
+                for stride, axis, sign in zip(self._strides, perms[i], signs[i]):
+                    image_keys += stride * (cols[axis] if sign > 0 else self.side - 1 - cols[axis])
+                keys = image_keys if keys is None else np.minimum(keys, image_keys, out=keys)
+            least = np.searchsorted(self._keys, keys)
+            least.setflags(write=False)
+            self._orbits[group] = least
+        return self._orbits[group]
 
 
 def _digit_block(params: CarpetParams) -> np.ndarray:

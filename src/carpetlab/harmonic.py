@@ -219,8 +219,9 @@ def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) 
     """Mean number of lazy-walk steps for the walk from ``x`` to reach distance ``r``.
 
     Solves the Poisson problem (L u = degree / (1 - HOLD) inside the ball,
-    u = 0 at distance >= r).  A non-positive radius puts ``x`` itself on the
-    exit set, so the answer is 0.
+    u = 0 at distance >= r) on the orbits of the graph symmetries that fix
+    ``x``: they keep the ball, its border and the degrees.  A non-positive
+    radius puts ``x`` itself on the exit set, so the answer is 0.
     """
     if r <= 0:
         return 0.0
@@ -230,7 +231,7 @@ def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) 
     fixed = _border(graph, unknown, ~inside)
     g = np.zeros(len(fixed))
     rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - HOLD)
-    system = DirichletSystem(graph, unknown, fixed)
+    system = DirichletSystem(graph, unknown, fixed, orbits=graph.orbits(graph.symmetries([x])))
     values, _ = system.solve(g, rhs=rhs, tol=tolerance)
     return float(values[x])
 

@@ -38,7 +38,7 @@ from .heat import (
     estimate_dw,
     fit_ds,
     fit_regimes,
-    kernel_walk,
+    kernel_entries,
     saturation_time,
 )
 from .coupling import run_coupled_walk, upgrade_statistics
@@ -294,7 +294,7 @@ def exp_heat(ctx: _SuiteContext) -> dict:
     # One walk serves both fits: keep p_t(x, x) and p_t(x, y) at the targets.
     op = TransitionOperator(graph)
     times = sorted({*ds_times, *regime_times})
-    seen = {t: dist[[x, *targets]] for t, dist in kernel_walk(op, x, times)}
+    seen = dict(kernel_entries(op, x, [x, *targets], times))
     quotient = op.quotient(x)
     ds = fit_ds([(t, float(seen[t][0])) for t in ds_times])
     dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
@@ -432,7 +432,11 @@ def exp_couple(ctx: _SuiteContext) -> dict:
 def exp_resist(ctx: _SuiteContext) -> dict:
     top = max(ctx.config.levels)
     ns = list(range(1, top + 1))
-    values = [face_resistance(ctx.graph(n), tolerance=ctx.config.tolerance) for n in ns]
+    face_solves: list = []
+    values = [
+        face_resistance(ctx.graph(n), tolerance=ctx.config.tolerance, solves=face_solves)
+        for n in ns
+    ]
     rows = list(zip(ns, values))
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     stable = (
@@ -450,6 +454,7 @@ def exp_resist(ctx: _SuiteContext) -> dict:
             "resist.json",
             {
                 "face": {str(n): v for n, v in rows},
+                "face_solves": {str(n): c for n, c in zip(ns, face_solves)},
                 "ratios": ratios,
                 "to_infinity": inf_report.to_dict(),
             },
@@ -537,6 +542,16 @@ def _figure_loglog(fig_dir: str, name: str, points, xlab: str, ylab: str) -> str
     path = os.path.join(fig_dir, name)
     _write_figure(path, [xlab, ylab, f"log_{xlab}", f"log_{ylab}", "fit", "residual"], rows)
     return name
+
+
+def _solves_line(series: str, solves) -> str:
+    """One report line for a resistance series' solves, level by level."""
+    parts = [
+        f"{n}: {c['path']} {c['iterations']} it, {c['orbit_unknowns']} orbits of"
+        f" {c['unknowns']} unknowns (order {c['symmetry_order']})"
+        for n, c in solves
+    ]
+    return f"  {series} solves: " + "; ".join(parts)
 
 
 def export_report(manifest_path: str) -> tuple[str, list]:
@@ -652,6 +667,9 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             inf = data["to_infinity"]
             tail = "divergent (recurrent)" if inf["divergent"] else f"-> {inf['extrapolated']!r}"
             lines.append(f"  corner-cell resistance to infinity: {tail}")
+            if "face_solves" in data:
+                lines.append(_solves_line("face", data["face_solves"].items()))
+                lines.append(_solves_line("R_N", zip(inf["levels"], inf["solves"])))
             path = os.path.join(base, "report_resist_face.csv")
             _write_figure(path, ["n", "face_resistance"], rows)
             figures.append("report_resist_face.csv")

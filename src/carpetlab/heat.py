@@ -11,8 +11,11 @@ chain lumped onto the orbits of the graph symmetries fixing the source:
 p_t(x, .) is constant on each orbit, so one sparse matrix-vector product per
 step on one value per orbit gives the kernel exactly (on the 3-D level-4
 carpet the central source's stabilizer has order 6 and the walk steps 78,216
-orbits for 456,976 vertices).  Memory stays O(|V|).  The fits (:func:`fit_ds`,
-:func:`fit_regimes`) are split from their walks, so one walk can serve both.
+orbits for 456,976 vertices).  Callers read the kernel through
+:func:`kernel_entries`, which gathers only the vertices they ask for from
+the orbit values.  Memory stays O(|V|).  The fits
+(:func:`fit_ds`, :func:`fit_regimes`) are split from their walks, so one walk
+can serve both.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "TransitionOperator",
     "HeatKernelRow",
     "kernel_walk",
+    "kernel_entries",
     "ExponentEstimate",
     "RegimeFitReport",
     "FitError",
@@ -100,8 +104,10 @@ class TransitionOperator:
         """The walk lumped onto the orbits of the symmetries fixing ``x`` (built once per source)."""
         x = int(x)
         if x not in self._quotients:
-            keys, order = self.graph.orbit_keys(x)
-            _, rep, orbit = np.unique(keys, return_index=True, return_inverse=True)
+            group = self.graph.symmetries([x])
+            least = self.graph.orbits(group)
+            rep = np.flatnonzero(least == np.arange(len(least)))  # orbits numbered by least vertex
+            orbit = np.searchsorted(rep, least)
             # Row O is Q's row at the least vertex of O, its columns relabelled
             # by orbit and left unmerged: the full step's sum at that vertex,
             # term by term.
@@ -110,7 +116,7 @@ class TransitionOperator:
             lumped._q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(rep),) * 2)
             lumped._hold = self._hold[rep]
             lumped._quotients = {}
-            self._quotients[x] = OrbitQuotient(lumped, orbit, len(rep), order)
+            self._quotients[x] = OrbitQuotient(lumped, orbit, len(rep), len(group))
         return self._quotients[x]
 
 
@@ -132,11 +138,13 @@ class OrbitQuotient:
 
 
 def kernel_walk(op: TransitionOperator, x: int, times: Iterable[int]) -> Iterator[tuple]:
-    """Yield ``(t, p_t(x, .))`` for each of the ascending ``times``.
+    """Yield ``(t, values)`` for each of the ascending ``times``, where
+    ``values[op.quotient(x).orbit[y]]`` is p_t(x, y).
 
     The only loop that applies a step.  It walks ``op.quotient(x)`` from the
-    value 1 on the orbit of ``x`` (x alone) and 0 elsewhere, advances between
-    consecutive times and gives each vertex the value of its orbit.
+    value 1 on the orbit of ``x`` (x alone) and 0 elsewhere and advances
+    between consecutive times.  It yields one value per orbit;
+    :func:`kernel_entries` reads vertices off them.
     """
     quotient = op.quotient(x)
     values = np.zeros(quotient.states)
@@ -148,14 +156,24 @@ def kernel_walk(op: TransitionOperator, x: int, times: Iterable[int]) -> Iterato
         for _ in range(t - t_cur):
             values = quotient.op.step(values)
         t_cur = t
-        yield t, values[quotient.orbit]
+        yield t, values
+
+
+def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
+    """Yield ``(t, p)`` for each of the ascending ``times``, where ``p[i]`` is p_t(x, ids[i]).
+
+    Gathers only the vertices ``ids`` from the orbit values of :func:`kernel_walk`.
+    """
+    read = op.quotient(x).orbit[np.asarray(ids, dtype=np.int64)]
+    for t, values in kernel_walk(op, x, times):
+        yield t, values[read]
 
 
 def heat_kernel_row(op: TransitionOperator, x: int, t: int) -> HeatKernelRow:
     """t-fold application of the step operator to a point mass at ``x``."""
     if t < 0:
         raise ValueError("time must be a nonnegative integer")
-    _, dist = next(kernel_walk(op, x, [int(t)]))
+    _, dist = next(kernel_entries(op, x, np.arange(op.graph.num_vertices), [int(t)]))
     total = dist.sum()
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"kernel row lost mass: sum = {total!r} at t = {t}")
@@ -299,7 +317,7 @@ def estimate_ds(
         times = ds_fit_times(cap)
     else:
         times = [t for t in sorted(int(t) for t in times) if t <= cap]
-    return fit_ds([(t, float(dist[x])) for t, dist in kernel_walk(op, x, times)])
+    return fit_ds([(t, float(p[0])) for t, p in kernel_entries(op, x, [x], times)])
 
 
 def estimate_dw(
@@ -414,11 +432,13 @@ def regime_fit(
     dw: float,
 ) -> RegimeFitReport:
     """Fit both heat-kernel decay regimes over (target, time) pairs, walking the kernel once."""
-    by_time: dict[int, list[int]] = {}
-    for y, t in pairs:
-        by_time.setdefault(int(t), []).append(int(y))
+    ys = [int(y) for y, _ in pairs]
+    by_time: dict[int, list[int]] = {}  # time -> indices of its pairs
+    for i, (_, t) in enumerate(pairs):
+        by_time.setdefault(int(t), []).append(i)
     samples = [
-        (y, t, float(dist[y])) for t, dist in kernel_walk(op, x, sorted(by_time)) for y in by_time[t]
+        (ys[i], t, float(p[i]))
+        for t, p in kernel_entries(op, x, ys, sorted(by_time)) for i in by_time[t]
     ]
     return fit_regimes(op.graph, x, samples, ds=ds, dw=dw)
 

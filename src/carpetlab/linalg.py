@@ -4,7 +4,8 @@ All potential-theoretic quantities reduce to one primitive: fix values on a
 set of vertices, optionally add a right-hand side on the unknowns, and solve
 the graph Laplacian system ``(L u)_I = rhs_I`` restricted to the unknowns.
 The interior block of ``L = D - A`` is symmetric positive definite whenever
-every unknown component touches a fixed vertex.  There are three paths:
+every unknown component touches a fixed vertex.  There are three solver
+paths, and one reduction that applies to each:
 
 * A system solved once runs a conjugate-gradient iteration; the
   relative-residual tolerance and the iteration cap (50 * sqrt(#unknowns))
@@ -24,6 +25,14 @@ every unknown component touches a fixed vertex.  There are three paths:
   and every later one are triangular solves.  A factor costs several CG
   solves and fills in badly on large 3-D systems, so it pays only when it
   is reused, as in a boundary sweep; one-shot systems never factor.
+* A problem that a group of graph symmetries maps onto itself (unknowns,
+  fixed vertices and data) has a solution constant on the group's orbits,
+  so it is solved exactly on one unknown per orbit.  The operator is taken
+  in the orthonormal basis ``S diag(|O|)^-1/2`` of orbit-constant vectors;
+  it stays symmetric, so the three paths above run on it unchanged, and its
+  residual norm is the full system's.  The 3-D level-4 face system shrinks
+  from 443,854 to 57,454 unknowns under the 8 symmetries that keep both
+  faces.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ class ConvergenceError(RuntimeError):
 class SolveInfo:
     residual: float
     iterations: int
+    path: str = "none"  # "CG", "V-cycle" or "SuperLU"; "none" when nothing needed solving
 
 
 class DirichletSystem:
@@ -75,6 +85,16 @@ class DirichletSystem:
     makes boundary sweeps (one solve per boundary vertex) affordable, while a
     system solved once never pays for a factor.
 
+    With ``orbits`` the problem is solved on the orbits O of a group of graph
+    automorphisms that maps the unknown set, the fixed set and every solve's
+    data onto themselves.  Its unique solution is then constant on orbits,
+    so solving in the orthonormal basis ``S diag(|O|)^-1/2`` of orbit-constant
+    vectors (S the orbit indicator matrix) is exact.  Row O of that operator
+    is the Laplacian row at O's least vertex with columns merged by orbit and
+    scaled by ``sqrt(|O| / |O'|)``: it stays symmetric, so all three paths
+    apply unchanged, and its residual norm equals the full system's, so
+    ``tol`` and :attr:`SolveInfo.residual` keep their meaning.
+
     Parameters
     ----------
     graph : VertexGraph
@@ -84,29 +104,65 @@ class DirichletSystem:
         ``unknown_ids | fixed_ids`` (checked), so the restriction is
         self-contained and reflection at missing cells is encoded by the true
         vertex degrees.
+    orbits : int array, optional
+        The least vertex of each vertex's orbit, as :meth:`VertexGraph.orbits`
+        gives it.  Both vertex sets must be unions of orbits (checked), and
+        each solve checks that its data are constant on orbits.  ``None``
+        solves on the vertices.
     """
 
-    def __init__(self, graph, unknown_ids, fixed_ids):
+    def __init__(self, graph, unknown_ids, fixed_ids, orbits=None):
         self.graph = graph
         self.unknown = np.asarray(unknown_ids, dtype=np.int64)
         self.fixed = np.asarray(fixed_ids, dtype=np.int64)
-        if np.intersect1d(self.unknown, self.fixed).size:
+        fixed_mask = np.zeros(graph.num_vertices, dtype=bool)
+        fixed_mask[self.fixed] = True
+        if fixed_mask[self.unknown].any():
             raise ValueError("unknown and fixed vertex sets overlap")
-
-        adj = graph.adjacency()
-        domain_mask = np.zeros(graph.num_vertices, dtype=bool)
+        domain_mask = fixed_mask.copy()
         domain_mask[self.unknown] = True
-        domain_mask[self.fixed] = True
-        rows = adj[self.unknown]
+
+        # The system's unknowns: one representative vertex per orbit.
+        self._least = None
+        reps = self.unknown
+        if orbits is not None:
+            least = np.asarray(orbits, dtype=np.int64)
+            if least.shape != (graph.num_vertices,):
+                raise ValueError("orbits must give every vertex its orbit")
+            for name, mask in (("unknown", domain_mask & ~fixed_mask), ("fixed", fixed_mask)):
+                if not np.array_equal(mask[least], mask):
+                    raise ValueError(f"the {name} vertex set is not a union of orbits")
+            self._least = least
+            reps = self.unknown[least[self.unknown] == self.unknown]
+        self._reps = reps
+
+        # Every unknown's neighbors are images of its representative's.
+        rows = graph.adjacency()[reps]
         if rows.nnz and not domain_mask[rows.indices].all():
             raise ValueError("an unknown vertex has a neighbor outside the domain")
 
-        deg = graph.degrees[self.unknown].astype(np.float64)
+        deg = graph.degrees[reps].astype(np.float64)
         self._coupling = rows[:, self.fixed]
-        self._lap = sp.diags(deg) - rows[:, self.unknown]
-        self._cap = max(1, math.ceil(50.0 * math.sqrt(len(self.unknown))))
+        offdiag = rows[:, self.unknown]
+        self._orbit = self._root = None
+        if len(reps) < len(self.unknown):
+            index = np.empty(graph.num_vertices, dtype=np.int64)
+            index[reps] = np.arange(len(reps))
+            self._orbit = index[self._least[self.unknown]]  # orbit of each unknown
+            self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
+            offdiag = sp.csr_matrix((offdiag.data, self._orbit[offdiag.indices], offdiag.indptr),
+                                    shape=(len(reps),) * 2)
+            offdiag.sum_duplicates()  # merge each row's columns by orbit
+            offdiag = sp.diags(self._root) @ offdiag @ sp.diags(1.0 / self._root)
+        self._lap = sp.diags(deg) - offdiag
+        self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))
         self._solves = 0
         self._factor = None
+
+    @property
+    def orbit_unknowns(self) -> int:
+        """Size of the solved system: one unknown per orbit."""
+        return len(self._reps)
 
     def solve(
         self,
@@ -120,38 +176,54 @@ class DirichletSystem:
             raise ValueError("fixed_values must align with the fixed vertex set")
         values = np.full(self.graph.num_vertices, np.nan)
         values[self.fixed] = g
+        if self._least is not None:
+            self._require_orbit_constant(values, self.fixed, "fixed values")
         if len(self.unknown) == 0:
             return values, SolveInfo(residual=0.0, iterations=0)
 
         b = self._coupling @ g
         if rhs is not None:
-            b = b + np.asarray(rhs, dtype=np.float64)
+            rhs = np.asarray(rhs, dtype=np.float64)
+            if rhs.shape != (len(self.unknown),):
+                raise ValueError("rhs must align with the unknown vertex set")
+            if self._least is not None:
+                values[self.unknown] = rhs
+                self._require_orbit_constant(values, self.unknown, "rhs")
+                rhs = values[self._reps]
+            b = b + rhs
+        if self._root is not None:
+            b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             values[self.unknown] = 0.0
             return values, SolveInfo(residual=0.0, iterations=0)
 
         self._solves += 1
-        direct = self._solves > 1
-        if direct:
-            u, iters = self._factored().solve(b), 0
+        if self._solves > 1:
+            u, iters, path = self._factored().solve(b), 0, "SuperLU"
         else:
-            u, iters = self._solve_cg(b, bnorm, tol)
+            u, iters, path = self._solve_cg(b, bnorm, tol)
         residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
-        if direct and not residual <= tol:
+        if path == "SuperLU" and not residual <= tol:
             raise ConvergenceError(
                 f"SuperLU solve reached relative residual {residual:.3e} on "
-                f"{len(self.unknown)} unknowns (tol {tol:.1e})",
+                f"{len(u)} unknowns (tol {tol:.1e})",
                 residuals=[residual],
             )
+        if self._root is not None:
+            u = (u / self._root)[self._orbit]
         values[self.unknown] = u
-        return values, SolveInfo(residual=residual, iterations=iters)
+        return values, SolveInfo(residual=residual, iterations=iters, path=path)
 
-    def _solve_cg(self, b, bnorm, tol) -> tuple[np.ndarray, int]:
-        n = len(self.unknown)
+    def _require_orbit_constant(self, values, ids, what):
+        if not np.array_equal(values[self._least[ids]], values[ids]):
+            raise ValueError(f"{what} are not constant on orbits")
+
+    def _solve_cg(self, b, bnorm, tol) -> tuple[np.ndarray, int, str]:
+        n = len(b)
         precond = None
         if n > MULTIGRID_MIN:
-            levels, coarsest = _hierarchy(self._lap, self.graph.coords[self.unknown])
+            levels, coarsest = _hierarchy(self._lap, self.graph.coords[self._reps])
             precond = LinearOperator(
                 (n, n), matvec=functools.partial(_v_cycle, levels, coarsest), dtype=np.float64
             )
@@ -172,7 +244,7 @@ class DirichletSystem:
                 f"iterations (cap {self._cap}, tol {tol:.1e}, {n} unknowns)",
                 residuals=history,
             )
-        return u, iters
+        return u, iters, "CG" if precond is None else "V-cycle"
 
     def _factored(self):
         """The SuperLU factor of the operator, computed on first use."""
@@ -181,7 +253,7 @@ class DirichletSystem:
                 self._factor = splu(self._lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise ConvergenceError(
-                    f"SuperLU factor failed on {len(self.unknown)} unknowns: {exc}"
+                    f"SuperLU factor failed on {self._lap.shape[0]} unknowns: {exc}"
                 ) from exc
         return self._factor
 

@@ -6,11 +6,15 @@ sets is 1/energy of the potential that is 1 on the source set, 0 on the
 ground set, and harmonic elsewhere (the Dirichlet principle).  "Infinity" is
 exhausted by grounding successively larger box boundaries and extrapolating
 the geometric tail of the resistance sequence; in the recurrent regime the
-sequence keeps growing and is flagged divergent instead.
+sequence keeps growing and is flagged divergent instead.  Every potential
+is solved on the orbits of the graph symmetries that keep its source and
+its ground (see :mod:`carpetlab.linalg`); a plain vertex graph has only
+singleton orbits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,6 +49,7 @@ class HypothesisError(RuntimeError):
 class FlowField:
     potential: np.ndarray
     energy: float
+    solve: dict = field(default_factory=dict)  # counters of the potential's solve
 
 
 @dataclass
@@ -56,6 +61,7 @@ class ResistanceReport:
     divergent: bool
     gamma: Optional[float] = None
     note: str = ""
+    solves: list = field(default_factory=list)  # counters of each level's solve
 
     def to_dict(self) -> dict:
         return {
@@ -66,6 +72,7 @@ class ResistanceReport:
             "divergent": self.divergent,
             "gamma": self.gamma,
             "note": self.note,
+            "solves": list(self.solves),
         }
 
 
@@ -87,12 +94,19 @@ def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     ground[ground_ids] = True
     reached = np.zeros(graph.num_vertices, dtype=bool)
     reached[source_ids] = True
-    frontier = np.unique(source_ids)
+    # Each ring keeps one copy of every new vertex, with no sort: every copy
+    # writes its own stamp, and whichever copy's stamp survives is kept, so
+    # the ring does not depend on the order NumPy assigns repeated indices.
+    stamp = np.empty(graph.num_vertices, dtype=np.int64)
+    frontier = np.flatnonzero(reached)
     grounded = False
     while frontier.size:
         nbrs = adj[frontier].indices
         grounded = grounded or bool(ground[nbrs].any())
-        frontier = np.unique(nbrs[~reached[nbrs] & ~ground[nbrs]])
+        nbrs = nbrs[~reached[nbrs] & ~ground[nbrs]]
+        order = np.arange(nbrs.size)
+        stamp[nbrs] = order
+        frontier = nbrs[stamp[nbrs] == order]
         reached[frontier] = True
     return reached, grounded
 
@@ -103,25 +117,43 @@ def potential_flow(graph, source_ids, ground_ids, tolerance: float = DEFAULT_TOL
     Only the vertices the source reaches without crossing the ground are
     unknowns; every other vertex sits at potential 0 exactly.  When the
     ground is out of reach, the potential is 1 on all of the reached set.
+    The solve runs on the orbits of ``graph.symmetries(source, ground)``,
+    the symmetries that map the source and the ground onto themselves.
+    ``FlowField.solve`` counts the solve: vertex unknowns, orbit unknowns,
+    group order, iterations and solver path.
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)
     ground_ids = np.asarray(ground_ids, dtype=np.int64)
     reached, grounded = _reached(graph, source_ids, ground_ids)
     pot = reached.astype(np.float64)
+    group = graph.symmetries(source_ids, ground_ids)
+    counters = _no_solve(len(group))
     if grounded:
         fixed = np.concatenate([source_ids, ground_ids])
         values = np.concatenate([np.ones(len(source_ids)), np.zeros(len(ground_ids))])
         reached[source_ids] = False
         unknown = np.nonzero(reached)[0]
-        solved, _ = DirichletSystem(graph, unknown, fixed).solve(values, tol=tolerance)
+        system = DirichletSystem(graph, unknown, fixed, orbits=graph.orbits(group))
+        solved, info = system.solve(values, tol=tolerance)
         pot[unknown] = solved[unknown]
-    return FlowField(potential=pot, energy=dirichlet_energy(graph, pot))
+        counters.update(unknowns=len(unknown), orbit_unknowns=system.orbit_unknowns,
+                        iterations=info.iterations, path=info.path)
+    return FlowField(potential=pot, energy=dirichlet_energy(graph, pot), solve=counters)
 
 
-def effective_resistance(graph, A, B, tolerance: float = DEFAULT_TOL) -> float:
+def _no_solve(order: int) -> dict:
+    """The solve counters of a potential that needed no solve."""
+    return {"unknowns": 0, "orbit_unknowns": 0, "symmetry_order": order,
+            "iterations": 0, "path": "none"}
+
+
+def effective_resistance(
+    graph, A, B, tolerance: float = DEFAULT_TOL, solves: Optional[list] = None
+) -> float:
     """Effective resistance between vertex sets A and B at unit conductance.
 
-    Returns inf when no path joins the sets.
+    Returns inf when no path joins the sets.  A ``solves`` list receives the
+    counters of the solve (see :func:`potential_flow`).
     """
     A = np.unique(np.asarray(A, dtype=np.int64))
     B = np.unique(np.asarray(B, dtype=np.int64))
@@ -129,8 +161,10 @@ def effective_resistance(graph, A, B, tolerance: float = DEFAULT_TOL) -> float:
         raise ValueError("resistance needs nonempty vertex sets")
     if np.intersect1d(A, B).size:
         raise ValueError("source and ground sets overlap")
-    energy = potential_flow(graph, A, B, tolerance=tolerance).energy
-    return 1.0 / energy if energy > 0.0 else float("inf")
+    flow = potential_flow(graph, A, B, tolerance=tolerance)
+    if solves is not None:
+        solves.append(flow.solve)
+    return 1.0 / flow.energy if flow.energy > 0.0 else float("inf")
 
 
 def resistance_to_infinity(
@@ -157,57 +191,54 @@ def resistance_to_infinity(
     if levels[-1] > graph.level:
         raise ValueError(f"ground level {levels[-1]} exceeds the built graph")
 
-    resistances = []
+    resistances, solves = [], []
     for N in levels:
         ground = box_vertices(graph, N).boundary
         if np.intersect1d(A, ground).size:
             resistances.append(0.0)
+            solves.append(_no_solve(1))
         else:
-            resistances.append(effective_resistance(graph, A, ground, tolerance=tolerance))
+            resistances.append(effective_resistance(graph, A, ground, tolerance, solves))
+    report = functools.partial(ResistanceReport, target=A, levels=levels,
+                               resistances=resistances, solves=solves)
 
     if len(levels) < 3:
-        return ResistanceReport(
-            target=A, levels=levels, resistances=resistances,
-            extrapolated=None, divergent=False,
-            note="refused extrapolation: fewer than 3 levels",
-        )
+        return report(extrapolated=None, divergent=False,
+                      note="refused extrapolation: fewer than 3 levels")
 
     d_prev = resistances[-2] - resistances[-3]
     d_last = resistances[-1] - resistances[-2]
     if d_last <= 0.0:
         # Sequence already flat (to solver noise); the last value is the limit.
-        return ResistanceReport(
-            target=A, levels=levels, resistances=resistances,
-            extrapolated=resistances[-1], divergent=False, gamma=0.0,
-            note="increments vanished; limit taken as the last value",
-        )
+        return report(extrapolated=resistances[-1], divergent=False, gamma=0.0,
+                      note="increments vanished; limit taken as the last value")
     gamma = d_last / d_prev if d_prev > 0 else 1.0
     if gamma >= 1.0 / MIN_DECAY:
-        return ResistanceReport(
-            target=A, levels=levels, resistances=resistances,
-            extrapolated=None, divergent=True, gamma=gamma,
-            note=f"increments decay slower than {MIN_DECAY}x; recurrent regime",
-        )
+        return report(extrapolated=None, divergent=True, gamma=gamma,
+                      note=f"increments decay slower than {MIN_DECAY}x; recurrent regime")
     extrapolated = resistances[-1] + d_last * gamma / (1.0 - gamma)
-    return ResistanceReport(
-        target=A, levels=levels, resistances=resistances,
-        extrapolated=extrapolated, divergent=False, gamma=gamma,
-    )
+    return report(extrapolated=extrapolated, divergent=False, gamma=gamma)
 
 
-def face_resistance(graph: CarpetGraph, tolerance: float = DEFAULT_TOL) -> float:
+def face_resistance(
+    graph: CarpetGraph, tolerance: float = DEFAULT_TOL, solves: Optional[list] = None
+) -> float:
     """Resistance across the whole carpet ``graph`` between opposite coordinate faces.
 
     The source is every cell with first coordinate 0, the ground every cell
     with first coordinate k^n - 1, n = ``graph.level``.  At n = 0 the two
     faces coincide in the single cell, a degenerate short: 0 by convention.
+    The potential is solved on the orbits of the window symmetries that keep
+    both faces (those that fix axis 0 and its direction).  A ``solves`` list
+    receives the counters of the solve.
     """
     if graph.level == 0:
+        if solves is not None:
+            solves.append(_no_solve(1))
         return 0.0
-    side = graph.side
     A = np.nonzero(graph.coords[:, 0] == 0)[0]
-    B = np.nonzero(graph.coords[:, 0] == side - 1)[0]
-    return effective_resistance(graph, A, B, tolerance=tolerance)
+    B = np.nonzero(graph.coords[:, 0] == graph.side - 1)[0]
+    return effective_resistance(graph, A, B, tolerance=tolerance, solves=solves)
 
 
 @dataclass

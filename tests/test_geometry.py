@@ -13,12 +13,13 @@ from carpetlab.geometry import (
     count_cells,
     hausdorff_dimension,
     read_graph,
+    signed_permutations,
     survival_mask,
     validate_params,
     write_graph,
 )
 
-from conftest import vid
+from conftest import make_path, vid
 
 
 # ---------------------------------------------------------------- parameters
@@ -188,6 +189,40 @@ def test_reflection_symmetry(g3):
     keys = {tuple(map(int, row)) for row in g3.coords}
     assert {(y, x) for x, y in keys} == keys
     assert {(g3.side - 1 - x, y) for x, y in keys} == keys
+
+
+@pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 3), (3, 3, 1, 2), (2, 4, 2, 2), (4, 3, 1, 1)])
+def test_symmetry_groups_of_the_resistance_problems(d, k, a, n):
+    graph = build_graph(n, validate_params(d, k, a))
+    perms, signs = signed_permutations(d)
+    first = graph.coords[:, 0]
+    # The two faces keep axis 0 and its direction, also on an even side
+    # such as (2,4,2), where no vertex sits on the window's midplane.
+    face = graph.symmetries(np.nonzero(first == 0)[0], np.nonzero(first == graph.side - 1)[0])
+    np.testing.assert_array_equal(face, np.nonzero((perms[:, 0] == 0) & (signs[:, 0] == 1))[0])
+    assert len(face) == 2 ** (d - 1) * math.factorial(d - 1)
+    # A corner target and the faces of its box keep the axis permutations
+    # that map the target onto itself.
+    ground = box_vertices(graph, n).boundary
+    unsigned = (signs == 1).all(axis=1)
+    np.testing.assert_array_equal(graph.symmetries([0], ground), np.nonzero(unsigned)[0])
+    pair = [0, vid(graph, 1, *[0] * (d - 1))]
+    np.testing.assert_array_equal(graph.symmetries(pair, ground),
+                                  np.nonzero(unsigned & (perms[:, 0] == 0))[0])
+
+
+def test_orbits_are_least_vertices(g3d):
+    least = g3d.orbits(g3d.symmetries([0]))
+    assert (least <= np.arange(g3d.num_vertices)).all()
+    np.testing.assert_array_equal(least[least], least)
+    # (1, 2, 0) lies in the orbit of the 6 axis permutations of (0, 1, 2).
+    assert least[vid(g3d, 1, 2, 0)] == vid(g3d, 0, 1, 2)
+    assert np.bincount(least).max() == 6
+    # The identity alone, and any plain vertex graph, give singleton orbits.
+    np.testing.assert_array_equal(g3d.orbits([0]), np.arange(g3d.num_vertices))
+    path = make_path(5)
+    np.testing.assert_array_equal(path.symmetries([2]), [0])
+    np.testing.assert_array_equal(path.orbits(path.symmetries([2])), np.arange(5))
 
 
 def test_box_partition(g3):

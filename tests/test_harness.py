@@ -234,6 +234,24 @@ def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
     assert "kernel walk: 512 steps on 2056 orbit states of 4096 vertices (symmetry order 2)" in text
 
 
+def test_resist_records_its_solves(tmp_path):
+    # resist.json counts every face and R_N solve; the report prints one
+    # line per series.
+    run_suite(tiny_config(tmp_path, levels=(2, 3), experiments=("resist",)))
+    with open(os.path.join(str(tmp_path), "resist.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert sorted(data["face_solves"]) == ["1", "2", "3"]
+    assert data["face_solves"]["3"]["symmetry_order"] == 2
+    assert data["face_solves"]["3"]["unknowns"] == 512 - 2 * 27  # all but the two faces
+    assert [s["symmetry_order"] for s in data["to_infinity"]["solves"]] == [2, 2, 2]
+    assert all(s["path"] == "CG" for s in data["to_infinity"]["solves"])
+    text, _ = export_report(os.path.join(str(tmp_path), "manifest.json"))
+    face = data["face_solves"]["3"]
+    assert (f"3: CG {face['iterations']} it, {face['orbit_unknowns']} orbits of 458 unknowns"
+            " (order 2)") in text
+    assert "  R_N solves: 1: CG " in text
+
+
 def test_suite_empty_selection(tmp_path):
     cfg = tiny_config(tmp_path, experiments=())
     manifest = run_suite(cfg)

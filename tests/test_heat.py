@@ -13,6 +13,7 @@ from carpetlab.heat import (
     fit_ds,
     fit_regimes,
     heat_kernel_row,
+    kernel_entries,
     kernel_walk,
     monte_carlo_walk,
     regime_fit,
@@ -64,8 +65,8 @@ def test_plain_graph_walks_singleton_orbits():
     np.testing.assert_array_equal(quotient.orbit, np.arange(torus.num_vertices))
     p = np.zeros(torus.num_vertices)
     p[5] = 1.0
-    for t, dist in kernel_walk(op, 5, range(40)):
-        assert np.array_equal(dist, p)
+    for t, values in kernel_walk(op, 5, range(40)):
+        assert np.array_equal(values[quotient.orbit], p)
         p = op.step(p)
 
 
@@ -151,13 +152,14 @@ def test_fits_equal_the_estimates_that_walk(g4):
     # One walk can serve both fits: the values read off it are bit-identical.
     op = TransitionOperator(g4)
     x = central_vertex(g4)
-    series = {t: dist[x] for t, dist in kernel_walk(op, x, range(1, 513))}
+    series = {t: p[0] for t, p in kernel_entries(op, x, [x], range(1, 513))}
     times = dyadic_times(16, saturation_time(g4))
     assert fit_ds([(t, float(series[t])) for t in times]) == estimate_ds(op, x)
     pairs = [(y, t) for t in (64, 128) for y in range(0, g4.num_vertices, 600)]
+    ys = [y for y, _ in pairs]
     samples = [
-        (y, t, float(dist[y])) for t, dist in kernel_walk(op, x, [64, 128])
-        for y, s in pairs if s == t
+        (y, t, float(p[i])) for t, p in kernel_entries(op, x, ys, [64, 128])
+        for i, (y, s) in enumerate(pairs) if s == t
     ]
     assert fit_regimes(g4, x, samples, 1.78, 2.09) == regime_fit(op, x, pairs, 1.78, 2.09)
 

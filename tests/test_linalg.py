@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carpetlab import linalg
 from carpetlab.geometry import VertexGraph, box_vertices, build_graph, validate_params
+from carpetlab.harmonic import harnack_constant
 from carpetlab.linalg import ConvergenceError, DirichletSystem
 from carpetlab.resistance import dirichlet_energy
 
@@ -150,3 +152,79 @@ def test_singular_coarsest_factor_raises():
     with pytest.raises(ConvergenceError, match="multigrid coarsest factor failed on 186 of "
                                                "30132 unknowns: Factor is exactly singular"):
         system.solve(np.zeros(0), rhs=rhs)
+
+
+# ------------------------------------------------------------- orbit quotient
+
+
+def _face_orbits(graph):
+    """The face layout of :func:`_face_system` and the orbits of the face pair's symmetries."""
+    system, values = _face_system(graph)
+    first = graph.coords[:, 0]
+    rows = graph.symmetries(np.nonzero(first == 0)[0], np.nonzero(first == graph.side - 1)[0])
+    return system.unknown, system.fixed, values, graph.orbits(rows)
+
+
+def test_orbit_quotient_of_the_3d_face_system(g3d4):
+    # 443,854 vertex unknowns lump to 57,454 orbits under the 8 symmetries;
+    # the V-cycle still solves them in about 30 iterations.
+    unknown, fixed, values, orbits = _face_orbits(g3d4)
+    system = DirichletSystem(g3d4, unknown, fixed, orbits=orbits)
+    assert (len(system.unknown), system.orbit_unknowns) == (443_854, 57_454)
+    solved, info = system.solve(values)
+    assert info.path == "V-cycle" and info.iterations <= 40
+    assert info.residual < 1e-10
+    assert 1.0 / dirichlet_energy(g3d4, solved) == pytest.approx(0.016204859222619692, rel=1e-9)
+
+
+def test_orbit_sets_must_be_unions_of_orbits(g3):
+    unknown, fixed, _, orbits = _face_orbits(g3)
+    split = np.nonzero(orbits[unknown] != unknown)[0][0]  # a vertex whose orbit has another
+    with pytest.raises(ValueError, match="unknown vertex set is not a union of orbits"):
+        DirichletSystem(g3, np.delete(unknown, split), np.append(fixed, unknown[split]),
+                        orbits=orbits)
+    lone = np.nonzero(orbits[fixed] != fixed)[0][0]
+    with pytest.raises(ValueError, match="fixed vertex set is not a union of orbits"):
+        DirichletSystem(g3, unknown, np.delete(fixed, lone), orbits=orbits)
+    with pytest.raises(ValueError, match="orbits must give every vertex its orbit"):
+        DirichletSystem(g3, unknown, fixed, orbits=orbits[:-1])
+
+
+def test_orbit_data_must_be_constant_on_orbits(g3):
+    unknown, fixed, values, orbits = _face_orbits(g3)
+    system = DirichletSystem(g3, unknown, fixed, orbits=orbits)
+    broken = values.copy()
+    broken[np.nonzero(orbits[fixed] != fixed)[0][0]] = 0.5
+    with pytest.raises(ValueError, match="fixed values are not constant on orbits"):
+        system.solve(broken)
+    rhs = np.zeros(len(unknown))
+    rhs[np.nonzero(orbits[unknown] != unknown)[0][0]] = 1.0
+    with pytest.raises(ValueError, match="rhs are not constant on orbits"):
+        system.solve(values, rhs=rhs)
+    with pytest.raises(ValueError, match="rhs must align"):
+        system.solve(values, rhs=rhs[:-1])
+    # Orbit-constant data pass, and the solution is constant on orbits.
+    rhs = g3.degrees[unknown].astype(np.float64)
+    solved, _ = system.solve(values, rhs=rhs)
+    np.testing.assert_array_equal(solved[orbits[unknown]], solved[unknown])
+
+
+def test_vertex_basis_is_the_plain_assembly(g4):
+    # Without orbits, and with singleton orbits, the operator and the
+    # coupling are the sliced Laplacian exactly as a plain Dirichlet solve
+    # builds it, entry for entry, so the level-4 Harnack sweep is unchanged
+    # to the last bit (values frozen from the sweep before orbit solves).
+    part = box_vertices(g4, 4)
+    rows = g4.adjacency()[part.interior]
+    lap = sp.diags(g4.degrees[part.interior].astype(np.float64)) - rows[:, part.interior]
+    coupling = rows[:, part.boundary]
+    for orbits in (None, g4.orbits([0])):
+        system = DirichletSystem(g4, part.interior, part.boundary, orbits=orbits)
+        for built, plain in ((system._lap, lap), (system._coupling, coupling)):
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(built, attr), getattr(plain, attr))
+    report = harnack_constant(g4, 4)
+    assert (report.constant, report.rho) == (1.494757989755402, 0.011391894362324996)
+    assert report.witness == report.rho_witness == (98, 1456, 80)
+    assert report.max_residual == 9.558856390467151e-11
+    assert len(report.degenerate) == 55

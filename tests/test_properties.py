@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from carpetlab import linalg
-from carpetlab.geometry import build_graph, count_cells, validate_params
-from carpetlab.heat import TransitionOperator, central_vertex, kernel_walk
+from carpetlab.geometry import box_vertices, build_graph, count_cells, validate_params
+from carpetlab.harmonic import HOLD
+from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries
 from carpetlab.linalg import DirichletSystem
+from carpetlab.resistance import _reached
 
 MAX_VERTICES = 5000
 
@@ -90,8 +92,9 @@ def test_lazy_walk_conserves_mass_and_is_reversible(case):
     graph, x, y = case
     op = TransitionOperator(graph)
     times = range(7)
-    rows_x = [p for _, p in kernel_walk(op, x, times)]
-    rows_y = [p for _, p in kernel_walk(op, y, times)]
+    every = np.arange(graph.num_vertices)
+    rows_x = [p for _, p in kernel_entries(op, x, every, times)]
+    rows_y = [p for _, p in kernel_entries(op, y, every, times)]
     deg = graph.degrees
     for px, py in zip(rows_x, rows_y):
         assert px.sum() == pytest.approx(1.0, rel=1e-12)
@@ -129,12 +132,13 @@ def _named_central(d, k, a):
 @example(_named_central(3, 3, 1))
 @example(_named_central(4, 3, 1))
 def test_quotient_walk_matches_the_plain_walk(case):
-    # kernel_walk steps the orbits of the symmetries fixing x; stepping every
+    # The kernel walks the orbits of the symmetries fixing x; stepping every
     # vertex with op.step must give the same kernel.
     graph, x = case
     op = TransitionOperator(graph)
     times = [0, 1, 2, 5, 9, 16]
-    walked = dict(kernel_walk(op, x, times))
+    quotient = op.quotient(x)
+    walked = dict(kernel_entries(op, x, np.arange(graph.num_vertices), times))
     plain = np.zeros(graph.num_vertices)
     plain[x] = 1.0
     for t in range(times[-1] + 1):
@@ -143,15 +147,15 @@ def test_quotient_walk_matches_the_plain_walk(case):
             assert np.abs(p - plain).max() <= 1e-12 * plain.max()
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
         plain = op.step(plain)
-    quotient = op.quotient(x)
     assert quotient.orbit.shape == (graph.num_vertices,)
     assert quotient.states == len(np.unique(quotient.orbit))
-    assert quotient.symmetry_order == len(list(graph.symmetry_images(x)))
+    group = graph.symmetries([x])
+    assert quotient.symmetry_order == len(group)
 
     # Every symmetry fixing x is a graph automorphism: it permutes the
     # vertices, fixes x and carries the edge set onto itself.
     edges = graph.edge_array()
-    for image in graph.symmetry_images(x):
+    for image in graph.symmetry_images(group):
         ids = graph.vertex_ids(image)
         np.testing.assert_array_equal(np.sort(ids), np.arange(graph.num_vertices))
         assert ids[x] == x
@@ -183,3 +187,83 @@ def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
         solved = values[unknown]
         assert solved.min() >= g.min() - slack
         assert solved.max() <= g.max() + slack
+
+
+def _orbit_problem(graph, kind, level, pick):
+    """One symmetric boundary-value problem of the resistance and exit-time code:
+    ``(unknown, fixed, fixed values, rhs, symmetry rows)``."""
+    d, side = graph.params.d, graph.side
+    if kind == "face":
+        source = np.nonzero(graph.coords[:, 0] == 0)[0]
+        ground = np.nonzero(graph.coords[:, 0] == side - 1)[0]
+        rows = graph.symmetries(source, ground)
+    elif kind == "corner":
+        # [0], [0 and its neighbor along axis 0] (not permutation-invariant)
+        # or the corner cube of side 2.
+        ground = box_vertices(graph, level).boundary
+        source = [np.array([0]),
+                  np.array([0, graph.vertex_id([1] + [0] * (d - 1))]),
+                  np.nonzero((graph.coords < 2).all(axis=1))[0]][pick]
+        rows = graph.symmetries(source, ground)
+    else:
+        on_plane = graph.coords.sum(axis=1) == side
+        x = central_vertex(graph) if pick == 0 else int(np.argmax(on_plane))
+        dist = np.sqrt(((graph.coords - graph.coords[x]) ** 2).sum(axis=1))
+        inside = dist < side / 3.0
+        unknown = np.nonzero(inside)[0]
+        nbrs = np.unique(graph.adjacency()[unknown].indices)
+        fixed = nbrs[~inside[nbrs]]
+        rhs = graph.degrees[unknown] / (1.0 - HOLD)
+        return unknown, fixed, np.zeros(len(fixed)), rhs, graph.symmetries([x])
+    reached, _ = _reached(graph, source, ground)
+    reached[source] = False
+    fixed = np.concatenate([source, ground])
+    values = np.concatenate([np.ones(len(source)), np.zeros(len(ground))])
+    return np.nonzero(reached)[0], fixed, values, None, rows
+
+
+@settings(deadline=None)
+@given(small_carpets(), st.sampled_from(["face", "corner", "exit"]), st.integers(0, 2), st.data())
+@example(build_graph(2, validate_params(3, 3, 1)), "corner", 1, None)
+def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
+    # A symmetric problem's solution is constant on orbits, so the solve on
+    # the orbit quotient must give the plain vertex solve, and its residual,
+    # recomputed on the full system, must meet the tolerance.
+    level = graph.level if data is None else data.draw(st.integers(1, graph.level))
+    pick %= 3 if kind == "corner" else 2
+    unknown, fixed, g, rhs, rows = _orbit_problem(graph, kind, level, pick)
+    assume(unknown.size > 0 and fixed.size > 0)
+    tol = 1e-10
+    plain, _ = DirichletSystem(graph, unknown, fixed).solve(g, rhs=rhs, tol=tol)
+    orbits = graph.orbits(rows)
+    system = DirichletSystem(graph, unknown, fixed, orbits=orbits)
+    assert system.orbit_unknowns == len(np.unique(orbits[unknown]))
+    lap = system._lap
+    assert abs(lap - lap.T).max() <= 1e-12 * abs(lap).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MULTIGRID_MIN", 0)
+        multigrid = DirichletSystem(graph, unknown, fixed, orbits=orbits)
+        solves = [multigrid.solve(g, rhs=rhs, tol=tol)]
+    # the V-cycle, then plain CG and SuperLU
+    solves += [system.solve(g, rhs=rhs, tol=tol), system.solve(g, rhs=rhs, tol=tol)]
+    assert [info.path for _, info in solves][1:] == ["CG", "SuperLU"]
+    for values, info in solves:
+        scale = max(1.0, np.abs(plain[unknown]).max())
+        np.testing.assert_allclose(values[unknown], plain[unknown], rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_array_equal(values[fixed], g)
+
+        held = np.zeros(graph.num_vertices)
+        held[fixed] = g
+        u = held.copy()
+        u[unknown] = values[unknown]
+        adj = graph.adjacency()
+        poisson = 0.0 if rhs is None else rhs
+        b = (adj @ held)[unknown] + poisson  # the data of (L u)_I = rhs on the unknowns
+        residual = poisson - (graph.degrees * u - adj @ u)[unknown]
+        full = np.linalg.norm(residual) / np.linalg.norm(b)
+        assert full <= tol
+        # The solver's residual, taken in the orbit basis, is this one up to
+        # the rounding of either computation, about eps * |L| |u| / |b|.
+        size = np.linalg.norm((graph.degrees * np.abs(u) + adj @ np.abs(u))[unknown])
+        rounding = 100 * np.finfo(float).eps * (size + np.linalg.norm(b)) / np.linalg.norm(b)
+        assert abs(info.residual - full) <= 1e-3 * full + rounding

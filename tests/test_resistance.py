@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carpetlab.geometry import VertexGraph, build_graph
+from carpetlab.geometry import VertexGraph, box_vertices, build_graph
 from carpetlab.resistance import (
     HypothesisError,
     dirichlet_energy,
@@ -149,6 +149,46 @@ def test_resistance_zero_on_ground_overlap(g3d):
     face = np.nonzero((g3d.coords == 8).any(axis=1))[0]
     rep = resistance_to_infinity(g3d, face[:1], levels=[2, 3])
     assert rep.resistances[0] == 0.0
+    assert rep.solves[0] == {"unknowns": 0, "orbit_unknowns": 0, "symmetry_order": 1,
+                             "iterations": 0, "path": "none"}
+
+
+def test_resistance_solves_are_counted(params3, g3d):
+    # The face pair keeps 8 of the 48 window symmetries in 3-D, the corner
+    # cell's boxes all 6 axis permutations.
+    solves = []
+    assert face_resistance(build_graph(0, params3), solves=solves) == 0.0
+    assert face_resistance(build_graph(2, params3), solves=solves) == pytest.approx(
+        0.1175376893276021, rel=1e-9)
+    assert solves[0]["path"] == "none"
+    assert {k: solves[1][k] for k in ("unknowns", "orbit_unknowns", "symmetry_order", "path")} == {
+        "unknowns": 514, "orbit_unknowns": 88, "symmetry_order": 8, "path": "CG"}
+    rep = resistance_to_infinity(g3d, [0], levels=[1, 2, 3])
+    assert [(s["unknowns"], s["orbit_unknowns"], s["symmetry_order"]) for s in rep.solves] == [
+        (6, 2, 6), (458, 100, 6), (15468, 2809, 6)]
+    assert all(s["iterations"] > 0 and s["path"] == "CG" for s in rep.solves)
+    assert rep.to_dict()["solves"] == rep.solves
+    # A target that is not permutation-invariant keeps only the permutations fixing it.
+    pair = [0, vid(g3d, 1, 0, 0)]
+    assert resistance_to_infinity(g3d, pair, levels=[2]).solves[0]["symmetry_order"] == 2
+
+
+def test_orbit_resistances_match_the_plain_graph(g3d):
+    # The same graph as a plain vertex graph has only singleton orbits, so
+    # every resistance solved on orbits must match its vertex solve: the
+    # face pair, the corner cell and a target pair against a box boundary,
+    # corner to corner, and two vertices no symmetry keeps.
+    plain = VertexGraph(g3d.coords, g3d.indptr, g3d.indices)
+    face = [np.nonzero(g3d.coords[:, 0] == c)[0] for c in (0, g3d.side - 1)]
+    box = box_vertices(g3d, 2).boundary
+    cases = [(face, 8), (([0], box), 6), (([0, vid(g3d, 1, 0, 0)], box), 2),
+             (([0], [g3d.num_vertices - 1]), 6), (([vid(g3d, 0, 1, 2)], [vid(g3d, 26, 20, 8)]), 1)]
+    for (A, B), order in cases:
+        orbit_solves, plain_solves = [], []
+        r = effective_resistance(g3d, A, B, solves=orbit_solves)
+        assert r == pytest.approx(effective_resistance(plain, A, B, solves=plain_solves), rel=1e-9)
+        assert (orbit_solves[0]["symmetry_order"], plain_solves[0]["symmetry_order"]) == (order, 1)
+        assert orbit_solves[0]["unknowns"] == plain_solves[0]["unknowns"]
 
 
 # ------------------------------------------------------------------ capacity
