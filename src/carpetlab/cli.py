@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .harmonic import (
     hitting_probability,
 )
 from .heat import TransitionOperator, central_vertex, estimate_dw
-from .heat import ds_fit_times, fit_ds, fit_regimes, kernel_entries, saturation_time
+from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, kernel_entries
 from .coupling import run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -180,7 +181,7 @@ def _cmd_build(args) -> int:
 def _cmd_harnack(args) -> int:
     graph = read_graph(args.graph)
     report = harnack_constant(graph, args.level, tolerance=args.tol)
-    _write_json_out(report.to_dict(), args.out)
+    _write_json_out(asdict(report), args.out)
     return 0
 
 
@@ -225,9 +226,10 @@ def _cmd_heat(args) -> int:
     _check_ids(graph, [args.x], "--x")
     op = TransitionOperator(graph)
     x = args.x if args.x is not None else central_vertex(graph)
+    cap = carpet_saturation_time(graph.params, graph.level)
     if args.heat_command == "diag":
         # one walk covers both the printed 1..tmax series and the d_s fit times
-        fit_times = ds_fit_times(saturation_time(graph))
+        fit_times = ds_fit_times(cap)
         t_end = max([args.tmax, *fit_times])
         series = [(t, float(p[0])) for t, p in kernel_entries(op, x, [x], range(1, t_end + 1))]
         if args.out:
@@ -237,7 +239,7 @@ def _cmd_heat(args) -> int:
                     fh.write(f"{t},{ptt!r}\n")
         ds = fit_ds([series[t - 1] for t in fit_times])
         dw = estimate_dw(graph, x)
-        summary = {"x": x, "ds": ds.to_dict(), "dw": dw.to_dict()}
+        summary = {"x": x, "ds": asdict(ds), "dw": asdict(dw)}
         sys.stdout.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
         return 0
     pairs = []
@@ -250,7 +252,7 @@ def _cmd_heat(args) -> int:
             pairs.append((int(y_str), int(t_str)))
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
     # one walk covers the pair times and, without --ds, the d_s fit times
-    fit_times = ds_fit_times(saturation_time(graph)) if args.ds is None else []
+    fit_times = ds_fit_times(cap) if args.ds is None else []
     by_time: dict[int, list[int]] = {}  # time -> indices of its pairs
     for i, (_, t) in enumerate(pairs):
         by_time.setdefault(t, []).append(i)
@@ -269,8 +271,8 @@ def _cmd_heat(args) -> int:
             "x": x,
             "ds": ds,
             "dw": dw,
-            "sub_gaussian": fit.sub_gaussian.to_dict() if fit.sub_gaussian else None,
-            "gaussian": fit.gaussian.to_dict() if fit.gaussian else None,
+            "sub_gaussian": asdict(fit.sub_gaussian) if fit.sub_gaussian else None,
+            "gaussian": asdict(fit.gaussian) if fit.gaussian else None,
             "n_floor_excluded": fit.n_floor_excluded,
         },
         args.out,

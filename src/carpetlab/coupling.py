@@ -80,17 +80,6 @@ class CouplingOutcome:
     trajectory_digest: str
     truncated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "coupled": self.coupled,
-            "steps_taken": self.steps_taken,
-            "exited_box": self.exited_box,
-            "renewal_times": list(self.renewal_times),
-            "max_level_reached": self.max_level_reached,
-            "trajectory_digest": self.trajectory_digest,
-            "truncated": self.truncated,
-        }
-
 
 @dataclass
 class _Walks:

@@ -267,14 +267,12 @@ class CarpetGraph(VertexGraph):
         self._keys = self.coords @ self._strides
         self._keys.setflags(write=False)
         self._orbits: dict[tuple, np.ndarray] = {}
+        self._top: Optional[np.ndarray] = None  # largest coordinate per vertex, see box_vertices
 
     def vertex_id(self, coords: Sequence[int]) -> Optional[int]:
         """Vertex id for a coordinate tuple, or None if absent."""
-        key = int(np.dot(np.asarray(coords, dtype=np.int64), self._strides))
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < self.num_vertices and self._keys[pos] == key:
-            return pos
-        return None
+        v = int(self.vertex_ids(np.asarray(coords, dtype=np.int64)[None])[0])
+        return v if v >= 0 else None
 
     def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized lookup; -1 marks coordinates not in the graph."""
@@ -284,8 +282,7 @@ class CarpetGraph(VertexGraph):
         pos = np.clip(pos, 0, self.num_vertices - 1)
         found = self._keys[pos] == keys
         inside = ((coords >= 0) & (coords < self.side)).all(axis=1)
-        out = np.where(found & inside, pos, -1)
-        return out
+        return np.where(found & inside, pos, -1)
 
     def symmetry_images(self, rows, ids=None) -> Iterator[np.ndarray]:
         """Coordinates of the vertices ``ids`` (default all) under each window symmetry ``rows``.
@@ -348,9 +345,8 @@ class CarpetGraph(VertexGraph):
 
 def _digit_block(params: CarpetParams) -> np.ndarray:
     """All non-central digit vectors, lexicographically sorted."""
-    lo = params.central_range.start
-    hi = params.central_range.stop
-    rows = [row for row in product(range(params.k), repeat=params.d) if not all(lo <= x < hi for x in row)]
+    central = params.central_range
+    rows = [row for row in product(range(params.k), repeat=params.d) if not all(x in central for x in row)]
     return np.array(rows, dtype=np.int64)
 
 
@@ -362,9 +358,7 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
     lexicographic vertex order directly.  Refuses to build above ``budget``
     vertices with a CapacityError naming the limit.
     """
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    expected = count_cells(n, params)
+    expected = count_cells(n, params)  # rejects a negative level
     if expected > budget:
         raise CapacityError(
             f"level-{n} carpet needs {expected} vertices, above the budget of {budget}"
@@ -400,8 +394,7 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
         found = keys[pos] == cand
         src_list.append(ids[movable][found])
         dst_list.append(pos[found])
-    src = np.concatenate(src_list) if src_list else np.array([], dtype=np.int64)
-    dst = np.concatenate(dst_list) if dst_list else np.array([], dtype=np.int64)
+    src, dst = np.concatenate(src_list), np.concatenate(dst_list)  # d >= 2 axes, never empty
 
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
@@ -431,30 +424,26 @@ class BoxPartition:
 def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
     """Split the corner box [0, k^j)^d into inner box, annulus and boundary.
 
-    The boundary layer is the set of box cells on the outer faces
-    (some coordinate equal to k^j - 1); these are exactly the cells from which
-    the walk can leave the box in one step, since the face-adjacent cell
-    across each outer face always survives and the low faces border the global
-    corner where the carpet ends.  The inner set is the level-(j-1) corner
-    box.  The three sets are disjoint and cover the box.
+    The box holds the cells whose largest coordinate c is below k^j.  The
+    boundary layer is the set of box cells on the outer faces (c = k^j - 1);
+    these are exactly the cells from which the walk can leave the box in one
+    step, since the face-adjacent cell across each outer face always survives
+    and the low faces border the global corner where the carpet ends.  The
+    inner set is the level-(j-1) corner box (c < k^(j-1)).  The three sets are
+    disjoint and cover the box.  c is computed once per graph.
     """
     if not (0 <= j <= graph.level):
         raise ValueError(f"box level must be in [0, {graph.level}], got {j}")
-    k = graph.params.k
-    side = k**j
-    coords = graph.coords
-    in_box = (coords < side).all(axis=1)
-    on_face = in_box & (coords == side - 1).any(axis=1)
-    inner_side = k ** (j - 1) if j >= 1 else 0
-    inner = in_box & (coords < inner_side).all(axis=1) & ~on_face
-    annulus = in_box & ~on_face & ~inner
-    ids = np.arange(graph.num_vertices, dtype=np.int64)
+    if graph._top is None:
+        graph._top = graph.coords.max(axis=1)
+    top, side = graph._top, graph.params.k**j
+    inner_side = side // graph.params.k  # 0 at j = 0: no inner box
     return BoxPartition(
         level=j,
-        inner=ids[inner],
-        annulus=ids[annulus],
-        boundary=ids[on_face],
-        box=ids[in_box],
+        inner=np.flatnonzero(top < inner_side),
+        annulus=np.flatnonzero((top >= inner_side) & (top < side - 1)),
+        boundary=np.flatnonzero(top == side - 1),
+        box=np.flatnonzero(top < side),
     )
 
 
@@ -474,47 +463,58 @@ def write_graph(graph: CarpetGraph, path) -> None:
             fh.write(f"e {i} {j}\n")
 
 
+_SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))  # the bytes that bytes.split() splits at
+_CHUNK = 1 << 22  # bytes of graph file parsed at once, extended to a whole line
+
+
+def _parse_records(text: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``v`` and ``e`` records in whole lines of a graph file, as rows of d + 1 and 2 ints."""
+    buf = np.frombuffer(text + b"\n", dtype=np.uint8).copy()
+    space = _SPACE[buf]
+    starts = np.flatnonzero(~space & np.r_[True, space[:-1]])  # first byte of every token
+    first = np.diff(np.cumsum(buf == 10, dtype=np.int32)[starts], prepend=-1) != 0  # line starts
+    lead, size = starts[first], np.diff(np.r_[np.flatnonzero(first), len(starts)]) - 1
+    is_v = buf[lead] == ord("v")
+    bad = ~space[lead + 1] | ~is_v & (buf[lead] != ord("e"))
+    if bad.any():
+        raise ValueError(f"unexpected record {text[lead[bad][0]:].split()[0].decode('ascii', 'replace')!r}")
+    if (size != np.where(is_v, d + 1, 2)).any():
+        raise ValueError(f"records must read 'v id' and {d} coordinates, or 'e id1 id2'")
+    buf[lead] = ord(" ")
+    if not (_SPACE[buf] | ((buf >= ord("0")) & (buf <= ord("9")))).all():
+        raise ValueError("graph file numbers must be nonnegative decimal integers")
+    # (a text of blanks alone would parse as [0])
+    values = np.fromstring(buf.tobytes(), dtype=np.int64, sep=" ") if len(lead) else np.zeros(0, np.int64)
+    owner = np.repeat(is_v, size)
+    return values[owner].reshape(-1, d + 1), values[~owner].reshape(-1, 2)
+
+
 def read_graph(path) -> CarpetGraph:
     """Parse the text interchange format and re-validate its invariants.
 
+    The body is parsed in bulk, a few megabytes of whole lines at a time.
     The header names the graph completely, so after the record-level checks
     the file must list exactly the cells and edges of that carpet.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 7 or header[0] != "carpet":
+        if len(header) != 7 or header[0] != b"carpet":
             raise ValueError("malformed graph file header")
         d, k, a, n, nv, ne = (int(x) for x in header[1:])
         params = validate_params(d, k, a)
-        coords = np.zeros((nv, d), dtype=np.int64)
-        edges = np.zeros((ne, 2), dtype=np.int64)
-        vi = ei = 0
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if int(parts[1]) != vi:
-                    raise ValueError("vertex ids must be consecutive in id order")
-                if vi == nv:
-                    raise ValueError("vertex/edge counts disagree with header")
-                coords[vi] = [int(x) for x in parts[2 : 2 + d]]
-                vi += 1
-            elif parts[0] == "e":
-                if ei == ne:
-                    raise ValueError("vertex/edge counts disagree with header")
-                edges[ei] = (int(parts[1]), int(parts[2]))
-                ei += 1
-            else:
-                raise ValueError(f"unexpected record {parts[0]!r}")
-    if vi != nv or ei != ne:
+        chunks = iter(lambda: fh.read(_CHUNK), b"")
+        parts = [_parse_records(b"", d), *(_parse_records(c + fh.readline(), d) for c in chunks)]
+    verts, edges = (np.concatenate(arrays) for arrays in zip(*parts))
+    coords = verts[:, 1:]
+    if not np.array_equal(verts[:, 0], np.arange(len(verts))):
+        raise ValueError("vertex ids must be consecutive in id order")
+    if len(verts) != nv or len(edges) != ne:
         raise ValueError("vertex/edge counts disagree with header")
-    if ne and not (edges[:, 0] < edges[:, 1]).all():
+    if not (edges[:, 0] < edges[:, 1]).all():
         raise ValueError("edges must be written with id1 < id2")
-    if ne and (edges.min() < 0 or edges.max() >= nv):
+    if (edges >= nv).any():  # the parser admits no negative number
         raise ValueError(f"edge endpoint out of range for {nv} vertices")
-    diffs = np.abs(coords[edges[:, 0]] - coords[edges[:, 1]]) if ne else np.zeros((0, d))
-    if ne and not (diffs.sum(axis=1) == 1).all():
+    if (np.abs(coords[edges[:, 0]] - coords[edges[:, 1]]).sum(axis=1) != 1).any():
         raise ValueError("edges must join cells at unit distance")
     if not survival_mask(coords, n, params).all():
         raise ValueError("file lists cells outside the carpet")

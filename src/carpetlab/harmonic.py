@@ -56,17 +56,6 @@ class HarnackReport:
     max_residual: float
     degenerate: list
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "constant": self.constant,
-            "rho": self.rho,
-            "witness": list(self.witness),
-            "rho_witness": list(self.rho_witness),
-            "max_residual": self.max_residual,
-            "degenerate": [list(p) for p in self.degenerate],
-        }
-
 
 @dataclass(frozen=True)
 class HittingSpec:

@@ -39,7 +39,6 @@ from .heat import (
     fit_ds,
     fit_regimes,
     kernel_entries,
-    saturation_time,
 )
 from .coupling import run_coupled_walk, upgrade_statistics
 from .resistance import face_resistance, resistance_to_infinity
@@ -182,16 +181,6 @@ class RunManifest:
     artifacts: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "experiments": self.experiments,
-            "artifacts": self.artifacts,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-
 
 class _SuiteContext:
     """Shared graph cache and artifact writer for one suite run."""
@@ -218,21 +207,18 @@ class _SuiteContext:
         return name
 
     def write_csv(self, name: str, header: list, rows: list) -> str:
-        path = os.path.join(self.config.output_dir, name)
         cfg = json.dumps(self.config.echo_dict(), sort_keys=True, separators=(",", ":"))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config {cfg}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+        _write_rows(os.path.join(self.config.output_dir, name), header, rows, f"# config {cfg}\n")
         self.manifest.artifacts.append(name)
         return name
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_rows(path: str, header: list, rows: list, preamble: str = "") -> None:
+    """Write a CSV file: the preamble, the header, then one line per row (floats by repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(preamble + ",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def exp_build(ctx: _SuiteContext) -> dict:
@@ -273,7 +259,7 @@ def exp_harnack(ctx: _SuiteContext) -> dict:
             ["level", "constant", "rho", "witness_max", "witness_min", "witness_boundary", "max_residual"],
             rows,
         ),
-        ctx.write_json("harnack.json", {"reports": [r.to_dict() for r in reports]}),
+        ctx.write_json("harnack.json", {"reports": [asdict(r) for r in reports]}),
     ]
     checks = {
         "constant_stable": ratio_ok,
@@ -286,7 +272,7 @@ def exp_harnack(ctx: _SuiteContext) -> dict:
 def exp_heat(ctx: _SuiteContext) -> dict:
     graph = ctx.graph(max(ctx.config.levels))
     x = central_vertex(graph)
-    cap = saturation_time(graph)
+    cap = carpet_saturation_time(ctx.params, graph.level)
     ds_times = ds_fit_times(cap)
     # Off-diagonal regime data: targets spread over distances, dyadic times.
     regime_times = [t for t in (64, 128, 256, 512) if t <= cap]
@@ -307,12 +293,12 @@ def exp_heat(ctx: _SuiteContext) -> dict:
         ctx.write_json(
             "heat.json",
             {
-                "ds": ds.to_dict(),
-                "dw": dw.to_dict(),
+                "ds": asdict(ds),
+                "dw": asdict(dw),
                 "df": df,
                 "relation_gap": abs(dw.value - 2.0 * df / ds.value),
-                "sub_gaussian": fit.sub_gaussian.to_dict() if fit.sub_gaussian else None,
-                "gaussian": fit.gaussian.to_dict() if fit.gaussian else None,
+                "sub_gaussian": asdict(fit.sub_gaussian) if fit.sub_gaussian else None,
+                "gaussian": asdict(fit.gaussian) if fit.gaussian else None,
                 "n_floor_excluded": fit.n_floor_excluded,
                 "walk": {
                     "vertices": graph.num_vertices,
@@ -517,31 +503,27 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
     manifest.wall_clock_seconds = time.monotonic() - started
     path = os.path.join(config.output_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(asdict(manifest), fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest
 
 
-def _write_figure(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def _figure_fit(fig_dir: str, name: str, header: list, rows: list, xs, ys) -> str:
+    """Per-figure data: each row, then the OLS fit line of ``ys`` on ``xs`` and its residual."""
+    slope = _slope_fit(xs, ys)[0]
+    icept = float(ys.mean() - slope * xs.mean())
+    fits = [icept + slope * x for x in xs.tolist()]
+    out = [(*row, fit, y - fit) for row, fit, y in zip(rows, fits, ys.tolist())]
+    _write_rows(os.path.join(fig_dir, name), [*header, "fit", "residual"], out)
+    return name
 
 
 def _figure_loglog(fig_dir: str, name: str, points, xlab: str, ylab: str) -> str:
     """Per-figure data: the log-log series, its fit line, and residuals."""
     xs = np.log([p[0] for p in points])
     ys = np.log([p[1] for p in points])
-    slope = _slope_fit(xs, ys)[0]
-    icept = float(ys.mean() - slope * xs.mean())
-    rows = []
-    for (x, y), lx, ly in zip(points, xs.tolist(), ys.tolist()):
-        fit = icept + slope * lx
-        rows.append((x, y, lx, ly, fit, ly - fit))
-    path = os.path.join(fig_dir, name)
-    _write_figure(path, [xlab, ylab, f"log_{xlab}", f"log_{ylab}", "fit", "residual"], rows)
-    return name
+    rows = [(x, y, lx, ly) for (x, y), lx, ly in zip(points, xs.tolist(), ys.tolist())]
+    return _figure_fit(fig_dir, name, [xlab, ylab, f"log_{xlab}", f"log_{ylab}"], rows, xs, ys)
 
 
 def _solves_line(series: str, solves) -> str:
@@ -611,7 +593,7 @@ def export_report(manifest_path: str) -> tuple[str, list]:
                 lines.append(f"  {rep['level']:>5} {rep['constant']:>13.8f} {rep['rho']:>15.8f}")
                 rows.append((rep["level"], rep["constant"], rep["rho"]))
             path = os.path.join(base, "report_harnack.csv")
-            _write_figure(path, ["n", "harnack_constant", "oscillation_rho"], rows)
+            _write_rows(path, ["n", "harnack_constant", "oscillation_rho"], rows)
             figures.append("report_harnack.csv")
         elif name == "heat" and (data := artifact("heat.json")):
             ds, dw = data["ds"], data["dw"]
@@ -632,14 +614,8 @@ def export_report(manifest_path: str) -> tuple[str, list]:
                     f" over {sub['n_points']} pairs (r2 {sub['r_squared']:.6f})"
                 )
                 us, vs = np.array(sub["points"], dtype=np.float64).T
-                slope = _slope_fit(us, vs)[0]
-                icept = float(vs.mean() - slope * us.mean())
-                rows = [
-                    (u, v, icept + slope * u, v - (icept + slope * u)) for u, v in sub["points"]
-                ]
-                path = os.path.join(base, "report_subgaussian.csv")
-                _write_figure(path, ["abscissa", "neg_log_p", "fit", "residual"], rows)
-                figures.append("report_subgaussian.csv")
+                figures.append(_figure_fit(base, "report_subgaussian.csv", ["abscissa", "neg_log_p"],
+                                           sub["points"], us, vs))
             lines.append(
                 "  gaussian regime: "
                 + ("fitted" if data.get("gaussian") else "empty (unit-step walk reaches nothing beyond t)")
@@ -670,8 +646,7 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             if "face_solves" in data:
                 lines.append(_solves_line("face", data["face_solves"].items()))
                 lines.append(_solves_line("R_N", zip(inf["levels"], inf["solves"])))
-            path = os.path.join(base, "report_resist_face.csv")
-            _write_figure(path, ["n", "face_resistance"], rows)
+            _write_rows(os.path.join(base, "report_resist_face.csv"), ["n", "face_resistance"], rows)
             figures.append("report_resist_face.csv")
 
     if figures:

@@ -14,8 +14,9 @@ carpet the central source's stabilizer has order 6 and the walk steps 78,216
 orbits for 456,976 vertices).  Callers read the kernel through
 :func:`kernel_entries`, which gathers only the vertices they ask for from
 the orbit values.  Memory stays O(|V|).  The fits
-(:func:`fit_ds`, :func:`fit_regimes`) are split from their walks, so one walk
-can serve both.
+(:func:`fit_ds`, :func:`fit_regimes`) take the values read off a walk, so one
+walk serves both: d_s from ``p_t(x, x)`` at :func:`ds_fit_times`, the regimes
+from ``p_t(x, y)`` at chosen targets and times.
 """
 
 from __future__ import annotations
@@ -35,23 +36,17 @@ from .seeding import derive_rng
 
 __all__ = [
     "TransitionOperator",
-    "HeatKernelRow",
     "kernel_walk",
     "kernel_entries",
     "ExponentEstimate",
     "RegimeFitReport",
     "FitError",
-    "heat_kernel_row",
     "central_vertex",
-    "saturation_time",
     "carpet_saturation_time",
-    "dyadic_times",
     "ds_fit_times",
     "fit_ds",
-    "estimate_ds",
     "estimate_dw",
     "fit_regimes",
-    "regime_fit",
     "monte_carlo_walk",
     "sample_exit_times",
 ]
@@ -121,13 +116,6 @@ class TransitionOperator:
 
 
 @dataclass
-class HeatKernelRow:
-    source: int
-    time: int
-    probs: np.ndarray
-
-
-@dataclass
 class OrbitQuotient:
     """A lazy walk on orbits: ``op`` steps the common value of each orbit, ``orbit[v]`` is v's orbit."""
 
@@ -169,17 +157,6 @@ def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) ->
         yield t, values[read]
 
 
-def heat_kernel_row(op: TransitionOperator, x: int, t: int) -> HeatKernelRow:
-    """t-fold application of the step operator to a point mass at ``x``."""
-    if t < 0:
-        raise ValueError("time must be a nonnegative integer")
-    _, dist = next(kernel_entries(op, x, np.arange(op.graph.num_vertices), [int(t)]))
-    total = dist.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise RuntimeError(f"kernel row lost mass: sum = {total!r} at t = {t}")
-    return HeatKernelRow(source=int(x), time=int(t), probs=dist)
-
-
 def central_vertex(graph: CarpetGraph) -> int:
     """Surviving cell farthest from the window boundary (ties: lowest id).
 
@@ -194,34 +171,16 @@ def central_vertex(graph: CarpetGraph) -> int:
     return int(np.argmax(near))
 
 
-def saturation_time(graph: VertexGraph) -> int:
-    """Heuristic cap before finite-size saturation: (diameter/4)^2."""
-    if isinstance(graph, CarpetGraph):
-        return carpet_saturation_time(graph.params, graph.level)
-    span = graph.coords.max(axis=0) - graph.coords.min(axis=0)
-    diam = float(np.sqrt((span.astype(np.float64) ** 2).sum()))
-    return max(1, int((diam / 4.0) ** 2))
-
-
 def carpet_saturation_time(params: CarpetParams, level: int) -> int:
-    """:func:`saturation_time` of the level-``level`` carpet, without building it."""
+    """Heuristic cap before finite-size saturation of the level-``level`` carpet,
+    (diameter/4)^2, computed without building it."""
     diam = (params.k ** level - 1) * math.sqrt(params.d)
     return max(1, int((diam / 4.0) ** 2))
 
 
-def dyadic_times(t_lo: int, t_hi: int) -> list[int]:
-    times = []
-    t = 1
-    while t <= t_hi:
-        if t >= t_lo:
-            times.append(t)
-        t *= 2
-    return times
-
-
 def ds_fit_times(cap: int) -> list[int]:
-    """The default d_s fit times: dyadic, from 16 up to the saturation ``cap``."""
-    return dyadic_times(16, cap)
+    """The default d_s fit times: the powers of two from 16 up to the saturation ``cap``."""
+    return [2 ** i for i in range(4, int(cap).bit_length())]
 
 
 @dataclass
@@ -233,17 +192,6 @@ class ExponentEstimate:
     n_points: int
     points: list = field(default_factory=list)
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "standard_error": self.standard_error,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "points": [list(p) for p in self.points],
-            "degenerate": self.degenerate,
-        }
 
 
 def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -266,6 +214,18 @@ def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return slope, se, r2
 
 
+def _estimate(points: list, xs: np.ndarray, ys: np.ndarray, scale: float = 1.0) -> ExponentEstimate:
+    """The OLS fit of ``ys`` on ``xs`` as an exponent: ``scale`` times the slope.
+
+    The window spans the first entries of ``points``, in their own type.
+    """
+    slope, se, r2 = _slope_fit(xs, ys)
+    absc = [a for a, _ in points]
+    return ExponentEstimate(value=scale * slope, standard_error=abs(scale) * se,
+                            window=(min(absc), max(absc)), r_squared=r2,
+                            n_points=len(points), points=points)
+
+
 def fit_ds(diag: Sequence[tuple[int, float]]) -> ExponentEstimate:
     """Spectral dimension from an on-diagonal series ``(t, p_t(x,x))``: d_s = -2 * slope.
 
@@ -280,44 +240,9 @@ def fit_ds(diag: Sequence[tuple[int, float]]) -> ExponentEstimate:
     xs = np.log([t for t, _ in usable])
     ys = np.log([p for _, p in usable])
     if np.allclose(ys, ys[0]):
-        return ExponentEstimate(
-            value=0.0, standard_error=0.0,
-            window=(usable[0][0], usable[-1][0]), r_squared=1.0,
-            n_points=len(usable), points=usable, degenerate=True,
-        )
-    slope, se, r2 = _slope_fit(xs, ys)
-    return ExponentEstimate(
-        value=-2.0 * slope,
-        standard_error=2.0 * se,
-        window=(usable[0][0], usable[-1][0]),
-        r_squared=r2,
-        n_points=len(usable),
-        points=usable,
-    )
-
-
-def estimate_ds(
-    op: TransitionOperator,
-    x: Optional[int] = None,
-    times: Optional[Sequence[int]] = None,
-    max_time: Optional[int] = None,
-) -> ExponentEstimate:
-    """Spectral dimension from on-diagonal decay, walking the kernel for :func:`fit_ds`.
-
-    Fits log p_t(x,x) against log t over the dyadic times from 16 (or the
-    given times) up to the saturation heuristic.
-    """
-    graph = op.graph
-    if x is None:
-        if not isinstance(graph, CarpetGraph):
-            raise ValueError("source vertex required for non-carpet graphs")
-        x = central_vertex(graph)
-    cap = max_time if max_time is not None else saturation_time(graph)
-    if times is None:
-        times = ds_fit_times(cap)
-    else:
-        times = [t for t in sorted(int(t) for t in times) if t <= cap]
-    return fit_ds([(t, float(p[0])) for t, p in kernel_entries(op, x, [x], times)])
+        return ExponentEstimate(value=0.0, standard_error=0.0, window=(usable[0][0], usable[-1][0]),
+                                r_squared=1.0, n_points=len(usable), points=usable, degenerate=True)
+    return _estimate(usable, xs, ys, scale=-2.0)
 
 
 def estimate_dw(
@@ -347,17 +272,7 @@ def estimate_dw(
     taus = [expected_exit_time(graph, x, r, tolerance=tolerance) for r in radii]
     if any(t <= 0 for t in taus):
         raise FitError("non-positive exit time in the radius list")
-    xs = np.log(radii)
-    ys = np.log(taus)
-    slope, se, r2 = _slope_fit(xs, ys)
-    return ExponentEstimate(
-        value=slope,
-        standard_error=se,
-        window=(min(radii), max(radii)),
-        r_squared=r2,
-        n_points=len(radii),
-        points=list(zip(radii, taus)),
-    )
+    return _estimate(list(zip(radii, taus)), np.log(radii), np.log(taus))
 
 
 @dataclass
@@ -404,16 +319,7 @@ def fit_regimes(
             gauss_pts.append((sep ** 2 / t, -math.log(p)))
 
     def _regime(points):
-        if len(points) < 2:
-            return None
-        xs = np.array([a for a, _ in points])
-        ys = np.array([b for _, b in points])
-        slope, se, r2 = _slope_fit(xs, ys)
-        return ExponentEstimate(
-            value=slope, standard_error=se,
-            window=(float(xs.min()), float(xs.max())),
-            r_squared=r2, n_points=len(points), points=points,
-        )
+        return _estimate(points, *np.array(points).T) if len(points) >= 2 else None
 
     return RegimeFitReport(
         sub_gaussian=_regime(sub_pts),
@@ -422,25 +328,6 @@ def fit_regimes(
         n_gauss=len(gauss_pts),
         n_floor_excluded=floored,
     )
-
-
-def regime_fit(
-    op: TransitionOperator,
-    x: int,
-    pairs: Sequence[tuple[int, int]],
-    ds: float,
-    dw: float,
-) -> RegimeFitReport:
-    """Fit both heat-kernel decay regimes over (target, time) pairs, walking the kernel once."""
-    ys = [int(y) for y, _ in pairs]
-    by_time: dict[int, list[int]] = {}  # time -> indices of its pairs
-    for i, (_, t) in enumerate(pairs):
-        by_time.setdefault(int(t), []).append(i)
-    samples = [
-        (ys[i], t, float(p[i]))
-        for t, p in kernel_entries(op, x, ys, sorted(by_time)) for i in by_time[t]
-    ]
-    return fit_regimes(op.graph, x, samples, ds=ds, dw=dw)
 
 
 def monte_carlo_walk(

@@ -9,6 +9,14 @@ import numpy as np
 import pytest
 
 from carpetlab.geometry import CarpetParams, VertexGraph, build_graph, validate_params
+from carpetlab.heat import (
+    TransitionOperator,
+    carpet_saturation_time,
+    central_vertex,
+    ds_fit_times,
+    fit_ds,
+    kernel_entries,
+)
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +86,27 @@ def make_torus(side: int) -> VertexGraph:
         edges.append((idx[(i, j)], idx[((i + 1) % side, j)]))
         edges.append((idx[(i, j)], idx[(i, (j + 1) % side)]))
     return VertexGraph.from_edges(coords, edges)
+
+
+def kernel_row(op: TransitionOperator, x: int, t: int) -> np.ndarray:
+    """p_t(x, .) at every vertex, read through kernel_entries; the row must carry unit mass."""
+    [(_, row)] = kernel_entries(op, x, np.arange(op.graph.num_vertices), [t])
+    assert abs(row.sum() - 1.0) <= 1e-12, f"kernel row lost mass: sum = {row.sum()!r} at t = {t}"
+    return row
+
+
+def diag_fit(graph, x=None, times=None):
+    """fit_ds over p_t(x, x), by default from the central cell at the carpet's d_s fit times."""
+    x = central_vertex(graph) if x is None else x
+    if times is None:
+        times = ds_fit_times(carpet_saturation_time(graph.params, graph.level))
+    return fit_ds([(t, float(p[0])) for t, p in kernel_entries(TransitionOperator(graph), x, [x], times)])
+
+
+def kernel_samples(op: TransitionOperator, x: int, pairs) -> list:
+    """``(y, t, p_t(x, y))`` for each ``(y, t)`` pair, by time, read off one walk."""
+    seen = dict(kernel_entries(op, x, [y for y, _ in pairs], sorted({t for _, t in pairs})))
+    return [(y, t, float(seen[t][i])) for t in seen for i, (y, s) in enumerate(pairs) if s == t]
 
 
 def vid(graph, *coords) -> int:

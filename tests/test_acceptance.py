@@ -23,18 +23,11 @@ from carpetlab.harmonic import (
     hitting_probability,
 )
 from carpetlab.harness import ExperimentConfig, config_hash, run_suite
-from carpetlab.heat import (
-    TransitionOperator,
-    central_vertex,
-    estimate_ds,
-    estimate_dw,
-    heat_kernel_row,
-    regime_fit,
-)
+from carpetlab.heat import TransitionOperator, central_vertex, estimate_dw, fit_regimes
 from carpetlab.resistance import effective_resistance, face_resistance, theorem5_check
 from scipy.sparse.csgraph import connected_components
 
-from conftest import make_cycle, make_path, vid
+from conftest import diag_fit, kernel_row, kernel_samples, make_cycle, make_path, vid
 
 
 def verdict(n: int, name: str, ok: bool, detail: str) -> bool:
@@ -108,7 +101,7 @@ def test_criterion_3_harnack_stability(harnack_reports):
 
 def test_criterion_4_exponent_chain(g5, params2):
     df = hausdorff_dimension(params2)
-    ds = estimate_ds(TransitionOperator(g5))
+    ds = diag_fit(g5)
     dw = estimate_dw(g5)
     gap = abs(dw.value - 2.0 * df / ds.value)
     ok = (
@@ -141,9 +134,9 @@ def _regime_pairs(graph, x):
 def regime_report(g4):
     op = TransitionOperator(g4)
     x = central_vertex(g4)
-    ds = estimate_ds(op)
+    ds = diag_fit(g4)
     dw = estimate_dw(g4)
-    return regime_fit(op, x, _regime_pairs(g4, x), ds.value, dw.value)
+    return fit_regimes(g4, x, kernel_samples(op, x, _regime_pairs(g4, x)), ds.value, dw.value)
 
 
 def test_criterion_5_sub_gaussian_regime(regime_report):
@@ -200,7 +193,7 @@ def test_criterion_7_marginal_law(g4):
     x0, y0 = vid(g4, 0, 0), vid(g4, 0, 1)
     trials, t = 100_000, 5
     counts = sample_marginal(g4, x0, y0, steps=t, trials=trials, seed=42)
-    expected = heat_kernel_row(TransitionOperator(g4), y0, t).probs * trials
+    expected = kernel_row(TransitionOperator(g4), y0, t) * trials
     keep = expected >= 5.0
     stat = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
     df = int(keep.sum()) - 1
@@ -254,7 +247,7 @@ def test_criterion_7_oscillation_bound(g4, harnack_reports):
 
 
 def test_criterion_8_capacity_bound(g3d4):
-    ds = estimate_ds(TransitionOperator(g3d4))
+    ds = diag_fit(g3d4)
     margin = max(0.1, 2.0 * ds.standard_error)
     if ds.value - 2.0 <= margin:
         assert verdict(

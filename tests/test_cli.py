@@ -8,9 +8,9 @@ import pytest
 
 from carpetlab.cli import main
 from carpetlab.geometry import read_graph, write_graph
-from carpetlab.heat import TransitionOperator, estimate_ds
+from carpetlab.heat import TransitionOperator
 
-from conftest import vid
+from conftest import diag_fit, vid
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,7 @@ def test_heat_regime(tmp_path, capsys, g4_file, g4):
 
 def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_file, g4):
     # Without --ds the d_s fit times (16..512) and the pair times (64, 128)
-    # share one walk of 512 steps; the estimate equals estimate_ds.
+    # share one walk of 512 steps; the estimate equals the fit over a walk of its own.
     x = vid(g4, 26, 26)
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("".join(f"{vid(g4, 26, 26 + dy)},{t}\n" for dy in (1, 2, 3) for t in (64, 128)))
@@ -247,7 +247,7 @@ def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_fil
     assert code == 0
     assert len(steps) == 512
     monkeypatch.setattr(TransitionOperator, "step", step)
-    assert payload["ds"] == estimate_ds(TransitionOperator(g4), x).value
+    assert payload["ds"] == diag_fit(g4, x).value
     assert payload["sub_gaussian"]["n_points"] == 6
 
 

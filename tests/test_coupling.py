@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,10 +15,10 @@ from carpetlab.coupling import (
     upgrade_statistics,
 )
 from carpetlab.harmonic import HOLD
-from carpetlab.heat import TransitionOperator, heat_kernel_row
+from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
 
-from conftest import vid
+from conftest import kernel_row, vid
 
 
 def witnesses(eng, x, y, m):
@@ -170,7 +172,7 @@ def test_marginal_law_of_mirrored_walker(g4):
     x0, y0 = vid(g4, 0, 0), vid(g4, 0, 1)
     trials = 20000
     counts = sample_marginal(g4, x0, y0, steps=5, trials=trials, seed=42)
-    probs = heat_kernel_row(TransitionOperator(g4), y0, 5).probs
+    probs = kernel_row(TransitionOperator(g4), y0, 5)
     expected = probs * trials
     keep = expected >= 5.0
     stat = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
@@ -202,7 +204,7 @@ def test_run_determinism(g3):
     c = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[4]
     assert a.trajectory_digest != c.trajectory_digest
     assert len(a.trajectory_digest) == 16
-    d = a.to_dict()
+    d = asdict(a)
     assert d["coupled"] == a.coupled
     assert isinstance(d["renewal_times"], list)
 

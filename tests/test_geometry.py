@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from carpetlab import geometry
 from carpetlab.geometry import (
     CapacityError,
     CellAddress,
@@ -160,6 +161,7 @@ def test_vertex_id_round_trip(g2):
         assert vid(g2, *g2.coords[i]) == i
     assert g2.vertex_id(np.array([1, 1])) is None  # removed cell
     assert g2.vertex_id(np.array([9, 0])) is None  # outside the window
+    assert g2.vertex_id(np.array([-1, 10])) is None  # outside, with the key of (0, 1)
 
 
 def test_vertex_ids_vectorized(g2):
@@ -240,6 +242,23 @@ def test_box_partition(g3):
     assert sizes == {1: (1, 2, 5), 2: (8, 39, 17), 3: (64, 395, 53)}
     with pytest.raises(ValueError):
         box_vertices(g3, 4)
+
+
+@pytest.mark.parametrize("d,k,a,n", [(3, 3, 1, 3), (2, 5, 3, 2), (2, 5, 1, 2), (4, 3, 1, 2)])
+def test_box_sets_follow_the_coordinate_rule(d, k, a, n):
+    # Read off each cell's largest coordinate, the sets must be the sorted
+    # ids of the coordinate-wise definitions.
+    graph = build_graph(n, validate_params(d, k, a))
+    c = graph.coords
+    for j in range(n + 1):
+        bp = box_vertices(graph, j)
+        in_box = (c < k**j).all(axis=1)
+        on_face = in_box & (c == k**j - 1).any(axis=1)
+        inner = in_box & (c < (k ** (j - 1) if j else 0)).all(axis=1) & ~on_face
+        np.testing.assert_array_equal(bp.box, np.flatnonzero(in_box))
+        np.testing.assert_array_equal(bp.boundary, np.flatnonzero(on_face))
+        np.testing.assert_array_equal(bp.inner, np.flatnonzero(inner))
+        np.testing.assert_array_equal(bp.annulus, np.flatnonzero(in_box & ~on_face & ~inner))
 
 
 def test_boundary_is_one_step_exit_layer(g4):
@@ -323,6 +342,40 @@ def test_graph_file_rejects_corruption(tmp_path, g2, mutate, message):
     path.write_text(mutate(path.read_text()))
     with pytest.raises(ValueError, match=message):
         read_graph(path)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("v 1 0 1\n", "v 1 0 1 7\n", "2 coordinates"),
+        ("v 1 0 1\n", "v 1 0\n", "2 coordinates"),
+        ("e 0 1\n", "e 0 1 2\n", "e id1 id2"),
+        ("e 0 1\n", "e 0\n", "e id1 id2"),
+        ("v 1 0 1\n", "v 1 0 x\n", "decimal integers"),
+        ("v 1 0 1\n", "v 1 0 -1\n", "decimal integers"),
+        ("v 1 0 1\n", "vv 1 0 1\n", "unexpected record 'vv'"),
+    ],
+    ids=["extra-coordinate", "missing-coordinate", "extra-endpoint", "missing-endpoint",
+         "letter", "negative", "long-record-name"],
+)
+def test_graph_file_rejects_malformed_records(tmp_path, g2, old, new, message):
+    path = tmp_path / "bad.txt"
+    write_graph(g2, path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError, match=message):
+        read_graph(path)
+
+
+def test_graph_file_parses_in_chunks_of_whole_lines(tmp_path, g3, monkeypatch):
+    # Blank lines, tabs and leading blanks separate tokens as in str.split(),
+    # and a record never straddles two parsed chunks.
+    path = tmp_path / "g3.txt"
+    write_graph(g3, path)
+    path.write_text(path.read_text().replace("\ne ", "\n\n \te\t ").replace("\n", "\r\n"))
+    monkeypatch.setattr(geometry, "_CHUNK", 50)
+    back = read_graph(path)
+    np.testing.assert_array_equal(back.coords, g3.coords)
+    np.testing.assert_array_equal(back.edge_array(), g3.edge_array())
 
 
 def test_graph_file_rejects_dead_cells(tmp_path):

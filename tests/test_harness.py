@@ -4,6 +4,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carpetlab.harness import (
@@ -308,6 +309,28 @@ def test_export_report(suite_run):
     # Rendered tables land next to the manifest.
     written = os.listdir(cfg.output_dir)
     assert any(n.startswith("report_") for n in written)
+
+
+def test_report_figures_hold_their_fit_lines(tmp_path):
+    # Each fit figure's residual is its ordinate minus its fit, the fit lies
+    # on one line, and the residuals of an OLS fit with intercept sum to 0.
+    cfg = tiny_config(tmp_path, levels=(4,), experiments=("heat",))
+    run_suite(cfg)
+    export_report(os.path.join(cfg.output_dir, "manifest.json"))
+    for name, x_col, y_col in [
+        ("report_heat_diag.csv", "log_t", "log_p_t"),
+        ("report_heat_exit.csv", "log_r", "log_exit_time"),
+        ("report_subgaussian.csv", "abscissa", "neg_log_p"),
+    ]:
+        with open(os.path.join(cfg.output_dir, name), encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            cols = dict(zip(header, np.loadtxt(fh, delimiter=",", ndmin=2).T))
+        xs, ys, fit, resid = cols[x_col], cols[y_col], cols["fit"], cols["residual"]
+        assert len(xs) >= 3, name
+        np.testing.assert_array_equal(resid, ys - fit)
+        slope, icept = np.polyfit(xs, fit, 1)
+        np.testing.assert_allclose(fit, icept + slope * xs, rtol=0, atol=1e-12 * np.abs(fit).max())
+        assert abs(resid.sum()) <= 1e-9 * np.abs(ys).sum(), name
 
 
 def test_export_report_names_gaps(tmp_path):

@@ -7,22 +7,18 @@ from carpetlab.heat import (
     TransitionOperator,
     central_vertex,
     carpet_saturation_time,
-    dyadic_times,
-    estimate_ds,
+    ds_fit_times,
     estimate_dw,
     fit_ds,
     fit_regimes,
-    heat_kernel_row,
     kernel_entries,
     kernel_walk,
     monte_carlo_walk,
-    regime_fit,
     sample_exit_times,
-    saturation_time,
 )
 from carpetlab.harmonic import expected_exit_time
 
-from conftest import make_path, make_torus, vid
+from conftest import diag_fit, kernel_row, kernel_samples, make_path, make_torus, vid
 
 
 # ------------------------------------------------------------------- operator
@@ -92,31 +88,30 @@ def test_mass_is_conserved(g3):
 def test_two_step_kernel_on_ring(g1):
     # Exact two-step probabilities on the 8-cycle from a corner.
     op = TransitionOperator(g1)
-    row = heat_kernel_row(op, vid(g1, 0, 0), 2)
+    row = kernel_row(op, vid(g1, 0, 0), 2)
     expect = np.zeros(8)
     expect[vid(g1, 0, 0)] = 3.0 / 8.0
     expect[vid(g1, 0, 1)] = 1.0 / 4.0
     expect[vid(g1, 1, 0)] = 1.0 / 4.0
     expect[vid(g1, 0, 2)] = 1.0 / 16.0
     expect[vid(g1, 2, 0)] = 1.0 / 16.0
-    np.testing.assert_allclose(row.probs, expect, atol=1e-15)
-    assert row.time == 2
+    np.testing.assert_allclose(row, expect, atol=1e-15)
 
 
 def test_reversibility(g2):
     # deg(x) p_t(x, y) == deg(y) p_t(y, x)
     op = TransitionOperator(g2)
     x, y = vid(g2, 0, 0), vid(g2, 5, 2)
-    px = heat_kernel_row(op, x, 6).probs
-    py = heat_kernel_row(op, y, 6).probs
+    px = kernel_row(op, x, 6)
+    py = kernel_row(op, y, 6)
     assert g2.degrees[x] * px[y] == pytest.approx(g2.degrees[y] * py[x], rel=1e-12)
 
 
 def test_semigroup_property(g2):
     op = TransitionOperator(g2)
     x = vid(g2, 0, 0)
-    row5 = heat_kernel_row(op, x, 5).probs
-    chained = heat_kernel_row(op, x, 3).probs
+    row5 = kernel_row(op, x, 5)
+    chained = kernel_row(op, x, 3)
     for _ in range(2):
         chained = op.step(chained)
     np.testing.assert_allclose(chained, row5, atol=1e-15)
@@ -127,10 +122,10 @@ def test_light_cone(g4):
     op = TransitionOperator(g4)
     x = central_vertex(g4)
     t = 5
-    row = heat_kernel_row(op, x, t)
+    row = kernel_row(op, x, t)
     sep = np.sqrt(((g4.coords - g4.coords[x]).astype(float) ** 2).sum(axis=1))
-    assert (row.probs[sep > t] == 0.0).all()
-    assert (row.probs[sep <= 1] > 0.0).all()
+    assert (row[sep > t] == 0.0).all()
+    assert (row[sep <= 1] > 0.0).all()
 
 
 # ------------------------------------------------------------------ plumbing
@@ -142,32 +137,32 @@ def test_central_vertex(g4, g5):
 
 
 def test_saturation_time(g4, g5):
-    assert saturation_time(g4) == 800
-    assert saturation_time(g5) == 7320
     assert carpet_saturation_time(g4.params, 4) == 800
     assert carpet_saturation_time(g5.params, 5) == 7320
 
 
 def test_fits_equal_the_estimates_that_walk(g4):
-    # One walk can serve both fits: the values read off it are bit-identical.
+    # One walk can serve both fits: the values read off a walk through every
+    # time up to 512 are bit-identical to those of walks that stop only at
+    # the fit times.
     op = TransitionOperator(g4)
     x = central_vertex(g4)
-    series = {t: p[0] for t, p in kernel_entries(op, x, [x], range(1, 513))}
-    times = dyadic_times(16, saturation_time(g4))
-    assert fit_ds([(t, float(series[t])) for t in times]) == estimate_ds(op, x)
     pairs = [(y, t) for t in (64, 128) for y in range(0, g4.num_vertices, 600)]
-    ys = [y for y, _ in pairs]
-    samples = [
-        (y, t, float(p[i])) for t, p in kernel_entries(op, x, ys, [64, 128])
-        for i, (y, s) in enumerate(pairs) if s == t
-    ]
-    assert fit_regimes(g4, x, samples, 1.78, 2.09) == regime_fit(op, x, pairs, 1.78, 2.09)
+    ids = [x, *(y for y, _ in pairs)]
+    seen = dict(kernel_entries(op, x, ids, range(1, 513)))
+    times = ds_fit_times(carpet_saturation_time(g4.params, g4.level))
+    assert fit_ds([(t, float(seen[t][0])) for t in times]) == diag_fit(g4, x)
+    samples = [(y, t, float(seen[t][i + 1])) for i, (y, t) in enumerate(pairs)]
+    assert fit_regimes(g4, x, samples, 1.78, 2.09) == fit_regimes(
+        g4, x, kernel_samples(op, x, pairs), 1.78, 2.09
+    )
 
 
 def test_dyadic_times():
-    assert dyadic_times(16, 4096) == [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    assert dyadic_times(1, 8) == [1, 2, 4, 8]
-    assert dyadic_times(9, 8) == []
+    assert ds_fit_times(4096) == [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
+    assert ds_fit_times(800) == [16, 32, 64, 128, 256, 512]
+    assert ds_fit_times(16) == [16]
+    assert ds_fit_times(15) == []
 
 
 # ------------------------------------------------------------------ exponents
@@ -176,13 +171,14 @@ def test_dyadic_times():
 def test_ds_on_torus():
     # Two-dimensional lattice: spectral dimension 2.
     torus = make_torus(64)
-    est = estimate_ds(TransitionOperator(torus), x=0)
+    # dyadic times up to (diameter / 4)^2 = 496, before the torus saturates
+    est = diag_fit(torus, x=0, times=ds_fit_times(496))
     assert est.value == pytest.approx(2.0, abs=0.05)
     assert est.r_squared > 0.999
 
 
 def test_ds_on_carpet_frozen(g5):
-    est = estimate_ds(TransitionOperator(g5))
+    est = diag_fit(g5)
     assert est.value == pytest.approx(1.7826368964944785, rel=1e-9)
     assert est.standard_error == pytest.approx(0.012226893057595039, rel=1e-6)
     assert est.r_squared > 0.999
@@ -191,9 +187,8 @@ def test_ds_on_carpet_frozen(g5):
 
 
 def test_ds_needs_enough_points(g3):
-    op = TransitionOperator(g3)
     with pytest.raises(FitError, match="4"):
-        estimate_ds(op, times=[16, 32, 64])
+        diag_fit(g3, times=[16, 32, 64])
 
 
 def test_ds_degenerate_flat_series():
@@ -201,7 +196,7 @@ def test_ds_degenerate_flat_series():
     from carpetlab.geometry import VertexGraph
 
     g = VertexGraph.from_edges([(0, 0), (1, 0)], [(0, 1)])
-    est = estimate_ds(TransitionOperator(g), x=0, times=[1, 2, 4, 8], max_time=8)
+    est = diag_fit(g, x=0, times=[1, 2, 4, 8])
     assert est.degenerate
     assert est.value == 0.0
 
@@ -233,7 +228,7 @@ def test_exponent_relation(g5):
     # d_s == 2 d_f / d_w within the discretization error of both estimates.
     from carpetlab.geometry import hausdorff_dimension
 
-    ds = estimate_ds(TransitionOperator(g5)).value
+    ds = diag_fit(g5).value
     dw = estimate_dw(g5).value
     df = hausdorff_dimension(g5.params)
     assert abs(dw - 2.0 * df / ds) <= 0.10 * dw
@@ -248,7 +243,7 @@ def test_regime_fit_splits_by_light_cone(g4):
     near = vid(g4, 25, 26)
     far = vid(g4, 26, 53)  # separation 27 > t for every t below
     pairs = [(near, 8), (near, 16), (near, 32), (far, 8), (far, 16)]
-    fit = regime_fit(op, x, pairs, ds=1.78, dw=2.09)
+    fit = fit_regimes(g4, x, kernel_samples(op, x, pairs), ds=1.78, dw=2.09)
     assert fit.n_sub == 3
     # Beyond the light cone nothing arrives, so the far pairs fall out as
     # floor exclusions and no far-regime fit exists.
@@ -261,7 +256,7 @@ def test_regime_fit_splits_by_light_cone(g4):
 
 def test_regime_fit_rejects_bad_dw(g4):
     with pytest.raises(ValueError):
-        regime_fit(TransitionOperator(g4), 0, [(0, 1)], ds=2.0, dw=1.0)
+        fit_regimes(g4, 0, kernel_samples(TransitionOperator(g4), 0, [(0, 1)]), ds=2.0, dw=1.0)
 
 
 # -------------------------------------------------------------- monte carlo
