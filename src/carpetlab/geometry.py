@@ -447,6 +447,9 @@ def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
     )
 
 
+_WRITE_ROWS = 1 << 16  # graph file records formatted at once
+
+
 def write_graph(graph: CarpetGraph, path) -> None:
     """Write the text interchange format.
 
@@ -455,12 +458,14 @@ def write_graph(graph: CarpetGraph, path) -> None:
     sorted.
     """
     p = graph.params
+    ids = np.arange(graph.num_vertices, dtype=np.int64)[:, None]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"carpet {p.d} {p.k} {p.a} {graph.level} {graph.num_vertices} {graph.num_edges}\n")
-        for i, row in enumerate(graph.coords):
-            fh.write("v %d %s\n" % (i, " ".join(str(int(c)) for c in row)))
-        for i, j in graph.edge_array():
-            fh.write(f"e {i} {j}\n")
+        for tag, records in (("v", np.hstack([ids, graph.coords])), ("e", graph.edge_array())):
+            line = tag + " %d" * records.shape[1] + "\n"
+            for start in range(0, len(records), _WRITE_ROWS):  # one format per chunk of rows
+                chunk = records[start:start + _WRITE_ROWS]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 _SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))  # the bytes that bytes.split() splits at

@@ -21,6 +21,7 @@ sampling centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class HarnackReport:
     rho_witness: tuple[int, int, int]
     max_residual: float
     degenerate: list
+    solves: int = 0  # sweep solves, one per boundary vertex with nonzero data
+    first_path: str = "none"  # solver path of the first solve
+    factor_nnz: int = 0  # entries in the SuperLU factors L + U
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,9 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     oscillation over box supremum, same sweep) rides along in the report.
     Each witness is the first boundary vertex in sweep order, and the first
     inner vertices, within ``WITNESS_RTOL`` of the extremum, so mirror-image
-    maximizers resolve the same way whatever the solver's rounding.
+    maximizers resolve the same way whatever the solver's rounding.  The
+    report counts the solves, names the first one's solver path and gives
+    the size of the factor that the later ones reuse.
     """
     if not 1 <= n <= graph.level:
         raise ValueError(f"need 1 <= n <= graph level, got n={n}")
@@ -117,6 +123,7 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     pairs = np.empty((count, 2), dtype=np.int64)  # (argmax x, argmin y) per boundary vertex
     max_residual = 0.0
     degenerate: list[tuple[int, int]] = []
+    paths = []
 
     g = np.zeros(count)
     for idx, b in enumerate(part.boundary):
@@ -124,6 +131,7 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
         values, info = system.solve(g, tol=tolerance)
         g[idx] = 0.0
         max_residual = max(max_residual, info.residual)
+        paths.append(info.path)
 
         inner_vals = values[inner]
         hi = float(inner_vals.max())
@@ -150,6 +158,9 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
         rho_witness=(int(pairs[rho_at, 0]), int(pairs[rho_at, 1]), int(part.boundary[rho_at])),
         max_residual=max_residual,
         degenerate=degenerate,
+        solves=count - paths.count("none"),
+        first_path=next((p for p in paths if p != "none"), "none"),
+        factor_nnz=system.factor_nnz,
     )
 
 
@@ -177,12 +188,16 @@ def _require_absorbing_shell(graph, x, radius):
     return dist
 
 
-def hitting_probability(graph, spec: HittingSpec, y: int, tolerance: float = DEFAULT_TOL) -> float:
+def hitting_probability(
+    graph, spec: HittingSpec, y: int, tolerance: float = DEFAULT_TOL, solves: Optional[list] = None
+) -> float:
     """Probability the walk from ``y`` enters B(x, r) before leaving B(x, c2*r).
 
     Solves the Dirichlet problem with value 1 on vertices strictly within
     distance ``r`` of ``x`` and value 0 at distance >= ``c2 * r`` (ties at the
-    exact radius count as outside the inner ball).
+    exact radius count as outside the inner ball).  A ``solves`` list
+    receives the solve's unknowns, solver path and residual; a start inside
+    the inner ball or beyond the shell needs no solve and adds nothing.
     """
     dist = _require_absorbing_shell(graph, spec.x, spec.c2 * spec.r)
     if dist[y] > spec.c1 * spec.r:
@@ -199,8 +214,10 @@ def hitting_probability(graph, spec: HittingSpec, y: int, tolerance: float = DEF
     fixed = _border(graph, unknown, inner | outer)
     g = inner[fixed].astype(np.float64)
     system = DirichletSystem(graph, unknown, fixed)
-    values, _ = system.solve(g, tol=tolerance)
+    values, info = system.solve(g, tol=tolerance)
     _max_principle_check(values, unknown, 0.0, 1.0, tolerance)
+    if solves is not None:
+        solves.append({"unknowns": len(unknown), "path": info.path, "residual": info.residual})
     return float(values[y])
 
 

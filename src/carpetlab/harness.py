@@ -342,23 +342,32 @@ def exp_hitting(ctx: _SuiteContext) -> dict:
     c1, c2 = 2.0, 4.0
     rows = []
     minima = {}
+    counters = {}
     for m in (1, 2, 3):
         r = float(k ** m)
         if not ((graph.coords + c2 * r <= graph.side - 1).all(axis=1)).any():
             continue  # no admissible centers at this radius in this build
         pairs = hitting_pair_catalog(graph, r, c1=c1, c2=c2, count=50, seed=ctx.config.seed)
+        solves: list = []
         probs = [
             hitting_probability(
-                graph, HittingSpec(x=x, r=r, c1=c1, c2=c2), y, tolerance=ctx.config.tolerance
+                graph, HittingSpec(x=x, r=r, c1=c1, c2=c2), y, tolerance=ctx.config.tolerance,
+                solves=solves,
             )
             for x, y in pairs
         ]
         rows.extend((m, r, x, y, p) for (x, y), p in zip(pairs, probs))
         minima[m] = min(probs)
+        paths = [s["path"] for s in solves]
+        counters[str(m)] = {
+            "paths": {path: paths.count(path) for path in sorted(set(paths))},
+            "max_unknowns": max((s["unknowns"] for s in solves), default=0),
+            "worst_residual": max((s["residual"] for s in solves), default=0.0),
+        }
     artifacts = [
         ctx.write_csv("hitting.csv", ["m", "r", "x", "y", "probability"], rows),
         ctx.write_json("hitting.json", {"minima": {str(m): v for m, v in minima.items()},
-                                        "c1": c1, "c2": c2}),
+                                        "solves": counters, "c1": c1, "c2": c2}),
     ]
     vals = list(minima.values())
     checks = {
@@ -592,6 +601,11 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             for rep in data["reports"]:
                 lines.append(f"  {rep['level']:>5} {rep['constant']:>13.8f} {rep['rho']:>15.8f}")
                 rows.append((rep["level"], rep["constant"], rep["rho"]))
+            lines.extend(
+                f"  sweep {rep['level']}: {rep['solves']} solves, first {rep['first_path']},"
+                f" factor {rep['factor_nnz']} entries, worst residual {rep['max_residual']:.2e}"
+                for rep in data["reports"] if "first_path" in rep
+            )
             path = os.path.join(base, "report_harnack.csv")
             _write_rows(path, ["n", "harnack_constant", "oscillation_rho"], rows)
             figures.append("report_harnack.csv")
@@ -624,6 +638,10 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             lines.append("      m   min hitting probability")
             for m in sorted(data["minima"], key=int):
                 lines.append(f"  {int(m):>5} {data['minima'][m]:>25.12f}")
+            for m, c in sorted(data.get("solves", {}).items(), key=lambda item: int(item[0])):
+                paths = ", ".join(f"{path} {count}" for path, count in c["paths"].items())
+                lines.append(f"  probes {m}: {paths}, at most {c['max_unknowns']} unknowns,"
+                             f" worst residual {c['worst_residual']:.2e}")
         elif name == "couple" and (data := artifact("couple.json")):
             lines.append(
                 f"  coupling p-hat = {data['probability']:.6f} +- {data['standard_error']:.6f}"

@@ -7,24 +7,29 @@ The interior block of ``L = D - A`` is symmetric positive definite whenever
 every unknown component touches a fixed vertex.  There are three solver
 paths, and one reduction that applies to each:
 
-* A system solved once runs a conjugate-gradient iteration; the
+* A system with at most ``DIRECT_MAX`` unknowns, and every system from its
+  second solve on, is factored once by SuperLU, and each solve is two
+  triangular solves.  The operator is SPD, so SuperLU runs in its symmetric
+  mode: one ``MMD_AT_PLUS_A`` ordering applied to rows and columns alike,
+  and pivots taken on the diagonal (X. S. Li, ACM TOMS 31, 2005).  On the
+  2-D level-5 box (32,283 unknowns) that factors in 0.08 s, where the
+  default mode's row pivoting and column re-ordering took 6.6 s for the
+  same fill, and small 2-D systems factor faster than CG converges on them.
+  A factor fills in badly on large 3-D systems, so larger systems factor
+  only when they are reused, as in a boundary sweep.
+* A larger system solved once runs a conjugate-gradient iteration; the
   relative-residual tolerance and the iteration cap (50 * sqrt(#unknowns))
   follow the solver contract.
 * A system solved once with more than ``MULTIGRID_MIN`` unknowns runs the
   same CG, preconditioned by a smoothed-aggregation V-cycle (Vanek, Mandel,
-  Brezina, Computing 56, 1996).  The aggregates are the 3^d coordinate
-  blocks ``coords // 3`` (on a k = 3 carpet, the parent cells), so the
-  carpet supplies its own coarse grids; the hierarchy stops at
-  ``MULTIGRID_COARSEST`` unknowns, where SuperLU solves.  Plain CG needs
+  Brezina, Computing 56, 1996).  The aggregates are the connected pieces of
+  the 3^d coordinate blocks ``coords // 3`` (on a k = 3 carpet, the parent
+  cells), so the carpet supplies its own coarse grids; the hierarchy stops
+  at ``MULTIGRID_COARSEST`` unknowns, where SuperLU solves.  Plain CG needs
   more iterations at every level (3,329 on the 2-D level-6 face system);
   the V-cycle keeps the count near 20-35 at every level, but each of its
-  iterations costs about five fine-level matrix-vector products, so small
+  iterations costs about five fine-level matrix-vector products, so smaller
   systems stay on plain CG.
-* A system solved a second time is factored once by SuperLU with
-  ``MMD_AT_PLUS_A`` ordering (X. S. Li, ACM TOMS 31, 2005), and that solve
-  and every later one are triangular solves.  A factor costs several CG
-  solves and fills in badly on large 3-D systems, so it pays only when it
-  is reused, as in a boundary sweep; one-shot systems never factor.
 * A problem that a group of graph symmetries maps onto itself (unknowns,
   fixed vertices and data) has a solution constant on the group's orbits,
   so it is solved exactly on one unknown per orbit.  The operator is taken
@@ -54,6 +59,14 @@ DEFAULT_TOL = 1e-10
 # only from about 80,000 in 3-D (0.7x at 63k, 1.9x at 244k).  Coarsest
 # levels of 64 to 2,048 unknowns cost the same; 8,192 is slow in 3-D.
 MULTIGRID_MIN = 30_000
+# From a size sweep of one-shot carpet annulus systems (40 to 16,000
+# unknowns, one BLAS thread): the symmetric-mode factor plus one solve beats
+# plain CG at every size in 2-D (4x at 100 to 200 unknowns, 2-3x from 1,800
+# to 16,000), but in 3-D only up to about 450 (2x slower at 1,058, 4.7x at
+# 1,942, 14x at 12,710).  2,500 puts the 2-D hitting probes at r = 9 (765 to 1,961
+# unknowns) on the factor; the 3-D scale suite's one-shot systems that it
+# moves there (at most 2,246 orbit unknowns) cost about 9 ms more in all.
+DIRECT_MAX = 2_500
 MULTIGRID_COARSEST = 512
 _OMEGA = 2.0 / 3.0  # Jacobi damping in the prolongator smoother and the cycle
 _GALERKIN_BLOCKS = 8  # row blocks per coarse product, to bound its transient memory
@@ -80,10 +93,12 @@ class DirichletSystem:
     The sliced operator is built once.  The first :meth:`solve` runs CG,
     preconditioned by a multigrid V-cycle when there are more than
     ``MULTIGRID_MIN`` unknowns (built for that solve and dropped after it);
-    the second factors the operator with SuperLU and keeps the factor, so
-    that solve and every later one cost two triangular solves.  This is what
-    makes boundary sweeps (one solve per boundary vertex) affordable, while a
-    system solved once never pays for a factor.
+    with at most ``DIRECT_MAX`` unknowns it factors the operator with
+    SuperLU instead.  Any later solve factors the operator if it is not
+    factored yet, and keeps the factor, so that solve and every later one
+    cost two triangular solves.  This is what makes boundary sweeps (one
+    solve per boundary vertex) affordable, while a large system solved once
+    never pays for a factor.
 
     With ``orbits`` the problem is solved on the orbits O of a group of graph
     automorphisms that maps the unknown set, the fixed set and every solve's
@@ -164,6 +179,11 @@ class DirichletSystem:
         """Size of the solved system: one unknown per orbit."""
         return len(self._reps)
 
+    @property
+    def factor_nnz(self) -> int:
+        """Entries in the SuperLU factors L + U, or 0 while the operator is unfactored."""
+        return 0 if self._factor is None else int(self._factor.L.nnz + self._factor.U.nnz)
+
     def solve(
         self,
         fixed_values: np.ndarray,
@@ -199,10 +219,10 @@ class DirichletSystem:
             return values, SolveInfo(residual=0.0, iterations=0)
 
         self._solves += 1
-        if self._solves > 1:
-            u, iters, path = self._factored().solve(b), 0, "SuperLU"
-        else:
+        if self._solves == 1 and (len(b) > MULTIGRID_MIN or len(b) > DIRECT_MAX):
             u, iters, path = self._solve_cg(b, bnorm, tol)
+        else:
+            u, iters, path = self._factored().solve(b), 0, "SuperLU"
         residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
         if path == "SuperLU" and not residual <= tol:
             raise ConvergenceError(
@@ -250,7 +270,7 @@ class DirichletSystem:
         """The SuperLU factor of the operator, computed on first use."""
         if self._factor is None:
             try:
-                self._factor = splu(self._lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self._factor = _spd_factor(self._lap)
             except RuntimeError as exc:
                 raise ConvergenceError(
                     f"SuperLU factor failed on {self._lap.shape[0]} unknowns: {exc}"
@@ -269,29 +289,68 @@ class DirichletSystem:
         return history
 
 
-def _aggregate(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spd_factor(a):
+    """SuperLU's symmetric mode for an SPD operator: one ``MMD_AT_PLUS_A``
+    ordering for rows and columns, and pivots on the diagonal."""
+    return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _aggregate(a, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate number of each row, and the block coordinates of each aggregate.
 
-    The aggregates are the 3^d blocks ``coords // 3``, keyed as one int64
-    each and numbered in key order.
+    An aggregate is a connected piece of a 3^d block ``coords // 3`` in the
+    graph of the CSR operator ``a``'s off-diagonal nonzeros, and a row alone
+    in its piece joins the piece of its strongest neighbor (lowest row on
+    ties).  So every aggregate is connected: a lone pair of adjacent degree-2
+    rows would otherwise smooth to equal prolongator columns and a singular
+    coarse operator.  Each aggregate takes the block of its least row,
+    preferring rows that were not alone, and aggregates are numbered by
+    block key, then by that row.
     """
     blocks = coords // 3
     shifted = blocks - blocks.min(axis=0)  # keys from offsets keep the blocks aligned
     keys = np.zeros(len(blocks), dtype=np.int64)
     for column, extent in zip(shifted.T, shifted.max(axis=0) + 1):
         keys = keys * extent + column
-    _, first, agg = np.unique(keys, return_index=True, return_inverse=True)
-    return agg, blocks[first]
+    n = len(keys)
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    col, weight = a.indices, np.abs(a.data)
+    link = (row != col) & (weight != 0)
+    inside = link & (keys[row] == keys[col])
+    piece = _components(n, row[inside], col[inside])
+    lone = np.bincount(piece)[piece] == 1
+    out = np.flatnonzero(link & lone[row])  # the links of lone rows, strongest first per row
+    out = out[np.lexsort((col[out], -weight[out], row[out]))]
+    out = out[np.diff(row[out], prepend=-1) != 0]
+    piece = _components(piece.max() + 1, piece[row[out]], piece[col[out]])[piece]
+    ranked = np.argsort(lone, kind="stable")  # rows that were not alone first, in row order
+    rep = ranked[np.unique(piece[ranked], return_index=True)[1]]  # first ranked row per aggregate
+    order = np.lexsort((rep, keys[rep]))
+    return np.argsort(order)[piece], blocks[rep[order]]
+
+
+def _components(n, i, j):
+    """Connected component of each of ``n`` nodes joined by the links ``i[k] -- j[k]``."""
+    # imported here: csgraph adds about 1 MB to every run that never aggregates
+    from scipy.sparse.csgraph import connected_components
+
+    links = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return connected_components(links, directed=False)[1]
 
 
 def _hierarchy(lap, coords):
     """Smoothed-aggregation levels ``(A, P, omega / diag A)``, fine to coarse,
-    and the SuperLU factor of the coarsest operator."""
+    and the SuperLU factor of the coarsest operator.  The hierarchy stops
+    early where aggregation no longer merges rows."""
     levels = []
     a = lap.tocsr()
     while a.shape[0] > MULTIGRID_COARSEST:
-        agg, coords = _aggregate(coords)
+        agg, block_coords = _aggregate(a, coords)
         n = a.shape[0]
+        if len(block_coords) == n:
+            break
+        coords = block_coords
         tentative = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(coords)))
         scale = _OMEGA / a.diagonal()
         p = (tentative - sp.diags(scale) @ (a @ tentative)).tocsr()
@@ -300,7 +359,7 @@ def _hierarchy(lap, coords):
         levels.append((a, p, scale))
         a = coarse.tocsr()
     try:
-        coarsest = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        coarsest = _spd_factor(a)
     except RuntimeError as exc:
         raise ConvergenceError(
             f"multigrid coarsest factor failed on {a.shape[0]} of {lap.shape[0]} unknowns: {exc}"

@@ -313,6 +313,19 @@ def test_graph_file_header_text(tmp_path, g1):
     assert sum(1 for l in lines if l.startswith("e ")) == 8
 
 
+def test_graph_file_is_the_same_in_any_chunk_size(tmp_path, g3, monkeypatch):
+    # Records are formatted a chunk of rows at a time; a chunk of 7 rows
+    # splits both record kinds unevenly and must give the same lines.
+    lines = ["carpet 2 3 1 3 512 776"]
+    lines += [f"v {i} {x} {y}" for i, (x, y) in enumerate(g3.coords.tolist())]
+    lines += [f"e {i} {j}" for i, j in g3.edge_array().tolist()]
+    for rows in (7, 1 << 16):
+        monkeypatch.setattr(geometry, "_WRITE_ROWS", rows)
+        path = tmp_path / f"g{rows}.txt"
+        write_graph(g3, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def with_edges(text, change):
     """Apply ``change`` to the edge records, keeping the header count in step."""
     lines = text.splitlines(keepends=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carpetlab import linalg
 from carpetlab.geometry import box_vertices
 from carpetlab.harmonic import (
     HittingSpec,
@@ -123,6 +124,19 @@ def test_harnack_frozen_values(g4):
     assert rep4.witness == rep4.rho_witness == (98, 1456, 80)
 
 
+def test_harnack_level_five(g5):
+    # 32,283 unknowns and 485 boundary vertices, 163 of which touch no
+    # unknown: a V-cycle first solve, then one symmetric-mode factor for the
+    # other 321.  Values frozen from the sweep before that factor.
+    rep = harnack_constant(g5, 5)
+    assert rep.constant == pytest.approx(1.5012404699559678, rel=1e-8)
+    assert rep.rho == pytest.approx(0.0044117337841756005, rel=1e-8)
+    assert rep.witness == rep.rho_witness == (296, 12046, 242)
+    assert rep.max_residual < 1e-9
+    assert (rep.solves, rep.first_path, len(rep.degenerate)) == (322, "V-cycle", 163)
+    assert rep.factor_nnz > 0
+
+
 def test_harnack_witness_attains_constant(g4):
     rep = harnack_constant(g4, 2)
     x, y, b = rep.witness
@@ -203,6 +217,22 @@ def test_hitting_floor_sample(g5):
     pairs = hitting_pair_catalog(g5, 3.0, count=50, seed=7)
     vals = [hitting_probability(g5, HittingSpec(x=x, r=3.0), y) for x, y in pairs]
     assert min(vals) == pytest.approx(0.31144426447819967, rel=1e-6)
+
+
+def test_hitting_probe_on_the_direct_path_matches_cg(g4, monkeypatch):
+    # The r = 9 probes (765 to 1,961 unknowns) factor on their only solve;
+    # with the direct path closed they run plain CG to the same answer.
+    pairs = hitting_pair_catalog(g4, 9.0, count=4, seed=0)
+    solves = []
+    direct = [hitting_probability(g4, HittingSpec(x=x, r=9.0), y, solves=solves) for x, y in pairs]
+    assert {s["path"] for s in solves} == {"SuperLU"}
+    assert all(s["residual"] < 1e-10 for s in solves)
+    monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
+    forced = []
+    plain = [hitting_probability(g4, HittingSpec(x=x, r=9.0), y, solves=forced) for x, y in pairs]
+    assert {s["path"] for s in forced} == {"CG"}
+    assert [s["unknowns"] for s in forced] == [s["unknowns"] for s in solves]
+    np.testing.assert_allclose(direct, plain, rtol=0.0, atol=1e-9)
 
 
 # ------------------------------------------------------------------ exit time

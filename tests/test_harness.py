@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carpetlab import linalg
 from carpetlab.harness import (
     ExperimentConfig,
     config_from_sources,
@@ -235,9 +236,11 @@ def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
     assert "kernel walk: 512 steps on 2056 orbit states of 4096 vertices (symmetry order 2)" in text
 
 
-def test_resist_records_its_solves(tmp_path):
+def test_resist_records_its_solves(tmp_path, monkeypatch):
     # resist.json counts every face and R_N solve; the report prints one
-    # line per series.
+    # line per series.  These systems are small enough to factor on their
+    # first solve, so the direct path is closed to count CG iterations.
+    monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
     run_suite(tiny_config(tmp_path, levels=(2, 3), experiments=("resist",)))
     with open(os.path.join(str(tmp_path), "resist.json"), encoding="utf-8") as fh:
         data = json.load(fh)
@@ -251,6 +254,28 @@ def test_resist_records_its_solves(tmp_path):
     assert (f"3: CG {face['iterations']} it, {face['orbit_unknowns']} orbits of 458 unknowns"
             " (order 2)") in text
     assert "  R_N solves: 1: CG " in text
+
+
+def test_sweep_and_probes_record_their_solves(suite_run):
+    # harnack.json counts each sweep's solves, with the first solve's path
+    # and the factor's size; hitting.json counts each radius' probe solves
+    # by path.  The report prints one line per sweep and per radius.
+    cfg, _ = suite_run
+    with open(os.path.join(cfg.output_dir, "harnack.json"), encoding="utf-8") as fh:
+        reports = json.load(fh)["reports"]
+    assert [(r["level"], r["solves"], r["first_path"]) for r in reports] == [
+        (2, 10, "SuperLU"), (4, 106, "CG")]
+    assert all(r["factor_nnz"] > 0 for r in reports)
+    with open(os.path.join(cfg.output_dir, "hitting.json"), encoding="utf-8") as fh:
+        probes = json.load(fh)["solves"]
+    assert sorted(probes) == ["1", "2"]
+    for c in probes.values():
+        assert c["paths"] == {"SuperLU": 50}
+        assert 0 < c["max_unknowns"] <= linalg.DIRECT_MAX
+        assert c["worst_residual"] <= cfg.tolerance
+    text, _ = export_report(os.path.join(cfg.output_dir, "manifest.json"))
+    assert "  sweep 4: 106 solves, first CG, factor " in text
+    assert f"  probes 2: SuperLU 50, at most {probes['2']['max_unknowns']} unknowns" in text
 
 
 def test_suite_empty_selection(tmp_path):

@@ -47,11 +47,17 @@ def test_poisson_rhs_on_direct_path(g3):
     np.testing.assert_allclose(second, first, rtol=1e-9)
 
 
-def test_singular_system_raises(g2):
-    # No fixed vertex: the Laplacian is singular, so neither backend converges.
-    system = DirichletSystem(g2, np.arange(g2.num_vertices), [])
+def test_singular_system_raises(g2, monkeypatch):
+    # No fixed vertex: the Laplacian is singular, so no backend converges.
+    # The 64 unknowns factor on the first solve; with the direct path closed
+    # the first solve runs plain CG and the second factors.
     rhs = np.zeros(g2.num_vertices)
     rhs[0] = 1.0
+    direct = DirichletSystem(g2, np.arange(g2.num_vertices), [])
+    with pytest.raises(ConvergenceError, match=f"SuperLU.*{g2.num_vertices} unknowns"):
+        direct.solve(np.zeros(0), rhs=rhs)
+    monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
+    system = DirichletSystem(g2, np.arange(g2.num_vertices), [])
     with pytest.raises(ConvergenceError, match="CG stalled") as cg_err:
         system.solve(np.zeros(0), rhs=rhs)
     assert cg_err.value.residuals
@@ -59,14 +65,45 @@ def test_singular_system_raises(g2):
         system.solve(np.zeros(0), rhs=rhs)
 
 
-def test_exactly_singular_factor_raises():
-    # Consistent data lets CG converge on the singular path Laplacian; the
-    # second solve's factor then hits an exactly zero pivot.
-    system = DirichletSystem(make_path(3), np.arange(3), [])
+def test_exactly_singular_factor_raises(monkeypatch):
+    # The factor of the singular path Laplacian hits an exactly zero pivot,
+    # on the first solve of this small system.  Consistent data let plain CG
+    # converge on it; the second solve's factor then fails the same way.
     rhs = np.array([1.0, 0.0, -1.0])
-    system.solve(np.zeros(0), rhs=rhs)
+    with pytest.raises(ConvergenceError, match="SuperLU factor failed on 3 unknowns"):
+        DirichletSystem(make_path(3), np.arange(3), []).solve(np.zeros(0), rhs=rhs)
+    monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
+    system = DirichletSystem(make_path(3), np.arange(3), [])
+    assert system.solve(np.zeros(0), rhs=rhs)[1].path == "CG"
     with pytest.raises(ConvergenceError, match="SuperLU factor failed on 3 unknowns"):
         system.solve(np.zeros(0), rhs=rhs)
+
+
+def test_factor_pivots_on_the_diagonal(g4):
+    # SuperLU's symmetric mode orders rows and columns alike and pivots on
+    # the diagonal, so the row and column permutations agree.
+    part = box_vertices(g4, 4)
+    system = DirichletSystem(g4, part.interior, part.boundary)
+    assert system.factor_nnz == 0
+    factor = system._factored()
+    np.testing.assert_array_equal(factor.perm_r, factor.perm_c)
+    assert system.factor_nnz == factor.L.nnz + factor.U.nnz > 0
+
+
+def test_small_systems_factor_on_their_first_solve(g4, monkeypatch):
+    # 3,935 unknowns start on CG; the level-3 box (459 unknowns) factors at
+    # once, and its answer is the plain CG answer.
+    part = box_vertices(g4, 4)
+    g = np.ones(len(part.boundary))
+    assert DirichletSystem(g4, part.interior, part.boundary).solve(g)[1].path == "CG"
+    part = box_vertices(g4, 3)
+    g = np.linspace(0.0, 1.0, len(part.boundary))
+    direct, info = DirichletSystem(g4, part.interior, part.boundary).solve(g)
+    assert (len(part.interior), info.path, info.iterations) == (459, "SuperLU", 0)
+    monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
+    plain, info = DirichletSystem(g4, part.interior, part.boundary).solve(g)
+    assert info.path == "CG" and info.iterations > 0
+    np.testing.assert_allclose(direct, plain, rtol=0.0, atol=1e-9)
 
 
 # ------------------------------------------------------- multigrid-preconditioned CG
@@ -138,13 +175,16 @@ def test_multigrid_stall_names_the_method(monkeypatch):
 
 
 def test_singular_coarsest_factor_raises():
-    # 15,066 disjoint edges, each inside one 3^5 coordinate block, and no
-    # fixed vertex: the Galerkin operator of the 186 blocks is exactly zero.
+    # 186 disjoint components, each a connected 2 x 3^4 grid inside one 3^5
+    # coordinate block, and no fixed vertex: the Galerkin operator of the 186
+    # blocks is exactly zero.
     coords, edges = [], []
+    cells = list(itertools.product(range(2), *[range(3)] * 4))
     for block in range(186):
-        for rest in itertools.product(range(3), repeat=4):
-            edges.append((len(coords), len(coords) + 1))
-            coords += [(3 * block, *rest), (3 * block + 1, *rest)]
+        index = {cell: len(coords) + i for i, cell in enumerate(cells)}
+        edges += [(index[c], index[c[:axis] + (c[axis] + 1,) + c[axis + 1:]])
+                  for c in cells for axis in range(5) if c[axis] + 1 < (2, 3, 3, 3, 3)[axis]]
+        coords += [(3 * block + c[0], *c[1:]) for c in cells]
     graph = VertexGraph.from_edges(coords, edges)
     system = DirichletSystem(graph, np.arange(graph.num_vertices), [])
     rhs = np.zeros(graph.num_vertices)
@@ -152,6 +192,33 @@ def test_singular_coarsest_factor_raises():
     with pytest.raises(ConvergenceError, match="multigrid coarsest factor failed on 186 of "
                                                "30132 unknowns: Factor is exactly singular"):
         system.solve(np.zeros(0), rhs=rhs)
+
+
+def test_hierarchy_stops_where_aggregation_stalls(monkeypatch):
+    # Every other vertex of a path fixed: the 1,000 unknowns have no unknown
+    # neighbor, so no aggregate merges two rows, and the hierarchy factors
+    # the diagonal operator at the fine level instead of looping.
+    monkeypatch.setattr(linalg, "MULTIGRID_MIN", 0)
+    n = 2001
+    system = DirichletSystem(make_path(n), np.arange(1, n, 2), np.arange(0, n, 2))
+    g = np.arange(0, n, 2) ** 2.0
+    values, info = system.solve(g)
+    assert (info.path, info.iterations) == ("V-cycle", 1)
+    np.testing.assert_allclose(values[1::2], (g[:-1] + g[1:]) / 2, rtol=1e-12)
+
+
+def test_aggregates_are_connected():
+    # Two adjacent unknowns of degree 2, each alone in its 3 x 3 block, join
+    # one aggregate; the block (0, 0) splits into its two connected pieces.
+    lap = sp.csr_matrix(np.array([[2.0, -1, 0, 0, 0],
+                                  [-1, 2, 0, 0, 0],
+                                  [0, 0, 2, 0, -1],
+                                  [0, 0, 0, 2, 0],
+                                  [0, 0, -1, 0, 2]]))
+    coords = np.array([[3, 0], [6, 0], [0, 0], [2, 2], [1, 0]])
+    agg, blocks = linalg._aggregate(lap, coords)
+    assert agg.tolist() == [2, 2, 0, 1, 0]
+    assert blocks.tolist() == [[0, 0], [0, 0], [1, 0]]
 
 
 # ------------------------------------------------------------- orbit quotient

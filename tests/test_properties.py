@@ -166,6 +166,9 @@ def test_quotient_walk_matches_the_plain_walk(case):
 
 @settings(deadline=None)
 @given(small_carpets(), st.integers(0, 2**32 - 1), st.floats(0.02, 0.5))
+# An isolated unknown pair, each vertex alone in its coordinate block, once
+# made the V-cycle's coarsest operator singular.
+@example(build_graph(3, validate_params(2, 4, 2)), 0, 0.5)
 def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
     # A harmonic function takes its extremes on the fixed set: on every
     # solver path (plain CG, the multigrid V-cycle, SuperLU) each solved
@@ -180,9 +183,10 @@ def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
     slack = 1e-9 * (g.max() - g.min()) + 1e-12
     system = DirichletSystem(graph, unknown, fixed)
     solutions = [system.solve(g, tol=1e-12)[0], system.solve(g, tol=1e-12)[0]]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "MULTIGRID_MIN", 0)
-        solutions.append(DirichletSystem(graph, unknown, fixed).solve(g, tol=1e-12)[0])
+    for knob in ("MULTIGRID_MIN", "DIRECT_MAX"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, knob, 0)
+            solutions.append(DirichletSystem(graph, unknown, fixed).solve(g, tol=1e-12)[0])
     for values in solutions:
         solved = values[unknown]
         assert solved.min() >= g.min() - slack
@@ -240,13 +244,17 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
     assert system.orbit_unknowns == len(np.unique(orbits[unknown]))
     lap = system._lap
     assert abs(lap - lap.T).max() <= 1e-12 * abs(lap).max()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "MULTIGRID_MIN", 0)
-        multigrid = DirichletSystem(graph, unknown, fixed, orbits=orbits)
-        solves = [multigrid.solve(g, rhs=rhs, tol=tol)]
-    # the V-cycle, then plain CG and SuperLU
+    solves = []
+    for knob in ("MULTIGRID_MIN", "DIRECT_MAX"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, knob, 0)
+            forced = DirichletSystem(graph, unknown, fixed, orbits=orbits)
+            solves.append(forced.solve(g, rhs=rhs, tol=tol))
+    # the V-cycle, plain CG, then this system's first solve and its second,
+    # which is SuperLU's
     solves += [system.solve(g, rhs=rhs, tol=tol), system.solve(g, rhs=rhs, tol=tol)]
-    assert [info.path for _, info in solves][1:] == ["CG", "SuperLU"]
+    paths = [info.path for _, info in solves]
+    assert (paths[1], paths[3]) == ("CG", "SuperLU")
     for values, info in solves:
         scale = max(1.0, np.abs(plain[unknown]).max())
         np.testing.assert_allclose(values[unknown], plain[unknown], rtol=0.0, atol=1e-9 * scale)

@@ -162,11 +162,13 @@ def test_resistance_solves_are_counted(params3, g3d):
         0.1175376893276021, rel=1e-9)
     assert solves[0]["path"] == "none"
     assert {k: solves[1][k] for k in ("unknowns", "orbit_unknowns", "symmetry_order", "path")} == {
-        "unknowns": 514, "orbit_unknowns": 88, "symmetry_order": 8, "path": "CG"}
+        "unknowns": 514, "orbit_unknowns": 88, "symmetry_order": 8, "path": "SuperLU"}
     rep = resistance_to_infinity(g3d, [0], levels=[1, 2, 3])
     assert [(s["unknowns"], s["orbit_unknowns"], s["symmetry_order"]) for s in rep.solves] == [
         (6, 2, 6), (458, 100, 6), (15468, 2809, 6)]
-    assert all(s["iterations"] > 0 and s["path"] == "CG" for s in rep.solves)
+    # Up to DIRECT_MAX orbit unknowns factor on the first solve; more run CG.
+    assert [(s["path"], s["iterations"] > 0) for s in rep.solves] == [
+        ("SuperLU", False), ("SuperLU", False), ("CG", True)]
     assert rep.to_dict()["solves"] == rep.solves
     # A target that is not permutation-invariant keeps only the permutations fixing it.
     pair = [0, vid(g3d, 1, 0, 0)]
