@@ -24,6 +24,7 @@ from .geometry import (
 )
 from .harmonic import (
     HittingSpec,
+    _distances,
     harnack_constant,
     hitting_pair_catalog,
     hitting_probability,
@@ -198,8 +199,7 @@ def _cmd_hitting(args) -> int:
         return 0
     if args.x is not None:
         # One center, every admissible start in the annulus r <= dist <= c1*r.
-        delta = (graph.coords - graph.coords[args.x]).astype(np.float64)
-        dist = np.sqrt((delta ** 2).sum(axis=1))
+        dist = _distances(graph, args.x)
         starts = np.nonzero((dist >= args.r) & (dist <= args.c1 * args.r))[0]
         if starts.size == 0:
             raise ValueError(f"no start vertices in the [r, c1*r] annulus around {args.x}")
@@ -222,6 +222,8 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_heat(args) -> int:
+    if args.heat_command == "diag" and args.tmax < 1:
+        raise ValueError(f"--tmax must be at least 1, got {args.tmax}")
     graph = read_graph(args.graph)
     _check_ids(graph, [args.x], "--x")
     op = TransitionOperator(graph)
@@ -328,7 +330,7 @@ def _cmd_resist(args) -> int:
     groups = _read_sets(args.set_file)
     _check_ids(graph, [v for group in groups for v in group], args.set_file)
     reports = [
-        resistance_to_infinity(graph, group, levels, tolerance=args.tol).to_dict()
+        asdict(resistance_to_infinity(graph, group, levels, tolerance=args.tol))
         for group in groups
     ]
     _write_json_out({"levels": levels, "reports": reports}, args.out)

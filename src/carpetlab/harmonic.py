@@ -6,7 +6,7 @@ its neighbor values; the mean uses the true vertex degree, so the walk
 reflects at the carpet boundary without ghost cells.  Every quantity here is
 one linear solve against the graph Laplacian restricted to a set of unknowns,
 through :class:`carpetlab.linalg.DirichletSystem`, the only solve entry
-point; a solve fixes only the vertices that border its unknowns.
+point; a solve reads only the vertices that border its unknowns.
 
 The walk is the lazy nearest-neighbour walk that holds with probability
 ``HOLD`` = 1/2; the heat kernel and the coupling use the same constant.
@@ -113,7 +113,7 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     if not 1 <= n <= graph.level:
         raise ValueError(f"need 1 <= n <= graph level, got n={n}")
     part = box_vertices(graph, n)
-    system = DirichletSystem(graph, part.interior, part.boundary)
+    system = DirichletSystem(graph, part.interior)
     inner = part.inner
     box = part.box
 
@@ -125,11 +125,11 @@ def harnack_constant(graph: CarpetGraph, n: int, tolerance: float = DEFAULT_TOL)
     degenerate: list[tuple[int, int]] = []
     paths = []
 
-    g = np.zeros(count)
+    g = np.zeros(graph.num_vertices)
     for idx, b in enumerate(part.boundary):
-        g[idx] = 1.0
+        g[b] = 1.0
         values, info = system.solve(g, tol=tolerance)
-        g[idx] = 0.0
+        g[b] = 0.0
         max_residual = max(max_residual, info.residual)
         paths.append(info.path)
 
@@ -171,6 +171,7 @@ def _first_near(scores: np.ndarray, best: float) -> int:
 
 
 def _distances(graph, x: int) -> np.ndarray:
+    """Euclidean distance of every vertex from vertex ``x``."""
     delta = graph.coords - graph.coords[x]
     return np.sqrt((delta.astype(np.float64) ** 2).sum(axis=1))
 
@@ -211,10 +212,8 @@ def hitting_probability(
     if outer[y]:
         return 0.0
     unknown = np.nonzero(~(inner | outer))[0]
-    fixed = _border(graph, unknown, inner | outer)
-    g = inner[fixed].astype(np.float64)
-    system = DirichletSystem(graph, unknown, fixed)
-    values, info = system.solve(g, tol=tolerance)
+    system = DirichletSystem(graph, unknown)
+    values, info = system.solve(inner.astype(np.float64), tol=tolerance)
     _max_principle_check(values, unknown, 0.0, 1.0, tolerance)
     if solves is not None:
         solves.append({"unknowns": len(unknown), "path": info.path, "residual": info.residual})
@@ -234,18 +233,10 @@ def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) 
     dist = _require_absorbing_shell(graph, x, r)
     inside = dist < r
     unknown = np.nonzero(inside)[0]
-    fixed = _border(graph, unknown, ~inside)
-    g = np.zeros(len(fixed))
     rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - HOLD)
-    system = DirichletSystem(graph, unknown, fixed, orbits=graph.orbits(graph.symmetries([x])))
-    values, _ = system.solve(g, rhs=rhs, tol=tolerance)
+    system = DirichletSystem(graph, unknown, orbits=graph.orbits(graph.symmetries([x])))
+    values, _ = system.solve(np.zeros(graph.num_vertices), rhs=rhs, tol=tolerance)
     return float(values[x])
-
-
-def _border(graph, unknown: np.ndarray, fixable: np.ndarray) -> np.ndarray:
-    """Sorted neighbors of ``unknown`` in the mask ``fixable``: all a solve reads."""
-    nbrs = np.unique(graph.adjacency()[unknown].indices)
-    return nbrs[fixable[nbrs]]
 
 
 def hitting_pair_catalog(

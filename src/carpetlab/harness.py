@@ -27,7 +27,8 @@ from .geometry import (
     hausdorff_dimension,
     validate_params,
 )
-from .harmonic import harnack_constant, hitting_pair_catalog, hitting_probability, HittingSpec
+from .harmonic import (_distances, harnack_constant, hitting_pair_catalog, hitting_probability,
+                       HittingSpec)
 from .heat import (
     DS_MIN_POINTS,
     TransitionOperator,
@@ -324,8 +325,7 @@ def exp_heat(ctx: _SuiteContext) -> dict:
 
 def _regime_targets(graph, x, count: int = 24) -> list:
     """Deterministic spread of targets by distance ring around x."""
-    delta = (graph.coords - graph.coords[x]).astype(np.float64)
-    dist = np.sqrt((delta ** 2).sum(axis=1))
+    dist = _distances(graph, x)
     order = np.argsort(dist, kind="stable")
     # skip x itself, then take evenly spaced targets out to half the window
     reach = dist[order] <= graph.side / 2.0
@@ -451,7 +451,7 @@ def exp_resist(ctx: _SuiteContext) -> dict:
                 "face": {str(n): v for n, v in rows},
                 "face_solves": {str(n): c for n, c in zip(ns, face_solves)},
                 "ratios": ratios,
-                "to_infinity": inf_report.to_dict(),
+                "to_infinity": asdict(inf_report),
             },
         ),
     ]

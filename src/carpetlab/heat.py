@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CarpetGraph, CarpetParams, VertexGraph
-from .harmonic import HOLD, expected_exit_time
+from .harmonic import HOLD, _distances, expected_exit_time
 from .linalg import DEFAULT_TOL
 from .seeding import derive_rng
 
@@ -363,8 +363,7 @@ def sample_exit_times(
     seed: int,
 ) -> np.ndarray:
     """Batched Monte Carlo exit times from B(x, r); cross-check for the solver."""
-    delta = (graph.coords - graph.coords[x]).astype(np.float64)
-    dist = np.sqrt((delta ** 2).sum(axis=1))
+    dist = _distances(graph, x)
     inside = dist < r
     if not inside.any() or inside.all():
         raise ValueError("ball is empty or covers the whole graph")

@@ -1,11 +1,13 @@
 """Shared sparse Dirichlet/Poisson solver on vertex graphs.
 
-All potential-theoretic quantities reduce to one primitive: fix values on a
-set of vertices, optionally add a right-hand side on the unknowns, and solve
-the graph Laplacian system ``(L u)_I = rhs_I`` restricted to the unknowns.
-The interior block of ``L = D - A`` is symmetric positive definite whenever
-every unknown component touches a fixed vertex.  There are three solver
-paths, and one reduction that applies to each:
+All potential-theoretic quantities reduce to one primitive: given a value
+at every vertex, keep the values outside a set of unknowns, optionally add a
+right-hand side on the unknowns, and solve the graph Laplacian system
+``(L u)_I = rhs_I`` restricted to the unknowns.  The solve reads only the
+border: the vertices outside the unknowns that neighbor one.  The interior
+block of ``L = D - A`` is symmetric positive definite whenever every unknown
+component touches the border.  There are three solver paths, and one
+reduction that applies to each:
 
 * A system with at most ``DIRECT_MAX`` unknowns, and every system from its
   second solve on, is factored once by SuperLU, and each solve is two
@@ -30,8 +32,8 @@ paths, and one reduction that applies to each:
   the V-cycle keeps the count near 20-35 at every level, but each of its
   iterations costs about five fine-level matrix-vector products, so smaller
   systems stay on plain CG.
-* A problem that a group of graph symmetries maps onto itself (unknowns,
-  fixed vertices and data) has a solution constant on the group's orbits,
+* A problem that a group of graph symmetries maps onto itself (unknowns
+  and border data) has a solution constant on the group's orbits,
   so it is solved exactly on one unknown per orbit.  The operator is taken
   in the orthonormal basis ``S diag(|O|)^-1/2`` of orbit-constant vectors;
   it stays symmetric, so the three paths above run on it unchanged, and its
@@ -90,52 +92,46 @@ class SolveInfo:
 class DirichletSystem:
     """One boundary-value problem layout, solved for any number of data.
 
-    The sliced operator is built once.  The first :meth:`solve` runs CG,
-    preconditioned by a multigrid V-cycle when there are more than
-    ``MULTIGRID_MIN`` unknowns (built for that solve and dropped after it);
-    with at most ``DIRECT_MAX`` unknowns it factors the operator with
-    SuperLU instead.  Any later solve factors the operator if it is not
-    factored yet, and keeps the factor, so that solve and every later one
-    cost two triangular solves.  This is what makes boundary sweeps (one
-    solve per boundary vertex) affordable, while a large system solved once
-    never pays for a factor.
+    The operator and the border coupling are built once, from the rows of
+    the unknowns.  The first :meth:`solve` runs CG, preconditioned by a
+    multigrid V-cycle when there are more than ``MULTIGRID_MIN`` unknowns
+    (built for that solve and dropped after it); with at most ``DIRECT_MAX``
+    unknowns it factors the operator with SuperLU instead.  Any later solve
+    factors the operator if it is not factored yet, and keeps the factor, so
+    that solve and every later one cost two triangular solves.  This is what
+    makes boundary sweeps (one solve per boundary vertex) affordable, while a
+    large system solved once never pays for a factor.
 
     With ``orbits`` the problem is solved on the orbits O of a group of graph
-    automorphisms that maps the unknown set, the fixed set and every solve's
-    data onto themselves.  Its unique solution is then constant on orbits,
-    so solving in the orthonormal basis ``S diag(|O|)^-1/2`` of orbit-constant
-    vectors (S the orbit indicator matrix) is exact.  Row O of that operator
-    is the Laplacian row at O's least vertex with columns merged by orbit and
-    scaled by ``sqrt(|O| / |O'|)``: it stays symmetric, so all three paths
-    apply unchanged, and its residual norm equals the full system's, so
-    ``tol`` and :attr:`SolveInfo.residual` keep their meaning.
+    automorphisms that maps the unknown set, and so its border, and every
+    solve's border data onto themselves.  Its unique solution is then
+    constant on orbits, so solving in the orthonormal basis
+    ``S diag(|O|)^-1/2`` of orbit-constant vectors (S the orbit indicator
+    matrix) is exact.  Row O of that operator is the Laplacian row at O's
+    least vertex with columns merged by orbit and scaled by
+    ``sqrt(|O| / |O'|)``: it stays symmetric, so all three paths apply
+    unchanged, and its residual norm equals the full system's, so ``tol``
+    and :attr:`SolveInfo.residual` keep their meaning.
 
     Parameters
     ----------
     graph : VertexGraph
         The ambient graph.
-    unknown_ids, fixed_ids : int arrays
-        Disjoint vertex sets; every neighbor of an unknown vertex must lie in
-        ``unknown_ids | fixed_ids`` (checked), so the restriction is
-        self-contained and reflection at missing cells is encoded by the true
-        vertex degrees.
+    unknown_ids : int array
+        The vertices solved for.  Reflection at missing cells is encoded by
+        the true vertex degrees.
     orbits : int array, optional
         The least vertex of each vertex's orbit, as :meth:`VertexGraph.orbits`
-        gives it.  Both vertex sets must be unions of orbits (checked), and
-        each solve checks that its data are constant on orbits.  ``None``
-        solves on the vertices.
+        gives it.  The unknown set must be a union of orbits (checked), and
+        each solve checks that the data it reads are constant on orbits.
+        ``None`` solves on the vertices.
     """
 
-    def __init__(self, graph, unknown_ids, fixed_ids, orbits=None):
+    def __init__(self, graph, unknown_ids, orbits=None):
         self.graph = graph
         self.unknown = np.asarray(unknown_ids, dtype=np.int64)
-        self.fixed = np.asarray(fixed_ids, dtype=np.int64)
-        fixed_mask = np.zeros(graph.num_vertices, dtype=bool)
-        fixed_mask[self.fixed] = True
-        if fixed_mask[self.unknown].any():
-            raise ValueError("unknown and fixed vertex sets overlap")
-        domain_mask = fixed_mask.copy()
-        domain_mask[self.unknown] = True
+        inside = np.zeros(graph.num_vertices, dtype=bool)
+        inside[self.unknown] = True
 
         # The system's unknowns: one representative vertex per orbit.
         self._least = None
@@ -144,31 +140,37 @@ class DirichletSystem:
             least = np.asarray(orbits, dtype=np.int64)
             if least.shape != (graph.num_vertices,):
                 raise ValueError("orbits must give every vertex its orbit")
-            for name, mask in (("unknown", domain_mask & ~fixed_mask), ("fixed", fixed_mask)):
-                if not np.array_equal(mask[least], mask):
-                    raise ValueError(f"the {name} vertex set is not a union of orbits")
+            if not np.array_equal(inside[least], inside):
+                raise ValueError("the unknown vertex set is not a union of orbits")
             self._least = least
             reps = self.unknown[least[self.unknown] == self.unknown]
         self._reps = reps
 
-        # Every unknown's neighbors are images of its representative's.
+        # One pass over the representatives' rows, whose neighbors are images
+        # of every unknown's: the unknown neighbors make the operator, merged
+        # by orbit, and the others are the border, coupled by vertex id.
         rows = graph.adjacency()[reps]
-        if rows.nnz and not domain_mask[rows.indices].all():
-            raise ValueError("an unknown vertex has a neighbor outside the domain")
-
-        deg = graph.degrees[reps].astype(np.float64)
-        self._coupling = rows[:, self.fixed]
-        offdiag = rows[:, self.unknown]
-        self._orbit = self._root = None
+        into = inside[rows.indices]
+        split = np.concatenate([[0], np.cumsum(into)])[rows.indptr]  # row starts in the operator
+        column = np.empty(graph.num_vertices, dtype=np.int64)
+        column[reps] = np.arange(len(reps))
+        if self._least is not None:
+            column = column[self._least]  # an orbit's unknowns share their representative's column
+        offdiag = sp.csr_matrix((rows.data[into], column[rows.indices[into]], split),
+                                shape=(len(reps),) * 2)
+        self._coupling = sp.csr_matrix((rows.data[~into], rows.indices[~into], rows.indptr - split),
+                                       shape=(len(reps), graph.num_vertices))
+        self._orbit = self._root = self._read = None
+        if self._least is not None:
+            hit = np.zeros(graph.num_vertices, dtype=bool)
+            hit[self._least[self._coupling.indices]] = True
+            self._read = np.flatnonzero(hit[self._least])  # the whole border, a union of orbits
         if len(reps) < len(self.unknown):
-            index = np.empty(graph.num_vertices, dtype=np.int64)
-            index[reps] = np.arange(len(reps))
-            self._orbit = index[self._least[self.unknown]]  # orbit of each unknown
+            self._orbit = column[self.unknown]  # orbit of each unknown
             self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
-            offdiag = sp.csr_matrix((offdiag.data, self._orbit[offdiag.indices], offdiag.indptr),
-                                    shape=(len(reps),) * 2)
             offdiag.sum_duplicates()  # merge each row's columns by orbit
             offdiag = sp.diags(self._root) @ offdiag @ sp.diags(1.0 / self._root)
+        deg = graph.degrees[reps].astype(np.float64)
         self._lap = sp.diags(deg) - offdiag
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))
         self._solves = 0
@@ -186,22 +188,22 @@ class DirichletSystem:
 
     def solve(
         self,
-        fixed_values: np.ndarray,
+        values: np.ndarray,
         rhs: Optional[np.ndarray] = None,
         tol: float = DEFAULT_TOL,
     ) -> tuple[np.ndarray, SolveInfo]:
-        """Solve and scatter into a full-length array (NaN off-domain)."""
-        g = np.asarray(fixed_values, dtype=np.float64)
-        if g.shape != (len(self.fixed),):
-            raise ValueError("fixed_values must align with the fixed vertex set")
-        values = np.full(self.graph.num_vertices, np.nan)
-        values[self.fixed] = g
-        if self._least is not None:
-            self._require_orbit_constant(values, self.fixed, "fixed values")
+        """Solve for the unknowns with one boundary value per vertex.
+
+        Only the border values are read; the rest may be anything, NaN
+        included.  Returns a copy of ``values`` with the unknowns filled in.
+        """
+        values = np.array(values, dtype=np.float64)
+        if self._read is not None:
+            self._require_orbit_constant(values, self._read, "fixed values")
         if len(self.unknown) == 0:
             return values, SolveInfo(residual=0.0, iterations=0)
 
-        b = self._coupling @ g
+        b = self._coupling @ values
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=np.float64)
             if rhs.shape != (len(self.unknown),):

@@ -54,7 +54,7 @@ class FlowField:
 
 @dataclass
 class ResistanceReport:
-    target: np.ndarray
+    target: list  # the sorted target vertex ids
     levels: list
     resistances: list
     extrapolated: Optional[float]
@@ -62,18 +62,6 @@ class ResistanceReport:
     gamma: Optional[float] = None
     note: str = ""
     solves: list = field(default_factory=list)  # counters of each level's solve
-
-    def to_dict(self) -> dict:
-        return {
-            "target": [int(v) for v in self.target],
-            "levels": list(self.levels),
-            "resistances": list(self.resistances),
-            "extrapolated": self.extrapolated,
-            "divergent": self.divergent,
-            "gamma": self.gamma,
-            "note": self.note,
-            "solves": list(self.solves),
-        }
 
 
 def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:
@@ -129,13 +117,10 @@ def potential_flow(graph, source_ids, ground_ids, tolerance: float = DEFAULT_TOL
     group = graph.symmetries(source_ids, ground_ids)
     counters = _no_solve(len(group))
     if grounded:
-        fixed = np.concatenate([source_ids, ground_ids])
-        values = np.concatenate([np.ones(len(source_ids)), np.zeros(len(ground_ids))])
         reached[source_ids] = False
         unknown = np.nonzero(reached)[0]
-        system = DirichletSystem(graph, unknown, fixed, orbits=graph.orbits(group))
-        solved, info = system.solve(values, tol=tolerance)
-        pot[unknown] = solved[unknown]
+        system = DirichletSystem(graph, unknown, orbits=graph.orbits(group))
+        pot, info = system.solve(pot, tol=tolerance)
         counters.update(unknowns=len(unknown), orbit_unknowns=system.orbit_unknowns,
                         iterations=info.iterations, path=info.path)
     return FlowField(potential=pot, energy=dirichlet_energy(graph, pot), solve=counters)
@@ -199,7 +184,7 @@ def resistance_to_infinity(
             solves.append(_no_solve(1))
         else:
             resistances.append(effective_resistance(graph, A, ground, tolerance, solves))
-    report = functools.partial(ResistanceReport, target=A, levels=levels,
+    report = functools.partial(ResistanceReport, target=A.tolist(), levels=levels,
                                resistances=resistances, solves=solves)
 
     if len(levels) < 3:
@@ -252,19 +237,6 @@ class CapacityReport:
     max_constant: float
     spread: float
     reports: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "ds": self.ds,
-            "sensitivity": self.sensitivity,
-            "sizes": list(self.sizes),
-            "resistances": list(self.resistances),
-            "constants": list(self.constants),
-            "max_constant": self.max_constant,
-            "spread": self.spread,
-            "reports": [r.to_dict() for r in self.reports],
-        }
 
 
 def theorem5_check(

@@ -109,6 +109,13 @@ def kernel_samples(op: TransitionOperator, x: int, pairs) -> list:
     return [(y, t, float(seen[t][i])) for t in seen for i, (y, s) in enumerate(pairs) if s == t]
 
 
+def held(graph, ids, data) -> np.ndarray:
+    """Per-vertex boundary data for a solve: ``data`` on ``ids``, NaN elsewhere."""
+    values = np.full(graph.num_vertices, np.nan)
+    values[ids] = data
+    return values
+
+
 def vid(graph, *coords) -> int:
     """Vertex id at integer coordinates; fails the test if absent."""
     v = graph.vertex_id(np.asarray(coords, dtype=np.int64))

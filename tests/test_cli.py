@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import carpetlab
 from carpetlab.cli import main
 from carpetlab.geometry import read_graph, write_graph
 from carpetlab.heat import TransitionOperator
@@ -62,9 +63,12 @@ def test_unknown_flag():
 
 
 def test_console_script_is_wired():
+    # The child imports the same package as this test, wherever it lies.
+    src = os.path.dirname(os.path.dirname(carpetlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "carpetlab.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "carpet" in proc.stdout
@@ -254,6 +258,12 @@ def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_fil
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
     assert "--x: vertex id 99999 outside [0, 4096)" in capsys.readouterr().err
+    # A negative --tmax would slice the series from its end instead of failing.
+    for tmax in ("0", "-5"):
+        assert main(["heat", "diag", "--graph", g4_file, "--tmax", tmax, "--out",
+                     str(tmp_path / "diag.csv")]) == 2
+        assert f"usage error: --tmax must be at least 1, got {tmax}" in capsys.readouterr().err
+    assert not (tmp_path / "diag.csv").exists()
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("0,16\n-3,32\n")
     argv = ["heat", "regime", "--graph", g4_file, "--x", "0", "--pairs", str(pairs),

@@ -10,24 +10,23 @@ from carpetlab.harmonic import harnack_constant
 from carpetlab.linalg import ConvergenceError, DirichletSystem
 from carpetlab.resistance import dirichlet_energy
 
-from conftest import make_path
+from conftest import held, make_path
 
 
 def test_direct_path_matches_cg(g4):
     # One reused system takes the SuperLU path from its second solve on; each
     # column is checked against a fresh system's one-shot CG solve.
     part = box_vertices(g4, 4)
-    reused = DirichletSystem(g4, part.interior, part.boundary)
+    reused = DirichletSystem(g4, part.interior)
     # boundary vertices with an interior neighbor carry nonzero data
-    touching = [c for c, b in enumerate(part.boundary)
-                if np.isin(g4.neighbors(int(b)), part.interior).any()]
-    for i, col in enumerate(touching[:: len(touching) // 6][:6]):
-        g = np.zeros(len(part.boundary))
-        g[col] = 1.0
+    touching = [b for b in part.boundary if np.isin(g4.neighbors(int(b)), part.interior).any()]
+    for i, b in enumerate(touching[:: len(touching) // 6][:6]):
+        g = np.zeros(g4.num_vertices)
+        g[b] = 1.0
         direct, info = reused.solve(g)
         assert (info.iterations == 0) == (i > 0)
         assert info.residual < 1e-10
-        fresh = DirichletSystem(g4, part.interior, part.boundary)
+        fresh = DirichletSystem(g4, part.interior)
         cg_values, cg_info = fresh.solve(g)
         assert cg_info.iterations > 0
         assert fresh._factor is None
@@ -36,15 +35,19 @@ def test_direct_path_matches_cg(g4):
 
 
 def test_poisson_rhs_on_direct_path(g3):
-    # Right-hand sides on the unknowns go through the factor too.
+    # Right-hand sides on the unknowns go through the factor too.  The solve
+    # reads only the border, so data off it may be NaN, and come back as given.
     part = box_vertices(g3, 2)
-    system = DirichletSystem(g3, part.interior, part.boundary)
-    g = np.zeros(len(part.boundary))
+    system = DirichletSystem(g3, part.interior)
     rhs = g3.degrees[part.interior].astype(np.float64)
-    first, _ = system.solve(g, rhs=rhs)
-    second, info = system.solve(g, rhs=rhs)
+    first, _ = system.solve(np.zeros(g3.num_vertices), rhs=rhs)
+    border = np.setdiff1d(g3.adjacency()[part.interior].indices, part.interior)
+    assert len(border) < len(part.boundary)
+    second, info = system.solve(held(g3, border, 0.0), rhs=rhs)
     assert info.iterations == 0
-    np.testing.assert_allclose(second, first, rtol=1e-9)
+    np.testing.assert_allclose(second[part.interior], first[part.interior], rtol=1e-9)
+    np.testing.assert_array_equal(np.delete(second, part.interior),
+                                  np.delete(held(g3, border, 0.0), part.interior))
 
 
 def test_singular_system_raises(g2, monkeypatch):
@@ -53,16 +56,16 @@ def test_singular_system_raises(g2, monkeypatch):
     # the first solve runs plain CG and the second factors.
     rhs = np.zeros(g2.num_vertices)
     rhs[0] = 1.0
-    direct = DirichletSystem(g2, np.arange(g2.num_vertices), [])
+    direct = DirichletSystem(g2, np.arange(g2.num_vertices))
     with pytest.raises(ConvergenceError, match=f"SuperLU.*{g2.num_vertices} unknowns"):
-        direct.solve(np.zeros(0), rhs=rhs)
+        direct.solve(np.zeros(g2.num_vertices), rhs=rhs)
     monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
-    system = DirichletSystem(g2, np.arange(g2.num_vertices), [])
+    system = DirichletSystem(g2, np.arange(g2.num_vertices))
     with pytest.raises(ConvergenceError, match="CG stalled") as cg_err:
-        system.solve(np.zeros(0), rhs=rhs)
+        system.solve(np.zeros(g2.num_vertices), rhs=rhs)
     assert cg_err.value.residuals
     with pytest.raises(ConvergenceError, match=f"SuperLU.*{g2.num_vertices} unknowns"):
-        system.solve(np.zeros(0), rhs=rhs)
+        system.solve(np.zeros(g2.num_vertices), rhs=rhs)
 
 
 def test_exactly_singular_factor_raises(monkeypatch):
@@ -71,19 +74,19 @@ def test_exactly_singular_factor_raises(monkeypatch):
     # converge on it; the second solve's factor then fails the same way.
     rhs = np.array([1.0, 0.0, -1.0])
     with pytest.raises(ConvergenceError, match="SuperLU factor failed on 3 unknowns"):
-        DirichletSystem(make_path(3), np.arange(3), []).solve(np.zeros(0), rhs=rhs)
+        DirichletSystem(make_path(3), np.arange(3)).solve(np.zeros(3), rhs=rhs)
     monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
-    system = DirichletSystem(make_path(3), np.arange(3), [])
-    assert system.solve(np.zeros(0), rhs=rhs)[1].path == "CG"
+    system = DirichletSystem(make_path(3), np.arange(3))
+    assert system.solve(np.zeros(3), rhs=rhs)[1].path == "CG"
     with pytest.raises(ConvergenceError, match="SuperLU factor failed on 3 unknowns"):
-        system.solve(np.zeros(0), rhs=rhs)
+        system.solve(np.zeros(3), rhs=rhs)
 
 
 def test_factor_pivots_on_the_diagonal(g4):
     # SuperLU's symmetric mode orders rows and columns alike and pivots on
     # the diagonal, so the row and column permutations agree.
     part = box_vertices(g4, 4)
-    system = DirichletSystem(g4, part.interior, part.boundary)
+    system = DirichletSystem(g4, part.interior)
     assert system.factor_nnz == 0
     factor = system._factored()
     np.testing.assert_array_equal(factor.perm_r, factor.perm_c)
@@ -94,14 +97,14 @@ def test_small_systems_factor_on_their_first_solve(g4, monkeypatch):
     # 3,935 unknowns start on CG; the level-3 box (459 unknowns) factors at
     # once, and its answer is the plain CG answer.
     part = box_vertices(g4, 4)
-    g = np.ones(len(part.boundary))
-    assert DirichletSystem(g4, part.interior, part.boundary).solve(g)[1].path == "CG"
+    g = np.ones(g4.num_vertices)
+    assert DirichletSystem(g4, part.interior).solve(g)[1].path == "CG"
     part = box_vertices(g4, 3)
-    g = np.linspace(0.0, 1.0, len(part.boundary))
-    direct, info = DirichletSystem(g4, part.interior, part.boundary).solve(g)
+    g = held(g4, part.boundary, np.linspace(0.0, 1.0, len(part.boundary)))
+    direct, info = DirichletSystem(g4, part.interior).solve(g)
     assert (len(part.interior), info.path, info.iterations) == (459, "SuperLU", 0)
     monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
-    plain, info = DirichletSystem(g4, part.interior, part.boundary).solve(g)
+    plain, info = DirichletSystem(g4, part.interior).solve(g)
     assert info.path == "CG" and info.iterations > 0
     np.testing.assert_allclose(direct, plain, rtol=0.0, atol=1e-9)
 
@@ -112,12 +115,8 @@ def test_small_systems_factor_on_their_first_solve(g4, monkeypatch):
 def _face_system(graph):
     """The face-to-face resistance layout: 1 on the x_0 = 0 face, 0 on the far face."""
     first = graph.coords[:, 0]
-    source = np.nonzero(first == 0)[0]
-    ground = np.nonzero(first == graph.side - 1)[0]
-    fixed = np.concatenate([source, ground])
-    unknown = np.setdiff1d(np.arange(graph.num_vertices), fixed)
-    values = np.concatenate([np.ones(len(source)), np.zeros(len(ground))])
-    return DirichletSystem(graph, unknown, fixed), values
+    unknown = np.nonzero((first > 0) & (first < graph.side - 1))[0]
+    return DirichletSystem(graph, unknown), (first == 0).astype(np.float64)
 
 
 def test_multigrid_matches_plain_cg(g5, monkeypatch):
@@ -147,8 +146,8 @@ def test_non_carpet_graph_takes_the_multigrid_path():
     # A 40,000-vertex path with its ends held at 0 and 1: the potential is
     # linear.  Plain CG would need about 20,000 iterations, beyond its cap.
     n = 40_000
-    system = DirichletSystem(make_path(n), np.arange(1, n - 1), [0, n - 1])
-    values, info = system.solve(np.array([0.0, 1.0]))
+    system = DirichletSystem(make_path(n), np.arange(1, n - 1))
+    values, info = system.solve(held(make_path(n), [0, n - 1], [0.0, 1.0]))
     assert info.iterations <= 40
     np.testing.assert_allclose(values, np.arange(n) / (n - 1), rtol=0.0, atol=1e-8)
 
@@ -158,11 +157,11 @@ def test_multigrid_stall_names_the_method(monkeypatch):
     # lowered threshold puts this small system on the preconditioned path.
     monkeypatch.setattr(linalg, "MULTIGRID_MIN", 1000)
     n = 2000
-    system = DirichletSystem(make_path(n), np.arange(n), [])
+    system = DirichletSystem(make_path(n), np.arange(n))
     rhs = np.zeros(n)
     rhs[0] = 1.0
     with pytest.raises(ConvergenceError) as err:
-        system.solve(np.zeros(0), rhs=rhs)
+        system.solve(np.zeros(n), rhs=rhs)
     message = str(err.value)
     cap = system._cap
     assert message.startswith("multigrid-preconditioned CG stalled")
@@ -186,12 +185,12 @@ def test_singular_coarsest_factor_raises():
                   for c in cells for axis in range(5) if c[axis] + 1 < (2, 3, 3, 3, 3)[axis]]
         coords += [(3 * block + c[0], *c[1:]) for c in cells]
     graph = VertexGraph.from_edges(coords, edges)
-    system = DirichletSystem(graph, np.arange(graph.num_vertices), [])
+    system = DirichletSystem(graph, np.arange(graph.num_vertices))
     rhs = np.zeros(graph.num_vertices)
     rhs[0] = 1.0
     with pytest.raises(ConvergenceError, match="multigrid coarsest factor failed on 186 of "
                                                "30132 unknowns: Factor is exactly singular"):
-        system.solve(np.zeros(0), rhs=rhs)
+        system.solve(np.zeros(graph.num_vertices), rhs=rhs)
 
 
 def test_hierarchy_stops_where_aggregation_stalls(monkeypatch):
@@ -200,9 +199,9 @@ def test_hierarchy_stops_where_aggregation_stalls(monkeypatch):
     # the diagonal operator at the fine level instead of looping.
     monkeypatch.setattr(linalg, "MULTIGRID_MIN", 0)
     n = 2001
-    system = DirichletSystem(make_path(n), np.arange(1, n, 2), np.arange(0, n, 2))
+    system = DirichletSystem(make_path(n), np.arange(1, n, 2))
     g = np.arange(0, n, 2) ** 2.0
-    values, info = system.solve(g)
+    values, info = system.solve(np.arange(n) ** 2.0)
     assert (info.path, info.iterations) == ("V-cycle", 1)
     np.testing.assert_allclose(values[1::2], (g[:-1] + g[1:]) / 2, rtol=1e-12)
 
@@ -229,14 +228,14 @@ def _face_orbits(graph):
     system, values = _face_system(graph)
     first = graph.coords[:, 0]
     rows = graph.symmetries(np.nonzero(first == 0)[0], np.nonzero(first == graph.side - 1)[0])
-    return system.unknown, system.fixed, values, graph.orbits(rows)
+    return system.unknown, values, graph.orbits(rows)
 
 
 def test_orbit_quotient_of_the_3d_face_system(g3d4):
     # 443,854 vertex unknowns lump to 57,454 orbits under the 8 symmetries;
     # the V-cycle still solves them in about 30 iterations.
-    unknown, fixed, values, orbits = _face_orbits(g3d4)
-    system = DirichletSystem(g3d4, unknown, fixed, orbits=orbits)
+    unknown, values, orbits = _face_orbits(g3d4)
+    system = DirichletSystem(g3d4, unknown, orbits=orbits)
     assert (len(system.unknown), system.orbit_unknowns) == (443_854, 57_454)
     solved, info = system.solve(values)
     assert info.path == "V-cycle" and info.iterations <= 40
@@ -245,25 +244,29 @@ def test_orbit_quotient_of_the_3d_face_system(g3d4):
 
 
 def test_orbit_sets_must_be_unions_of_orbits(g3):
-    unknown, fixed, _, orbits = _face_orbits(g3)
+    unknown, _, orbits = _face_orbits(g3)
     split = np.nonzero(orbits[unknown] != unknown)[0][0]  # a vertex whose orbit has another
     with pytest.raises(ValueError, match="unknown vertex set is not a union of orbits"):
-        DirichletSystem(g3, np.delete(unknown, split), np.append(fixed, unknown[split]),
-                        orbits=orbits)
-    lone = np.nonzero(orbits[fixed] != fixed)[0][0]
-    with pytest.raises(ValueError, match="fixed vertex set is not a union of orbits"):
-        DirichletSystem(g3, unknown, np.delete(fixed, lone), orbits=orbits)
+        DirichletSystem(g3, np.delete(unknown, split), orbits=orbits)
     with pytest.raises(ValueError, match="orbits must give every vertex its orbit"):
-        DirichletSystem(g3, unknown, fixed, orbits=orbits[:-1])
+        DirichletSystem(g3, unknown, orbits=orbits[:-1])
 
 
 def test_orbit_data_must_be_constant_on_orbits(g3):
-    unknown, fixed, values, orbits = _face_orbits(g3)
-    system = DirichletSystem(g3, unknown, fixed, orbits=orbits)
+    # Data that vary on an orbit of the border raise; off the border (a face
+    # cell whose only neighbors lie on its face) they are never read.
+    unknown, values, orbits = _face_orbits(g3)
+    system = DirichletSystem(g3, unknown, orbits=orbits)
+    border = np.setdiff1d(g3.adjacency()[unknown].indices, unknown)
+    paired = np.flatnonzero(orbits != np.arange(g3.num_vertices))  # orbits with another vertex
     broken = values.copy()
-    broken[np.nonzero(orbits[fixed] != fixed)[0][0]] = 0.5
+    broken[np.intersect1d(paired, border)[0]] = 0.5
     with pytest.raises(ValueError, match="fixed values are not constant on orbits"):
         system.solve(broken)
+    solved, _ = system.solve(values)
+    broken = values.copy()
+    broken[np.setdiff1d(paired, np.union1d(unknown, border))[0]] = 0.5
+    np.testing.assert_array_equal(system.solve(broken)[0][unknown], solved[unknown])
     rhs = np.zeros(len(unknown))
     rhs[np.nonzero(orbits[unknown] != unknown)[0][0]] = 1.0
     with pytest.raises(ValueError, match="rhs are not constant on orbits"):
@@ -281,13 +284,17 @@ def test_vertex_basis_is_the_plain_assembly(g4):
     # coupling are the sliced Laplacian exactly as a plain Dirichlet solve
     # builds it, entry for entry, so the level-4 Harnack sweep is unchanged
     # to the last bit (values frozen from the sweep before orbit solves).
+    # The coupling reads the border alone: 106 of the 161 boundary cells.
     part = box_vertices(g4, 4)
     rows = g4.adjacency()[part.interior]
     lap = sp.diags(g4.degrees[part.interior].astype(np.float64)) - rows[:, part.interior]
-    coupling = rows[:, part.boundary]
+    border = np.setdiff1d(rows.indices, part.interior)
+    assert (len(border), len(part.boundary)) == (106, 161)
+    coupling = rows[:, border]
     for orbits in (None, g4.orbits([0])):
-        system = DirichletSystem(g4, part.interior, part.boundary, orbits=orbits)
-        for built, plain in ((system._lap, lap), (system._coupling, coupling)):
+        system = DirichletSystem(g4, part.interior, orbits=orbits)
+        np.testing.assert_array_equal(np.unique(system._coupling.indices), border)
+        for built, plain in ((system._lap, lap), (system._coupling[:, border], coupling)):
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(built, attr), getattr(plain, attr))
     report = harnack_constant(g4, 4)

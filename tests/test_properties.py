@@ -15,6 +15,8 @@ from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
+from conftest import held
+
 MAX_VERTICES = 5000
 
 
@@ -181,12 +183,13 @@ def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
     assume(unknown.size > 0)
     g = rng.uniform(-1.0, 1.0, len(fixed))
     slack = 1e-9 * (g.max() - g.min()) + 1e-12
-    system = DirichletSystem(graph, unknown, fixed)
-    solutions = [system.solve(g, tol=1e-12)[0], system.solve(g, tol=1e-12)[0]]
+    data = held(graph, fixed, g)
+    system = DirichletSystem(graph, unknown)
+    solutions = [system.solve(data, tol=1e-12)[0], system.solve(data, tol=1e-12)[0]]
     for knob in ("MULTIGRID_MIN", "DIRECT_MAX"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, knob, 0)
-            solutions.append(DirichletSystem(graph, unknown, fixed).solve(g, tol=1e-12)[0])
+            solutions.append(DirichletSystem(graph, unknown).solve(data, tol=1e-12)[0])
     for values in solutions:
         solved = values[unknown]
         assert solved.min() >= g.min() - slack
@@ -195,7 +198,7 @@ def test_dirichlet_solutions_obey_the_maximum_principle(graph, seed, share):
 
 def _orbit_problem(graph, kind, level, pick):
     """One symmetric boundary-value problem of the resistance and exit-time code:
-    ``(unknown, fixed, fixed values, rhs, symmetry rows)``."""
+    ``(unknown, data, rhs, symmetry rows)``, the data NaN off the border."""
     d, side = graph.params.d, graph.side
     if kind == "face":
         source = np.nonzero(graph.coords[:, 0] == 0)[0]
@@ -216,14 +219,14 @@ def _orbit_problem(graph, kind, level, pick):
         inside = dist < side / 3.0
         unknown = np.nonzero(inside)[0]
         nbrs = np.unique(graph.adjacency()[unknown].indices)
-        fixed = nbrs[~inside[nbrs]]
+        data = held(graph, nbrs[~inside[nbrs]], 0.0)
         rhs = graph.degrees[unknown] / (1.0 - HOLD)
-        return unknown, fixed, np.zeros(len(fixed)), rhs, graph.symmetries([x])
+        return unknown, data, rhs, graph.symmetries([x])
     reached, _ = _reached(graph, source, ground)
     reached[source] = False
-    fixed = np.concatenate([source, ground])
-    values = np.concatenate([np.ones(len(source)), np.zeros(len(ground))])
-    return np.nonzero(reached)[0], fixed, values, None, rows
+    data = held(graph, ground, 0.0)
+    data[source] = 1.0
+    return np.nonzero(reached)[0], data, None, rows
 
 
 @settings(deadline=None)
@@ -235,12 +238,12 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
     # recomputed on the full system, must meet the tolerance.
     level = graph.level if data is None else data.draw(st.integers(1, graph.level))
     pick %= 3 if kind == "corner" else 2
-    unknown, fixed, g, rhs, rows = _orbit_problem(graph, kind, level, pick)
-    assume(unknown.size > 0 and fixed.size > 0)
+    unknown, g, rhs, rows = _orbit_problem(graph, kind, level, pick)
+    assume(unknown.size > 0 and not np.isnan(g).all())
     tol = 1e-10
-    plain, _ = DirichletSystem(graph, unknown, fixed).solve(g, rhs=rhs, tol=tol)
+    plain, _ = DirichletSystem(graph, unknown).solve(g, rhs=rhs, tol=tol)
     orbits = graph.orbits(rows)
-    system = DirichletSystem(graph, unknown, fixed, orbits=orbits)
+    system = DirichletSystem(graph, unknown, orbits=orbits)
     assert system.orbit_unknowns == len(np.unique(orbits[unknown]))
     lap = system._lap
     assert abs(lap - lap.T).max() <= 1e-12 * abs(lap).max()
@@ -248,7 +251,7 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
     for knob in ("MULTIGRID_MIN", "DIRECT_MAX"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, knob, 0)
-            forced = DirichletSystem(graph, unknown, fixed, orbits=orbits)
+            forced = DirichletSystem(graph, unknown, orbits=orbits)
             solves.append(forced.solve(g, rhs=rhs, tol=tol))
     # the V-cycle, plain CG, then this system's first solve and its second,
     # which is SuperLU's
@@ -258,10 +261,10 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
     for values, info in solves:
         scale = max(1.0, np.abs(plain[unknown]).max())
         np.testing.assert_allclose(values[unknown], plain[unknown], rtol=0.0, atol=1e-9 * scale)
-        np.testing.assert_array_equal(values[fixed], g)
+        np.testing.assert_array_equal(np.delete(values, unknown), np.delete(g, unknown))
 
-        held = np.zeros(graph.num_vertices)
-        held[fixed] = g
+        held = np.nan_to_num(g)
+        held[unknown] = 0.0
         u = held.copy()
         u[unknown] = values[unknown]
         adj = graph.adjacency()

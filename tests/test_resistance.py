@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,9 @@ def test_resistance_to_infinity_transient(g3d):
     assert not rep.divergent
     assert rep.extrapolated == pytest.approx(0.7642375536559681, rel=1e-6)
     assert rep.gamma == pytest.approx(0.291298546263976, rel=1e-4)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["extrapolated"] == rep.extrapolated
+    assert d["target"] == [0]
 
 
 def test_resistance_to_infinity_needs_levels(g3d):
@@ -169,7 +172,7 @@ def test_resistance_solves_are_counted(params3, g3d):
     # Up to DIRECT_MAX orbit unknowns factor on the first solve; more run CG.
     assert [(s["path"], s["iterations"] > 0) for s in rep.solves] == [
         ("SuperLU", False), ("SuperLU", False), ("CG", True)]
-    assert rep.to_dict()["solves"] == rep.solves
+    assert asdict(rep)["solves"] == rep.solves
     # A target that is not permutation-invariant keeps only the permutations fixing it.
     pair = [0, vid(g3d, 1, 0, 0)]
     assert resistance_to_infinity(g3d, pair, levels=[2]).solves[0]["symmetry_order"] == 2
