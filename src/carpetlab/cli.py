@@ -31,7 +31,7 @@ from .harmonic import (
 )
 from .heat import TransitionOperator, central_vertex, estimate_dw
 from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, kernel_entries
-from .coupling import run_coupled_walk, upgrade_statistics
+from .coupling import MAX_STEPS, run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
 from .harness import config_from_sources, export_report, run_suite
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--y", type=int, help="second walker (default: origin's axis-d neighbor)")
     q.add_argument("--trials", type=int, default=10000)
     q.add_argument("--seed", type=int, default=42)
-    q.add_argument("--max-steps", type=int, default=100_000)
+    q.add_argument("--max-steps", type=int, default=MAX_STEPS)
     q.add_argument("--audit", action="store_true", help="include per-trial digests")
     q.add_argument("--out")
     q = couple_sub.add_parser("upgrade", help="association upgrade rate per renewal window")
@@ -297,20 +297,20 @@ def _cmd_couple(args) -> int:
             x = graph.vertex_id(origin)
             origin[-1] = 1
             y = graph.vertex_id(origin)
-        outcomes = run_coupled_walk(graph, x, y, args.n, trials=args.trials,
-                                    max_steps=args.max_steps, seed=args.seed)
-        valid = [o for o in outcomes if not o.truncated]
-        coupled = sum(1 for o in valid if o.coupled)
+        walks = run_coupled_walk(graph, x, y, args.n, trials=args.trials,
+                                 max_steps=args.max_steps, seed=args.seed)
+        valid = int((~walks["truncated"]).sum())
+        coupled = int(walks["coupled"].sum())
         payload = {
             "n": args.n,
             "pair": [int(x), int(y)],
             "trials": args.trials,
-            "valid": len(valid),
+            "valid": valid,
             "coupled": coupled,
-            "probability": coupled / len(valid) if valid else None,
+            "probability": coupled / valid if valid else None,
         }
         if args.audit:
-            payload["digests"] = [o.trajectory_digest for o in outcomes]
+            payload["digests"] = [f"{d:016x}" for d in walks["digest"].tolist()]
         _write_json_out(payload, args.out)
         return 0
     stats = upgrade_statistics(graph, m=args.m, trials=args.trials, n=args.n,

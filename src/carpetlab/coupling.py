@@ -12,8 +12,10 @@ increment.  Either way each walker, viewed alone, is a lazy simple random
 walk.
 
 Association is refreshed after every step (upgrades can only be found
-earlier that way); renewal times at displacement k^m are recorded separately
-for the per-renewal upgrade statistic.
+earlier that way).  ``upgrade_statistics`` also counts renewals (the renewal
+step of the Barlow-Bass coupling argument): one fires whenever the first
+walker has moved k^m from the last renewal point, m being the association
+level of the pairs it draws.
 
 Trials run in lockstep on numpy tables indexed by vertex id, at most
 ``_POOL`` at a time, a stopped trial's slot going to the next one.  Stream
@@ -32,7 +34,7 @@ beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,7 +44,6 @@ from .harmonic import HOLD
 from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
-    "CouplingOutcome",
     "association_level",
     "run_coupled_walk",
     "pair_catalog",
@@ -56,29 +57,20 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 # Trials under way at once: bounds the pool's arrays and each step's draws.
 _POOL = 1024
 
+# Default step cap: a box-stopped trial still under way after it is truncated.
+MAX_STEPS = 100_000
+
 # Trial status codes; IDLE marks an empty pool slot.
 ACTIVE, COUPLED, EXITED, UPGRADED, EXHAUSTED, TRUNCATED, IDLE = range(7)
 # The per-walk array fields of _Walks, and the ones a stopped walk reports.
-_STATE = ("trial", "x", "y", "m", "iso", "digest", "steps", "ref", "scale_sq",
-          "renewals", "max_level", "status")
-_OUTPUT = ("y", "digest", "steps", "max_level", "status")
+_STATE = ("trial", "x", "y", "m", "iso", "digest", "steps", "ref", "renewals", "status")
+_OUTPUT = ("y", "digest", "steps", "status")
 
 
 def _fnv_fold(h: np.ndarray, values: np.ndarray) -> np.ndarray:
     # FNV-1a style rolling fold over vertex ids (whole ints, not bytes),
     # wrapping mod 2^64.
     return (h ^ values.astype(np.uint64)) * _FNV_PRIME
-
-
-@dataclass(slots=True)
-class CouplingOutcome:
-    coupled: bool
-    steps_taken: int
-    exited_box: bool
-    renewal_times: list
-    max_level_reached: int
-    trajectory_digest: str
-    truncated: bool
 
 
 @dataclass
@@ -88,9 +80,8 @@ class _Walks:
     The stopping rule: with ``box_side`` set, a trial stops when the walkers
     meet or either leaves ``[0, box_side)^d``; with ``target`` set, when the
     association level reaches it; with ``max_renewals`` set, at that many
-    renewals.  Renewals fire when the first walker has moved ``k^l`` from the
-    last renewal point, with ``l`` fixed at ``renewal_level`` or, if that is
-    None, the association level current at the last renewal.
+    renewals.  Renewals are counted only then: one fires when the first
+    walker has moved ``k^renewal_level`` from the last renewal point.
     """
 
     trial: np.ndarray
@@ -101,16 +92,12 @@ class _Walks:
     digest: np.ndarray
     steps: np.ndarray
     ref: np.ndarray
-    scale_sq: np.ndarray
     renewals: np.ndarray
-    max_level: np.ndarray
     status: np.ndarray
     box_side: Optional[int] = None
     target: Optional[int] = None
     max_renewals: Optional[int] = None
     renewal_level: Optional[int] = None
-    # one (trial ids, steps) pair per step that had renewals
-    renewal_log: list = field(default_factory=list)
 
     @classmethod
     def empty(cls, size: int, **rule) -> "_Walks":
@@ -208,37 +195,28 @@ class _Coupler:
             raise RuntimeError("level-0 association failed; tables are corrupt")
         return m, np.argmax(match, axis=1)
 
-    def start(
-        self,
-        x0: np.ndarray,
-        y0: np.ndarray,
-        trial: Optional[np.ndarray] = None,
-        box_side: Optional[int] = None,
-        target: Optional[int] = None,
-        max_renewals: Optional[int] = None,
-        renewal_level: Optional[int] = None,
-    ) -> _Walks:
+    def start(self, x0: np.ndarray, y0: np.ndarray, trial: Optional[np.ndarray] = None,
+              **rule) -> _Walks:
         """Walks of ``trial[i]`` (default i) from the pairs ``(x0[i], y0[i])``.
 
-        A walk that already meets the stopping rule starts stopped.
+        ``rule`` sets the stopping-rule fields of ``_Walks``; a walk that
+        already meets the stopping rule starts stopped.
         """
         x = np.asarray(x0, dtype=np.int64).copy()
         y = np.asarray(y0, dtype=np.int64).copy()
         m, iso = self.refresh(x, y)
-        status = np.full(len(x), ACTIVE, dtype=np.int8)
-        if target is not None:
-            status[m >= target] = UPGRADED
-        if box_side is not None:
-            status[(status == ACTIVE) & (x == y)] = COUPLED
-        fixed = m if renewal_level is None else np.full(len(x), renewal_level)
-        return _Walks(
+        w = _Walks(
             trial=np.arange(len(x)) if trial is None else trial, x=x, y=y, m=m, iso=iso,
             digest=_fnv_fold(_fnv_fold(np.full(len(x), _FNV_OFFSET), x), y),
             steps=np.zeros(len(x), dtype=np.int64), ref=x.copy(),
-            scale_sq=self.scale_sq[fixed], renewals=np.zeros(len(x), dtype=np.int64),
-            max_level=m.copy(), status=status, box_side=box_side, target=target,
-            max_renewals=max_renewals, renewal_level=renewal_level,
+            renewals=np.zeros(len(x), dtype=np.int64),
+            status=np.full(len(x), ACTIVE, dtype=np.int8), **rule,
         )
+        if w.target is not None:
+            w.status[m >= w.target] = UPGRADED
+        if w.box_side is not None:
+            w.status[(w.status == ACTIVE) & (x == y)] = COUPLED
+        return w
 
     def advance(self, w: _Walks, u: np.ndarray) -> None:
         """Move every active entry of ``w`` one coupled step and apply its stopping rule.
@@ -286,7 +264,6 @@ class _Coupler:
         w.x[idx], w.y[idx], w.m[idx], w.iso[idx] = nx, ny, m, iso
         w.digest[idx] = _fnv_fold(_fnv_fold(w.digest[idx], nx), ny)
         w.steps[idx] += 1
-        w.max_level[idx] = np.maximum(w.max_level[idx], m)
 
         status = np.full(len(idx), ACTIVE, dtype=np.int8)
         if w.target is not None:
@@ -296,19 +273,16 @@ class _Coupler:
             out |= (self.coords[ny] >= w.box_side).any(axis=1)
             status[(status == ACTIVE) & out] = EXITED
             status[(status == ACTIVE) & (nx == ny)] = COUPLED
-        # The first walker's displacement changes only when it moves, and it
-        # was below the scale after the previous step, so testing every
-        # active entry finds exactly the renewals of the movers.
-        disp = ((self.coords[nx] - self.coords[w.ref[idx]]) ** 2).sum(axis=1)
-        renew = (status == ACTIVE) & (disp >= w.scale_sq[idx])
-        if renew.any():
-            r = idx[renew]
-            w.ref[r] = nx[renew]
-            if w.renewal_level is None:
-                w.scale_sq[r] = self.scale_sq[m[renew]]
-            w.renewals[r] += 1
-            w.renewal_log.append((w.trial[r], w.steps[r]))
-            if w.max_renewals is not None:
+        if w.max_renewals is not None:
+            # The first walker's displacement changes only when it moves, and
+            # it was below the scale after the previous step, so testing
+            # every active entry finds exactly the renewals of the movers.
+            disp = ((self.coords[nx] - self.coords[w.ref[idx]]) ** 2).sum(axis=1)
+            renew = (status == ACTIVE) & (disp >= self.scale_sq[w.renewal_level])
+            if renew.any():
+                r = idx[renew]
+                w.ref[r] = nx[renew]
+                w.renewals[r] += 1
                 status[renew & (w.renewals[idx] >= w.max_renewals)] = EXHAUSTED
         w.status[idx] = status
 
@@ -316,7 +290,7 @@ class _Coupler:
         """Walk trials ``0..trials-1`` to their stop.
 
         Returns the ``_OUTPUT`` fields of every trial, as arrays indexed by
-        trial id, and the renewal log.
+        trial id.
 
         Trial i draws from the stream of ``derive_rng(seed, label, i)``;
         ``starts(states)`` returns the start pairs ``(x0, y0)`` of newly
@@ -352,7 +326,7 @@ class _Coupler:
                     break
                 continue
             self.advance(pool, draw_uniforms(streams, live))
-        return done, pool.renewal_log
+        return done
 
 
 def _coupler(graph: CarpetGraph, m_max: int) -> _Coupler:
@@ -385,61 +359,54 @@ def association_level(graph: CarpetGraph, x: int, y: int, m_max: int) -> int:
     return best
 
 
+def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:
+    """Preconditions of ``trials`` walks stopped on leaving the level-n box."""
+    if n < 1:
+        raise ValueError(f"box level n must be at least 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if graph.level < n + 1:
+        raise ValueError(f"need graph level >= {n + 1} for box level {n}")
+
+
 def run_coupled_walk(
     graph: CarpetGraph,
     x0: int,
     y0: int,
     n: int,
     trials: int,
-    max_steps: int = 100_000,
+    max_steps: int = MAX_STEPS,
     seed: int = 0,
-) -> list[CouplingOutcome]:
+) -> dict[str, np.ndarray]:
     """Run the mirrored coupling until meeting, box exit, or the step cap.
 
     Both walkers start in the level-(n-1) box; a trial ends when they occupy
     the same vertex (coupled), when either leaves the level-n box (exited),
     or at ``max_steps`` (truncated — excluded from probability estimates).
-    Renewal times record when the first walker's displacement since the last
-    renewal reaches k^m, with m the association level current at that
-    renewal.  Returns the outcomes of trials ``0..trials-1``, each fully
-    reproducible from (seed, trial).
+    Returns arrays indexed by trial id over ``0..trials-1``: the ``coupled``
+    and ``truncated`` flags, the ``steps`` walked and the ``digest`` of each
+    trajectory (an FNV-1a fold of both walkers' vertex ids, start included),
+    each fully reproducible from (seed, trial).
     """
-    if n < 1:
-        raise ValueError(f"box level n must be at least 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_box_run(graph, n, trials)
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    if graph.level < n + 1:
-        raise ValueError(f"need graph level >= {n + 1} for box level {n}")
     k = graph.params.k
     inner_side = k ** (n - 1)
     for v in (x0, y0):
         if any(c >= inner_side for c in graph.coords[v]):
             raise ValueError(f"vertex {v} is outside the level-{n - 1} box")
     eng = _coupler(graph, n)
-    done, renewal_log = eng.run(
+    done = eng.run(
         seed, "coupled-walk", trials, max_steps,
         lambda states: (np.full(len(states), x0), np.full(len(states), y0)), box_side=k ** n,
     )
-    renewal_times = [[] for _ in range(trials)]
-    for ids, steps in renewal_log:
-        for i, t in zip(ids.tolist(), steps.tolist()):
-            renewal_times[i].append(t)
-    return [
-        CouplingOutcome(
-            coupled=bool(status == COUPLED),
-            steps_taken=int(steps),
-            exited_box=bool(status == EXITED),
-            renewal_times=times,
-            max_level_reached=int(level),
-            trajectory_digest=f"{int(digest):016x}",
-            truncated=bool(status == TRUNCATED),
-        )
-        for status, steps, times, level, digest in zip(
-            done["status"], done["steps"], renewal_times, done["max_level"], done["digest"]
-        )
-    ]
+    return {
+        "coupled": done["status"] == COUPLED,
+        "truncated": done["status"] == TRUNCATED,
+        "steps": done["steps"],
+        "digest": done["digest"],
+    }
 
 
 def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
@@ -482,17 +449,14 @@ def upgrade_statistics(
     succeeds when the refreshed association level reaches m + 1 before the
     j-th renewal completes and before either walker leaves the level-n box.
     Already-(m+1)-associated draws count as immediate successes; trials
-    truncated at 100,000 steps are excluded from the denominator.
+    truncated at ``MAX_STEPS`` steps are excluded from the denominator.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    _check_box_run(graph, n, trials)
     if m < 0:
         raise ValueError(f"association level m must be nonnegative, got {m}")
     if j < 1:
         raise ValueError(f"renewal count j must be at least 1, got {j}")
-    if graph.level < n + 1 or graph.level < m + 1:
-        raise ValueError("built region too small for this experiment")
-    catalog = pair_catalog(graph, m, n)
+    catalog = pair_catalog(graph, m, n)  # checks that level m + 1 is built
     if not catalog:
         raise ValueError(f"no m={m} associated pairs inside the level-{n - 1} box")
     catalog = np.array(catalog, dtype=np.int64)
@@ -505,8 +469,8 @@ def upgrade_statistics(
 
     # A met pair is associated at every level, so it stops as an upgrade
     # before it can count as coupled.
-    done, _ = eng.run(seed, "upgrade-trial", trials, 100_000, starts, box_side=box_side,
-                      target=m + 1, max_renewals=j, renewal_level=m)
+    done = eng.run(seed, "upgrade-trial", trials, MAX_STEPS, starts, box_side=box_side,
+                   target=m + 1, max_renewals=j, renewal_level=m)
     counts = np.bincount(done["status"], minlength=IDLE)
     immediate = int(((done["status"] == UPGRADED) & (done["steps"] == 0)).sum())
     successes = int(counts[UPGRADED])
@@ -542,6 +506,6 @@ def sample_marginal(
     against the heat-kernel row (the marginal-law contract).
     """
     eng = _coupler(graph, graph.level)
-    done, _ = eng.run(seed, "marginal-trial", trials, steps,
-                      lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
+    done = eng.run(seed, "marginal-trial", trials, steps,
+                   lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
     return np.bincount(done["y"], minlength=graph.num_vertices)

@@ -389,15 +389,11 @@ def exp_couple(ctx: _SuiteContext) -> dict:
     first_dir[-1] = 1
     y0 = int(graph.vertex_id(first_dir))
 
-    # only the flags are kept, so the outcomes are freed before the upgrade run
-    valid = [
-        o.coupled
-        for o in run_coupled_walk(graph, x0, y0, n, trials=ctx.config.trials, seed=ctx.config.seed)
-        if not o.truncated
-    ]
-    coupled = sum(valid)
-    p_hat = coupled / len(valid) if valid else float("nan")
-    se = (p_hat * (1 - p_hat) / len(valid)) ** 0.5 if valid else float("nan")
+    walks = run_coupled_walk(graph, x0, y0, n, trials=ctx.config.trials, seed=ctx.config.seed)
+    valid = int((~walks["truncated"]).sum())
+    coupled = int(walks["coupled"].sum())
+    p_hat = coupled / valid if valid else float("nan")
+    se = (p_hat * (1 - p_hat) / valid) ** 0.5 if valid else float("nan")
 
     upgrade = upgrade_statistics(
         graph, m=0, trials=ctx.config.trials, n=n, seed=ctx.config.seed, j=8
@@ -409,7 +405,7 @@ def exp_couple(ctx: _SuiteContext) -> dict:
                 "n": n,
                 "pair": [x0, y0],
                 "trials": ctx.config.trials,
-                "valid": len(valid),
+                "valid": valid,
                 "coupled": coupled,
                 "probability": p_hat,
                 "standard_error": se,

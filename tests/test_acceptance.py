@@ -214,7 +214,7 @@ def test_criterion_7_coupling_probability(g5):
     x, y = vid(g5, 0, 0), vid(g5, 0, 1)
     phat = {}
     for n in (2, 3):
-        hits = sum(o.coupled for o in run_coupled_walk(g5, x, y, n, trials=10_000, seed=42))
+        hits = int(run_coupled_walk(g5, x, y, n, trials=10_000, seed=42)["coupled"].sum())
         phat[n] = hits / 10_000.0
     ok = all(p >= 0.05 for p in phat.values())
     assert verdict(
@@ -232,9 +232,7 @@ def test_criterion_7_oscillation_bound(g4, harnack_reports):
     for n in (2, 3):
         rep = harnack_reports[n]
         i, j, _ = rep.rho_witness
-        hits = sum(
-            o.coupled for o in run_coupled_walk(g4, int(i), int(j), n, trials=trials, seed=42)
-        )
+        hits = int(run_coupled_walk(g4, int(i), int(j), n, trials=trials, seed=42)["coupled"].sum())
         p = hits / trials
         se = (p * (1.0 - p) / trials) ** 0.5
         bound = 1.0 - p + 3.0 * se

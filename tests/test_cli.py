@@ -8,6 +8,7 @@ import pytest
 
 import carpetlab
 from carpetlab.cli import main
+from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import read_graph, write_graph
 from carpetlab.heat import TransitionOperator
 
@@ -295,6 +296,24 @@ def test_couple_run_audit(capsys, g3_file):
     assert all(len(d) == 16 for d in payload["digests"])
 
 
+def test_couple_run_agrees_with_the_suite(capsys, tmp_path, g3_file, g3):
+    # The suite's couple experiment runs the default pair of `couple run` on
+    # the same level-3 carpet: same trials, same counts.
+    code, run = run_json(capsys, ["couple", "run", "--graph", g3_file, "--n", "2",
+                                  "--trials", "300", "--seed", "7", "--audit"])
+    assert code == 0
+    assert main(["suite", "--levels", "2,3", "--experiments", "couple", "--trials", "300",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    suite = json.loads((tmp_path / "couple.json").read_text())
+    assert (suite["n"], suite["pair"]) == (run["n"], run["pair"])
+    for key in ("valid", "coupled", "probability"):
+        assert suite[key] == run[key]
+    walks = run_coupled_walk(g3, *run["pair"], 2, trials=300, seed=7)
+    assert run["digests"] == [f"{d:016x}" for d in walks["digest"].tolist()]
+    assert run["digests"][:3] == ["d492f41d00418dbe", "0378e88c9976ed90", "42649460eabf73f5"]
+
+
 def test_couple_run_needs_both_ids(capsys, g3_file):
     assert main(["couple", "run", "--graph", g3_file, "--n", "2", "--x", "0"]) == 2
 
@@ -321,6 +340,7 @@ def test_couple_upgrade_rejects_bad_levels(capsys, g3_file):
     for extra, message in (
         (["--m", "-1"], "association level m must be nonnegative"),
         (["--m", "0", "--j", "0"], "renewal count j must be at least 1"),
+        (["--m", "0", "--n", "0"], "box level n must be at least 1, got 0"),
     ):
         assert main([*base, *extra]) == 2
         assert message in capsys.readouterr().err

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -189,24 +187,27 @@ def test_marginal_law_of_mirrored_walker(g4):
 # ----------------------------------------------------------------- full runs
 
 
+def trial(walks, t):
+    """Every field of trial ``t`` in a ``run_coupled_walk`` result."""
+    return {name: values[t].item() for name, values in walks.items()}
+
+
 def test_run_from_met_pair(g3):
-    [out] = run_coupled_walk(g3, 0, 0, 2, trials=1, seed=1)
-    assert out.coupled
-    assert out.steps_taken == 0
-    assert not out.exited_box
-    assert not out.truncated
+    out = trial(run_coupled_walk(g3, 0, 0, 2, trials=1, seed=1), 0)
+    # Coupled, so it neither exited the box nor was truncated.
+    assert (out["coupled"], out["truncated"], out["steps"]) == (True, False, 0)
 
 
 def test_run_determinism(g3):
-    a = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[3]
-    b = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[3]
-    assert a == b
-    c = run_coupled_walk(g3, vid(g3, 0, 0), vid(g3, 0, 1), 2, trials=5, seed=5)[4]
-    assert a.trajectory_digest != c.trajectory_digest
-    assert len(a.trajectory_digest) == 16
-    d = asdict(a)
-    assert d["coupled"] == a.coupled
-    assert isinstance(d["renewal_times"], list)
+    x, y = vid(g3, 0, 0), vid(g3, 0, 1)
+    a = run_coupled_walk(g3, x, y, 2, trials=5, seed=5)
+    b = run_coupled_walk(g3, x, y, 2, trials=5, seed=5)
+    assert {name: values.dtype for name, values in a.items()} == {
+        "coupled": np.bool_, "truncated": np.bool_, "steps": np.int64, "digest": np.uint64,
+    }
+    assert all(len(values) == 5 for values in a.values())
+    assert trial(a, 3) == trial(b, 3)
+    assert a["digest"][3] != a["digest"][4]
 
 
 def replay(eng, rng, x, y, box_side, max_steps):
@@ -242,10 +243,11 @@ def test_batch_follows_the_stream_contract(g4):
     x, y = vid(g4, 0, 0), vid(g4, 8, 8)
     outs = run_coupled_walk(g4, x, y, 3, trials=40, max_steps=400, seed=3)
     eng = _coupler(g4, 3)
-    for t, out in enumerate(outs):
+    for t in range(40):
         rng = derive_rng(3, "coupled-walk", index=t)
+        out = trial(outs, t)
         assert replay(eng, rng, x, y, 27, 400) == (
-            out.coupled, out.steps_taken, out.trajectory_digest
+            out["coupled"], out["steps"], f"{out['digest']:016x}"
         )
 
 
@@ -253,11 +255,12 @@ def test_outcome_does_not_depend_on_batch(g3):
     # A trial's outcome, digest included, depends only on (seed, trial).
     x, y = vid(g3, 0, 0), vid(g3, 0, 1)
     short = run_coupled_walk(g3, x, y, 2, trials=5, seed=5)
-    assert short[3] == run_coupled_walk(g3, x, y, 2, trials=5000, seed=5)[3]
+    assert trial(short, 3) == trial(run_coupled_walk(g3, x, y, 2, trials=5000, seed=5), 3)
     # The same for a trial admitted after the first batch fills the pool.
     t = coupling._POOL + 3
-    a = run_coupled_walk(g3, x, y, 2, trials=t + 1, seed=5)[t]
-    assert a == run_coupled_walk(g3, x, y, 2, trials=2 * coupling._POOL + 100, seed=5)[t]
+    a = run_coupled_walk(g3, x, y, 2, trials=t + 1, seed=5)
+    b = run_coupled_walk(g3, x, y, 2, trials=2 * coupling._POOL + 100, seed=5)
+    assert trial(a, t) == trial(b, t)
 
 
 def test_aggregates_do_not_depend_on_chunking(g4, monkeypatch):
@@ -272,18 +275,12 @@ def test_aggregates_do_not_depend_on_chunking(g4, monkeypatch):
 
 def test_run_truncation(g4):
     # Separation ~11 cannot close in 3 unit steps: the run must truncate.
-    [out] = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, trials=1, max_steps=3, seed=2)
-    assert out.truncated
-    assert not out.coupled
-    assert out.steps_taken == 3
-
-
-def test_run_renewals_are_increasing(g4):
-    out = run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, trials=7, seed=11)[6]
-    times = out.renewal_times
-    assert times == sorted(times)
-    assert all(t > 0 for t in times)
-    assert out.max_level_reached >= 0
+    out = trial(
+        run_coupled_walk(g4, vid(g4, 0, 0), vid(g4, 8, 8), 3, trials=1, max_steps=3, seed=2), 0
+    )
+    assert out["truncated"]
+    assert not out["coupled"]
+    assert out["steps"] == 3
 
 
 def test_run_preconditions(g3):
@@ -302,7 +299,7 @@ def test_run_preconditions(g3):
 def test_coupling_probability_positive(g3):
     # Adjacent 0-associated pair, level-2 box: most trials couple.
     x, y = vid(g3, 0, 0), vid(g3, 0, 1)
-    hits = sum(o.coupled for o in run_coupled_walk(g3, x, y, 2, trials=200, seed=6))
+    hits = int(run_coupled_walk(g3, x, y, 2, trials=200, seed=6)["coupled"].sum())
     assert hits / 200.0 >= 0.05
 
 
@@ -345,9 +342,20 @@ def test_upgrade_frozen_values(g4):
     assert up3["immediate"] == 996
 
 
+def test_upgrade_frozen_values_with_exhausted_trials(g3):
+    # One renewal at the fixed scale k^m = 3 leaves many pairs short of an
+    # upgrade: the exhausted count pins the fixed-scale renewal rule.
+    up = upgrade_statistics(g3, 1, 500, 2, seed=42, j=1)
+    assert {key: up[key] for key in ("successes", "immediate", "exited", "exhausted", "valid")} == {
+        "successes": 354, "immediate": 112, "exited": 3, "exhausted": 143, "valid": 500,
+    }
+
+
 def test_upgrade_rejects_bad_inputs(g3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
         upgrade_statistics(g3, 0, 0, 2)
+    with pytest.raises(ValueError, match="box level n must be at least 1, got 0"):
+        upgrade_statistics(g3, 0, 10, 0)
     with pytest.raises(ValueError):
         upgrade_statistics(g3, 0, 10, 4)
     with pytest.raises(ValueError, match="nonnegative"):
