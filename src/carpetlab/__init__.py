@@ -13,11 +13,9 @@ from .geometry import (
     CapacityError,
     CarpetGraph,
     CarpetParams,
-    CellAddress,
     VertexGraph,
     box_vertices,
     build_graph,
-    cell_survives,
     count_cells,
     hausdorff_dimension,
     read_graph,
@@ -30,11 +28,9 @@ __all__ = [
     "CapacityError",
     "CarpetGraph",
     "CarpetParams",
-    "CellAddress",
     "VertexGraph",
     "box_vertices",
     "build_graph",
-    "cell_survives",
     "count_cells",
     "hausdorff_dimension",
     "read_graph",

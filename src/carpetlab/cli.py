@@ -246,12 +246,15 @@ def _cmd_heat(args) -> int:
         return 0
     pairs = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#") or s.startswith("y,"):
                 continue
-            y_str, t_str = s.split(",")
-            pairs.append((int(y_str), int(t_str)))
+            try:
+                y_str, t_str = s.split(",")
+                pairs.append((int(y_str), int(t_str)))
+            except ValueError:
+                raise ValueError(f"{args.pairs}:{lineno}: expected y,t, got {s!r}") from None
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
     # one walk covers the pair times and, without --ds, the d_s fit times
     fit_times = ds_fit_times(cap) if args.ds is None else []

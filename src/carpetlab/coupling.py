@@ -44,11 +44,9 @@ from .harmonic import HOLD
 from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
-    "association_level",
     "run_coupled_walk",
     "pair_catalog",
     "upgrade_statistics",
-    "sample_marginal",
 ]
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -339,26 +337,6 @@ def _coupler(graph: CarpetGraph, m_max: int) -> _Coupler:
     return cache[m_max]
 
 
-def association_level(graph: CarpetGraph, x: int, y: int, m_max: int) -> int:
-    """Largest m <= m_max at which the pair is associated.
-
-    Verifies the monotone structure along the way: association at m forces
-    association at every lower level (the witness's linear part descends to
-    the sub-cubes), so a gap is an internal error, not a data condition.
-    """
-    if not 0 <= m_max <= graph.level:
-        raise ValueError(f"m_max {m_max} exceeds the built region (level {graph.level})")
-    eng = _coupler(graph, m_max)
-    levels = eng.canon[:, x] == eng.canon[:, y]
-    best = 0
-    for m, ok in enumerate(levels):
-        if ok:
-            best = m
-        elif levels[m:].any():
-            raise RuntimeError(f"association monotonicity violated at level {m}")
-    return best
-
-
 def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:
     """Preconditions of ``trials`` walks stopped on leaving the level-n box."""
     if n < 1:
@@ -489,23 +467,3 @@ def upgrade_statistics(
         "truncated": truncated,
         "probability": successes / valid if valid else float("nan"),
     }
-
-
-def sample_marginal(
-    graph: CarpetGraph,
-    x0: int,
-    y0: int,
-    steps: int,
-    trials: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Empirical position counts of the second walker after ``steps`` steps.
-
-    The coupled pair is advanced without any stopping rule; the returned
-    length-|V| array counts where the mirrored walker landed, for comparison
-    against the heat-kernel row (the marginal-law contract).
-    """
-    eng = _coupler(graph, graph.level)
-    done = eng.run(seed, "marginal-trial", trials, steps,
-                   lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
-    return np.bincount(done["y"], minlength=graph.num_vertices)

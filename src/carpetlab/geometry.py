@@ -28,8 +28,6 @@ __all__ = [
     "CapacityError",
     "CarpetParams",
     "validate_params",
-    "CellAddress",
-    "cell_survives",
     "survival_mask",
     "count_cells",
     "hausdorff_dimension",
@@ -86,62 +84,6 @@ def validate_params(d: int, k: int, a: int) -> CarpetParams:
     if (a + k) % 2 != 0:
         raise ValueError(f"a + k must be even so the removed block is centered, got a={a}, k={k}")
     return CarpetParams(d=d, k=k, a=a)
-
-
-@dataclass(frozen=True)
-class CellAddress:
-    """A level-``n`` cell, identified by integer coordinates in [0, k^n)^d."""
-
-    level: int
-    coords: tuple[int, ...]
-
-    def digits(self, k: int) -> list[tuple[int, ...]]:
-        """Base-k digit vectors, most significant first; round-trips with from_digits."""
-        out = []
-        rem = list(self.coords)
-        for _ in range(self.level):
-            row = tuple(c % k for c in rem)
-            rem = [c // k for c in rem]
-            out.append(row)
-        if any(rem):
-            raise ValueError("coordinates exceed k^level")
-        out.reverse()
-        return out
-
-    @classmethod
-    def from_digits(cls, digits: Sequence[tuple[int, ...]], k: int) -> "CellAddress":
-        if not digits:
-            return cls(0, ())
-        d = len(digits[0])
-        coords = [0] * d
-        for row in digits:
-            for i in range(d):
-                coords[i] = coords[i] * k + row[i]
-        return cls(len(digits), tuple(coords))
-
-
-def cell_survives(addr: CellAddress, params: CarpetParams) -> bool:
-    """True iff the cell is never inside a removed central block.
-
-    Works digit-by-digit: the cell dies iff at some digit position every
-    coordinate's digit falls in the central range.
-    """
-    lo = params.central_range.start
-    hi = params.central_range.stop
-    k = params.k
-    rem = list(addr.coords)
-    for _ in range(addr.level):
-        all_central = True
-        for i, c in enumerate(rem):
-            dig = c % k
-            rem[i] = c // k
-            if not (lo <= dig < hi):
-                all_central = False
-        if all_central:
-            return False
-    if any(rem):
-        raise ValueError("coordinates exceed k^level")
-    return True
 
 
 def survival_mask(coords: np.ndarray, level: int, params: CarpetParams) -> np.ndarray:

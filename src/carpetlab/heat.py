@@ -30,9 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CarpetGraph, CarpetParams, VertexGraph
-from .harmonic import HOLD, _distances, expected_exit_time
+from .harmonic import HOLD, expected_exit_time
 from .linalg import DEFAULT_TOL
-from .seeding import derive_rng
 
 __all__ = [
     "TransitionOperator",
@@ -47,13 +46,10 @@ __all__ = [
     "fit_ds",
     "estimate_dw",
     "fit_regimes",
-    "monte_carlo_walk",
-    "sample_exit_times",
 ]
 
 PROB_FLOOR = 1e-300
 DS_MIN_POINTS = 4  # fewest on-diagonal points a d_s fit accepts
-_EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
 
 
 class FitError(RuntimeError):
@@ -299,9 +295,15 @@ def fit_regimes(
     ds: float,
     dw: float,
 ) -> RegimeFitReport:
-    """Fit both heat-kernel decay regimes to kernel samples ``(y, t, p_t(x,y))``."""
+    """Fit both heat-kernel decay regimes to kernel samples ``(y, t, p_t(x,y))``.
+
+    Every sample time must be at least 1: both model abscissae divide by t.
+    """
     if dw <= 1.0:
         raise ValueError("walk dimension must exceed 1")
+    early = [t for _, t, _ in samples if t < 1]
+    if early:
+        raise ValueError(f"sample times must be at least 1, got {early[0]}")
     coords = graph.coords.astype(np.float64)
     sub_pts: list[tuple[float, float]] = []
     gauss_pts: list[tuple[float, float]] = []
@@ -328,66 +330,3 @@ def fit_regimes(
         n_gauss=len(gauss_pts),
         n_floor_excluded=floored,
     )
-
-
-def monte_carlo_walk(
-    graph: VertexGraph,
-    x: int,
-    steps: int,
-    seed: int,
-    walker: int = 0,
-) -> np.ndarray:
-    """One seeded lazy-walk trajectory of ``steps`` moves, starting at ``x``."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    rng = derive_rng(seed, "monte-carlo-walk", index=walker)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = x
-    pos = int(x)
-    indptr = graph.indptr
-    indices = graph.indices
-    for i in range(steps):
-        if rng.random() >= HOLD:
-            lo, hi = indptr[pos], indptr[pos + 1]
-            if hi > lo:
-                pos = int(indices[lo + rng.integers(hi - lo)])
-        path[i + 1] = pos
-    return path
-
-
-def sample_exit_times(
-    graph: VertexGraph,
-    x: int,
-    r: float,
-    trials: int,
-    seed: int,
-) -> np.ndarray:
-    """Batched Monte Carlo exit times from B(x, r); cross-check for the solver."""
-    dist = _distances(graph, x)
-    inside = dist < r
-    if not inside.any() or inside.all():
-        raise ValueError("ball is empty or covers the whole graph")
-    rng = derive_rng(seed, "exit-time-sample")
-    pos = np.full(trials, x, dtype=np.int64)
-    exit_at = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    indptr = graph.indptr
-    indices = graph.indices
-    deg = graph.degrees
-    for t in range(1, _EXIT_STEP_CAP + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        coins = rng.random(idx.size)
-        draws = rng.random(idx.size)
-        movers = coins >= HOLD
-        mi = idx[movers]
-        if mi.size:
-            offs = (draws[movers] * deg[pos[mi]]).astype(np.int64)
-            pos[mi] = indices[indptr[pos[mi]] + offs]
-        newly_out = ~inside[pos[idx]]
-        exit_at[idx[newly_out]] = t
-        active[idx[newly_out]] = False
-    if active.any():
-        raise RuntimeError(f"{int(active.sum())} walkers still inside after {_EXIT_STEP_CAP} steps")
-    return exit_at

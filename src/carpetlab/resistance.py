@@ -1,5 +1,5 @@
 """Electrical quantities on carpet graphs: energies, effective resistance,
-resistance to infinity, and the capacity-inequality probe.
+resistance to infinity and face resistance.
 
 Every edge has unit conductance.  Effective resistance between two vertex
 sets is 1/energy of the potential that is 1 on the source set, 0 on the
@@ -26,23 +26,16 @@ from .linalg import DEFAULT_TOL, DirichletSystem
 __all__ = [
     "FlowField",
     "ResistanceReport",
-    "CapacityReport",
-    "HypothesisError",
     "dirichlet_energy",
     "potential_flow",
     "effective_resistance",
     "resistance_to_infinity",
     "face_resistance",
-    "theorem5_check",
 ]
 
 # Successive resistance increments must shrink at least this fast before the
 # geometric extrapolation is trusted.
 MIN_DECAY = 1.05
-
-
-class HypothesisError(RuntimeError):
-    """A check was invoked outside the regime where its statement applies."""
 
 
 @dataclass
@@ -224,67 +217,3 @@ def face_resistance(
     A = np.nonzero(graph.coords[:, 0] == 0)[0]
     B = np.nonzero(graph.coords[:, 0] == graph.side - 1)[0]
     return effective_resistance(graph, A, B, tolerance=tolerance, solves=solves)
-
-
-@dataclass
-class CapacityReport:
-    zeta: float
-    ds: float
-    sensitivity: float  # |d zeta / d ds|, error-amplification of the exponent
-    sizes: list
-    resistances: list
-    constants: list
-    max_constant: float
-    spread: float
-    reports: list = field(default_factory=list)
-
-
-def theorem5_check(
-    graph: CarpetGraph,
-    targets: Sequence,
-    ds: float,
-    levels: Optional[Sequence[int]] = None,
-    tolerance: float = DEFAULT_TOL,
-) -> CapacityReport:
-    """Capacity-inequality probe: c_i = |A_i| * R(A_i)^zeta across targets.
-
-    Requires a transient estimate (ds > 2); zeta = ds / (ds - 2).  The spread
-    max c_i / min c_i measures how uniform the bound's constant would have to
-    be.  Divergent resistance sequences abort the check — they contradict the
-    transience hypothesis.
-    """
-    if ds <= 2.0:
-        raise HypothesisError(
-            f"capacity check needs spectral dimension > 2, estimate is {ds:.4f}"
-        )
-    if levels is None:
-        levels = list(range(2, graph.level + 1))
-    zeta = ds / (ds - 2.0)
-    sensitivity = 2.0 / (ds - 2.0) ** 2
-
-    sizes = []
-    resist = []
-    constants = []
-    reports = []
-    for A in targets:
-        rep = resistance_to_infinity(graph, A, levels, tolerance=tolerance)
-        if rep.divergent or rep.extrapolated is None:
-            raise HypothesisError(
-                "resistance to infinity did not converge for a target; "
-                "transience hypothesis looks violated"
-            )
-        sizes.append(int(len(np.unique(np.asarray(A)))))
-        resist.append(float(rep.extrapolated))
-        constants.append(sizes[-1] * resist[-1] ** zeta)
-        reports.append(rep)
-    return CapacityReport(
-        zeta=zeta,
-        ds=ds,
-        sensitivity=sensitivity,
-        sizes=sizes,
-        resistances=resist,
-        constants=constants,
-        max_constant=max(constants),
-        spread=max(constants) / min(constants),
-        reports=reports,
-    )

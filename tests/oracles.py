@@ -1,0 +1,147 @@
+"""Second methods behind the acceptance claims: Monte Carlo exit times, the
+coupled walk's marginal law and the capacity-constant probe.
+
+The suite and the CLI do not run these; tests compare them against what the
+package computes (solver exit times, heat-kernel rows, frozen capacity
+values).  Import them as ``from oracles import ...``, as with ``conftest``.
+"""
+
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
+import numpy as np
+
+from carpetlab.coupling import _coupler
+from carpetlab.geometry import CarpetGraph, VertexGraph
+from carpetlab.harmonic import HOLD, _distances
+from carpetlab.linalg import DEFAULT_TOL
+from carpetlab.resistance import resistance_to_infinity
+from carpetlab.seeding import derive_rng
+
+_EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
+
+
+def sample_exit_times(
+    graph: VertexGraph,
+    x: int,
+    r: float,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Batched Monte Carlo exit times from B(x, r); cross-check for the solver."""
+    dist = _distances(graph, x)
+    inside = dist < r
+    if not inside.any() or inside.all():
+        raise ValueError("ball is empty or covers the whole graph")
+    rng = derive_rng(seed, "exit-time-sample")
+    pos = np.full(trials, x, dtype=np.int64)
+    exit_at = np.zeros(trials, dtype=np.int64)
+    active = np.ones(trials, dtype=bool)
+    indptr = graph.indptr
+    indices = graph.indices
+    deg = graph.degrees
+    for t in range(1, _EXIT_STEP_CAP + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        coins = rng.random(idx.size)
+        draws = rng.random(idx.size)
+        movers = coins >= HOLD
+        mi = idx[movers]
+        if mi.size:
+            offs = (draws[movers] * deg[pos[mi]]).astype(np.int64)
+            pos[mi] = indices[indptr[pos[mi]] + offs]
+        newly_out = ~inside[pos[idx]]
+        exit_at[idx[newly_out]] = t
+        active[idx[newly_out]] = False
+    if active.any():
+        raise RuntimeError(f"{int(active.sum())} walkers still inside after {_EXIT_STEP_CAP} steps")
+    return exit_at
+
+
+def sample_marginal(
+    graph: CarpetGraph,
+    x0: int,
+    y0: int,
+    steps: int,
+    trials: int,
+    seed: int = 0,
+) -> np.ndarray:
+    """Empirical position counts of the second walker after ``steps`` steps.
+
+    The coupled pair is advanced without any stopping rule; the returned
+    length-|V| array counts where the mirrored walker landed, for comparison
+    against the heat-kernel row (the marginal-law contract).
+    """
+    eng = _coupler(graph, graph.level)
+    done = eng.run(seed, "marginal-trial", trials, steps,
+                   lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
+    return np.bincount(done["y"], minlength=graph.num_vertices)
+
+
+class HypothesisError(RuntimeError):
+    """A check was invoked outside the regime where its statement applies."""
+
+
+@dataclass
+class CapacityReport:
+    zeta: float
+    ds: float
+    sensitivity: float  # |d zeta / d ds|, error-amplification of the exponent
+    sizes: list
+    resistances: list
+    constants: list
+    max_constant: float
+    spread: float
+    reports: list = field(default_factory=list)
+
+
+def theorem5_check(
+    graph: CarpetGraph,
+    targets: Sequence,
+    ds: float,
+    levels: Optional[Sequence[int]] = None,
+    tolerance: float = DEFAULT_TOL,
+) -> CapacityReport:
+    """Capacity-inequality probe: c_i = |A_i| * R(A_i)^zeta across targets.
+
+    Requires a transient estimate (ds > 2); zeta = ds / (ds - 2).  The spread
+    max c_i / min c_i measures how uniform the bound's constant would have to
+    be.  Divergent resistance sequences abort the check — they contradict the
+    transience hypothesis.
+    """
+    if ds <= 2.0:
+        raise HypothesisError(
+            f"capacity check needs spectral dimension > 2, estimate is {ds:.4f}"
+        )
+    if levels is None:
+        levels = list(range(2, graph.level + 1))
+    zeta = ds / (ds - 2.0)
+    sensitivity = 2.0 / (ds - 2.0) ** 2
+
+    sizes = []
+    resist = []
+    constants = []
+    reports = []
+    for A in targets:
+        rep = resistance_to_infinity(graph, A, levels, tolerance=tolerance)
+        if rep.divergent or rep.extrapolated is None:
+            raise HypothesisError(
+                "resistance to infinity did not converge for a target; "
+                "transience hypothesis looks violated"
+            )
+        sizes.append(int(len(np.unique(np.asarray(A)))))
+        resist.append(float(rep.extrapolated))
+        constants.append(sizes[-1] * resist[-1] ** zeta)
+        reports.append(rep)
+    return CapacityReport(
+        zeta=zeta,
+        ds=ds,
+        sensitivity=sensitivity,
+        sizes=sizes,
+        resistances=resist,
+        constants=constants,
+        max_constant=max(constants),
+        spread=max(constants) / min(constants),
+        reports=reports,
+    )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from carpetlab.coupling import run_coupled_walk, sample_marginal
+from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import build_graph, count_cells, hausdorff_dimension
 from carpetlab.harmonic import (
     HittingSpec,
@@ -24,10 +24,11 @@ from carpetlab.harmonic import (
 )
 from carpetlab.harness import ExperimentConfig, config_hash, run_suite
 from carpetlab.heat import TransitionOperator, central_vertex, estimate_dw, fit_regimes
-from carpetlab.resistance import effective_resistance, face_resistance, theorem5_check
+from carpetlab.resistance import effective_resistance, face_resistance
 from scipy.sparse.csgraph import connected_components
 
 from conftest import diag_fit, kernel_row, kernel_samples, make_cycle, make_path, vid
+from oracles import sample_marginal, theorem5_check
 
 
 def verdict(n: int, name: str, ok: bool, detail: str) -> bool:

@@ -256,6 +256,20 @@ def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_fil
     assert payload["sub_gaussian"]["n_points"] == 6
 
 
+def test_heat_regime_rejects_bad_pair_lines(tmp_path, capsys, g4_file, g4):
+    x = vid(g4, 26, 26)
+    pairs = tmp_path / "pairs.csv"
+    argv = ["heat", "regime", "--graph", g4_file, "--x", str(x), "--pairs", str(pairs),
+            "--ds", "1.78", "--dw", "2.09"]
+    # The source at t = 0 used to die in fit_regimes with a ZeroDivisionError traceback.
+    pairs.write_text(f"{x},16\n{x},0\n")
+    assert main(argv) == 2
+    assert "usage error: sample times must be at least 1, got 0" in capsys.readouterr().err
+    pairs.write_text(f"y,t\n{x},16,3\n")
+    assert main(argv) == 2
+    assert f"usage error: {pairs}:2: expected y,t, got '{x},16,3'" in capsys.readouterr().err
+
+
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
     assert "--x: vertex id 99999 outside [0, 4096)" in capsys.readouterr().err

@@ -6,10 +6,8 @@ from carpetlab import coupling
 from carpetlab.coupling import (
     _Coupler,
     _coupler,
-    association_level,
     pair_catalog,
     run_coupled_walk,
-    sample_marginal,
     upgrade_statistics,
 )
 from carpetlab.harmonic import HOLD
@@ -17,6 +15,7 @@ from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
 
 from conftest import kernel_row, vid
+from oracles import sample_marginal
 
 
 def witnesses(eng, x, y, m):
@@ -92,11 +91,13 @@ def test_association_examples(g2):
 
 
 def test_association_level(g3):
-    assert association_level(g3, vid(g3, 2, 2), vid(g3, 2, 2), 3) == 3
-    assert association_level(g3, vid(g3, 0, 0), vid(g3, 2, 0), 3) == 1
-    assert association_level(g3, vid(g3, 0, 0), vid(g3, 0, 1), 3) == 0
+    # refresh reports the highest level at which each pair is associated.
+    eng = _coupler(g3, 3)
+    x = np.array([vid(g3, 2, 2), vid(g3, 0, 0), vid(g3, 0, 0)])
+    y = np.array([vid(g3, 2, 2), vid(g3, 2, 0), vid(g3, 0, 1)])
+    assert eng.refresh(x, y)[0].tolist() == [3, 1, 0]
     with pytest.raises(ValueError):
-        association_level(g3, 0, 0, 4)
+        _Coupler(g3, 4)
 
 
 def test_association_is_monotone(g3):
@@ -111,6 +112,10 @@ def test_association_is_monotone(g3):
         for m in range(1, 4):
             if levels[m]:
                 assert all(levels[:m])
+    # Every pair of the level-2 box: canon equality at m forces it below m.
+    box = np.nonzero((g3.coords < 9).all(axis=1))[0]
+    eq = eng.canon[:, box, None] == eng.canon[:, None, box]
+    assert not (eq[1:] & ~eq[:-1]).any()
 
 
 # ------------------------------------------------------------- coupled steps

@@ -7,10 +7,8 @@ from scipy.sparse.csgraph import connected_components
 from carpetlab import geometry
 from carpetlab.geometry import (
     CapacityError,
-    CellAddress,
     box_vertices,
     build_graph,
-    cell_survives,
     count_cells,
     hausdorff_dimension,
     read_graph,
@@ -61,35 +59,27 @@ def test_cells_per_level(params2, params3):
 
 
 def test_center_cell_is_removed(params2):
-    assert not cell_survives(CellAddress.from_digits([(1, 1)], 3), params2)
-    for x in range(3):
-        for y in range(3):
-            if (x, y) != (1, 1):
-                assert cell_survives(CellAddress.from_digits([(x, y)], 3), params2)
+    cells = np.array([(x, y) for x in range(3) for y in range(3)])
+    alive = survival_mask(cells, 1, params2)
+    assert [tuple(c) for c in cells[~alive]] == [(1, 1)]
 
 
 def test_survival_is_checked_at_every_level(params2):
-    # A dead digit anywhere along the address kills the cell.
-    assert not cell_survives(CellAddress.from_digits([(1, 1), (0, 0)], 3), params2)
-    assert not cell_survives(CellAddress.from_digits([(0, 0), (1, 1)], 3), params2)
-    assert cell_survives(CellAddress.from_digits([(0, 2), (2, 0)], 3), params2)
+    # A dead digit anywhere along the address kills the cell: the base-3
+    # digit vectors are (1,1)(0,0), (0,0)(1,1) and (0,2)(2,0).
+    cells = np.array([(3, 3), (1, 1), (2, 6)])
+    assert survival_mask(cells, 2, params2).tolist() == [False, False, True]
 
 
-def test_address_digit_round_trip(params2):
-    digits = [(0, 2), (1, 0), (2, 2), (0, 1)]
-    addr = CellAddress.from_digits(digits, 3)
-    assert addr.digits(3) == digits
-
-
-def test_survival_mask_matches_pointwise(params2):
-    side = 9
-    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    mask = survival_mask(coords, 2, params2)
-    for row, ok in zip(coords, mask):
-        addr = CellAddress(2, tuple(int(c) for c in row))
-        assert cell_survives(addr, params2) == ok
-    assert int(mask.sum()) == 64
+def test_survival_mask_matches_pointwise():
+    # The two survival rules in use agree: survival_mask (read_graph's check)
+    # over the whole window marks exactly the cells build_graph keeps.
+    for d, k, a, n in [(2, 3, 1, 2), (2, 3, 1, 3), (2, 4, 2, 2), (2, 5, 1, 2), (2, 5, 3, 2), (3, 3, 1, 2)]:
+        params = validate_params(d, k, a)
+        window = np.indices((k**n,) * d).reshape(d, -1).T
+        alive = survival_mask(window, n, params)
+        np.testing.assert_array_equal(window[alive], build_graph(n, params).coords,
+                                      err_msg=f"(d, k, a, n) = {(d, k, a, n)}")
 
 
 def test_count_cells(params2, params3):

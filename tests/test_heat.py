@@ -13,12 +13,11 @@ from carpetlab.heat import (
     fit_regimes,
     kernel_entries,
     kernel_walk,
-    monte_carlo_walk,
-    sample_exit_times,
 )
 from carpetlab.harmonic import expected_exit_time
 
 from conftest import diag_fit, kernel_row, kernel_samples, make_path, make_torus, vid
+from oracles import sample_exit_times
 
 
 # ------------------------------------------------------------------- operator
@@ -259,23 +258,16 @@ def test_regime_fit_rejects_bad_dw(g4):
         fit_regimes(g4, 0, kernel_samples(TransitionOperator(g4), 0, [(0, 1)]), ds=2.0, dw=1.0)
 
 
+@pytest.mark.parametrize("y, t", [(0, 0), (1, 0), (0, -2)])
+def test_regime_fit_rejects_times_below_one(g4, y, t):
+    # Both model abscissae divide by t: at t = 0 the source pair and any other
+    # pair used to raise ZeroDivisionError.
+    samples = [(1, 4, 0.01), (y, t, 1.0)]
+    with pytest.raises(ValueError, match=f"sample times must be at least 1, got {t}"):
+        fit_regimes(g4, 0, samples, ds=1.78, dw=2.09)
+
+
 # -------------------------------------------------------------- monte carlo
-
-
-def test_walk_determinism(g3):
-    a = monte_carlo_walk(g3, 0, 50, seed=9, walker=1)
-    b = monte_carlo_walk(g3, 0, 50, seed=9, walker=1)
-    c = monte_carlo_walk(g3, 0, 50, seed=9, walker=2)
-    np.testing.assert_array_equal(a, b)
-    assert (a != c).any()
-    assert a[0] == 0
-    assert len(a) == 51
-
-
-def test_walk_moves_are_legal(g3):
-    path = monte_carlo_walk(g3, 0, 200, seed=4)
-    for u, v in zip(path[:-1], path[1:]):
-        assert u == v or v in g3.neighbors(int(u))
 
 
 def test_sampled_exit_times_match_solver(g4):
