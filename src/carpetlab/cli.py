@@ -34,7 +34,7 @@ from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, ker
 from .coupling import MAX_STEPS, run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
-from .harness import config_from_sources, export_report, run_suite
+from .harness import _parse_value, config_from_sources, export_report, run_suite
 
 
 def _add_graph_arg(p):
@@ -347,11 +347,9 @@ def _cmd_suite(args) -> int:
         "trials": args.trials,
     }
     if args.levels is not None:
-        overrides["levels"] = tuple(int(s) for s in args.levels.split(",") if s.strip())
+        overrides["levels"] = _parse_value("levels", args.levels)
     if args.experiments:
-        overrides["experiments"] = tuple(
-            s.strip() for s in args.experiments.split(",") if s.strip()
-        )
+        overrides["experiments"] = _parse_value("experiments", args.experiments)
     config = config_from_sources(args.config, overrides)
     manifest = run_suite(config, fail_fast=args.fail_fast)
     failed = [n for n, e in manifest.experiments.items() if e["status"] != "ok"]

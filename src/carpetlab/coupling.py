@@ -79,7 +79,7 @@ class _Walks:
     meet or either leaves ``[0, box_side)^d``; with ``target`` set, when the
     association level reaches it; with ``max_renewals`` set, at that many
     renewals.  Renewals are counted only then: one fires when the first
-    walker has moved ``k^renewal_level`` from the last renewal point.
+    walker has moved ``k^(target - 1)`` from the last renewal point.
     """
 
     trial: np.ndarray
@@ -95,7 +95,6 @@ class _Walks:
     box_side: Optional[int] = None
     target: Optional[int] = None
     max_renewals: Optional[int] = None
-    renewal_level: Optional[int] = None
 
     @classmethod
     def empty(cls, size: int, **rule) -> "_Walks":
@@ -276,7 +275,7 @@ class _Coupler:
             # it was below the scale after the previous step, so testing
             # every active entry finds exactly the renewals of the movers.
             disp = ((self.coords[nx] - self.coords[w.ref[idx]]) ** 2).sum(axis=1)
-            renew = (status == ACTIVE) & (disp >= self.scale_sq[w.renewal_level])
+            renew = (status == ACTIVE) & (disp >= self.scale_sq[w.target - 1])
             if renew.any():
                 r = idx[renew]
                 w.ref[r] = nx[renew]
@@ -448,7 +447,7 @@ def upgrade_statistics(
     # A met pair is associated at every level, so it stops as an upgrade
     # before it can count as coupled.
     done = eng.run(seed, "upgrade-trial", trials, MAX_STEPS, starts, box_side=box_side,
-                   target=m + 1, max_renewals=j, renewal_level=m)
+                   target=m + 1, max_renewals=j)
     counts = np.bincount(done["status"], minlength=IDLE)
     immediate = int(((done["status"] == UPGRADED) & (done["steps"] == 0)).sum())
     successes = int(counts[UPGRADED])

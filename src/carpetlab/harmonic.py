@@ -256,6 +256,7 @@ def hitting_pair_catalog(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    HittingSpec(x=0, r=r, c1=c1, c2=c2)  # checks the radii before any draw
     rng = derive_rng(seed, "hitting-pair-catalog", index=int(round(r)))
     side = graph.side
     margin = (graph.coords + c2 * r <= side - 1).all(axis=1)

@@ -72,10 +72,7 @@ class ExperimentConfig:
         return validate_params(self.d, self.k, self.a)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["levels"] = list(self.levels)
-        out["experiments"] = list(self.experiments)
-        return out
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
     def echo_dict(self) -> dict:
         """The experiment-defining fields embedded into every artifact.
@@ -89,23 +86,16 @@ class ExperimentConfig:
         return out
 
 
-_INT_KEYS = {"d", "k", "a", "seed", "trials"}
-_FLOAT_KEYS = {"tolerance"}
-_LIST_INT_KEYS = {"levels"}
-_LIST_STR_KEYS = {"experiments"}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _LIST_INT_KEYS:
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    if key in _LIST_STR_KEYS:
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-    return raw
+def _parse_value(key: str, raw: str, where: str = ""):
+    """``raw`` typed as ``key``'s default, a tuple default as a comma list of its
+    first item's type; a bad value is a ``ValueError`` prefixed ``{where}{key}: ``."""
+    default = ExperimentConfig.__dataclass_fields__[key].default
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(p.strip()) for p in raw.split(",") if p.strip())
+        return type(default)(raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{where}{key}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -124,7 +114,7 @@ def parse_config_file(path: str) -> dict:
                 continue  # legacy line from when the suite had a worker pool
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(key, raw)
+            out[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
     return out
 
 
@@ -541,57 +531,63 @@ def _solves_line(series: str, solves) -> str:
     return f"  {series} solves: " + "; ".join(parts)
 
 
+def _read_record(path: str) -> dict:
+    """Read a JSON object; a field missing from it or a nested object is a ``ValueError``."""
+
+    class Record(dict):
+        def __missing__(self, key):
+            raise ValueError(f"{path}: missing field {key!r}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh, object_pairs_hook=Record)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def export_report(manifest_path: str) -> tuple[str, list]:
     """Render a text summary plus per-figure data files; returns (text, gaps).
 
     Every number quoted comes from an artifact listed in the manifest; a
-    listed artifact that is missing on disk is reported as a gap.  Figure
-    files (report_*.csv: series, fit line, residuals) land next to the
-    manifest, ready for any external plotting tool.
+    listed artifact that is missing on disk is reported as a gap, and a file
+    that lacks a field the report prints is a ``ValueError``.  Figure files
+    (report_*.csv: series, fit line, residuals) land next to the manifest,
+    ready for any external plotting tool.
     """
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_record(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    lines = []
-    gaps = []
-    experiments = manifest.get("experiments", {})
-    lines.append(f"config {manifest['config_hash']} (version {manifest['version']})")
+    lines = [f"config {manifest['config_hash']} (version {manifest['version']})"]
+    experiments = manifest["experiments"]
     if not experiments:
         lines.append("nothing to report: manifest lists no experiments")
-        return "\n".join(lines) + "\n", gaps
+        return "\n".join(lines) + "\n", []
 
-    for name in manifest.get("artifacts", []):
-        if not os.path.exists(os.path.join(base, name)):
-            gaps.append(name)
-
-    def artifact(name):
-        path = os.path.join(base, name)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    gaps = [name for name in manifest["artifacts"]
+            if not os.path.exists(os.path.join(base, name))]
 
     figures = []
-    order = [name for name, _ in EXPERIMENT_ORDER if name in experiments]
-    order += [name for name in sorted(experiments) if name not in order]
-    for name in order:
+    for name in (name for name, _ in EXPERIMENT_ORDER if name in experiments):
         entry = experiments[name]
         lines.append(f"\n[{name}] status={entry['status']}")
         if entry["status"] != "ok":
-            lines.append(f"  error: {entry.get('error', 'unknown')}")
+            lines.append(f"  error: {entry['error']}")
             continue
-        for check, ok in sorted(entry.get("checks", {}).items()):
+        for check, ok in sorted(entry["checks"].items()):
             lines.append(f"  check {check}: {'pass' if ok else 'FAIL'}")
-        for art in entry.get("artifacts", []):
+        for art in entry["artifacts"]:
             tag = "" if os.path.exists(os.path.join(base, art)) else "  [MISSING]"
             lines.append(f"  artifact {art}{tag}")
 
-        if name == "build" and (data := artifact("build.json")):
+        path = os.path.join(base, f"{name}.json")
+        if not os.path.exists(path):
+            continue
+        data = _read_record(path)
+        if name == "build":
             lines.append(f"  hausdorff dimension {data['hausdorff_dimension']!r}")
             lines.append("  level      cells")
             for lvl in sorted(data["cells"], key=int):
                 lines.append(f"  {int(lvl):>5} {data['cells'][lvl]:>10}")
-        elif name == "harnack" and (data := artifact("harnack.json")):
+        elif name == "harnack":
             lines.append("      n        C_H(n)          rho(n)")
             rows = []
             for rep in data["reports"]:
@@ -600,25 +596,24 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             lines.extend(
                 f"  sweep {rep['level']}: {rep['solves']} solves, first {rep['first_path']},"
                 f" factor {rep['factor_nnz']} entries, worst residual {rep['max_residual']:.2e}"
-                for rep in data["reports"] if "first_path" in rep
+                for rep in data["reports"]
             )
-            path = os.path.join(base, "report_harnack.csv")
-            _write_rows(path, ["n", "harnack_constant", "oscillation_rho"], rows)
+            _write_rows(os.path.join(base, "report_harnack.csv"),
+                        ["n", "harnack_constant", "oscillation_rho"], rows)
             figures.append("report_harnack.csv")
-        elif name == "heat" and (data := artifact("heat.json")):
+        elif name == "heat":
             ds, dw = data["ds"], data["dw"]
             lines.append(f"  d_s = {ds['value']:.6f} +- {ds['standard_error']:.6f} (r2 {ds['r_squared']:.6f})")
             lines.append(f"  d_w = {dw['value']:.6f} +- {dw['standard_error']:.6f} (r2 {dw['r_squared']:.6f})")
             lines.append(f"  d_f = {data['df']:.6f}; |d_w - 2 d_f / d_s| = {data['relation_gap']:.6f}")
-            if walk := data.get("walk"):
-                lines.append(
-                    f"  kernel walk: {walk['steps']} steps on {walk['states']} orbit states of"
-                    f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']})"
-                )
+            walk = data["walk"]
+            lines.append(
+                f"  kernel walk: {walk['steps']} steps on {walk['states']} orbit states of"
+                f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']})"
+            )
             figures.append(_figure_loglog(base, "report_heat_diag.csv", ds["points"], "t", "p_t"))
             figures.append(_figure_loglog(base, "report_heat_exit.csv", dw["points"], "r", "exit_time"))
-            if data.get("sub_gaussian"):
-                sub = data["sub_gaussian"]
+            if sub := data["sub_gaussian"]:
                 lines.append(
                     f"  sub-gaussian fit: slope {sub['value']:.6f} +- {sub['standard_error']:.6f}"
                     f" over {sub['n_points']} pairs (r2 {sub['r_squared']:.6f})"
@@ -628,17 +623,17 @@ def export_report(manifest_path: str) -> tuple[str, list]:
                                            sub["points"], us, vs))
             lines.append(
                 "  gaussian regime: "
-                + ("fitted" if data.get("gaussian") else "empty (unit-step walk reaches nothing beyond t)")
+                + ("fitted" if data["gaussian"] else "empty (unit-step walk reaches nothing beyond t)")
             )
-        elif name == "hitting" and (data := artifact("hitting.json")):
+        elif name == "hitting":
             lines.append("      m   min hitting probability")
             for m in sorted(data["minima"], key=int):
                 lines.append(f"  {int(m):>5} {data['minima'][m]:>25.12f}")
-            for m, c in sorted(data.get("solves", {}).items(), key=lambda item: int(item[0])):
+            for m, c in sorted(data["solves"].items(), key=lambda item: int(item[0])):
                 paths = ", ".join(f"{path} {count}" for path, count in c["paths"].items())
                 lines.append(f"  probes {m}: {paths}, at most {c['max_unknowns']} unknowns,"
                              f" worst residual {c['worst_residual']:.2e}")
-        elif name == "couple" and (data := artifact("couple.json")):
+        elif name == "couple":
             lines.append(
                 f"  coupling p-hat = {data['probability']:.6f} +- {data['standard_error']:.6f}"
                 f" ({data['coupled']}/{data['valid']} trials, box level {data['n']})"
@@ -648,7 +643,7 @@ def export_report(manifest_path: str) -> tuple[str, list]:
                 f"  upgrade m={up['m']} j={up['j']}: {up['probability']:.6f}"
                 f" ({up['successes']}/{up['valid']}, immediate {up['immediate']})"
             )
-        elif name == "resist" and (data := artifact("resist.json")):
+        else:  # resist
             lines.append("      n   face resistance")
             rows = []
             for lvl in sorted(data["face"], key=int):
@@ -657,9 +652,8 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             inf = data["to_infinity"]
             tail = "divergent (recurrent)" if inf["divergent"] else f"-> {inf['extrapolated']!r}"
             lines.append(f"  corner-cell resistance to infinity: {tail}")
-            if "face_solves" in data:
-                lines.append(_solves_line("face", data["face_solves"].items()))
-                lines.append(_solves_line("R_N", zip(inf["levels"], inf["solves"])))
+            lines.append(_solves_line("face", data["face_solves"].items()))
+            lines.append(_solves_line("R_N", zip(inf["levels"], inf["solves"])))
             _write_rows(os.path.join(base, "report_resist_face.csv"), ["n", "face_resistance"], rows)
             figures.append("report_resist_face.csv")
 

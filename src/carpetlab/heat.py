@@ -6,14 +6,13 @@ p_t(x,x) ~ t^(-d_s/2) yields the spectral dimension; exit-time scaling
 E[tau(x,r)] ~ r^(d_w) yields the walk dimension; off-diagonal decay is fitted
 separately in the near regime (|x-y| <= t) and the far regime (|x-y| > t).
 
-Every kernel iteration goes through :func:`kernel_walk`, which walks the
+Every kernel iteration goes through :func:`kernel_entries`, which walks the
 chain lumped onto the orbits of the graph symmetries fixing the source:
 p_t(x, .) is constant on each orbit, so one sparse matrix-vector product per
 step on one value per orbit gives the kernel exactly (on the 3-D level-4
 carpet the central source's stabilizer has order 6 and the walk steps 78,216
-orbits for 456,976 vertices).  Callers read the kernel through
-:func:`kernel_entries`, which gathers only the vertices they ask for from
-the orbit values.  Memory stays O(|V|).  The fits
+orbits for 456,976 vertices).  It gathers only the vertices a caller asks
+for from the orbit values.  Memory stays O(|V|).  The fits
 (:func:`fit_ds`, :func:`fit_regimes`) take the values read off a walk, so one
 walk serves both: d_s from ``p_t(x, x)`` at :func:`ds_fit_times`, the regimes
 from ``p_t(x, y)`` at chosen targets and times.
@@ -35,7 +34,6 @@ from .linalg import DEFAULT_TOL
 
 __all__ = [
     "TransitionOperator",
-    "kernel_walk",
     "kernel_entries",
     "ExponentEstimate",
     "RegimeFitReport",
@@ -121,16 +119,16 @@ class OrbitQuotient:
     symmetry_order: int
 
 
-def kernel_walk(op: TransitionOperator, x: int, times: Iterable[int]) -> Iterator[tuple]:
-    """Yield ``(t, values)`` for each of the ascending ``times``, where
-    ``values[op.quotient(x).orbit[y]]`` is p_t(x, y).
+def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
+    """Yield ``(t, p)`` for each of the ascending ``times``, where ``p[i]`` is p_t(x, ids[i]).
 
     The only loop that applies a step.  It walks ``op.quotient(x)`` from the
-    value 1 on the orbit of ``x`` (x alone) and 0 elsewhere and advances
-    between consecutive times.  It yields one value per orbit;
-    :func:`kernel_entries` reads vertices off them.
+    value 1 on the orbit of ``x`` (x alone) and 0 elsewhere, advances
+    between consecutive times, and gathers only the vertices ``ids`` from
+    the orbit values.
     """
     quotient = op.quotient(x)
+    read = quotient.orbit[np.asarray(ids, dtype=np.int64)]
     values = np.zeros(quotient.states)
     values[quotient.orbit[x]] = 1.0
     t_cur = 0
@@ -140,16 +138,6 @@ def kernel_walk(op: TransitionOperator, x: int, times: Iterable[int]) -> Iterato
         for _ in range(t - t_cur):
             values = quotient.op.step(values)
         t_cur = t
-        yield t, values
-
-
-def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
-    """Yield ``(t, p)`` for each of the ascending ``times``, where ``p[i]`` is p_t(x, ids[i]).
-
-    Gathers only the vertices ``ids`` from the orbit values of :func:`kernel_walk`.
-    """
-    read = op.quotient(x).orbit[np.asarray(ids, dtype=np.int64)]
-    for t, values in kernel_walk(op, x, times):
         yield t, values[read]
 
 

@@ -56,10 +56,11 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 __all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem"]
 
 DEFAULT_TOL = 1e-10
-# From a size sweep of carpet ball systems (10^3 to 3*10^5 unknowns): the
-# V-cycle beats plain CG from about 4,000 unknowns in 2-D (4x at 34k) but
-# only from about 80,000 in 3-D (0.7x at 63k, 1.9x at 244k).  Coarsest
-# levels of 64 to 2,048 unknowns cost the same; 8,192 is slow in 3-D.
+# The V-cycle beats plain CG from about 4,000 unknowns in 2-D (4x at 34k in a
+# sweep of carpet ball systems).  In 3-D, on the level-4 face and R_N orbit
+# systems (57,454 and 74,894 unknowns, one BLAS thread), it takes 30-31
+# iterations and 0.19-0.30 s where plain CG takes 423-463 and 0.31-0.49 s.
+# Coarsest levels of 64 to 2,048 unknowns cost the same; 8,192 is slow in 3-D.
 MULTIGRID_MIN = 30_000
 # From a size sweep of one-shot carpet annulus systems (40 to 16,000
 # unknowns, one BLAS thread): the symmetric-mode factor plus one solve beats
@@ -102,10 +103,10 @@ class DirichletSystem:
     makes boundary sweeps (one solve per boundary vertex) affordable, while a
     large system solved once never pays for a factor.
 
-    With ``orbits`` the problem is solved on the orbits O of a group of graph
-    automorphisms that maps the unknown set, and so its border, and every
-    solve's border data onto themselves.  Its unique solution is then
-    constant on orbits, so solving in the orthonormal basis
+    The problem is solved on the orbits O of a group of graph automorphisms
+    (the trivial group without ``orbits``) that maps the unknown set, and so
+    its border, and every solve's border data onto themselves.  Its unique
+    solution is then constant on orbits, so solving in the orthonormal basis
     ``S diag(|O|)^-1/2`` of orbit-constant vectors (S the orbit indicator
     matrix) is exact.  Row O of that operator is the Laplacian row at O's
     least vertex with columns merged by orbit and scaled by
@@ -123,8 +124,8 @@ class DirichletSystem:
     orbits : int array, optional
         The least vertex of each vertex's orbit, as :meth:`VertexGraph.orbits`
         gives it.  The unknown set must be a union of orbits (checked), and
-        each solve checks that the data it reads are constant on orbits.
-        ``None`` solves on the vertices.
+        each solve checks that the data it reads are finite and constant on
+        orbits.  ``None`` gives every vertex its own orbit.
     """
 
     def __init__(self, graph, unknown_ids, orbits=None):
@@ -134,17 +135,16 @@ class DirichletSystem:
         inside[self.unknown] = True
 
         # The system's unknowns: one representative vertex per orbit.
-        self._least = None
-        reps = self.unknown
-        if orbits is not None:
+        if orbits is None:
+            least = np.arange(graph.num_vertices)  # every vertex its own orbit
+        else:
             least = np.asarray(orbits, dtype=np.int64)
             if least.shape != (graph.num_vertices,):
                 raise ValueError("orbits must give every vertex its orbit")
             if not np.array_equal(inside[least], inside):
                 raise ValueError("the unknown vertex set is not a union of orbits")
-            self._least = least
-            reps = self.unknown[least[self.unknown] == self.unknown]
-        self._reps = reps
+        self._least = least
+        self._reps = reps = self.unknown[least[self.unknown] == self.unknown]
 
         # One pass over the representatives' rows, whose neighbors are images
         # of every unknown's: the unknown neighbors make the operator, merged
@@ -154,18 +154,16 @@ class DirichletSystem:
         split = np.concatenate([[0], np.cumsum(into)])[rows.indptr]  # row starts in the operator
         column = np.empty(graph.num_vertices, dtype=np.int64)
         column[reps] = np.arange(len(reps))
-        if self._least is not None:
-            column = column[self._least]  # an orbit's unknowns share their representative's column
+        column = column[least]  # an orbit's unknowns share their representative's column
         offdiag = sp.csr_matrix((rows.data[into], column[rows.indices[into]], split),
                                 shape=(len(reps),) * 2)
         self._coupling = sp.csr_matrix((rows.data[~into], rows.indices[~into], rows.indptr - split),
                                        shape=(len(reps), graph.num_vertices))
-        self._orbit = self._root = self._read = None
-        if self._least is not None:
-            hit = np.zeros(graph.num_vertices, dtype=bool)
-            hit[self._least[self._coupling.indices]] = True
-            self._read = np.flatnonzero(hit[self._least])  # the whole border, a union of orbits
-        if len(reps) < len(self.unknown):
+        hit = np.zeros(graph.num_vertices, dtype=bool)
+        hit[least[self._coupling.indices]] = True
+        self._read = np.flatnonzero(hit[least])  # the whole border, a union of orbits
+        self._orbit = self._root = None
+        if len(reps) < len(self.unknown):  # singleton orbits need no merge or scaling
             self._orbit = column[self.unknown]  # orbit of each unknown
             self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
             offdiag.sum_duplicates()  # merge each row's columns by orbit
@@ -194,25 +192,19 @@ class DirichletSystem:
     ) -> tuple[np.ndarray, SolveInfo]:
         """Solve for the unknowns with one boundary value per vertex.
 
-        Only the border values are read; the rest may be anything, NaN
-        included.  Returns a copy of ``values`` with the unknowns filled in.
+        Only the border values are read, and must be finite; the rest may be
+        anything, NaN included.  Returns a copy of ``values`` with the
+        unknowns filled in.
         """
         values = np.array(values, dtype=np.float64)
-        if self._read is not None:
-            self._require_orbit_constant(values, self._read, "fixed values")
-        if len(self.unknown) == 0:
-            return values, SolveInfo(residual=0.0, iterations=0)
-
+        self._check_data(values, self._read, "fixed values", "border")
         b = self._coupling @ values
         if rhs is not None:
-            rhs = np.asarray(rhs, dtype=np.float64)
-            if rhs.shape != (len(self.unknown),):
+            if np.shape(rhs) != (len(self.unknown),):
                 raise ValueError("rhs must align with the unknown vertex set")
-            if self._least is not None:
-                values[self.unknown] = rhs
-                self._require_orbit_constant(values, self.unknown, "rhs")
-                rhs = values[self._reps]
-            b = b + rhs
+            values[self.unknown] = rhs
+            self._check_data(values, self.unknown, "rhs", "unknowns")
+            b = b + values[self._reps]
         if self._root is not None:
             b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
         bnorm = float(np.linalg.norm(b))
@@ -237,7 +229,9 @@ class DirichletSystem:
         values[self.unknown] = u
         return values, SolveInfo(residual=residual, iterations=iters, path=path)
 
-    def _require_orbit_constant(self, values, ids, what):
+    def _check_data(self, values, ids, what, where):
+        if not np.isfinite(values[ids]).all():
+            raise ValueError(f"{what} must be finite on the {where}")
         if not np.array_equal(values[self._least[ids]], values[ids]):
             raise ValueError(f"{what} are not constant on orbits")
 

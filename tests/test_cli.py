@@ -188,6 +188,18 @@ def test_hitting_catalog_rejects_empty_count(capsys, g4_file):
     assert "count must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--r", "-2"], "inner radius must be positive"),
+    (["--r", "3", "--c1", "0.5"], "radius factors must satisfy c2 > c1 > 1"),
+])
+def test_hitting_catalog_checks_radii_before_drawing(capsys, g4_file, args, message):
+    # The catalog checks r, c1 and c2 as a probe would, before its first
+    # draw: no stream error for a negative radius, no futile draws from an
+    # empty annulus.
+    assert main(["hitting", "--graph", g4_file, *args]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 # ---------------------------------------------------------------------- heat
 
 
@@ -463,6 +475,7 @@ def test_suite_reports_failures(tmp_path, capsys):
     (["--levels", "0", "--experiments", "build,resist"], "resist needs a top level of at least 1"),
     (["--levels", "1", "--experiments", "couple"], "couple needs a top level of at least 2"),
     (["--levels", "3", "--experiments", "heat"], "heat needs at least 4 dyadic times"),
+    (["--levels", "2,x"], "usage error: levels: invalid literal for int() with base 10: 'x'"),
 ])
 def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message):
     out = tmp_path / "artifacts"
@@ -492,3 +505,30 @@ def test_report_empty_manifest(tmp_path, capsys):
 
 def test_report_missing_manifest(capsys):
     assert main(["report", "--manifest", "/nonexistent/manifest.json"]) == 2
+
+
+@pytest.mark.parametrize("body, message", [
+    ("{}", "missing field 'config_hash'"),
+    ("[1]", "expected a JSON object, got list"),
+])
+def test_report_rejects_a_malformed_manifest(tmp_path, capsys, body, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(body)
+    assert main(["report", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"usage error: {manifest}: {message}\n"
+
+
+def test_report_rejects_an_artifact_without_a_printed_field(tmp_path, capsys):
+    # Every heat.json the suite writes records its kernel walk; one without
+    # it is rejected by name, not skipped or crashed on.
+    out = tmp_path / "artifacts"
+    assert main(["suite", "--levels", "4", "--experiments", "heat", "--out", str(out)]) == 0
+    heat = out / "heat.json"
+    data = json.loads(heat.read_text())
+    del data["walk"]
+    heat.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--manifest", str(out / "manifest.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {heat}: missing field 'walk'\n"
+    assert captured.out == ""

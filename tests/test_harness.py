@@ -78,6 +78,31 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config_file(str(path))
 
 
+def test_config_values_take_their_default_types(tmp_path):
+    # Every field parses as its default's type, a tuple as a comma list, so
+    # writing the defaults out and reading them back gives the defaults.
+    defaults = ExperimentConfig()
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(
+        f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for key, v in vars(defaults).items()
+    ))
+    assert config_from_sources(str(path)) == defaults
+
+
+@pytest.mark.parametrize("line, message", [
+    ("levels = a,b", "levels: invalid literal for int() with base 10: 'a'"),
+    ("seed = 4.5", "seed: invalid literal for int() with base 10: '4.5'"),
+    ("tolerance = tiny", "tolerance: could not convert string to float: 'tiny'"),
+])
+def test_config_value_errors_name_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# survey setup\nk = 3\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config_file(str(path))
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
 def test_config_accepts_only_legacy_single_worker_line(tmp_path):
     # Older config files carry `jobs = 1`; the suite has one execution path,
     # so that line is skipped and any other worker count is an unknown key.

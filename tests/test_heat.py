@@ -12,7 +12,6 @@ from carpetlab.heat import (
     fit_ds,
     fit_regimes,
     kernel_entries,
-    kernel_walk,
 )
 from carpetlab.harmonic import expected_exit_time
 
@@ -52,7 +51,7 @@ def test_step_matches_the_plain_lazy_step(g4):
 
 def test_plain_graph_walks_singleton_orbits():
     # A plain vertex graph knows no symmetry: its quotient is the walk
-    # itself, and kernel_walk repeats op.step bit for bit.
+    # itself, and kernel_entries read at every vertex repeats op.step bit for bit.
     torus = make_torus(8)
     op = TransitionOperator(torus)
     quotient = op.quotient(5)
@@ -60,8 +59,8 @@ def test_plain_graph_walks_singleton_orbits():
     np.testing.assert_array_equal(quotient.orbit, np.arange(torus.num_vertices))
     p = np.zeros(torus.num_vertices)
     p[5] = 1.0
-    for t, values in kernel_walk(op, 5, range(40)):
-        assert np.array_equal(values[quotient.orbit], p)
+    for t, values in kernel_entries(op, 5, np.arange(torus.num_vertices), range(40)):
+        assert np.array_equal(values, p)
         p = op.step(p)
 
 

@@ -109,6 +109,38 @@ def test_small_systems_factor_on_their_first_solve(g4, monkeypatch):
     np.testing.assert_allclose(direct, plain, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("level, path", [(3, "SuperLU"), (4, "CG")])
+def test_data_must_be_finite(g4, level, path):
+    # A NaN or an infinity on the border, or in the rhs, is rejected before
+    # the solve on either first-solve path; a vertex system checks its
+    # (singleton) orbits too, which a NaN would fail with a misleading message.
+    part = box_vertices(g4, level)
+    system = DirichletSystem(g4, part.interior)
+    border = np.setdiff1d(g4.adjacency()[part.interior].indices, part.interior)
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.ones(g4.num_vertices)
+        g[border[len(border) // 2]] = bad
+        with pytest.raises(ValueError, match="^fixed values must be finite on the border$"):
+            system.solve(g)
+        rhs = np.zeros(len(part.interior))
+        rhs[-1] = bad
+        with pytest.raises(ValueError, match="^rhs must be finite on the unknowns$"):
+            system.solve(np.ones(g4.num_vertices), rhs=rhs)
+    values, info = system.solve(held(g4, border, 1.0))
+    assert info.path == path
+    np.testing.assert_allclose(values[part.interior], 1.0, rtol=0.0, atol=1e-9)
+
+
+def test_system_without_unknowns_returns_its_data(g3):
+    # Nothing to solve: the data come back as given, on the general path.
+    values = np.linspace(0.0, 1.0, g3.num_vertices)
+    for orbits in (None, g3.orbits(g3.symmetries([0]))):
+        system = DirichletSystem(g3, np.array([], dtype=np.int64), orbits=orbits)
+        solved, info = system.solve(values, rhs=np.zeros(0))
+        np.testing.assert_array_equal(solved, values)
+        assert (info.residual, info.iterations, info.path) == (0.0, 0, "none")
+
+
 # ------------------------------------------------------- multigrid-preconditioned CG
 
 
@@ -262,6 +294,9 @@ def test_orbit_data_must_be_constant_on_orbits(g3):
     broken = values.copy()
     broken[np.intersect1d(paired, border)[0]] = 0.5
     with pytest.raises(ValueError, match="fixed values are not constant on orbits"):
+        system.solve(broken)
+    broken[np.intersect1d(paired, border)[0]] = np.nan  # finiteness is checked first
+    with pytest.raises(ValueError, match="fixed values must be finite on the border"):
         system.solve(broken)
     solved, _ = system.solve(values)
     broken = values.copy()
