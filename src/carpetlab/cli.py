@@ -30,7 +30,7 @@ from .harmonic import (
     hitting_probability,
 )
 from .heat import TransitionOperator, central_vertex, estimate_dw
-from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, kernel_entries
+from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, walk_kernel
 from .coupling import MAX_STEPS, run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -192,12 +192,13 @@ def _cmd_hitting(args) -> int:
         raise ValueError("--y requires --x")
     _check_ids(graph, [args.x], "--x")
     _check_ids(graph, [args.y], "--y")
-    if args.x is not None and args.y is not None:
-        spec = HittingSpec(x=args.x, r=args.r, c1=args.c1, c2=args.c2)
-        p = hitting_probability(graph, spec, args.y, tolerance=args.tol)
-        _write_json_out({"x": args.x, "y": args.y, "r": args.r, "probability": p}, args.out)
-        return 0
     if args.x is not None:
+        # the spec checks the radii before anything is scanned or solved
+        spec = HittingSpec(x=args.x, r=args.r, c1=args.c1, c2=args.c2)
+        if args.y is not None:
+            p = hitting_probability(graph, spec, args.y, tolerance=args.tol)
+            _write_json_out({"x": args.x, "y": args.y, "r": args.r, "probability": p}, args.out)
+            return 0
         # One center, every admissible start in the annulus r <= dist <= c1*r.
         dist = _distances(graph, args.x)
         starts = np.nonzero((dist >= args.r) & (dist <= args.c1 * args.r))[0]
@@ -230,16 +231,14 @@ def _cmd_heat(args) -> int:
     x = args.x if args.x is not None else central_vertex(graph)
     cap = carpet_saturation_time(graph.params, graph.level)
     if args.heat_command == "diag":
-        # one walk covers both the printed 1..tmax series and the d_s fit times
-        fit_times = ds_fit_times(cap)
-        t_end = max([args.tmax, *fit_times])
-        series = [(t, float(p[0])) for t, p in kernel_entries(op, x, [x], range(1, t_end + 1))]
+        # one walk covers the printed 1..tmax series and the d_s points
+        walk = walk_kernel(op, x, [x], range(1, args.tmax + 1), ds_fit_times(cap))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("t,p_tt\n")
-                for t, ptt in series[:args.tmax]:
-                    fh.write(f"{t},{ptt!r}\n")
-        ds = fit_ds([series[t - 1] for t in fit_times])
+                for t in range(1, args.tmax + 1):
+                    fh.write(f"{t},{float(walk.entries[t][0])!r}\n")
+        ds = fit_ds(walk.diag)
         dw = estimate_dw(graph, x)
         summary = {"x": x, "ds": asdict(ds), "dw": asdict(dw)}
         sys.stdout.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
@@ -256,19 +255,12 @@ def _cmd_heat(args) -> int:
             except ValueError:
                 raise ValueError(f"{args.pairs}:{lineno}: expected y,t, got {s!r}") from None
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
-    # one walk covers the pair times and, without --ds, the d_s fit times
-    fit_times = ds_fit_times(cap) if args.ds is None else []
-    by_time: dict[int, list[int]] = {}  # time -> indices of its pairs
-    for i, (_, t) in enumerate(pairs):
-        by_time.setdefault(t, []).append(i)
-    diag, samples = [], []
-    # entry 0 is p_t(x, x), entry i + 1 that of pair i
-    ids = [x, *(y for y, _ in pairs)]
-    for t, p in kernel_entries(op, x, ids, sorted({*fit_times, *by_time})):
-        if t in fit_times:
-            diag.append((t, float(p[0])))
-        samples.extend((pairs[i][0], t, float(p[i + 1])) for i in by_time.get(t, ()))
-    ds = args.ds if args.ds is not None else fit_ds(diag).value
+    # one walk covers the pair times and, without --ds, the d_s points
+    walk = walk_kernel(op, x, [y for y, _ in pairs], [t for _, t in pairs],
+                       ds_fit_times(cap) if args.ds is None else [])
+    samples = sorted(((y, t, float(walk.entries[t][i])) for i, (y, t) in enumerate(pairs)),
+                     key=lambda sample: sample[1])  # by time, as the walk reads them
+    ds = args.ds if args.ds is not None else fit_ds(walk.diag).value
     dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     fit = fit_regimes(graph, x, samples, ds=ds, dw=dw)
     _write_json_out(

@@ -39,7 +39,7 @@ from .heat import (
     estimate_dw,
     fit_ds,
     fit_regimes,
-    kernel_entries,
+    walk_kernel,
 )
 from .coupling import run_coupled_walk, upgrade_statistics
 from .resistance import face_resistance, resistance_to_infinity
@@ -268,15 +268,14 @@ def exp_heat(ctx: _SuiteContext) -> dict:
     # Off-diagonal regime data: targets spread over distances, dyadic times.
     regime_times = [t for t in (64, 128, 256, 512) if t <= cap]
     targets = _regime_targets(graph, x)
-    # One walk serves both fits: keep p_t(x, x) and p_t(x, y) at the targets.
+    # One walk serves both fits: the d_s points and p_t(x, y) at the targets.
     op = TransitionOperator(graph)
-    times = sorted({*ds_times, *regime_times})
-    seen = dict(kernel_entries(op, x, [x, *targets], times))
+    walk = walk_kernel(op, x, targets, regime_times, ds_times)
     quotient = op.quotient(x)
-    ds = fit_ds([(t, float(seen[t][0])) for t in ds_times])
+    ds = fit_ds(walk.diag)
     dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
     df = hausdorff_dimension(ctx.params)
-    samples = [(y, t, float(p)) for t in regime_times for y, p in zip(targets, seen[t][1:])]
+    samples = [(y, t, float(p)) for t in regime_times for y, p in zip(targets, walk.entries[t])]
     fit = fit_regimes(graph, x, samples, ds=ds.value, dw=dw.value)
 
     artifacts = [
@@ -295,7 +294,8 @@ def exp_heat(ctx: _SuiteContext) -> dict:
                     "vertices": graph.num_vertices,
                     "states": quotient.states,
                     "symmetry_order": quotient.symmetry_order,
-                    "steps": times[-1],
+                    "steps": walk.steps,
+                    "reversibility_gap": walk.gap,
                 },
             },
         ),
@@ -531,17 +531,32 @@ def _solves_line(series: str, solves) -> str:
     return f"  {series} solves: " + "; ".join(parts)
 
 
-def _read_record(path: str) -> dict:
-    """Read a JSON object; a field missing from it or a nested object is a ``ValueError``."""
+class _ReportError(ValueError):
+    """A file the report cannot read, named by its path."""
+
+
+def _read_record(path: str, trail: list) -> dict:
+    """Read a JSON object; a field missing from it or a nested object is a ``ValueError``.
+
+    Every field lookup sets ``trail`` to ``[path, key]``, so an error on the
+    value read names the file and the field it came from.
+    """
 
     class Record(dict):
+        def __getitem__(self, key):
+            trail[:] = [path, key]
+            return super().__getitem__(key)
+
         def __missing__(self, key):
-            raise ValueError(f"{path}: missing field {key!r}")
+            raise _ReportError(f"{path}: missing field {key!r}")
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=Record)
+        try:
+            data = json.load(fh, object_pairs_hook=Record)
+        except json.JSONDecodeError as exc:
+            raise _ReportError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise _ReportError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
 
 
@@ -550,11 +565,24 @@ def export_report(manifest_path: str) -> tuple[str, list]:
 
     Every number quoted comes from an artifact listed in the manifest; a
     listed artifact that is missing on disk is reported as a gap, and a file
-    that lacks a field the report prints is a ``ValueError``.  Figure files
+    that lacks a field the report prints, or holds one of the wrong type, is
+    a ``ValueError`` naming the file and the field.  Figure files
     (report_*.csv: series, fit line, residuals) land next to the manifest,
     ready for any external plotting tool.
     """
-    manifest = _read_record(manifest_path)
+    trail = [manifest_path, None]
+    try:
+        return _report(manifest_path, trail)
+    except _ReportError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        path, key = trail
+        raise _ReportError(f"{path}: field {key!r} has the wrong type ({exc})") from None
+
+
+def _report(manifest_path: str, trail: list) -> tuple[str, list]:
+    """The body of :func:`export_report`, noting each field it reads in ``trail``."""
+    manifest = _read_record(manifest_path, trail)
     base = os.path.dirname(os.path.abspath(manifest_path))
     lines = [f"config {manifest['config_hash']} (version {manifest['version']})"]
     experiments = manifest["experiments"]
@@ -581,7 +609,7 @@ def export_report(manifest_path: str) -> tuple[str, list]:
         path = os.path.join(base, f"{name}.json")
         if not os.path.exists(path):
             continue
-        data = _read_record(path)
+        data = _read_record(path, trail)
         if name == "build":
             lines.append(f"  hausdorff dimension {data['hausdorff_dimension']!r}")
             lines.append("  level      cells")
@@ -609,7 +637,8 @@ def export_report(manifest_path: str) -> tuple[str, list]:
             walk = data["walk"]
             lines.append(
                 f"  kernel walk: {walk['steps']} steps on {walk['states']} orbit states of"
-                f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']})"
+                f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']}),"
+                f" squared-sum gap {walk['reversibility_gap']:.1e}"
             )
             figures.append(_figure_loglog(base, "report_heat_diag.csv", ds["points"], "t", "p_t"))
             figures.append(_figure_loglog(base, "report_heat_exit.csv", dw["points"], "r", "exit_time"))

@@ -12,10 +12,22 @@ p_t(x, .) is constant on each orbit, so one sparse matrix-vector product per
 step on one value per orbit gives the kernel exactly (on the 3-D level-4
 carpet the central source's stabilizer has order 6 and the walk steps 78,216
 orbits for 456,976 vertices).  It gathers only the vertices a caller asks
-for from the orbit values.  Memory stays O(|V|).  The fits
-(:func:`fit_ds`, :func:`fit_regimes`) take the values read off a walk, so one
-walk serves both: d_s from ``p_t(x, x)`` at :func:`ds_fit_times`, the regimes
-from ``p_t(x, y)`` at chosen targets and times.
+for from the orbit values.  Memory stays O(|V|).
+
+The walk is reversible with respect to the degree (Levin-Peres-Wilmer,
+*Markov Chains and Mixing Times*, ch. 1), so a walk to t also gives
+
+    p_2t(x, x) = deg(x) sum_y p_t(x, y)^2 / deg(y) = sum_O w_O v_O^2,
+
+summed over the orbit values v_O with w_O = deg(x) |O| / deg(O).
+:func:`walk_kernel` takes every d_s fit point at T from this squared sum at
+T/2, so the walk ends at max(last fit time / 2, the last asked time), half
+the steps a walk to the last fit time would take.  Where the walk passes a
+fit time anyway it compares the walked p_T(x, x) with the squared sum and
+reports the worst relative gap.  The fits (:func:`fit_ds`,
+:func:`fit_regimes`) take the values read off that one walk: d_s from the
+points at :func:`ds_fit_times`, the regimes from ``p_t(x, y)`` at chosen
+targets and times.
 """
 
 from __future__ import annotations
@@ -35,6 +47,8 @@ from .linalg import DEFAULT_TOL
 __all__ = [
     "TransitionOperator",
     "kernel_entries",
+    "KernelWalk",
+    "walk_kernel",
     "ExponentEstimate",
     "RegimeFitReport",
     "FitError",
@@ -105,27 +119,40 @@ class TransitionOperator:
             lumped._q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(rep),) * 2)
             lumped._hold = self._hold[rep]
             lumped._quotients = {}
-            self._quotients[x] = OrbitQuotient(lumped, orbit, len(rep), len(group))
+            # w_O = deg(x) |O| / deg(O); an isolated orbit other than x's is
+            # never reached and weighs 0, and x's own orbit weighs 1 even
+            # when x is isolated.
+            deg = self.graph.degrees[rep].astype(np.float64)
+            weight = np.zeros(len(rep))
+            np.divide(deg[orbit[x]] * np.bincount(orbit), deg, out=weight, where=deg > 0)
+            weight[orbit[x]] = 1.0
+            self._quotients[x] = OrbitQuotient(lumped, orbit, len(rep), len(group), weight)
         return self._quotients[x]
 
 
 @dataclass
 class OrbitQuotient:
-    """A lazy walk on orbits: ``op`` steps the common value of each orbit, ``orbit[v]`` is v's orbit."""
+    """A lazy walk on orbits: ``op`` steps the common value of each orbit, ``orbit[v]`` is v's orbit.
+
+    ``weight[O]`` is w_O of the squared sum that gives p_2t(x, x) from the values at t.
+    """
 
     op: TransitionOperator
     orbit: np.ndarray
     states: int
     symmetry_order: int
+    weight: np.ndarray
 
 
 def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
-    """Yield ``(t, p)`` for each of the ascending ``times``, where ``p[i]`` is p_t(x, ids[i]).
+    """Yield ``(t, p, p2)`` for each of the ascending ``times``: ``p[i]`` is
+    p_t(x, ids[i]) and ``p2`` is p_2t(x, x) from the squared sum at t.
 
     The only loop that applies a step.  It walks ``op.quotient(x)`` from the
     value 1 on the orbit of ``x`` (x alone) and 0 elsewhere, advances
     between consecutive times, and gathers only the vertices ``ids`` from
-    the orbit values.
+    the orbit values.  The squared sum is numpy's pairwise sum over the
+    orbits, whose order does not depend on the thread count.
     """
     quotient = op.quotient(x)
     read = quotient.orbit[np.asarray(ids, dtype=np.int64)]
@@ -138,7 +165,48 @@ def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) ->
         for _ in range(t - t_cur):
             values = quotient.op.step(values)
         t_cur = t
-        yield t, values[read]
+        squares = values * values
+        squares *= quotient.weight
+        yield t, values[read], float(squares.sum())
+
+
+@dataclass
+class KernelWalk:
+    """What :func:`walk_kernel` reads off one walk from x.
+
+    ``entries[t][i]`` is p_t(x, ids[i]) at each asked time; ``diag`` holds
+    the d_s points ``(T, p_T(x, x))``, each from the squared sum at T/2;
+    ``gap`` is the worst relative gap between that sum and the walked
+    p_T(x, x) over the fit times the walk reaches (0 if none); ``steps`` is
+    the walk's length.
+    """
+
+    entries: dict
+    diag: list
+    gap: float
+    steps: int
+
+
+def walk_kernel(op: TransitionOperator, x: int, ids, times: Iterable[int],
+                fit_times: Sequence[int]) -> KernelWalk:
+    """Walk once from ``x`` to max(``times``, last of ``fit_times`` / 2).
+
+    The fit times must be even, as :func:`ds_fit_times` are.
+    """
+    odd = [t for t in fit_times if t % 2]
+    if odd:
+        raise ValueError(f"d_s fit times must be even, got {odd[0]}")
+    times = sorted(set(times))
+    half = {t // 2 for t in fit_times}
+    steps = max([*times, *half], default=0)
+    checked = [t for t in fit_times if t <= steps]
+    entries, walked, doubled = {}, {}, {}
+    for t, p, p2 in kernel_entries(op, x, [x, *ids], sorted({*times, *half, *checked})):
+        entries[t] = p[1:]
+        walked[t] = float(p[0])
+        doubled[2 * t] = p2
+    gap = max((abs(doubled[t] - walked[t]) / walked[t] for t in checked), default=0.0)
+    return KernelWalk({t: entries[t] for t in times}, [(t, doubled[t]) for t in fit_times], gap, steps)
 
 
 def central_vertex(graph: CarpetGraph) -> int:

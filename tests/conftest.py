@@ -16,6 +16,7 @@ from carpetlab.heat import (
     ds_fit_times,
     fit_ds,
     kernel_entries,
+    walk_kernel,
 )
 
 
@@ -90,22 +91,23 @@ def make_torus(side: int) -> VertexGraph:
 
 def kernel_row(op: TransitionOperator, x: int, t: int) -> np.ndarray:
     """p_t(x, .) at every vertex, read through kernel_entries; the row must carry unit mass."""
-    [(_, row)] = kernel_entries(op, x, np.arange(op.graph.num_vertices), [t])
+    [(_, row, _)] = kernel_entries(op, x, np.arange(op.graph.num_vertices), [t])
     assert abs(row.sum() - 1.0) <= 1e-12, f"kernel row lost mass: sum = {row.sum()!r} at t = {t}"
     return row
 
 
 def diag_fit(graph, x=None, times=None):
-    """fit_ds over p_t(x, x), by default from the central cell at the carpet's d_s fit times."""
+    """fit_ds over the d_s points of a walk from x, by default from the central
+    cell at the carpet's d_s fit times, as the suite and the CLI fit them."""
     x = central_vertex(graph) if x is None else x
     if times is None:
         times = ds_fit_times(carpet_saturation_time(graph.params, graph.level))
-    return fit_ds([(t, float(p[0])) for t, p in kernel_entries(TransitionOperator(graph), x, [x], times)])
+    return fit_ds(walk_kernel(TransitionOperator(graph), x, [], [], times).diag)
 
 
 def kernel_samples(op: TransitionOperator, x: int, pairs) -> list:
     """``(y, t, p_t(x, y))`` for each ``(y, t)`` pair, by time, read off one walk."""
-    seen = dict(kernel_entries(op, x, [y for y, _ in pairs], sorted({t for _, t in pairs})))
+    seen = {t: p for t, p, _ in kernel_entries(op, x, [y for y, _ in pairs], sorted({t for _, t in pairs}))}
     return [(y, t, float(seen[t][i])) for t in seen for i, (y, s) in enumerate(pairs) if s == t]
 
 

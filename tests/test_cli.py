@@ -200,6 +200,17 @@ def test_hitting_catalog_checks_radii_before_drawing(capsys, g4_file, args, mess
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--r", "-2"], "inner radius must be positive"),
+    (["--r", "3", "--c1", "0.5"], "radius factors must satisfy c2 > c1 > 1"),
+])
+def test_hitting_annulus_checks_radii_before_scanning(capsys, g4_file, g4, args, message):
+    # With --x and no --y the radii are checked before the annulus is
+    # scanned, so a bad radius is named rather than reported as an empty annulus.
+    assert main(["hitting", "--graph", g4_file, "--x", str(vid(g4, 26, 26)), *args]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 # ---------------------------------------------------------------------- heat
 
 
@@ -217,13 +228,13 @@ def test_heat_diag(tmp_path, capsys, g4_file):
 
 
 def test_heat_diag_fits_from_its_own_series(capsys, monkeypatch, g4_file):
-    # one walk to max(tmax, 512) serves both the printed series and the d_s
-    # fit times 16..512, whether or not tmax reaches them
+    # one walk to max(tmax, 256) serves both the printed series and the d_s
+    # points at 16..512 (squared sums at 8..256), whether or not tmax reaches them
     steps = []
     step = TransitionOperator.step
     monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
     _, short = run_json(capsys, ["heat", "diag", "--graph", g4_file, "--tmax", "64"])
-    assert len(steps) == 512
+    assert len(steps) == 256
     steps.clear()
     _, covered = run_json(capsys, ["heat", "diag", "--graph", g4_file, "--tmax", "512"])
     assert len(steps) == 512
@@ -249,8 +260,9 @@ def test_heat_regime(tmp_path, capsys, g4_file, g4):
 
 
 def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_file, g4):
-    # Without --ds the d_s fit times (16..512) and the pair times (64, 128)
-    # share one walk of 512 steps; the estimate equals the fit over a walk of its own.
+    # Without --ds the d_s points (16..512, squared sums at 8..256) and the
+    # pair times (64, 128) share one walk of 256 steps; the estimate equals
+    # the fit over a walk of its own.
     x = vid(g4, 26, 26)
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("".join(f"{vid(g4, 26, 26 + dy)},{t}\n" for dy in (1, 2, 3) for t in (64, 128)))
@@ -262,7 +274,7 @@ def test_heat_regime_walks_the_kernel_once(tmp_path, capsys, monkeypatch, g4_fil
         ["heat", "regime", "--graph", g4_file, "--x", str(x), "--pairs", str(pairs), "--dw", "2.09"],
     )
     assert code == 0
-    assert len(steps) == 512
+    assert len(steps) == 256
     monkeypatch.setattr(TransitionOperator, "step", step)
     assert payload["ds"] == diag_fit(g4, x).value
     assert payload["sub_gaussian"]["n_points"] == 6
@@ -531,4 +543,27 @@ def test_report_rejects_an_artifact_without_a_printed_field(tmp_path, capsys):
     assert main(["report", "--manifest", str(out / "manifest.json")]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"usage error: {heat}: missing field 'walk'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("walk", 5, "'int' object is not subscriptable"),
+    ("reversibility_gap", "small", "Unknown format code 'e' for object of type 'str'"),
+])
+def test_report_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field, value, reason):
+    # A wrong-typed field is a usage error naming the file and the field,
+    # not a traceback.
+    out = tmp_path / "artifacts"
+    assert main(["suite", "--levels", "4", "--experiments", "heat", "--out", str(out)]) == 0
+    heat = out / "heat.json"
+    data = json.loads(heat.read_text())
+    if field == "walk":
+        data["walk"] = value
+    else:
+        data["walk"][field] = value
+    heat.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--manifest", str(out / "manifest.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {heat}: field {field!r} has the wrong type ({reason})\n"
     assert captured.out == ""

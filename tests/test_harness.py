@@ -244,8 +244,8 @@ def test_suite_fail_fast_stops(tmp_path):
 
 
 def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
-    # The d_s times (16..512 at level 4) and the regime times (64..512)
-    # share one walk of 512 steps.
+    # The d_s points (16..512 at level 4, squared sums at 8..256) and the
+    # regime times (64..512) share one walk of 512 steps.
     steps = []
     step = TransitionOperator.step
     monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
@@ -256,9 +256,26 @@ def test_heat_walks_the_kernel_once(tmp_path, monkeypatch):
     # identity and the diagonal reflection.
     with open(os.path.join(str(tmp_path), "heat.json"), encoding="utf-8") as fh:
         walk = json.load(fh)["walk"]
-    assert walk == {"vertices": 4096, "states": 2056, "symmetry_order": 2, "steps": 512}
+    # The self-check compares the walked p_T(x, x) at T = 16..512 with the
+    # squared sums at T/2.
+    assert walk == {"vertices": 4096, "states": 2056, "symmetry_order": 2, "steps": 512,
+                    "reversibility_gap": 2.7918907517706557e-16}
     text, _ = export_report(os.path.join(str(tmp_path), "manifest.json"))
-    assert "kernel walk: 512 steps on 2056 orbit states of 4096 vertices (symmetry order 2)" in text
+    assert ("kernel walk: 512 steps on 2056 orbit states of 4096 vertices (symmetry order 2),"
+            " squared-sum gap 2.8e-16") in text
+
+
+def test_heat_halves_the_level5_walk(tmp_path):
+    # At level 5 the d_s fit times run to 4096, so the walk ends at 2048
+    # (it ended at 4096 before the squared sums); d_s keeps its frozen value.
+    manifest = run_suite(tiny_config(tmp_path, levels=(5,), experiments=("heat",)))
+    assert manifest.experiments["heat"]["status"] == "ok"
+    with open(os.path.join(str(tmp_path), "heat.json"), encoding="utf-8") as fh:
+        heat = json.load(fh)
+    assert heat["walk"]["steps"] == 2048
+    assert heat["walk"]["reversibility_gap"] <= 1e-12
+    assert heat["ds"]["value"] == pytest.approx(1.7826368964944785, rel=1e-9)
+    assert heat["ds"]["window"] == [16, 4096]
 
 
 def test_resist_records_its_solves(tmp_path, monkeypatch):

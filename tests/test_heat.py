@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carpetlab.geometry import VertexGraph
+from carpetlab.geometry import VertexGraph, build_graph, validate_params
 from carpetlab.heat import (
     FitError,
     TransitionOperator,
@@ -12,6 +12,7 @@ from carpetlab.heat import (
     fit_ds,
     fit_regimes,
     kernel_entries,
+    walk_kernel,
 )
 from carpetlab.harmonic import expected_exit_time
 
@@ -59,7 +60,7 @@ def test_plain_graph_walks_singleton_orbits():
     np.testing.assert_array_equal(quotient.orbit, np.arange(torus.num_vertices))
     p = np.zeros(torus.num_vertices)
     p[5] = 1.0
-    for t, values in kernel_entries(op, 5, np.arange(torus.num_vertices), range(40)):
+    for t, values, _ in kernel_entries(op, 5, np.arange(torus.num_vertices), range(40)):
         assert np.array_equal(values, p)
         p = op.step(p)
 
@@ -126,6 +127,81 @@ def test_light_cone(g4):
     assert (row[sep <= 1] > 0.0).all()
 
 
+# ------------------------------------------------------------- squared sums
+
+
+def _squared_sums_match_the_walk(graph, x, t_max=40):
+    """Each squared sum at t equals the walked p_2t(x, x); returns the quotient."""
+    op = TransitionOperator(graph)
+    walked = list(kernel_entries(op, x, [x], range(2 * t_max + 1)))
+    for t, _, p2 in walked[: t_max + 1]:
+        assert p2 == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
+    return op.quotient(x)
+
+
+def test_squared_sums_on_the_torus():
+    # Every vertex of the torus has degree 4 and is its own orbit: the
+    # weights are all 1 and p_2t(x, x) is the plain sum of p_t(x, y)^2.
+    torus = make_torus(64)
+    quotient = _squared_sums_match_the_walk(torus, 0)
+    np.testing.assert_array_equal(quotient.weight, np.ones(torus.num_vertices))
+
+
+def test_squared_sums_on_a_3d_orbit_quotient():
+    # The central cell of the 3-D level-2 carpet is fixed by 6 symmetries;
+    # the sum runs over orbit values weighted by deg(x) |O| / deg(O).
+    graph = build_graph(2, validate_params(3, 3, 1))
+    x = central_vertex(graph)
+    quotient = _squared_sums_match_the_walk(graph, x)
+    assert quotient.symmetry_order == 6
+    assert quotient.states < graph.num_vertices
+    _, rep = np.unique(quotient.orbit, return_index=True)
+    expect = graph.degrees[x] * np.bincount(quotient.orbit) / graph.degrees[rep]
+    np.testing.assert_array_equal(quotient.weight, expect)
+
+
+def test_squared_sums_on_unequal_degrees():
+    # A plain graph with degrees 1 to 4: the identity needs the 1 / deg(y)
+    # weights, from a source of degree 1 and from one of degree 4.
+    graph = VertexGraph.from_edges(
+        [(i, 0) for i in range(7)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3), (3, 5), (2, 5)]
+    )
+    assert sorted(set(graph.degrees.tolist())) == [1, 2, 3, 4]
+    for x in (0, 3):
+        quotient = _squared_sums_match_the_walk(graph, x)
+        assert quotient.weight[0] == graph.degrees[x] / graph.degrees[0]
+
+
+def test_an_isolated_source_keeps_its_mass():
+    # deg(x) = 0: x's own orbit weighs 1 and the other isolated vertex 0,
+    # so p stays 1 with no inf or NaN, and the self-check finds no gap.
+    graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5), (9, 9)], [(0, 1), (1, 2)])
+    op = TransitionOperator(graph)
+    for x in (3, 0):
+        assert np.isfinite(op.quotient(x).weight).all()
+    np.testing.assert_array_equal(op.quotient(3).weight, [0.0, 0.0, 0.0, 1.0, 0.0])
+    for t, p, p2 in kernel_entries(op, 3, [3], range(20)):
+        assert (float(p[0]), p2) == (1.0, 1.0)
+    walk = walk_kernel(op, 3, [3], [5], [16, 32, 64, 128])
+    assert walk.diag == [(16, 1.0), (32, 1.0), (64, 1.0), (128, 1.0)]
+    assert (walk.gap, walk.steps) == (0.0, 64)
+
+
+def test_walk_kernel_halves_the_walk(g4, monkeypatch):
+    # The fit times 16..512 need the walk only to 256; the self-check
+    # compares the walked p_T(x, x) at 16..256 with the squared sums.
+    steps = []
+    step = TransitionOperator.step
+    monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
+    walk = walk_kernel(TransitionOperator(g4), central_vertex(g4), [0], [8], ds_fit_times(800))
+    assert (walk.steps, len(steps)) == (256, 256)
+    assert [t for t, _ in walk.diag] == [16, 32, 64, 128, 256, 512]
+    assert 0.0 < walk.gap <= 1e-12
+    assert list(walk.entries) == [8]
+    with pytest.raises(ValueError, match="d_s fit times must be even, got 17"):
+        walk_kernel(TransitionOperator(g4), 0, [], [], [16, 17])
+
+
 # ------------------------------------------------------------------ plumbing
 
 
@@ -142,14 +218,16 @@ def test_saturation_time(g4, g5):
 def test_fits_equal_the_estimates_that_walk(g4):
     # One walk can serve both fits: the values read off a walk through every
     # time up to 512 are bit-identical to those of walks that stop only at
-    # the fit times.
+    # the fit times (the d_s point at T is the squared sum at T/2).
     op = TransitionOperator(g4)
     x = central_vertex(g4)
     pairs = [(y, t) for t in (64, 128) for y in range(0, g4.num_vertices, 600)]
     ids = [x, *(y for y, _ in pairs)]
-    seen = dict(kernel_entries(op, x, ids, range(1, 513)))
+    walked = list(kernel_entries(op, x, ids, range(1, 513)))
+    seen = {t: p for t, p, _ in walked}
+    doubled = {2 * t: p2 for t, _, p2 in walked}
     times = ds_fit_times(carpet_saturation_time(g4.params, g4.level))
-    assert fit_ds([(t, float(seen[t][0])) for t in times]) == diag_fit(g4, x)
+    assert fit_ds([(t, doubled[t]) for t in times]) == diag_fit(g4, x)
     samples = [(y, t, float(seen[t][i + 1])) for i, (y, t) in enumerate(pairs)]
     assert fit_regimes(g4, x, samples, 1.78, 2.09) == fit_regimes(
         g4, x, kernel_samples(op, x, pairs), 1.78, 2.09
@@ -194,7 +272,7 @@ def test_ds_degenerate_flat_series():
     from carpetlab.geometry import VertexGraph
 
     g = VertexGraph.from_edges([(0, 0), (1, 0)], [(0, 1)])
-    est = diag_fit(g, x=0, times=[1, 2, 4, 8])
+    est = diag_fit(g, x=0, times=[2, 4, 8, 16])
     assert est.degenerate
     assert est.value == 0.0
 

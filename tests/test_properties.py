@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from carpetlab import linalg
 from carpetlab.geometry import box_vertices, build_graph, count_cells, validate_params
 from carpetlab.harmonic import HOLD
-from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries
+from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
@@ -95,14 +95,31 @@ def test_lazy_walk_conserves_mass_and_is_reversible(case):
     op = TransitionOperator(graph)
     times = range(7)
     every = np.arange(graph.num_vertices)
-    rows_x = [p for _, p in kernel_entries(op, x, every, times)]
-    rows_y = [p for _, p in kernel_entries(op, y, every, times)]
+    rows_x = [p for _, p, _ in kernel_entries(op, x, every, times)]
+    rows_y = [p for _, p, _ in kernel_entries(op, y, every, times)]
     deg = graph.degrees
     for px, py in zip(rows_x, rows_y):
         assert px.sum() == pytest.approx(1.0, rel=1e-12)
         assert py.sum() == pytest.approx(1.0, rel=1e-12)
         assert deg[x] * px[y] == pytest.approx(deg[y] * py[x], rel=1e-12, abs=0.0)
         assert (px >= 0).all()
+
+
+@settings(deadline=None)
+@given(carpet_and_source())
+def test_squared_sums_give_the_doubled_return_probability(case):
+    # The walk is reversible with respect to the degree, so the squared sum
+    # over the orbit values at t is the walked p_2t(x, x); the d_s points
+    # of walk_kernel are those sums and its self-check sees no gap.
+    graph, x = case
+    op = TransitionOperator(graph)
+    walked = list(kernel_entries(op, x, [x], range(17)))
+    for t, _, p2 in walked[:9]:
+        assert p2 == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
+    walk = walk_kernel(op, x, [], [], [2, 4, 8, 16])
+    assert walk.diag == [(t, walked[t // 2][2]) for t in (2, 4, 8, 16)]
+    assert walk.steps == 8
+    assert walk.gap <= 1e-12
 
 
 @settings(deadline=None)
@@ -140,7 +157,7 @@ def test_quotient_walk_matches_the_plain_walk(case):
     op = TransitionOperator(graph)
     times = [0, 1, 2, 5, 9, 16]
     quotient = op.quotient(x)
-    walked = dict(kernel_entries(op, x, np.arange(graph.num_vertices), times))
+    walked = {t: p for t, p, _ in kernel_entries(op, x, np.arange(graph.num_vertices), times)}
     plain = np.zeros(graph.num_vertices)
     plain[x] = 1.0
     for t in range(times[-1] + 1):
