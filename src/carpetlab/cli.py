@@ -1,7 +1,7 @@
 """Command-line interface: carpet <subcommand>.
 
 Exit codes: 0 success, 1 experiment failure, 2 usage error, 3 capacity error
-(graph too large for the configured budget).
+(graph too large for the configured budget, or out of memory).
 """
 
 from __future__ import annotations
@@ -380,6 +380,10 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"capacity error: out of memory in '{args.command}'{detail}", file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,6 +17,13 @@ step of the Barlow-Bass coupling argument): one fires whenever the first
 walker has moved k^m from the last renewal point, m being the association
 level of the pairs it draws.
 
+The per-vertex tables span only the vertices with x_0 <= k^m_max, m_max
+being the highest association level resolved.  Every walk stops once a
+walker leaves a box of side at most k^m_max, so no walker still under way
+goes past that layer, and the tables grow with the walk's reach instead of
+the graph: 60,588 rows instead of 456,976 on the 3-D level-4 carpet at
+m_max = 2.
+
 Trials run in lockstep on numpy tables indexed by vertex id, at most
 ``_POOL`` at a time, a stopped trial's slot going to the next one.  Stream
 contract: trial ``i`` draws only from its own ``derive_rng(seed, label, i)``,
@@ -111,7 +118,17 @@ class _Walks:
 
 
 class _Coupler:
-    """Numpy tables driving every coupling computation on one graph."""
+    """Numpy tables driving every coupling computation on one graph.
+
+    The tables cover the vertices with x_0 <= ``reach`` = k^m_max, an id
+    prefix, and are indexed by global vertex id; a neighbor past the prefix
+    reads as absent.  That is enough for every walk stopped on leaving a box
+    of side at most ``reach``: a walker inside the box steps only onto the
+    prefix, and only a walker that has already left the box can stand on the
+    prefix's last x_0 layer, whose outward neighbors are cut.  ``start``
+    refuses a larger box, and a walk with no box unless the prefix is the
+    whole graph (as at m_max = graph level).
+    """
 
     def __init__(self, graph: CarpetGraph, m_max: int):
         if not isinstance(graph, CarpetGraph):
@@ -121,8 +138,11 @@ class _Coupler:
         self.m_max = m_max
         d = graph.params.d
         k = graph.params.k
-        coords = graph.coords
-        self.coords = coords
+        self.coords = graph.coords
+        self.reach = k ** m_max
+        # Ids ascend lexicographically, so x_0 <= reach is an id prefix.
+        rows = int(np.searchsorted(graph.coords[:, 0], self.reach, side="right"))
+        coords = graph.coords[:rows]
         n_dirs = 2 * d
 
         # Signed permutations, identity first, so the lowest valid id is the
@@ -132,11 +152,12 @@ class _Coupler:
         n_isos = len(self.iso_perm)
 
         # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1.
-        self.nbr = np.empty((graph.num_vertices, n_dirs), dtype=np.int64)
+        self.nbr = np.empty((rows, n_dirs), dtype=np.int64)
         for e in range(n_dirs):
             shifted = coords.copy()
             shifted[:, e // 2] += 1 - 2 * (e % 2)
             self.nbr[:, e] = graph.vertex_ids(shifted)
+        self.nbr[self.nbr >= rows] = -1
         self.mask = ((self.nbr >= 0) << np.arange(n_dirs)).sum(axis=1)
         bits = (np.arange(1 << n_dirs)[:, None] >> np.arange(n_dirs)) & 1
         self.dir_count = bits.sum(axis=1)
@@ -158,9 +179,9 @@ class _Coupler:
         # Per level: doubled local coordinates, orbit-canonical keys (one
         # per position in an S_m cube, then gathered) and packed cube index.
         levels = m_max + 1
-        self.loc2 = np.empty((levels, graph.num_vertices, d), dtype=np.int64)
-        self.canon = np.empty((levels, graph.num_vertices), dtype=np.int64)
-        self.cube_key = np.empty((levels, graph.num_vertices), dtype=np.int64)
+        self.loc2 = np.empty((levels, rows, d), dtype=np.int64)
+        self.canon = np.empty((levels, rows), dtype=np.int64)
+        self.cube_key = np.empty((levels, rows), dtype=np.int64)
         for m in range(levels):
             side_m = k ** m
             local = coords % side_m
@@ -197,8 +218,15 @@ class _Coupler:
         """Walks of ``trial[i]`` (default i) from the pairs ``(x0[i], y0[i])``.
 
         ``rule`` sets the stopping-rule fields of ``_Walks``; a walk that
-        already meets the stopping rule starts stopped.
+        already meets the stopping rule starts stopped.  A rule whose box
+        the tables do not reach raises ``ValueError``.
         """
+        box_side = rule.get("box_side")
+        if box_side is None and len(self.nbr) < len(self.coords):
+            raise ValueError(f"a walk without a stopping box needs tables over the whole graph, "
+                             f"not only x_0 <= {self.reach}")
+        if box_side is not None and box_side > self.reach:
+            raise ValueError(f"stopping box side {box_side} exceeds the tables' reach {self.reach}")
         x = np.asarray(x0, dtype=np.int64).copy()
         y = np.asarray(y0, dtype=np.int64).copy()
         m, iso = self.refresh(x, y)

@@ -146,13 +146,14 @@ class OrbitQuotient:
 
 def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
     """Yield ``(t, p, p2)`` for each of the ascending ``times``: ``p[i]`` is
-    p_t(x, ids[i]) and ``p2`` is p_2t(x, x) from the squared sum at t.
+    p_t(x, ids[i]) and ``p2()`` returns p_2t(x, x) from the squared sum at t.
 
     The only loop that applies a step.  It walks ``op.quotient(x)`` from the
     value 1 on the orbit of ``x`` (x alone) and 0 elsewhere, advances
     between consecutive times, and gathers only the vertices ``ids`` from
-    the orbit values.  The squared sum is numpy's pairwise sum over the
-    orbits, whose order does not depend on the thread count.
+    the orbit values.  The squared sum is computed only when ``p2`` is
+    called, as numpy's pairwise sum over the orbits, whose order does not
+    depend on the thread count.
     """
     quotient = op.quotient(x)
     read = quotient.orbit[np.asarray(ids, dtype=np.int64)]
@@ -165,9 +166,7 @@ def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) ->
         for _ in range(t - t_cur):
             values = quotient.op.step(values)
         t_cur = t
-        squares = values * values
-        squares *= quotient.weight
-        yield t, values[read], float(squares.sum())
+        yield t, values[read], lambda v=values: float((v * v * quotient.weight).sum())
 
 
 @dataclass
@@ -204,7 +203,8 @@ def walk_kernel(op: TransitionOperator, x: int, ids, times: Iterable[int],
     for t, p, p2 in kernel_entries(op, x, [x, *ids], sorted({*times, *half, *checked})):
         entries[t] = p[1:]
         walked[t] = float(p[0])
-        doubled[2 * t] = p2
+        if t in half:
+            doubled[2 * t] = p2()
     gap = max((abs(doubled[t] - walked[t]) / walked[t] for t in checked), default=0.0)
     return KernelWalk({t: entries[t] for t in times}, [(t, doubled[t]) for t in fit_times], gap, steps)
 

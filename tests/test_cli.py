@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import carpetlab
+from carpetlab import cli
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import read_graph, write_graph
@@ -90,6 +91,25 @@ def test_build_over_budget(tmp_path, capsys):
     code = main(["build", "--n", "9", "--out", str(tmp_path / "x.txt"), "--budget", "1000"])
     assert code == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, detail", [
+    (MemoryError("Unable to allocate 4.58 GiB for an array"), ": Unable to allocate 4.58 GiB for an array"),
+    (MemoryError(), ""),
+])
+def test_build_out_of_memory(tmp_path, capsys, monkeypatch, error, detail):
+    # A build inside the vertex budget that the host cannot hold (the 4-D
+    # level-4 carpet has 40,960,000 vertices) is a capacity error, not a
+    # traceback; build_graph raises instead of allocating.
+    def build_graph(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    out = tmp_path / "g.txt"
+    argv = ["build", "--d", "4", "--k", "3", "--a", "1", "--n", "4", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"capacity error: out of memory in 'build'{detail}\n"
+    assert not out.exists()
 
 
 def test_build_bad_params(tmp_path, capsys):

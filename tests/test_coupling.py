@@ -367,3 +367,80 @@ def test_upgrade_rejects_bad_inputs(g3):
         upgrade_statistics(g3, -1, 10, 2)
     with pytest.raises(ValueError, match="renewal count j"):
         upgrade_statistics(g3, 0, 10, 2, j=0)
+
+
+# --------------------------------------------------------------- table reach
+
+
+def full_tables(graph, m_max):
+    """An engine at cap ``m_max`` whose tables cover every vertex.
+
+    At the graph's own level the prefix x_0 <= k^level is the whole graph;
+    the levels above ``m_max`` are then dropped, which leaves the tables of
+    a cap-``m_max`` engine (each level's rows depend only on that level).
+    """
+    eng = _Coupler(graph, graph.level)
+    assert len(eng.nbr) == graph.num_vertices
+    eng.m_max = m_max
+    levels = slice(0, m_max + 1)
+    eng.loc2, eng.canon, eng.cube_key = eng.loc2[levels], eng.canon[levels], eng.cube_key[levels]
+    eng.scale_sq = eng.scale_sq[levels]
+    return eng
+
+
+@pytest.mark.parametrize("graph_name, x, y", [
+    ("g4", (0, 0), (2, 1)),
+    ("g3d", (0, 0, 0), (2, 1, 0)),
+])
+def test_prefix_tables_walk_as_full_tables(request, monkeypatch, graph_name, x, y):
+    # Walks stopped on leaving the level-2 box read the same tables on the
+    # prefix x_0 <= 9 as on the whole graph: every output, digests bit for bit.
+    graph = request.getfixturevalue(graph_name)
+    x, y = vid(graph, *x), vid(graph, *y)
+
+    def outputs(cache):
+        monkeypatch.setattr(graph, "_coupler_cache", cache, raising=False)
+        walks = run_coupled_walk(graph, x, y, 2, trials=600, seed=11)
+        ups = [upgrade_statistics(graph, m, 300, 2, seed=12) for m in (0, 1)]
+        return walks, ups
+
+    walks, ups = outputs({})
+    prefix = graph._coupler_cache[2]
+    assert len(prefix.nbr) < graph.num_vertices
+    assert (prefix.nbr < len(prefix.nbr)).all()
+    full_walks, full_ups = outputs({2: full_tables(graph, 2)})
+    assert walks.keys() == full_walks.keys()
+    for name in walks:
+        assert walks[name].dtype == full_walks[name].dtype
+        assert np.array_equal(walks[name], full_walks[name]), name
+    assert ups == full_ups
+    # Walkers did reach the box wall, the layer whose outward steps are cut.
+    assert (~walks["coupled"] & ~walks["truncated"]).any()
+    assert ups[1]["exited"] > 0
+
+
+def test_prefix_length_on_the_3d_level4_carpet(g3d4):
+    # x_0 <= 9 keeps 10 of the 81 x_0 layers: 60,588 of 456,976 vertices.
+    eng = _coupler(g3d4, 2)
+    assert eng.reach == 9
+    assert eng.nbr.shape == (60_588, 6)
+    assert eng.mask.shape == (60_588,)
+    assert eng.loc2.shape == (3, 60_588, 3)
+    assert eng.canon.shape == eng.cube_key.shape == (3, 60_588)
+    assert g3d4.coords[60_587, 0] == 9 and g3d4.coords[60_588, 0] == 10
+
+
+def test_walks_must_stay_within_the_tables(g4):
+    # Cap 2 on a level-4 graph: the tables stop at x_0 = 9.
+    eng = _Coupler(g4, 2)
+    x, y = np.array([vid(g4, 0, 0)]), np.array([vid(g4, 2, 1)])
+    assert len(eng.nbr) < g4.num_vertices
+    with pytest.raises(ValueError, match="box side 27 exceeds the tables' reach 9"):
+        eng.start(x, y, box_side=27)
+    with pytest.raises(ValueError, match="without a stopping box needs tables over the whole graph"):
+        eng.start(x, y, target=1)
+    with pytest.raises(ValueError, match="without a stopping box"):
+        eng.run(1, "reach-test", 4, 10, lambda states: (np.repeat(x, len(states)), np.repeat(y, len(states))))
+    assert eng.start(x, y, box_side=9).status[0] == coupling.ACTIVE
+    # A cap at the graph's level covers every vertex: no box is needed.
+    assert _Coupler(g4, 4).start(x, y).status[0] == coupling.ACTIVE

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carpetlab import heat
 from carpetlab.geometry import VertexGraph, build_graph, validate_params
 from carpetlab.heat import (
     FitError,
@@ -135,7 +136,7 @@ def _squared_sums_match_the_walk(graph, x, t_max=40):
     op = TransitionOperator(graph)
     walked = list(kernel_entries(op, x, [x], range(2 * t_max + 1)))
     for t, _, p2 in walked[: t_max + 1]:
-        assert p2 == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
+        assert p2() == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
     return op.quotient(x)
 
 
@@ -181,7 +182,7 @@ def test_an_isolated_source_keeps_its_mass():
         assert np.isfinite(op.quotient(x).weight).all()
     np.testing.assert_array_equal(op.quotient(3).weight, [0.0, 0.0, 0.0, 1.0, 0.0])
     for t, p, p2 in kernel_entries(op, 3, [3], range(20)):
-        assert (float(p[0]), p2) == (1.0, 1.0)
+        assert (float(p[0]), p2()) == (1.0, 1.0)
     walk = walk_kernel(op, 3, [3], [5], [16, 32, 64, 128])
     assert walk.diag == [(16, 1.0), (32, 1.0), (64, 1.0), (128, 1.0)]
     assert (walk.gap, walk.steps) == (0.0, 64)
@@ -200,6 +201,21 @@ def test_walk_kernel_halves_the_walk(g4, monkeypatch):
     assert list(walk.entries) == [8]
     with pytest.raises(ValueError, match="d_s fit times must be even, got 17"):
         walk_kernel(TransitionOperator(g4), 0, [], [], [16, 17])
+
+
+def test_walk_kernel_sums_squares_only_at_half_times(g4, monkeypatch):
+    # A walk read at every time, as `carpet heat diag` reads it, computes the
+    # squared sum only at the half times of its fit times.
+    summed = []
+    entries = heat.kernel_entries
+
+    def counted(*args):
+        for t, p, p2 in entries(*args):
+            yield t, p, lambda t=t, p2=p2: summed.append(t) or p2()
+
+    monkeypatch.setattr(heat, "kernel_entries", counted)
+    walk = walk_kernel(TransitionOperator(g4), central_vertex(g4), [], range(1, 65), [16, 32, 64])
+    assert (walk.steps, summed) == (64, [8, 16, 32])
 
 
 # ------------------------------------------------------------------ plumbing
@@ -225,7 +241,7 @@ def test_fits_equal_the_estimates_that_walk(g4):
     ids = [x, *(y for y, _ in pairs)]
     walked = list(kernel_entries(op, x, ids, range(1, 513)))
     seen = {t: p for t, p, _ in walked}
-    doubled = {2 * t: p2 for t, _, p2 in walked}
+    doubled = {2 * t: p2() for t, _, p2 in walked}
     times = ds_fit_times(carpet_saturation_time(g4.params, g4.level))
     assert fit_ds([(t, doubled[t]) for t in times]) == diag_fit(g4, x)
     samples = [(y, t, float(seen[t][i + 1])) for i, (y, t) in enumerate(pairs)]

@@ -115,9 +115,9 @@ def test_squared_sums_give_the_doubled_return_probability(case):
     op = TransitionOperator(graph)
     walked = list(kernel_entries(op, x, [x], range(17)))
     for t, _, p2 in walked[:9]:
-        assert p2 == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
+        assert p2() == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
     walk = walk_kernel(op, x, [], [], [2, 4, 8, 16])
-    assert walk.diag == [(t, walked[t // 2][2]) for t in (2, 4, 8, 16)]
+    assert walk.diag == [(t, walked[t // 2][2]()) for t in (2, 4, 8, 16)]
     assert walk.steps == 8
     assert walk.gap <= 1e-12
 
