@@ -29,7 +29,7 @@ from .harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
-from .heat import TransitionOperator, central_vertex, estimate_dw
+from .heat import central_vertex, estimate_dw
 from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, walk_kernel
 from .coupling import MAX_STEPS, run_coupled_walk, upgrade_statistics
 from .linalg import ConvergenceError
@@ -152,13 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_sets(path: str) -> list[list[int]]:
     groups: list[list[int]] = [[]]
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s:
                 if groups[-1]:
                     groups.append([])
                 continue
-            groups[-1].append(int(s))
+            try:
+                groups[-1].append(int(s))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected a vertex id, got {s!r}") from None
     return [g for g in groups if g]
 
 
@@ -227,12 +230,11 @@ def _cmd_heat(args) -> int:
         raise ValueError(f"--tmax must be at least 1, got {args.tmax}")
     graph = read_graph(args.graph)
     _check_ids(graph, [args.x], "--x")
-    op = TransitionOperator(graph)
     x = args.x if args.x is not None else central_vertex(graph)
     cap = carpet_saturation_time(graph.params, graph.level)
     if args.heat_command == "diag":
         # one walk covers the printed 1..tmax series and the d_s points
-        walk = walk_kernel(op, x, [x], range(1, args.tmax + 1), ds_fit_times(cap))
+        walk = walk_kernel(graph, x, [x], range(1, args.tmax + 1), ds_fit_times(cap))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("t,p_tt\n")
@@ -256,7 +258,7 @@ def _cmd_heat(args) -> int:
                 raise ValueError(f"{args.pairs}:{lineno}: expected y,t, got {s!r}") from None
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
     # one walk covers the pair times and, without --ds, the d_s points
-    walk = walk_kernel(op, x, [y for y, _ in pairs], [t for _, t in pairs],
+    walk = walk_kernel(graph, x, [y for y, _ in pairs], [t for _, t in pairs],
                        ds_fit_times(cap) if args.ds is None else [])
     samples = sorted(((y, t, float(walk.entries[t][i])) for i, (y, t) in enumerate(pairs)),
                      key=lambda sample: sample[1])  # by time, as the walk reads them
@@ -321,7 +323,7 @@ def _cmd_resist(args) -> int:
         sys.stdout.write(json.dumps({"n": args.n, "resistance": value}) + "\n")
         return 0
     graph = read_graph(args.graph)
-    levels = [int(s) for s in args.levels.split(",") if s.strip()]
+    levels = list(_parse_value("levels", args.levels, "--"))
     groups = _read_sets(args.set_file)
     _check_ids(graph, [v for group in groups for v in group], args.set_file)
     reports = [

@@ -151,12 +151,10 @@ class _Coupler:
         self.iso_perm, self.iso_sign = signed_permutations(d)
         n_isos = len(self.iso_perm)
 
-        # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1.
-        self.nbr = np.empty((rows, n_dirs), dtype=np.int64)
-        for e in range(n_dirs):
-            shifted = coords.copy()
-            shifted[:, e // 2] += 1 - 2 * (e % 2)
-            self.nbr[:, e] = graph.vertex_ids(shifted)
+        # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1, taken
+        # from the graph's unit-step columns 2d - 1 - axis and axis.
+        axes = np.arange(n_dirs) // 2
+        self.nbr = graph.unit_steps(rows)[:, np.where(np.arange(n_dirs) % 2, axes, n_dirs - 1 - axes)]
         self.nbr[self.nbr >= rows] = -1
         self.mask = ((self.nbr >= 0) << np.arange(n_dirs)).sum(axis=1)
         bits = (np.arange(1 << n_dirs)[:, None] >> np.arange(n_dirs)) & 1

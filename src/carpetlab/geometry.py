@@ -197,19 +197,36 @@ class VertexGraph:
 
 
 class CarpetGraph(VertexGraph):
-    """Level-n graphical carpet; immutable after construction."""
+    """Level-n graphical carpet on the cells ``coords``, in lexicographic order; immutable.
 
-    def __init__(self, params: CarpetParams, level: int, coords, indptr, indices):
-        super().__init__(coords, indptr, indices)
+    Its adjacency comes from one lookup of every cell's unit steps
+    (:meth:`unit_steps`).  The step columns run -e_0 .. -e_{d-1},
+    +e_{d-1} .. +e_0, in ascending key offset, so each row's neighbors
+    already ascend and compress straight into CSR.
+    """
+
+    def __init__(self, params: CarpetParams, level: int, coords):
         self.params = params
         self.level = int(level)
         self.side = params.k**self.level
         strides = [self.side ** (params.d - 1 - i) for i in range(params.d)]
         self._strides = np.array(strides, dtype=np.int64)
+        self.coords = np.ascontiguousarray(coords, dtype=np.int64)
         self._keys = self.coords @ self._strides
         self._keys.setflags(write=False)
+        steps = self.unit_steps()
+        present = steps >= 0
+        indptr = np.zeros(len(steps) + 1, dtype=np.int64)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        super().__init__(self.coords, indptr, steps[present])
         self._orbits: dict[tuple, np.ndarray] = {}
         self._top: Optional[np.ndarray] = None  # largest coordinate per vertex, see box_vertices
+
+    def _find(self, keys: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """Vertex id of each coordinate key, or -1 where absent or not ``inside`` the window."""
+        pos = np.searchsorted(self._keys, keys)
+        np.minimum(pos, len(self._keys) - 1, out=pos)
+        return np.where(inside & (self._keys[pos] == keys), pos, -1)
 
     def vertex_id(self, coords: Sequence[int]) -> Optional[int]:
         """Vertex id for a coordinate tuple, or None if absent."""
@@ -219,12 +236,22 @@ class CarpetGraph(VertexGraph):
     def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized lookup; -1 marks coordinates not in the graph."""
         coords = np.asarray(coords, dtype=np.int64)
-        keys = coords @ self._strides
-        pos = np.searchsorted(self._keys, keys)
-        pos = np.clip(pos, 0, self.num_vertices - 1)
-        found = self._keys[pos] == keys
         inside = ((coords >= 0) & (coords < self.side)).all(axis=1)
-        return np.where(found & inside, pos, -1)
+        return self._find(coords @ self._strides, inside)
+
+    def unit_steps(self, count: Optional[int] = None) -> np.ndarray:
+        """Neighbor ids of the vertices ``0 .. count - 1`` (default all), -1 where absent.
+
+        Column c < d steps by -e_c and column 2d - 1 - c by +e_c.
+        """
+        d = self.params.d
+        coords, keys = self.coords[:count], self._keys[:count]
+        steps = np.empty((len(keys), 2 * d), dtype=np.int64)
+        for axis in range(d):
+            column = coords[:, axis]
+            steps[:, axis] = self._find(keys - self._strides[axis], column > 0)
+            steps[:, 2 * d - 1 - axis] = self._find(keys + self._strides[axis], column < self.side - 1)
+        return steps
 
     def symmetry_images(self, rows, ids=None) -> Iterator[np.ndarray]:
         """Coordinates of the vertices ``ids`` (default all) under each window symmetry ``rows``.
@@ -296,9 +323,10 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
     """Construct the level-n graphical carpet.
 
     Enumerates surviving cells by recursive subdivision (children of survivors
-    minus the central block), which keeps construction O(|V| d) and yields the
-    lexicographic vertex order directly.  Refuses to build above ``budget``
-    vertices with a CapacityError naming the limit.
+    minus the central block) in O(|V| d), then sorts the parent-major cells
+    by coordinate key once, in O(|V| log |V|), into the lexicographic vertex
+    order.  Refuses to build above ``budget`` vertices with a CapacityError
+    naming the limit.
     """
     expected = count_cells(n, params)  # rejects a negative level
     if expected > budget:
@@ -318,33 +346,8 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
     assert cells.shape[0] == expected
 
     strides = np.array([side ** (params.d - 1 - i) for i in range(params.d)], dtype=np.int64)
-    # The expansion is parent-major, which is not the lexicographic order of
-    # the final coordinates; sort once so ids and searchsorted lookups agree.
-    keys = cells @ strides
-    order = np.argsort(keys)
-    cells = cells[order]
-    keys = keys[order]
-    nv = cells.shape[0]
-    ids = np.arange(nv, dtype=np.int64)
-
-    src_list, dst_list = [], []
-    for axis in range(params.d):
-        movable = cells[:, axis] + 1 < side
-        cand = keys[movable] + strides[axis]
-        pos = np.searchsorted(keys, cand)
-        pos = np.clip(pos, 0, nv - 1)
-        found = keys[pos] == cand
-        src_list.append(ids[movable][found])
-        dst_list.append(pos[found])
-    src, dst = np.concatenate(src_list), np.concatenate(dst_list)  # d >= 2 axes, never empty
-
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    adj = sp.coo_matrix((np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(nv, nv)).tocsr()
-    adj.sort_indices()
-    graph = CarpetGraph(params, n, cells, adj.indptr.astype(np.int64), adj.indices.astype(np.int64))
-    assert graph.num_edges == len(src)
-    return graph
+    cells = cells[np.argsort(cells @ strides)]  # frees the parent-major cells before the lookup
+    return CarpetGraph(params, n, cells)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .harmonic import (_distances, harnack_constant, hitting_pair_catalog, hitti
                        HittingSpec)
 from .heat import (
     DS_MIN_POINTS,
-    TransitionOperator,
     _slope_fit,
     carpet_saturation_time,
     central_vertex,
@@ -269,9 +268,7 @@ def exp_heat(ctx: _SuiteContext) -> dict:
     regime_times = [t for t in (64, 128, 256, 512) if t <= cap]
     targets = _regime_targets(graph, x)
     # One walk serves both fits: the d_s points and p_t(x, y) at the targets.
-    op = TransitionOperator(graph)
-    walk = walk_kernel(op, x, targets, regime_times, ds_times)
-    quotient = op.quotient(x)
+    walk = walk_kernel(graph, x, targets, regime_times, ds_times)
     ds = fit_ds(walk.diag)
     dw = estimate_dw(graph, x, tolerance=ctx.config.tolerance)
     df = hausdorff_dimension(ctx.params)
@@ -292,8 +289,8 @@ def exp_heat(ctx: _SuiteContext) -> dict:
                 "n_floor_excluded": fit.n_floor_excluded,
                 "walk": {
                     "vertices": graph.num_vertices,
-                    "states": quotient.states,
-                    "symmetry_order": quotient.symmetry_order,
+                    "states": walk.states,
+                    "symmetry_order": walk.symmetry_order,
                     "steps": walk.steps,
                     "reversibility_gap": walk.gap,
                 },

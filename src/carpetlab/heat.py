@@ -6,13 +6,15 @@ p_t(x,x) ~ t^(-d_s/2) yields the spectral dimension; exit-time scaling
 E[tau(x,r)] ~ r^(d_w) yields the walk dimension; off-diagonal decay is fitted
 separately in the near regime (|x-y| <= t) and the far regime (|x-y| > t).
 
-Every kernel iteration goes through :func:`kernel_entries`, which walks the
-chain lumped onto the orbits of the graph symmetries fixing the source:
-p_t(x, .) is constant on each orbit, so one sparse matrix-vector product per
-step on one value per orbit gives the kernel exactly (on the 3-D level-4
-carpet the central source's stabilizer has order 6 and the walk steps 78,216
-orbits for 456,976 vertices).  It gathers only the vertices a caller asks
-for from the orbit values.  Memory stays O(|V|).
+One :class:`TransitionOperator` steps the walk on the orbits of a group of
+graph symmetries, the trivial group giving the plain walk, and every kernel
+iteration goes through :func:`kernel_entries`.  :func:`walk_kernel` walks
+the orbits of the symmetries fixing the source: p_t(x, .) is constant on
+each orbit, so one sparse matrix-vector product per step on one value per
+orbit gives the kernel exactly (on the 3-D level-4 carpet the central
+source's stabilizer has order 6 and the walk steps 78,216 orbits for
+456,976 vertices).  Only the vertices a caller asks for are gathered from
+the orbit values.  Memory stays O(|V|).
 
 The walk is reversible with respect to the degree (Levin-Peres-Wilmer,
 *Markov Chains and Mixing Times*, ch. 1), so a walk to t also gives
@@ -32,7 +34,6 @@ targets and times.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,105 +69,69 @@ class FitError(RuntimeError):
     """Not enough usable points for a slope estimate."""
 
 
-@dataclass
 class TransitionOperator:
-    """One-step operator of the lazy walk on a vertex graph.
+    """One-step operator of the lazy walk on the orbits of a group of graph symmetries.
 
-    A step is ``hold * p + Q @ p``: ``Q = (1 - HOLD) A D^-1`` is built once in
-    the adjacency's index order and ``hold`` is HOLD (1 on an isolated vertex).
-    Folding ``hold`` into ``Q`` would reorder each sum and move last digits.
-
-    :meth:`quotient` gives the same walk on the orbits O of the graph
-    symmetries that fix a source, as one more operator of this class.  The
-    chain lumps exactly because it is invariant under those symmetries
-    (Kemeny-Snell, *Finite Markov Chains*, 1960, 6.3): the orbit masses m
-    step by ``S Q S^T diag(1/|O|)``, S the orbit indicator matrix.  The
-    quotient steps the values ``m / |O|`` instead, with the similar matrix
-    ``diag(1/|O|) S Q S^T``, whose row O is Q's row at one vertex of O with
-    columns relabelled by orbit, so no division enters the step.
+    ``orbits`` gives the least vertex of each vertex's orbit, as
+    :meth:`VertexGraph.orbits` gives it; ``None`` gives every vertex its own
+    orbit and the plain walk.  ``orbit[v]`` numbers v's orbit by its least
+    vertex ``reps[orbit[v]]``, and :meth:`step` moves the common value of
+    each orbit.  The chain lumps exactly when it is invariant under the
+    group (Kemeny-Snell, *Finite Markov Chains*, 1960, 6.3): the orbit
+    masses m step by ``S Q S^T diag(1/|O|)``, S the orbit indicator matrix
+    and ``Q = (1 - HOLD) A D^-1``.  The operator steps the values ``m / |O|``
+    instead, with the similar matrix ``diag(1/|O|) S Q S^T``, whose row O is
+    Q's row at O's least vertex with columns relabelled by orbit and left
+    unmerged, so each step's sum is the plain step's sum at that vertex,
+    term by term, and no division enters it.  A step is ``hold * p + Q @ p``
+    with ``hold`` HOLD (1 on an isolated vertex); folding ``hold`` into
+    ``Q`` would reorder each sum and move last digits.
     """
 
-    graph: VertexGraph
-
-    def __post_init__(self):
-        deg = self.graph.degrees.astype(np.float64)
-        adj = self.graph.adjacency()
-        # Column j scaled by (1 - HOLD) / deg(j); an isolated column is empty.
-        self._q = sp.csr_matrix(
-            ((1.0 - HOLD) / deg[adj.indices], adj.indices, adj.indptr), shape=adj.shape
-        )
-        self._hold = np.where(deg > 0, HOLD, 1.0)
-        self._quotients: dict[int, OrbitQuotient] = {}
+    def __init__(self, graph: VertexGraph, orbits=None):
+        self.graph = graph
+        n = graph.num_vertices
+        least = np.arange(n) if orbits is None else np.asarray(orbits, dtype=np.int64)
+        if least.shape != (n,):
+            raise ValueError("orbits must give every vertex its orbit")
+        self.reps = np.flatnonzero(least == np.arange(n))
+        self.orbit = np.searchsorted(self.reps, least)
+        self.states = len(self.reps)
+        deg = graph.degrees.astype(np.float64)
+        rows = graph.adjacency()[self.reps]
+        # The entry at neighbor j is (1 - HOLD) / deg(j); an isolated vertex's row is empty.
+        self._q = sp.csr_matrix(((1.0 - HOLD) / deg[rows.indices], self.orbit[rows.indices], rows.indptr),
+                                shape=(self.states,) * 2)
+        self._hold = np.where(deg[self.reps] > 0, HOLD, 1.0)
 
     def step(self, dist: np.ndarray) -> np.ndarray:
-        """Apply one lazy-walk step to a probability vector."""
+        """Apply one lazy-walk step to the orbit values ``dist``."""
         dist = np.asarray(dist, dtype=np.float64)
         return self._hold * dist + self._q @ dist
 
-    def quotient(self, x: int) -> "OrbitQuotient":
-        """The walk lumped onto the orbits of the symmetries fixing ``x`` (built once per source)."""
-        x = int(x)
-        if x not in self._quotients:
-            group = self.graph.symmetries([x])
-            least = self.graph.orbits(group)
-            rep = np.flatnonzero(least == np.arange(len(least)))  # orbits numbered by least vertex
-            orbit = np.searchsorted(rep, least)
-            # Row O is Q's row at the least vertex of O, its columns relabelled
-            # by orbit and left unmerged: the full step's sum at that vertex,
-            # term by term.
-            rows = self._q[rep]
-            lumped = copy.copy(self)
-            lumped._q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(rep),) * 2)
-            lumped._hold = self._hold[rep]
-            lumped._quotients = {}
-            # w_O = deg(x) |O| / deg(O); an isolated orbit other than x's is
-            # never reached and weighs 0, and x's own orbit weighs 1 even
-            # when x is isolated.
-            deg = self.graph.degrees[rep].astype(np.float64)
-            weight = np.zeros(len(rep))
-            np.divide(deg[orbit[x]] * np.bincount(orbit), deg, out=weight, where=deg > 0)
-            weight[orbit[x]] = 1.0
-            self._quotients[x] = OrbitQuotient(lumped, orbit, len(rep), len(group), weight)
-        return self._quotients[x]
-
-
-@dataclass
-class OrbitQuotient:
-    """A lazy walk on orbits: ``op`` steps the common value of each orbit, ``orbit[v]`` is v's orbit.
-
-    ``weight[O]`` is w_O of the squared sum that gives p_2t(x, x) from the values at t.
-    """
-
-    op: TransitionOperator
-    orbit: np.ndarray
-    states: int
-    symmetry_order: int
-    weight: np.ndarray
-
 
 def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
-    """Yield ``(t, p, p2)`` for each of the ascending ``times``: ``p[i]`` is
-    p_t(x, ids[i]) and ``p2()`` returns p_2t(x, x) from the squared sum at t.
+    """Yield ``(t, p, v)`` for each of the ascending ``times``: ``p[i]`` is
+    p_t(x, ids[i]) and ``v[O]`` is p_t(x, y) for every y in orbit O of ``op``.
 
-    The only loop that applies a step.  It walks ``op.quotient(x)`` from the
-    value 1 on the orbit of ``x`` (x alone) and 0 elsewhere, advances
-    between consecutive times, and gathers only the vertices ``ids`` from
-    the orbit values.  The squared sum is computed only when ``p2`` is
-    called, as numpy's pairwise sum over the orbits, whose order does not
-    depend on the thread count.
+    The only loop that applies a step.  It walks ``op``, whose symmetries
+    must fix ``x``, from the value 1 on x's orbit (x alone) and 0 elsewhere,
+    advances between consecutive times, and gathers only the vertices
+    ``ids`` from the orbit values.
     """
-    quotient = op.quotient(x)
-    read = quotient.orbit[np.asarray(ids, dtype=np.int64)]
-    values = np.zeros(quotient.states)
-    values[quotient.orbit[x]] = 1.0
+    if np.count_nonzero(op.orbit == op.orbit[x]) != 1:
+        raise ValueError(f"the walk's symmetries move the source {x}")
+    read = op.orbit[np.asarray(ids, dtype=np.int64)]
+    values = np.zeros(op.states)
+    values[op.orbit[x]] = 1.0
     t_cur = 0
     for t in times:
         if t < t_cur:
             raise ValueError("times must be nonnegative and ascending")
         for _ in range(t - t_cur):
-            values = quotient.op.step(values)
+            values = op.step(values)
         t_cur = t
-        yield t, values[read], lambda v=values: float((v * v * quotient.weight).sum())
+        yield t, values[read], values
 
 
 @dataclass
@@ -177,36 +142,52 @@ class KernelWalk:
     the d_s points ``(T, p_T(x, x))``, each from the squared sum at T/2;
     ``gap`` is the worst relative gap between that sum and the walked
     p_T(x, x) over the fit times the walk reaches (0 if none); ``steps`` is
-    the walk's length.
+    the walk's length, ``states`` the number of orbits it steps and
+    ``symmetry_order`` the order of the group fixing x.
     """
 
     entries: dict
     diag: list
     gap: float
     steps: int
+    states: int
+    symmetry_order: int
 
 
-def walk_kernel(op: TransitionOperator, x: int, ids, times: Iterable[int],
+def walk_kernel(graph: VertexGraph, x: int, ids, times: Iterable[int],
                 fit_times: Sequence[int]) -> KernelWalk:
     """Walk once from ``x`` to max(``times``, last of ``fit_times`` / 2).
 
-    The fit times must be even, as :func:`ds_fit_times` are.
+    The walk runs on the orbits of the graph symmetries that fix ``x``.  The
+    fit times must be even, as :func:`ds_fit_times` are.  The squared sum
+    is numpy's pairwise sum over the orbits, whose order does not depend on
+    the thread count, taken only at the half fit times.
     """
     odd = [t for t in fit_times if t % 2]
     if odd:
         raise ValueError(f"d_s fit times must be even, got {odd[0]}")
+    group = graph.symmetries([x])
+    op = TransitionOperator(graph, graph.orbits(group))
+    # w_O = deg(x) |O| / deg(O); an isolated orbit other than x's is never
+    # reached and weighs 0, and x's own orbit weighs 1 even when x is isolated.
+    deg = graph.degrees[op.reps].astype(np.float64)
+    weight = np.zeros(op.states)
+    np.divide(deg[op.orbit[x]] * np.bincount(op.orbit), deg, out=weight, where=deg > 0)
+    weight[op.orbit[x]] = 1.0
+
     times = sorted(set(times))
     half = {t // 2 for t in fit_times}
     steps = max([*times, *half], default=0)
     checked = [t for t in fit_times if t <= steps]
     entries, walked, doubled = {}, {}, {}
-    for t, p, p2 in kernel_entries(op, x, [x, *ids], sorted({*times, *half, *checked})):
+    for t, p, v in kernel_entries(op, x, [x, *ids], sorted({*times, *half, *checked})):
         entries[t] = p[1:]
         walked[t] = float(p[0])
         if t in half:
-            doubled[2 * t] = p2()
+            doubled[2 * t] = float((v * v * weight).sum())
     gap = max((abs(doubled[t] - walked[t]) / walked[t] for t in checked), default=0.0)
-    return KernelWalk({t: entries[t] for t in times}, [(t, doubled[t]) for t in fit_times], gap, steps)
+    return KernelWalk({t: entries[t] for t in times}, [(t, doubled[t]) for t in fit_times], gap, steps,
+                      op.states, len(group))
 
 
 def central_vertex(graph: CarpetGraph) -> int:

@@ -166,6 +166,10 @@ def resistance_to_infinity(
     levels = sorted(int(N) for N in levels)
     if not levels:
         raise ValueError("need at least one ground level")
+    repeated = [N for N, M in zip(levels, levels[1:]) if N == M]
+    if repeated:
+        # a repeat would make an increment 0 and fake a finite limit
+        raise ValueError(f"ground level {repeated[0]} is repeated")
     if levels[-1] > graph.level:
         raise ValueError(f"ground level {levels[-1]} exceeds the built graph")
 

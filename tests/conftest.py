@@ -102,7 +102,7 @@ def diag_fit(graph, x=None, times=None):
     x = central_vertex(graph) if x is None else x
     if times is None:
         times = ds_fit_times(carpet_saturation_time(graph.params, graph.level))
-    return fit_ds(walk_kernel(TransitionOperator(graph), x, [], [], times).diag)
+    return fit_ds(walk_kernel(graph, x, [], [], times).diag)
 
 
 def kernel_samples(op: TransitionOperator, x: int, pairs) -> list:

@@ -444,6 +444,12 @@ def test_resist_infinity_rejects_bad_vertex_ids(tmp_path, capsys, g3_file):
     argv = ["resist", "infinity", "--graph", g3_file, "--set", str(sets), "--levels", "1,2"]
     assert main(argv) == 2
     assert "vertex id 999 outside [0, 512)" in capsys.readouterr().err
+    sets.write_text("0\n\nx\n")
+    assert main(argv) == 2
+    assert f"usage error: {sets}:3: expected a vertex id, got 'x'" in capsys.readouterr().err
+    sets.write_text("0\n")
+    assert main([*argv[:-1], "1,x"]) == 2
+    assert "usage error: --levels: invalid literal for int() with base 10: 'x'" in capsys.readouterr().err
 
 
 def test_resist_infinity_divergent(tmp_path, capsys, g4_file):
@@ -457,6 +463,10 @@ def test_resist_infinity_divergent(tmp_path, capsys, g4_file):
     assert code == 0
     assert payload["reports"][0]["divergent"]
     assert payload["reports"][0]["extrapolated"] is None
+    # A repeated level would end in a 0 increment and a fake finite limit.
+    argv = ["resist", "infinity", "--graph", g4_file, "--set", str(sets), "--levels", "3,4,4"]
+    assert main(argv) == 2
+    assert "usage error: ground level 4 is repeated" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- suite/report

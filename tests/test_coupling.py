@@ -430,6 +430,24 @@ def test_prefix_length_on_the_3d_level4_carpet(g3d4):
     assert g3d4.coords[60_587, 0] == 9 and g3d4.coords[60_588, 0] == 10
 
 
+@pytest.mark.parametrize("graph_name", ["g4", "g3d"])
+def test_neighbor_table_is_the_per_direction_lookup(request, graph_name):
+    # Direction 2*axis steps by +e_axis and 2*axis + 1 by -e_axis; a
+    # neighbor at or past the end of the prefix reads -1.
+    graph = request.getfixturevalue(graph_name)
+    for m_max in (2, graph.level):
+        eng = _Coupler(graph, m_max)
+        rows = len(eng.nbr)
+        expect = np.empty((rows, 2 * graph.params.d), dtype=np.int64)
+        for e in range(expect.shape[1]):
+            shifted = graph.coords[:rows].copy()
+            shifted[:, e // 2] += 1 - 2 * (e % 2)
+            expect[:, e] = graph.vertex_ids(shifted)
+        expect[expect >= rows] = -1
+        assert eng.nbr.dtype == np.int64
+        np.testing.assert_array_equal(eng.nbr, expect)
+
+
 def test_walks_must_stay_within_the_tables(g4):
     # Cap 2 on a level-4 graph: the tables stop at x_0 = 9.
     eng = _Coupler(g4, 2)

@@ -52,18 +52,28 @@ def test_step_matches_the_plain_lazy_step(g4):
 
 
 def test_plain_graph_walks_singleton_orbits():
-    # A plain vertex graph knows no symmetry: its quotient is the walk
-    # itself, and kernel_entries read at every vertex repeats op.step bit for bit.
+    # A plain vertex graph knows no symmetry: its orbit walk is the plain
+    # walk, and kernel_entries read at every vertex repeats op.step bit for bit.
     torus = make_torus(8)
-    op = TransitionOperator(torus)
-    quotient = op.quotient(5)
-    assert (quotient.states, quotient.symmetry_order) == (torus.num_vertices, 1)
-    np.testing.assert_array_equal(quotient.orbit, np.arange(torus.num_vertices))
+    walk = walk_kernel(torus, 5, [], [], [])
+    assert (walk.states, walk.symmetry_order) == (torus.num_vertices, 1)
+    op = TransitionOperator(torus, torus.orbits(torus.symmetries([5])))
+    np.testing.assert_array_equal(op.orbit, np.arange(torus.num_vertices))
     p = np.zeros(torus.num_vertices)
     p[5] = 1.0
     for t, values, _ in kernel_entries(op, 5, np.arange(torus.num_vertices), range(40)):
         assert np.array_equal(values, p)
         p = op.step(p)
+
+
+def test_the_walk_must_fix_its_source(g2):
+    # The four corners of the level-2 carpet form one orbit of its 8
+    # symmetries; a walk from a corner on those orbits would spread its mass.
+    op = TransitionOperator(g2, g2.orbits(np.arange(8)))
+    with pytest.raises(ValueError, match="move the source 0"):
+        next(kernel_entries(op, 0, [0], [1]))
+    with pytest.raises(ValueError, match="every vertex its orbit"):
+        TransitionOperator(g2, [0])
 
 
 def test_isolated_vertex_keeps_its_mass():
@@ -131,21 +141,25 @@ def test_light_cone(g4):
 # ------------------------------------------------------------- squared sums
 
 
-def _squared_sums_match_the_walk(graph, x, t_max=40):
-    """Each squared sum at t equals the walked p_2t(x, x); returns the quotient."""
-    op = TransitionOperator(graph)
-    walked = list(kernel_entries(op, x, [x], range(2 * t_max + 1)))
-    for t, _, p2 in walked[: t_max + 1]:
-        assert p2() == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
-    return op.quotient(x)
+def _squared_sums_match_the_walk(graph, x, weight, t_max=40):
+    """The d_s point at each even T <= 2 t_max is sum_O weight[O] v_O^2 over the
+    orbit values at T/2, bit for bit, and equals the walked p_T(x, x); returns
+    the walk and its orbit operator."""
+    walk = walk_kernel(graph, x, [x], range(2 * t_max + 1), range(0, 2 * t_max + 1, 2))
+    op = TransitionOperator(graph, graph.orbits(graph.symmetries([x])))
+    halves = kernel_entries(op, x, [], range(t_max + 1))
+    for (T, p), (t, _, v) in zip(walk.diag, halves, strict=True):
+        assert (T, p) == (2 * t, float((v * v * weight).sum()))
+        assert p == pytest.approx(float(walk.entries[T][0]), rel=1e-12, abs=0.0)
+    assert walk.gap <= 1e-12
+    return walk, op
 
 
 def test_squared_sums_on_the_torus():
     # Every vertex of the torus has degree 4 and is its own orbit: the
     # weights are all 1 and p_2t(x, x) is the plain sum of p_t(x, y)^2.
     torus = make_torus(64)
-    quotient = _squared_sums_match_the_walk(torus, 0)
-    np.testing.assert_array_equal(quotient.weight, np.ones(torus.num_vertices))
+    _squared_sums_match_the_walk(torus, 0, np.ones(torus.num_vertices))
 
 
 def test_squared_sums_on_a_3d_orbit_quotient():
@@ -153,12 +167,11 @@ def test_squared_sums_on_a_3d_orbit_quotient():
     # the sum runs over orbit values weighted by deg(x) |O| / deg(O).
     graph = build_graph(2, validate_params(3, 3, 1))
     x = central_vertex(graph)
-    quotient = _squared_sums_match_the_walk(graph, x)
-    assert quotient.symmetry_order == 6
-    assert quotient.states < graph.num_vertices
-    _, rep = np.unique(quotient.orbit, return_index=True)
-    expect = graph.degrees[x] * np.bincount(quotient.orbit) / graph.degrees[rep]
-    np.testing.assert_array_equal(quotient.weight, expect)
+    least = graph.orbits(graph.symmetries([x]))
+    _, rep, size = np.unique(least, return_index=True, return_counts=True)
+    walk, op = _squared_sums_match_the_walk(graph, x, graph.degrees[x] * size / graph.degrees[rep])
+    assert walk.symmetry_order == 6
+    assert walk.states == op.states == len(rep) < graph.num_vertices
 
 
 def test_squared_sums_on_unequal_degrees():
@@ -169,21 +182,19 @@ def test_squared_sums_on_unequal_degrees():
     )
     assert sorted(set(graph.degrees.tolist())) == [1, 2, 3, 4]
     for x in (0, 3):
-        quotient = _squared_sums_match_the_walk(graph, x)
-        assert quotient.weight[0] == graph.degrees[x] / graph.degrees[0]
+        _squared_sums_match_the_walk(graph, x, graph.degrees[x] / graph.degrees)
 
 
 def test_an_isolated_source_keeps_its_mass():
     # deg(x) = 0: x's own orbit weighs 1 and the other isolated vertex 0,
     # so p stays 1 with no inf or NaN, and the self-check finds no gap.
     graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5), (9, 9)], [(0, 1), (1, 2)])
-    op = TransitionOperator(graph)
-    for x in (3, 0):
-        assert np.isfinite(op.quotient(x).weight).all()
-    np.testing.assert_array_equal(op.quotient(3).weight, [0.0, 0.0, 0.0, 1.0, 0.0])
-    for t, p, p2 in kernel_entries(op, 3, [3], range(20)):
-        assert (float(p[0]), p2()) == (1.0, 1.0)
-    walk = walk_kernel(op, 3, [3], [5], [16, 32, 64, 128])
+    walk, _ = _squared_sums_match_the_walk(graph, 3, np.array([0.0, 0.0, 0.0, 1.0, 0.0]), t_max=10)
+    assert {p for _, p in walk.diag} == {1.0}
+    weight = np.zeros(5)
+    weight[:3] = graph.degrees[0] / graph.degrees[:3]
+    _squared_sums_match_the_walk(graph, 0, weight, t_max=10)
+    walk = walk_kernel(graph, 3, [3], [5], [16, 32, 64, 128])
     assert walk.diag == [(16, 1.0), (32, 1.0), (64, 1.0), (128, 1.0)]
     assert (walk.gap, walk.steps) == (0.0, 64)
 
@@ -194,13 +205,13 @@ def test_walk_kernel_halves_the_walk(g4, monkeypatch):
     steps = []
     step = TransitionOperator.step
     monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
-    walk = walk_kernel(TransitionOperator(g4), central_vertex(g4), [0], [8], ds_fit_times(800))
+    walk = walk_kernel(g4, central_vertex(g4), [0], [8], ds_fit_times(800))
     assert (walk.steps, len(steps)) == (256, 256)
     assert [t for t, _ in walk.diag] == [16, 32, 64, 128, 256, 512]
     assert 0.0 < walk.gap <= 1e-12
     assert list(walk.entries) == [8]
     with pytest.raises(ValueError, match="d_s fit times must be even, got 17"):
-        walk_kernel(TransitionOperator(g4), 0, [], [], [16, 17])
+        walk_kernel(g4, 0, [], [], [16, 17])
 
 
 def test_walk_kernel_sums_squares_only_at_half_times(g4, monkeypatch):
@@ -209,12 +220,21 @@ def test_walk_kernel_sums_squares_only_at_half_times(g4, monkeypatch):
     summed = []
     entries = heat.kernel_entries
 
+    class Squared(np.ndarray):
+        """Orbit values that record the time at which they are multiplied."""
+
+        def __mul__(self, other):
+            summed.append(self.t)
+            return np.asarray(self) * np.asarray(other)
+
     def counted(*args):
-        for t, p, p2 in entries(*args):
-            yield t, p, lambda t=t, p2=p2: summed.append(t) or p2()
+        for t, p, v in entries(*args):
+            v = v.view(Squared)
+            v.t = t
+            yield t, p, v
 
     monkeypatch.setattr(heat, "kernel_entries", counted)
-    walk = walk_kernel(TransitionOperator(g4), central_vertex(g4), [], range(1, 65), [16, 32, 64])
+    walk = walk_kernel(g4, central_vertex(g4), [], range(1, 65), [16, 32, 64])
     assert (walk.steps, summed) == (64, [8, 16, 32])
 
 
@@ -235,16 +255,14 @@ def test_fits_equal_the_estimates_that_walk(g4):
     # One walk can serve both fits: the values read off a walk through every
     # time up to 512 are bit-identical to those of walks that stop only at
     # the fit times (the d_s point at T is the squared sum at T/2).
-    op = TransitionOperator(g4)
     x = central_vertex(g4)
+    op = TransitionOperator(g4, g4.orbits(g4.symmetries([x])))
     pairs = [(y, t) for t in (64, 128) for y in range(0, g4.num_vertices, 600)]
-    ids = [x, *(y for y, _ in pairs)]
-    walked = list(kernel_entries(op, x, ids, range(1, 513)))
-    seen = {t: p for t, p, _ in walked}
-    doubled = {2 * t: p2() for t, _, p2 in walked}
     times = ds_fit_times(carpet_saturation_time(g4.params, g4.level))
-    assert fit_ds([(t, doubled[t]) for t in times]) == diag_fit(g4, x)
-    samples = [(y, t, float(seen[t][i + 1])) for i, (y, t) in enumerate(pairs)]
+    walk = walk_kernel(g4, x, [y for y, _ in pairs], range(1, 513), times)
+    assert walk.steps == 512
+    assert fit_ds(walk.diag) == diag_fit(g4, x)
+    samples = [(y, t, float(walk.entries[t][i])) for i, (y, t) in enumerate(pairs)]
     assert fit_regimes(g4, x, samples, 1.78, 2.09) == fit_regimes(
         g4, x, kernel_samples(op, x, pairs), 1.78, 2.09
     )

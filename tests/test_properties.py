@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from carpetlab import linalg
-from carpetlab.geometry import box_vertices, build_graph, count_cells, validate_params
+from carpetlab.geometry import box_vertices, build_graph, count_cells, survival_mask, validate_params
 from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
@@ -64,12 +64,36 @@ def carpet_and_pair(draw):
     return graph, x, y
 
 
+def _with_named_carpets(test):
+    """Add each NAMED carpet at level 2 as an explicit example of ``test``."""
+    for d, k, a in NAMED:
+        test = example(build_graph(2, validate_params(d, k, a)))(test)
+    return test
+
+
 @settings(deadline=None)
 @given(carpets())
+@_with_named_carpets
 def test_census_matches_formula_and_graph_is_connected(graph):
     assert graph.num_vertices == count_cells(graph.level, graph.params)
     n_components, _ = connected_components(graph.adjacency(), directed=False)
     assert n_components == 1
+
+    # Brute force: the surviving window cells, in lexicographic order, are
+    # the vertices, and row v lists the ascending ids of the cells at unit
+    # distance from v.
+    d = graph.params.d
+    window = np.indices((graph.side,) * d).reshape(d, -1).T
+    cells = window[survival_mask(window, graph.level, graph.params)]
+    np.testing.assert_array_equal(graph.coords, cells)
+    degrees, cols = [], []
+    for start in range(0, len(cells), 128):
+        unit = np.abs(cells[start:start + 128, None, :] - cells[None, :, :]).sum(axis=2) == 1
+        degrees.append(unit.sum(axis=1))
+        cols.append(np.nonzero(unit)[1])  # row by row, ascending
+    assert graph.indices.dtype == graph.indptr.dtype == np.int64
+    np.testing.assert_array_equal(graph.indptr, np.cumsum([0, *np.concatenate(degrees)]))
+    np.testing.assert_array_equal(graph.indices, np.concatenate(cols))
 
 
 @settings(deadline=None)
@@ -112,12 +136,11 @@ def test_squared_sums_give_the_doubled_return_probability(case):
     # over the orbit values at t is the walked p_2t(x, x); the d_s points
     # of walk_kernel are those sums and its self-check sees no gap.
     graph, x = case
-    op = TransitionOperator(graph)
-    walked = list(kernel_entries(op, x, [x], range(17)))
-    for t, _, p2 in walked[:9]:
-        assert p2() == pytest.approx(float(walked[2 * t][1][0]), rel=1e-12, abs=0.0)
-    walk = walk_kernel(op, x, [], [], [2, 4, 8, 16])
-    assert walk.diag == [(t, walked[t // 2][2]()) for t in (2, 4, 8, 16)]
+    op = TransitionOperator(graph, graph.orbits(graph.symmetries([x])))
+    walked = [float(p[0]) for _, p, _ in kernel_entries(op, x, [x], range(17))]
+    walk = walk_kernel(graph, x, [], [], range(0, 17, 2))
+    for T, p in walk.diag:
+        assert p == pytest.approx(walked[T], rel=1e-12, abs=0.0)
     assert walk.steps == 8
     assert walk.gap <= 1e-12
 
@@ -154,10 +177,11 @@ def test_quotient_walk_matches_the_plain_walk(case):
     # The kernel walks the orbits of the symmetries fixing x; stepping every
     # vertex with op.step must give the same kernel.
     graph, x = case
-    op = TransitionOperator(graph)
+    group = graph.symmetries([x])
+    op = TransitionOperator(graph, graph.orbits(group))
     times = [0, 1, 2, 5, 9, 16]
-    quotient = op.quotient(x)
     walked = {t: p for t, p, _ in kernel_entries(op, x, np.arange(graph.num_vertices), times)}
+    plain_op = TransitionOperator(graph)
     plain = np.zeros(graph.num_vertices)
     plain[x] = 1.0
     for t in range(times[-1] + 1):
@@ -165,11 +189,11 @@ def test_quotient_walk_matches_the_plain_walk(case):
             p = walked[t]
             assert np.abs(p - plain).max() <= 1e-12 * plain.max()
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        plain = op.step(plain)
-    assert quotient.orbit.shape == (graph.num_vertices,)
-    assert quotient.states == len(np.unique(quotient.orbit))
-    group = graph.symmetries([x])
-    assert quotient.symmetry_order == len(group)
+        plain = plain_op.step(plain)
+    assert op.orbit.shape == (graph.num_vertices,)
+    assert op.states == len(np.unique(op.orbit))
+    walk = walk_kernel(graph, x, [], [], [])
+    assert (walk.states, walk.symmetry_order) == (op.states, len(group))
 
     # Every symmetry fixing x is a graph automorphism: it permutes the
     # vertices, fixes x and carries the edge set onto itself.

@@ -144,6 +144,9 @@ def test_resistance_to_infinity_needs_levels(g3d):
         resistance_to_infinity(g3d, [0], levels=[4])
     with pytest.raises(ValueError):
         resistance_to_infinity(g3d, [], levels=[1, 2, 3])
+    # a repeat would make the last increment 0, read as a finite limit
+    with pytest.raises(ValueError, match="ground level 3 is repeated"):
+        resistance_to_infinity(g3d, [0], levels=[3, 2, 3])
 
 
 def test_resistance_zero_on_ground_overlap(g3d):
