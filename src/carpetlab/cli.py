@@ -318,7 +318,10 @@ def _cmd_couple(args) -> int:
 
 def _cmd_resist(args) -> int:
     if args.resist_command == "face":
-        graph = build_graph(args.n, read_graph(args.graph).params)
+        source = read_graph(args.graph)
+        if args.n > source.level:
+            raise ValueError(f"--n {args.n} exceeds the graph's level {source.level}")
+        graph = build_graph(args.n, source.params)
         value = face_resistance(graph, tolerance=args.tol)
         sys.stdout.write(json.dumps({"n": args.n, "resistance": value}) + "\n")
         return 0

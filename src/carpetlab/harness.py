@@ -131,6 +131,8 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
     if config.trials < 1:
         raise ValueError(f"trials must be at least 1, got {config.trials}")
+    if not 0.0 < config.tolerance < 1.0:
+        raise ValueError(f"tolerance must be in (0, 1), got {config.tolerance}")
     if not config.levels:
         raise ValueError("levels must name at least one level")
     if min(config.levels) < 0:

@@ -19,9 +19,11 @@ reduction that applies to each:
   same fill, and small 2-D systems factor faster than CG converges on them.
   A factor fills in badly on large 3-D systems, so larger systems factor
   only when they are reused, as in a boundary sweep.
-* A larger system solved once runs a conjugate-gradient iteration; the
-  relative-residual tolerance and the iteration cap (50 * sqrt(#unknowns))
-  follow the solver contract.
+* A larger system solved once runs this module's conjugate-gradient (CG)
+  loop from zero, to the solver contract's relative-residual tolerance or
+  its cap of 50 * sqrt(#unknowns) iterations.  Its inner products, and every
+  norm here, are numpy's pairwise sums, not BLAS calls, whose threads split
+  long sums: no bit depends on the BLAS thread count (Higham 2002, ch. 4).
 * A system solved once with more than ``MULTIGRID_MIN`` unknowns runs the
   same CG, preconditioned by a smoothed-aggregation V-cycle (Vanek, Mandel,
   Brezina, Computing 56, 1996).  The aggregates are the connected pieces of
@@ -51,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 __all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem"]
 
@@ -76,7 +78,7 @@ _GALERKIN_BLOCKS = 8  # row blocks per coarse product, to bound its transient me
 
 
 class ConvergenceError(RuntimeError):
-    """CG stalled within its cap, or SuperLU met a singular factor or missed the tolerance."""
+    """CG broke down or hit its cap, or SuperLU met a singular factor or missed the tolerance."""
 
     def __init__(self, message: str, residuals: Optional[list[float]] = None):
         super().__init__(message)
@@ -94,25 +96,23 @@ class DirichletSystem:
     """One boundary-value problem layout, solved for any number of data.
 
     The operator and the border coupling are built once, from the rows of
-    the unknowns.  The first :meth:`solve` runs CG, preconditioned by a
-    multigrid V-cycle when there are more than ``MULTIGRID_MIN`` unknowns
-    (built for that solve and dropped after it); with at most ``DIRECT_MAX``
-    unknowns it factors the operator with SuperLU instead.  Any later solve
-    factors the operator if it is not factored yet, and keeps the factor, so
-    that solve and every later one cost two triangular solves.  This is what
-    makes boundary sweeps (one solve per boundary vertex) affordable, while a
-    large system solved once never pays for a factor.
+    the unknowns.  The first :meth:`solve` runs the module's CG loop, with
+    the multigrid V-cycle above ``MULTIGRID_MIN`` unknowns (built for that
+    solve and dropped after it), or factors the operator with SuperLU if
+    there are at most ``DIRECT_MAX`` unknowns.  A CG run that breaks down or
+    stalls raises :class:`ConvergenceError` with its own residual history.
+    Any later solve factors the operator if it is not factored yet, and
+    keeps the factor, so that solve and every later one cost two triangular
+    solves.  This makes boundary sweeps (one solve per boundary vertex)
+    affordable, while a large system solved once never pays for a factor.
 
     The problem is solved on the orbits O of a group of graph automorphisms
-    (the trivial group without ``orbits``) that maps the unknown set, and so
-    its border, and every solve's border data onto themselves.  Its unique
-    solution is then constant on orbits, so solving in the orthonormal basis
-    ``S diag(|O|)^-1/2`` of orbit-constant vectors (S the orbit indicator
-    matrix) is exact.  Row O of that operator is the Laplacian row at O's
-    least vertex with columns merged by orbit and scaled by
-    ``sqrt(|O| / |O'|)``: it stays symmetric, so all three paths apply
-    unchanged, and its residual norm equals the full system's, so ``tol``
-    and :attr:`SolveInfo.residual` keep their meaning.
+    (the trivial group without ``orbits``) that maps the unknown set, its
+    border and every solve's border data onto themselves, in the orthonormal
+    basis ``S diag(|O|)^-1/2`` (S the orbit indicator matrix).  Row O of the
+    operator is the Laplacian row at O's least vertex with columns merged by
+    orbit and scaled by ``sqrt(|O| / |O'|)``; its residual norm is the full
+    system's, so ``tol`` and :attr:`SolveInfo.residual` keep their meaning.
 
     Parameters
     ----------
@@ -184,18 +184,17 @@ class DirichletSystem:
         """Entries in the SuperLU factors L + U, or 0 while the operator is unfactored."""
         return 0 if self._factor is None else int(self._factor.L.nnz + self._factor.U.nnz)
 
-    def solve(
-        self,
-        values: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        tol: float = DEFAULT_TOL,
-    ) -> tuple[np.ndarray, SolveInfo]:
+    def solve(self, values: np.ndarray, rhs: Optional[np.ndarray] = None,
+              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, SolveInfo]:
         """Solve for the unknowns with one boundary value per vertex.
 
         Only the border values are read, and must be finite; the rest may be
-        anything, NaN included.  Returns a copy of ``values`` with the
-        unknowns filled in.
+        anything, NaN included.  ``tol``, the relative residual to reach,
+        must lie in (0, 1).  Returns a copy of ``values`` with the unknowns
+        filled in.
         """
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"tolerance must be in (0, 1), got {tol!r}")
         values = np.array(values, dtype=np.float64)
         self._check_data(values, self._read, "fixed values", "border")
         b = self._coupling @ values
@@ -207,7 +206,7 @@ class DirichletSystem:
             b = b + values[self._reps]
         if self._root is not None:
             b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(_dot(b, b))
         if bnorm == 0.0:
             values[self.unknown] = 0.0
             return values, SolveInfo(residual=0.0, iterations=0)
@@ -217,13 +216,11 @@ class DirichletSystem:
             u, iters, path = self._solve_cg(b, bnorm, tol)
         else:
             u, iters, path = self._factored().solve(b), 0, "SuperLU"
-        residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
+        r = b - self._lap @ u
+        residual = math.sqrt(_dot(r, r)) / bnorm
         if path == "SuperLU" and not residual <= tol:
-            raise ConvergenceError(
-                f"SuperLU solve reached relative residual {residual:.3e} on "
-                f"{len(u)} unknowns (tol {tol:.1e})",
-                residuals=[residual],
-            )
+            raise ConvergenceError(f"SuperLU solve reached relative residual {residual:.3e} on "
+                                   f"{len(u)} unknowns (tol {tol:.1e})", [residual])
         if self._root is not None:
             u = (u / self._root)[self._orbit]
         values[self.unknown] = u
@@ -236,31 +233,35 @@ class DirichletSystem:
             raise ValueError(f"{what} are not constant on orbits")
 
     def _solve_cg(self, b, bnorm, tol) -> tuple[np.ndarray, int, str]:
-        n = len(b)
-        precond = None
+        """Preconditioned CG from zero (Saad 2003, section 9.2) until ``||r|| <
+        tol ||b||`` or ``_cap`` updates, keeping ``||r|| / ||b||`` after each."""
+        n, precond = len(b), None
         if n > MULTIGRID_MIN:
-            levels, coarsest = _hierarchy(self._lap, self.graph.coords[self._reps])
-            precond = LinearOperator(
-                (n, n), matvec=functools.partial(_v_cycle, levels, coarsest), dtype=np.float64
-            )
-        iters = 0
-
-        def _count(_):
-            nonlocal iters
-            iters += 1
-
-        u, info = cg(self._lap, b, rtol=tol, atol=0.0, maxiter=self._cap, M=precond,
-                     callback=_count)
-        if info != 0:
-            residual = float(np.linalg.norm(b - self._lap @ u) / bnorm)
-            history = self._residual_history(b, bnorm, tol, precond)
-            method = "CG" if precond is None else "multigrid-preconditioned CG"
-            raise ConvergenceError(
-                f"{method} stalled at relative residual {residual:.3e} after {iters} "
-                f"iterations (cap {self._cap}, tol {tol:.1e}, {n} unknowns)",
-                residuals=history,
-            )
-        return u, iters, "CG" if precond is None else "V-cycle"
+            precond = functools.partial(_v_cycle, *_hierarchy(self._lap, self.graph.coords[self._reps]))
+        u, r, p, buf = np.zeros(n), b.copy(), np.zeros(n), np.empty(n)
+        rr, rho, history = _dot(r, r, buf), 1.0, []  # p starts at zero: the first beta is void
+        for k in range(1, self._cap + 1):
+            z = r if precond is None else precond(r)  # without the V-cycle, rho is r.r
+            rho, rho_prev = rr if precond is None else _dot(r, z, buf), rho
+            p *= rho / rho_prev
+            p += z
+            q = self._lap @ p
+            pq = _dot(p, q, buf)
+            if not (math.isfinite(pq) and pq > 0.0):
+                failure = f"broke down at iteration {k} with p.Ap = {pq:.3e}"
+                break
+            alpha = rho / pq
+            u += np.multiply(p, alpha, out=buf)
+            r -= np.multiply(q, alpha, out=buf)
+            rr = _dot(r, r, buf)
+            history.append(math.sqrt(rr) / bnorm)
+            if math.sqrt(rr) < tol * bnorm:
+                return u, k, "CG" if precond is None else "V-cycle"
+        else:
+            failure = f"stalled at relative residual {history[-1]:.3e} after {k} iterations"
+        method = "CG" if precond is None else "multigrid-preconditioned CG"
+        raise ConvergenceError(f"{method} {failure} (cap {self._cap}, tol {tol:.1e}, {n} unknowns)",
+                               history)
 
     def _factored(self):
         """The SuperLU factor of the operator, computed on first use."""
@@ -273,16 +274,10 @@ class DirichletSystem:
                 ) from exc
         return self._factor
 
-    def _residual_history(self, b, bnorm, tol, precond) -> list[float]:
-        """Re-run with the same preconditioner, tracking the residual for the diagnostic."""
-        history: list[float] = []
-        lap = self._lap
 
-        def _track(xk):
-            history.append(float(np.linalg.norm(b - lap @ xk) / bnorm))
-
-        cg(lap, b, rtol=tol, atol=0.0, maxiter=self._cap, M=precond, callback=_track)
-        return history
+def _dot(u, v, out=None) -> float:
+    """u.v as numpy's pairwise sum, in an order that no BLAS thread count changes."""
+    return float(np.add.reduce(np.multiply(u, v, out=out)))
 
 
 def _spd_factor(a):

@@ -423,6 +423,12 @@ def test_resist_face(capsys, g3_file):
     assert payload["resistance"] == pytest.approx(1.657261410788382, rel=1e-9)
 
 
+def test_resist_face_refuses_a_level_above_the_graph(capsys, g3_file):
+    # The file gives more than (d, k, a): as harnack --level, --n stays within its level.
+    assert main(["resist", "face", "--graph", g3_file, "--n", "4"]) == 2
+    assert "usage error: --n 4 exceeds the graph's level 3" in capsys.readouterr().err
+
+
 def test_resist_infinity(tmp_path, capsys, g3d_file):
     sets = tmp_path / "targets.txt"
     sets.write_text("0\n\n0\n1\n2\n")  # two groups split by the blank line
@@ -523,6 +529,26 @@ def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message
     out = tmp_path / "artifacts"
     assert main(["suite", "--levels", "2,3", "--out", str(out), *argv]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any experiment ran
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_solver_tolerance_must_lie_in_the_unit_interval(tmp_path, capsys, g4_file, g4, tol):
+    sets = tmp_path / "targets.txt"
+    sets.write_text("0\n")
+    probe = ["--x", str(vid(g4, 26, 26)), "--y", str(vid(g4, 26, 31)), "--r", "3"]
+    for argv in (["harnack", "--graph", g4_file, "--level", "2"],
+                 ["hitting", "--graph", g4_file, *probe],
+                 ["resist", "face", "--graph", g4_file, "--n", "2"],
+                 ["resist", "infinity", "--graph", g4_file, "--set", str(sets), "--levels", "1,2"]):
+        assert main([*argv, f"--tol={tol}"]) == 2
+        assert (f"usage error: tolerance must be in (0, 1), got {float(tol)!r}"
+                in capsys.readouterr().err)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tolerance = {tol}\n")
+    out = tmp_path / "artifacts"
+    assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "tolerance must be in (0, 1)" in capsys.readouterr().err
     assert not out.exists()  # rejected before any experiment ran
 
 

@@ -132,6 +132,15 @@ def test_config_rejects_nonpositive_trials():
     assert config_from_sources(overrides={"trials": 1}).trials == 1
 
 
+def test_config_rejects_tolerance_outside_the_unit_interval(tmp_path):
+    path = tmp_path / "run.cfg"
+    for raw in ("0", "-1", "nan", "inf", "1"):
+        path.write_text(f"tolerance = {raw}\n")
+        with pytest.raises(ValueError, match=rf"^tolerance must be in \(0, 1\), got {float(raw)}$"):
+            config_from_sources(str(path))
+    assert config_from_sources(overrides={"tolerance": 1e-6}).tolerance == 1e-6
+
+
 def test_config_rejects_empty_or_negative_levels(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("levels = ,\n")

@@ -1,4 +1,9 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,11 +66,34 @@ def test_singular_system_raises(g2, monkeypatch):
         direct.solve(np.zeros(g2.num_vertices), rhs=rhs)
     monkeypatch.setattr(linalg, "DIRECT_MAX", 0)
     system = DirichletSystem(g2, np.arange(g2.num_vertices))
-    with pytest.raises(ConvergenceError, match="CG stalled") as cg_err:
-        system.solve(np.zeros(g2.num_vertices), rhs=rhs)
-    assert cg_err.value.residuals
+    # CG meets p.Ap <= 0 long before its cap, and stops there: no division
+    # by zero, no NaN iterations.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"^CG broke down at iteration (\d+) with "
+                           rf"p\.Ap = .* \(cap {system._cap}, tol 1\.0e-10, 64 unknowns\)$") as err:
+            system.solve(np.zeros(g2.num_vertices), rhs=rhs)
+    k = int(re.search(r"iteration (\d+)", str(err.value)).group(1))
+    history = err.value.residuals
+    assert 1 < k < system._cap and len(history) == k - 1  # one entry per completed update
+    assert np.isfinite(history).all()
     with pytest.raises(ConvergenceError, match=f"SuperLU.*{g2.num_vertices} unknowns"):
         system.solve(np.zeros(g2.num_vertices), rhs=rhs)
+    # A longer singular path keeps p.Ap positive and stalls at the cap.
+    n = 5000
+    system = DirichletSystem(make_path(n), np.arange(n))
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    with pytest.raises(ConvergenceError, match=f"^CG stalled .* after {system._cap} iterations"):
+        system.solve(np.zeros(n), rhs=rhs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, np.nan, np.inf])
+def test_tolerance_must_lie_in_the_unit_interval(g2, tol):
+    # A NaN tolerance would stop CG at once with x = 0 as "converged".
+    system = DirichletSystem(g2, np.arange(1, g2.num_vertices))
+    with pytest.raises(ValueError, match=rf"tolerance must be in \(0, 1\), got {tol!r}"):
+        system.solve(held(g2, [0], 1.0), tol=tol)
 
 
 def test_exactly_singular_factor_raises(monkeypatch):
@@ -192,6 +220,9 @@ def test_multigrid_stall_names_the_method(monkeypatch):
     system = DirichletSystem(make_path(n), np.arange(n))
     rhs = np.zeros(n)
     rhs[0] = 1.0
+    cycles = []
+    v_cycle = linalg._v_cycle
+    monkeypatch.setattr(linalg, "_v_cycle", lambda *args: cycles.append(1) or v_cycle(*args))
     with pytest.raises(ConvergenceError) as err:
         system.solve(np.zeros(n), rhs=rhs)
     message = str(err.value)
@@ -199,10 +230,30 @@ def test_multigrid_stall_names_the_method(monkeypatch):
     assert message.startswith("multigrid-preconditioned CG stalled")
     assert f"after {cap} iterations (cap {cap}," in message
     assert f"{n} unknowns" in message
-    # The history is a replay with the same preconditioner: it ends at the
-    # residual the failed solve reported.
-    assert len(err.value.residuals) == cap
+    # CG ran once, one V-cycle per update.  The history is that run's own,
+    # one entry per update, and it ends at the residual the message quotes.
+    assert len(cycles) == len(err.value.residuals) == cap
     assert f"residual {err.value.residuals[-1]:.3e} after" in message
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    # BLAS splits long dot products across its threads, and the solver's sums
+    # do not go through it: the 2-D level-5 face resistance, a CG solve on
+    # tens of thousands of unknowns, has the same bits at 1 and at 2 threads.
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from carpetlab.geometry import build_graph, validate_params\n"
+            "from carpetlab.resistance import face_resistance\n"
+            "print(repr(face_resistance(build_graph(5, validate_params(2, 3, 1)))))")
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+    assert float(printed[0]) == pytest.approx(3.52509072955230, rel=1e-12)
 
 
 def test_singular_coarsest_factor_raises():
@@ -318,7 +369,10 @@ def test_vertex_basis_is_the_plain_assembly(g4):
     # Without orbits, and with singleton orbits, the operator and the
     # coupling are the sliced Laplacian exactly as a plain Dirichlet solve
     # builds it, entry for entry, so the level-4 Harnack sweep is unchanged
-    # to the last bit (values frozen from the sweep before orbit solves).
+    # to the last bit (values frozen from the sweep before orbit solves, and
+    # again when CG took its sums pairwise; C_H and rho lie within 6.3e-10
+    # and 1.6e-9 relative of an all-SuperLU sweep's 1.4947579888243514 and
+    # 0.011391894344923562).
     # The coupling reads the border alone: 106 of the 161 boundary cells.
     part = box_vertices(g4, 4)
     rows = g4.adjacency()[part.interior]
@@ -333,7 +387,7 @@ def test_vertex_basis_is_the_plain_assembly(g4):
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(built, attr), getattr(plain, attr))
     report = harnack_constant(g4, 4)
-    assert (report.constant, report.rho) == (1.494757989755402, 0.011391894362324996)
+    assert (report.constant, report.rho) == (1.4947579897559962, 0.011391894362335786)
     assert report.witness == report.rho_witness == (98, 1456, 80)
-    assert report.max_residual == 9.558856390467151e-11
+    assert report.max_residual == 9.556978180121467e-11
     assert len(report.degenerate) == 55
