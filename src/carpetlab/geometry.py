@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "CapacityError",
@@ -127,9 +126,10 @@ def signed_permutations(d: int) -> tuple[np.ndarray, np.ndarray]:
 class VertexGraph:
     """Generic immutable unit-edge graph on integer lattice points.
 
-    Stores vertex coordinates plus a symmetric CSR adjacency structure; the
-    carpet graph and the synthetic test graphs share this container so solvers
-    can be exercised on both.
+    Stores vertex coordinates plus a symmetric CSR adjacency structure, its
+    only adjacency: :meth:`rows` gathers rows of it and :meth:`edges` lists
+    the edges, and neither keeps a copy.  The carpet graph and the synthetic
+    test graphs share this container so solvers can be exercised on both.
     """
 
     def __init__(self, coords: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
@@ -140,45 +140,25 @@ class VertexGraph:
             arr.setflags(write=False)
         self.num_vertices = int(self.coords.shape[0])
         self.num_edges = int(len(self.indices) // 2)
-        self._adj: Optional[sp.csr_matrix] = None
-        self._edges: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_edges(cls, coords: Iterable[Sequence[int]], edges: Iterable[tuple[int, int]]) -> "VertexGraph":
-        coords = np.asarray(list(coords), dtype=np.int64)
-        if coords.ndim == 1:
-            coords = coords[:, None]
-        n = coords.shape[0]
-        pairs = sorted(set((min(i, j), max(i, j)) for i, j in edges))
-        rows = np.array([p for e in pairs for p in e], dtype=np.int64)
-        cols = np.array([p for e in pairs for p in reversed(e)], dtype=np.int64)
-        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-        adj.sort_indices()
-        return cls(coords, adj.indptr.astype(np.int64), adj.indices.astype(np.int64))
 
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+    def rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the rows ``ids``, in the order given."""
+        ids = np.asarray(ids, dtype=np.int64)
+        starts = self.indptr[ids]
+        counts = self.indptr[ids + 1] - starts
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, self.indices[np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """0/1 adjacency as scipy CSR (cached)."""
-        if self._adj is None:
-            n = self.num_vertices
-            data = np.ones(len(self.indices), dtype=np.float64)
-            self._adj = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        return self._adj
-
-    def edge_array(self) -> np.ndarray:
-        """(E, 2) array of edges (i, j) with i < j, in lexicographic order."""
-        if self._edges is None:
-            rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
-            mask = rows < self.indices
-            self._edges = np.column_stack([rows[mask], self.indices[mask]])
-            self._edges.setflags(write=False)
-        return self._edges
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoints ``(i, j)`` of every edge, i < j, in lexicographic order (not cached)."""
+        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     def symmetries(self, *vertex_sets) -> np.ndarray:
         """Rows of :func:`signed_permutations` that act on this graph and map each set onto itself.
@@ -406,7 +386,7 @@ def write_graph(graph: CarpetGraph, path) -> None:
     ids = np.arange(graph.num_vertices, dtype=np.int64)[:, None]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"carpet {p.d} {p.k} {p.a} {graph.level} {graph.num_vertices} {graph.num_edges}\n")
-        for tag, records in (("v", np.hstack([ids, graph.coords])), ("e", graph.edge_array())):
+        for tag, records in (("v", np.hstack([ids, graph.coords])), ("e", np.column_stack(graph.edges()))):
             line = tag + " %d" * records.shape[1] + "\n"
             for start in range(0, len(records), _WRITE_ROWS):  # one format per chunk of rows
                 chunk = records[start:start + _WRITE_ROWS]
@@ -477,6 +457,6 @@ def read_graph(path) -> CarpetGraph:
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     if ne > 1 and (edges[1:] == edges[:-1]).all(axis=1).any():
         raise ValueError("duplicated edge")
-    if not np.array_equal(edges, graph.edge_array()):
+    if not all(map(np.array_equal, edges.T, graph.edges())):
         raise ValueError("edge list differs from the carpet named in the header")
     return graph

@@ -75,6 +75,8 @@ class HittingSpec:
     c2: float = 4.0
 
     def __post_init__(self):
+        if not np.isfinite([self.r, self.c1, self.c2]).all():
+            raise ValueError(f"radii must be finite, got r={self.r}, c1={self.c1}, c2={self.c2}")
         if self.r <= 0:
             raise ValueError("inner radius must be positive")
         if not (self.c2 > self.c1 > 1.0):

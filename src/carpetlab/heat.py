@@ -98,10 +98,9 @@ class TransitionOperator:
         self.orbit = np.searchsorted(self.reps, least)
         self.states = len(self.reps)
         deg = graph.degrees.astype(np.float64)
-        rows = graph.adjacency()[self.reps]
+        indptr, nbrs = graph.rows(self.reps)
         # The entry at neighbor j is (1 - HOLD) / deg(j); an isolated vertex's row is empty.
-        self._q = sp.csr_matrix(((1.0 - HOLD) / deg[rows.indices], self.orbit[rows.indices], rows.indptr),
-                                shape=(self.states,) * 2)
+        self._q = sp.csr_matrix(((1.0 - HOLD) / deg[nbrs], self.orbit[nbrs], indptr), shape=(self.states,) * 2)
         self._hold = np.where(deg[self.reps] > 0, HOLD, 1.0)
 
     def step(self, dist: np.ndarray) -> np.ndarray:
@@ -336,6 +335,8 @@ def fit_regimes(
 
     Every sample time must be at least 1: both model abscissae divide by t.
     """
+    if not (math.isfinite(ds) and math.isfinite(dw)):
+        raise ValueError(f"exponents must be finite, got ds={ds}, dw={dw}")
     if dw <= 1.0:
         raise ValueError("walk dimension must exceed 1")
     early = [t for _, t, _ in samples if t < 1]

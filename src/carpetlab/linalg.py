@@ -149,15 +149,15 @@ class DirichletSystem:
         # One pass over the representatives' rows, whose neighbors are images
         # of every unknown's: the unknown neighbors make the operator, merged
         # by orbit, and the others are the border, coupled by vertex id.
-        rows = graph.adjacency()[reps]
-        into = inside[rows.indices]
-        split = np.concatenate([[0], np.cumsum(into)])[rows.indptr]  # row starts in the operator
+        indptr, nbrs = graph.rows(reps)
+        into = inside[nbrs]
+        split = np.concatenate([[0], np.cumsum(into)])[indptr]  # row starts in the operator
         column = np.empty(graph.num_vertices, dtype=np.int64)
         column[reps] = np.arange(len(reps))
         column = column[least]  # an orbit's unknowns share their representative's column
-        offdiag = sp.csr_matrix((rows.data[into], column[rows.indices[into]], split),
-                                shape=(len(reps),) * 2)
-        self._coupling = sp.csr_matrix((rows.data[~into], rows.indices[~into], rows.indptr - split),
+        ones = np.ones(len(nbrs))
+        offdiag = sp.csr_matrix((ones[into], column[nbrs[into]], split), shape=(len(reps),) * 2)
+        self._coupling = sp.csr_matrix((ones[~into], nbrs[~into], indptr - split),
                                        shape=(len(reps), graph.num_vertices))
         hit = np.zeros(graph.num_vertices, dtype=bool)
         hit[least[self._coupling.indices]] = True

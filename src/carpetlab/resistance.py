@@ -62,15 +62,14 @@ def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (graph.num_vertices,):
         raise ValueError("potential must assign a value to every vertex")
-    edges = graph.edge_array()
-    diffs = f[edges[:, 0]] - f[edges[:, 1]]
+    i, j = graph.edges()
+    diffs = f[i] - f[j]
     return float(np.add.reduce(diffs * diffs))
 
 
 def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     """Mask of the vertices the source reaches without crossing the ground
     (source included), found breadth first, and whether it met the ground."""
-    adj = graph.adjacency()
     ground = np.zeros(graph.num_vertices, dtype=bool)
     ground[ground_ids] = True
     reached = np.zeros(graph.num_vertices, dtype=bool)
@@ -82,7 +81,7 @@ def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     frontier = np.flatnonzero(reached)
     grounded = False
     while frontier.size:
-        nbrs = adj[frontier].indices
+        nbrs = graph.rows(frontier)[1]
         grounded = grounded or bool(ground[nbrs].any())
         nbrs = nbrs[~reached[nbrs] & ~ground[nbrs]]
         order = np.arange(nbrs.size)

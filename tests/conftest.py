@@ -7,6 +7,7 @@ are built at most once per run, and only if a test actually asks for them.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carpetlab.geometry import CarpetParams, VertexGraph, build_graph, validate_params
 from carpetlab.heat import (
@@ -65,17 +66,37 @@ def g3d4(params3):
     return build_graph(4, params3)
 
 
+def graph_from_edges(coords, edges) -> VertexGraph:
+    """A vertex graph on ``coords`` (points, or ints on one axis) with the undirected ``edges``."""
+    coords = np.asarray(list(coords), dtype=np.int64)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    n = coords.shape[0]
+    pairs = sorted(set((min(i, j), max(i, j)) for i, j in edges))
+    rows = np.array([p for e in pairs for p in e], dtype=np.int64)
+    cols = np.array([p for e in pairs for p in reversed(e)], dtype=np.int64)
+    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    adj.sort_indices()
+    return VertexGraph(coords, adj.indptr, adj.indices)
+
+
+def adjacency(graph) -> sp.csr_matrix:
+    """The graph's 0/1 adjacency as a scipy CSR matrix, built from its ``indptr`` and ``indices``."""
+    n = graph.num_vertices
+    return sp.csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
+
+
 def make_path(n: int) -> VertexGraph:
     """Path on n vertices embedded along the first axis."""
     coords = [(i, 0) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)]
-    return VertexGraph.from_edges(coords, edges)
+    return graph_from_edges(coords, edges)
 
 
 def make_cycle(n: int) -> VertexGraph:
     coords = [(i, 0) for i in range(n)]
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return VertexGraph.from_edges(coords, edges)
+    return graph_from_edges(coords, edges)
 
 
 def make_torus(side: int) -> VertexGraph:
@@ -86,7 +107,7 @@ def make_torus(side: int) -> VertexGraph:
     for i, j in coords:
         edges.append((idx[(i, j)], idx[((i + 1) % side, j)]))
         edges.append((idx[(i, j)], idx[(i, (j + 1) % side)]))
-    return VertexGraph.from_edges(coords, edges)
+    return graph_from_edges(coords, edges)
 
 
 def kernel_row(op: TransitionOperator, x: int, t: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from carpetlab.heat import TransitionOperator, central_vertex, estimate_dw, fit_
 from carpetlab.resistance import effective_resistance, face_resistance
 from scipy.sparse.csgraph import connected_components
 
-from conftest import diag_fit, kernel_row, kernel_samples, make_cycle, make_path, vid
+from conftest import adjacency, diag_fit, kernel_row, kernel_samples, make_cycle, make_path, vid
 from oracles import sample_marginal, theorem5_check
 
 
@@ -46,12 +46,12 @@ def test_criterion_1_graph_census(params2, params3, g5):
         g = g5 if n == 5 else build_graph(n, params2)
         ok &= (g.num_vertices, g.num_edges) == (nv, ne)
         ok &= g.num_vertices == count_cells(n, params2)
-        ok &= connected_components(g.adjacency(), directed=False)[0] == 1
+        ok &= connected_components(adjacency(g), directed=False)[0] == 1
         ok &= int(g.degrees.max()) <= 2 * params2.d
     for n, (nv, ne) in {1: (26, 48), 3: (17576, 47568)}.items():
         g = build_graph(n, params3)
         ok &= (g.num_vertices, g.num_edges) == (nv, ne)
-        ok &= connected_components(g.adjacency(), directed=False)[0] == 1
+        ok &= connected_components(adjacency(g), directed=False)[0] == 1
         ok &= int(g.degrees.max()) <= 2 * params3.d
     assert verdict(1, "graph census", ok, "vertex/edge counts, connectivity, degree caps")
 

@@ -211,6 +211,8 @@ def test_hitting_catalog_rejects_empty_count(capsys, g4_file):
 @pytest.mark.parametrize("args, message", [
     (["--r", "-2"], "inner radius must be positive"),
     (["--r", "3", "--c1", "0.5"], "radius factors must satisfy c2 > c1 > 1"),
+    (["--r", "inf"], "radii must be finite, got r=inf, c1=2.0, c2=4.0"),
+    (["--r", "nan"], "radii must be finite, got r=nan, c1=2.0, c2=4.0"),
 ])
 def test_hitting_catalog_checks_radii_before_drawing(capsys, g4_file, args, message):
     # The catalog checks r, c1 and c2 as a probe would, before its first
@@ -223,11 +225,25 @@ def test_hitting_catalog_checks_radii_before_drawing(capsys, g4_file, args, mess
 @pytest.mark.parametrize("args, message", [
     (["--r", "-2"], "inner radius must be positive"),
     (["--r", "3", "--c1", "0.5"], "radius factors must satisfy c2 > c1 > 1"),
+    (["--r", "3", "--c2", "inf"], "radii must be finite, got r=3.0, c1=2.0, c2=inf"),
 ])
 def test_hitting_annulus_checks_radii_before_scanning(capsys, g4_file, g4, args, message):
     # With --x and no --y the radii are checked before the annulus is
     # scanned, so a bad radius is named rather than reported as an empty annulus.
     assert main(["hitting", "--graph", g4_file, "--x", str(vid(g4, 26, 26)), *args]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--r", "nan", "--y", "1"], "radii must be finite, got r=nan, c1=2.0, c2=4.0"),
+    (["--r", "inf", "--y", "5"], "radii must be finite, got r=inf, c1=2.0, c2=4.0"),
+    (["--r", "3", "--c2", "inf", "--y", "5"], "radii must be finite, got r=3.0, c1=2.0, c2=inf"),
+    (["--r", "3", "--c1", "nan", "--y", "5"], "radii must be finite, got r=3.0, c1=nan, c2=4.0"),
+])
+def test_hitting_pair_rejects_non_finite_radii(capsys, g3_file, args, message):
+    # A NaN radius used to print "r": NaN, which is not JSON, and an infinite
+    # one died in an OverflowError traceback.
+    assert main(["hitting", "--graph", g3_file, "--x", "0", *args]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
@@ -312,6 +328,22 @@ def test_heat_regime_rejects_bad_pair_lines(tmp_path, capsys, g4_file, g4):
     pairs.write_text(f"y,t\n{x},16,3\n")
     assert main(argv) == 2
     assert f"usage error: {pairs}:2: expected y,t, got '{x},16,3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponents, message", [
+    (["--ds", "nan", "--dw", "2.09"], "ds=nan, dw=2.09"),
+    (["--ds", "1.78", "--dw", "nan"], "ds=1.78, dw=nan"),
+    (["--ds", "1.78", "--dw", "inf"], "ds=1.78, dw=inf"),
+])
+def test_heat_regime_rejects_non_finite_exponents(tmp_path, capsys, g4_file, g4, exponents, message):
+    # NaN used to give NaN points and fits with exit 0; an infinite d_w
+    # failed the fit with "all abscissae coincide", exit 1.
+    x = vid(g4, 26, 26)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{vid(g4, 26, 29)},16\n{vid(g4, 26, 30)},32\n")
+    argv = ["heat", "regime", "--graph", g4_file, "--x", str(x), "--pairs", str(pairs), *exponents]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: exponents must be finite, got {message}\n"
 
 
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):

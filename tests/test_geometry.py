@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from carpetlab import geometry
@@ -17,8 +21,11 @@ from carpetlab.geometry import (
     validate_params,
     write_graph,
 )
+from carpetlab.heat import central_vertex, walk_kernel
+from carpetlab.linalg import DirichletSystem
+from carpetlab.resistance import face_resistance, resistance_to_infinity
 
-from conftest import make_path, vid
+from conftest import adjacency, graph_from_edges, make_path, vid
 
 
 # ---------------------------------------------------------------- parameters
@@ -117,13 +124,13 @@ def test_level_counts_3d(params3, g3d):
 
 def test_level_one_is_a_cycle(g1):
     assert (g1.degrees == 2).all()
-    ncomp, _ = connected_components(g1.adjacency(), directed=False)
+    ncomp, _ = connected_components(adjacency(g1), directed=False)
     assert ncomp == 1
 
 
 def test_connected(g3, g3d):
     for g in (g3, g3d):
-        ncomp, _ = connected_components(g.adjacency(), directed=False)
+        ncomp, _ = connected_components(adjacency(g), directed=False)
         assert ncomp == 1
 
 
@@ -134,10 +141,10 @@ def test_coords_are_lex_sorted_and_unique(g3):
 
 def test_edges_join_unit_distance_cells(g2, g3d):
     for g in (g2, g3d):
-        e = g.edge_array()
-        diffs = np.abs(g.coords[e[:, 0]] - g.coords[e[:, 1]])
+        i, j = g.edges()
+        diffs = np.abs(g.coords[i] - g.coords[j])
         assert (diffs.sum(axis=1) == 1).all()
-        assert (e[:, 0] < e[:, 1]).all()
+        assert (i < j).all()
 
 
 def test_degrees_bounded_by_2d(g4, g3d):
@@ -167,12 +174,12 @@ def test_nesting(g2, g3):
     # The level-2 corner box of the level-3 graph is the level-2 graph.
     inside = (g3.coords < 9).all(axis=1)
     np.testing.assert_array_equal(g3.coords[inside], g2.coords)
-    e3 = g3.edge_array()
-    keep = inside[e3[:, 0]] & inside[e3[:, 1]]
+    i3, j3 = g3.edges()
+    keep = inside[i3] & inside[j3]
     # Vertex ids agree because both orders are lexicographic.
     relabel = np.cumsum(inside) - 1
-    inner_edges = {(int(relabel[i]), int(relabel[j])) for i, j in e3[keep]}
-    assert inner_edges == {(int(i), int(j)) for i, j in g2.edge_array()}
+    inner_edges = set(zip(relabel[i3[keep]].tolist(), relabel[j3[keep]].tolist()))
+    assert inner_edges == set(zip(*(ends.tolist() for ends in g2.edges())))
 
 
 def test_reflection_symmetry(g3):
@@ -258,9 +265,52 @@ def test_boundary_is_one_step_exit_layer(g4):
     in_box = np.zeros(g4.num_vertices, dtype=bool)
     in_box[bp.box] = True
     for v in bp.boundary:
-        assert any(not in_box[w] for w in g4.neighbors(int(v)))
+        assert any(not in_box[w] for w in g4.rows([v])[1])
     for v in bp.interior:
-        assert all(in_box[w] for w in g4.neighbors(int(v)))
+        assert all(in_box[w] for w in g4.rows([v])[1])
+
+
+# ----------------------------------------------------------------- adjacency
+
+
+def test_rows_gather_as_scipy_indexes(g3):
+    # Unsorted, repeated and empty id lists, and a graph with an isolated
+    # vertex (id 3) whose row is empty.
+    isolated = graph_from_edges([(0, 0), (1, 0), (2, 0), (5, 5), (2, 1)], [(0, 1), (1, 2), (2, 4)])
+    cases = [(g3, [511, 0, 7, 300]), (g3, [5, 5, 0, 5]), (g3, []), (g3, np.arange(g3.num_vertices)),
+             (isolated, [3]), (isolated, [2, 3, 3, 0])]
+    for graph, ids in cases:
+        want = adjacency(graph)[np.asarray(ids, dtype=np.int64)]
+        indptr, indices = graph.rows(ids)
+        assert indptr.dtype == indices.dtype == np.int64
+        np.testing.assert_array_equal(indptr, want.indptr)
+        np.testing.assert_array_equal(indices, want.indices)
+
+
+def test_the_csr_is_the_only_adjacency(params3):
+    # After every solver and walk has read the graph, it holds no scipy matrix
+    # and no other array as large as its indices (2E entries), such as a
+    # cached adjacency or edge list.
+    graph = build_graph(2, params3)
+    part = box_vertices(graph, 2)
+    DirichletSystem(graph, part.interior).solve(np.zeros(graph.num_vertices))
+    face_resistance(graph)
+    resistance_to_infinity(graph, [0], [1, 2])
+    walk_kernel(graph, central_vertex(graph), [0], [4], [16])
+    kept = [(name, value) for name, value in vars(graph).items() if name != "indices"]
+    kept += [(f"{name}[{key}]", item) for name, value in kept if isinstance(value, dict)
+             for key, item in value.items()]
+    for name, value in kept:
+        assert not sp.issparse(value), name
+        assert not (isinstance(value, np.ndarray) and value.size >= len(graph.indices)), name
+
+
+def test_geometry_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, carpetlab.geometry\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------------ capacity
@@ -291,7 +341,7 @@ def test_graph_file_round_trip(tmp_path, g2):
     assert back.level == 2
     assert (back.params.d, back.params.k, back.params.a) == (2, 3, 1)
     np.testing.assert_array_equal(back.coords, g2.coords)
-    np.testing.assert_array_equal(back.edge_array(), g2.edge_array())
+    np.testing.assert_array_equal(back.edges(), g2.edges())
 
 
 def test_graph_file_header_text(tmp_path, g1):
@@ -308,7 +358,7 @@ def test_graph_file_is_the_same_in_any_chunk_size(tmp_path, g3, monkeypatch):
     # splits both record kinds unevenly and must give the same lines.
     lines = ["carpet 2 3 1 3 512 776"]
     lines += [f"v {i} {x} {y}" for i, (x, y) in enumerate(g3.coords.tolist())]
-    lines += [f"e {i} {j}" for i, j in g3.edge_array().tolist()]
+    lines += [f"e {i} {j}" for i, j in zip(*(ends.tolist() for ends in g3.edges()))]
     for rows in (7, 1 << 16):
         monkeypatch.setattr(geometry, "_WRITE_ROWS", rows)
         path = tmp_path / f"g{rows}.txt"
@@ -378,7 +428,7 @@ def test_graph_file_parses_in_chunks_of_whole_lines(tmp_path, g3, monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK", 50)
     back = read_graph(path)
     np.testing.assert_array_equal(back.coords, g3.coords)
-    np.testing.assert_array_equal(back.edge_array(), g3.edge_array())
+    np.testing.assert_array_equal(back.edges(), g3.edges())
 
 
 def test_graph_file_rejects_dead_cells(tmp_path):

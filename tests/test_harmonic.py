@@ -59,7 +59,7 @@ def test_mean_value_property(g3):
     rng = np.random.default_rng(11)
     values, _ = system.solve(held(g3, part.boundary, rng.random(len(part.boundary))))
     for v in part.interior[::7]:
-        nbrs = g3.neighbors(int(v))
+        nbrs = g3.rows([v])[1]
         assert values[v] == pytest.approx(values[nbrs].mean(), abs=1e-8)
 
 
@@ -185,6 +185,10 @@ def test_hitting_spec_validation():
         HittingSpec(x=0, r=-1.0)
     with pytest.raises(ValueError):
         HittingSpec(x=0, r=3.0, c1=4.0, c2=2.0)
+    # A NaN radius passed every comparison; an infinite one overflowed later.
+    for radii in ({"r": np.nan}, {"r": np.inf}, {"r": 3.0, "c2": np.inf}, {"r": 3.0, "c1": np.nan}):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            HittingSpec(x=0, **radii)
 
 
 def test_hitting_catalog_is_deterministic(g5):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carpetlab import heat
-from carpetlab.geometry import VertexGraph, build_graph, validate_params
+from carpetlab.geometry import build_graph, validate_params
 from carpetlab.heat import (
     FitError,
     TransitionOperator,
@@ -17,7 +17,9 @@ from carpetlab.heat import (
 )
 from carpetlab.harmonic import expected_exit_time
 
-from conftest import diag_fit, kernel_row, kernel_samples, make_path, make_torus, vid
+from conftest import (
+    adjacency, diag_fit, graph_from_edges, kernel_row, kernel_samples, make_path, make_torus, vid,
+)
 from oracles import sample_exit_times
 
 
@@ -31,7 +33,7 @@ def test_one_step_distribution(g2):
     dist[v] = 1.0
     out = op.step(dist)
     assert out[v] == pytest.approx(0.5)
-    nbrs = g2.neighbors(v)
+    nbrs = g2.rows([v])[1]
     np.testing.assert_allclose(out[nbrs], 0.5 / len(nbrs))
     assert out.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -40,7 +42,7 @@ def test_step_matches_the_plain_lazy_step(g4):
     # The precomputed (1 - HOLD) A D^-1 must reproduce the step written out
     # in full bit for bit, not merely to rounding.
     op = TransitionOperator(g4)
-    adj = g4.adjacency()
+    adj = adjacency(g4)
     inv_deg = 1.0 / g4.degrees.astype(np.float64)
     p = np.zeros(g4.num_vertices)
     p[central_vertex(g4)] = 1.0
@@ -77,7 +79,7 @@ def test_the_walk_must_fix_its_source(g2):
 
 
 def test_isolated_vertex_keeps_its_mass():
-    graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5)], [(0, 1), (1, 2)])
+    graph = graph_from_edges([(0, 0), (1, 0), (2, 0), (5, 5)], [(0, 1), (1, 2)])
     p = np.array([0.1, 0.2, 0.3, 0.4])
     out = TransitionOperator(graph).step(p)
     assert out[3] == 0.4
@@ -177,7 +179,7 @@ def test_squared_sums_on_a_3d_orbit_quotient():
 def test_squared_sums_on_unequal_degrees():
     # A plain graph with degrees 1 to 4: the identity needs the 1 / deg(y)
     # weights, from a source of degree 1 and from one of degree 4.
-    graph = VertexGraph.from_edges(
+    graph = graph_from_edges(
         [(i, 0) for i in range(7)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3), (3, 5), (2, 5)]
     )
     assert sorted(set(graph.degrees.tolist())) == [1, 2, 3, 4]
@@ -188,7 +190,7 @@ def test_squared_sums_on_unequal_degrees():
 def test_an_isolated_source_keeps_its_mass():
     # deg(x) = 0: x's own orbit weighs 1 and the other isolated vertex 0,
     # so p stays 1 with no inf or NaN, and the self-check finds no gap.
-    graph = VertexGraph.from_edges([(0, 0), (1, 0), (2, 0), (5, 5), (9, 9)], [(0, 1), (1, 2)])
+    graph = graph_from_edges([(0, 0), (1, 0), (2, 0), (5, 5), (9, 9)], [(0, 1), (1, 2)])
     walk, _ = _squared_sums_match_the_walk(graph, 3, np.array([0.0, 0.0, 0.0, 1.0, 0.0]), t_max=10)
     assert {p for _, p in walk.diag} == {1.0}
     weight = np.zeros(5)
@@ -303,9 +305,7 @@ def test_ds_needs_enough_points(g3):
 
 def test_ds_degenerate_flat_series():
     # On a 2-cycle the lazy kernel is already stationary: flat series, flagged.
-    from carpetlab.geometry import VertexGraph
-
-    g = VertexGraph.from_edges([(0, 0), (1, 0)], [(0, 1)])
+    g = graph_from_edges([(0, 0), (1, 0)], [(0, 1)])
     est = diag_fit(g, x=0, times=[2, 4, 8, 16])
     assert est.degenerate
     assert est.value == 0.0
@@ -367,6 +367,13 @@ def test_regime_fit_splits_by_light_cone(g4):
 def test_regime_fit_rejects_bad_dw(g4):
     with pytest.raises(ValueError):
         fit_regimes(g4, 0, kernel_samples(TransitionOperator(g4), 0, [(0, 1)]), ds=2.0, dw=1.0)
+
+
+@pytest.mark.parametrize("ds, dw", [(np.nan, 2.09), (1.78, np.nan), (1.78, np.inf), (-np.inf, 2.09)])
+def test_regime_fit_rejects_non_finite_exponents(g4, ds, dw):
+    samples = [(1, 4, 0.01), (2, 8, 0.02)]
+    with pytest.raises(ValueError, match="exponents must be finite"):
+        fit_regimes(g4, 0, samples, ds=ds, dw=dw)
 
 
 @pytest.mark.parametrize("y, t", [(0, 0), (1, 0), (0, -2)])

@@ -10,12 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from carpetlab import linalg
-from carpetlab.geometry import VertexGraph, box_vertices, build_graph, validate_params
+from carpetlab.geometry import box_vertices, build_graph, validate_params
 from carpetlab.harmonic import harnack_constant
 from carpetlab.linalg import ConvergenceError, DirichletSystem
 from carpetlab.resistance import dirichlet_energy
 
-from conftest import held, make_path
+from conftest import adjacency, graph_from_edges, held, make_path
 
 
 def test_direct_path_matches_cg(g4):
@@ -24,7 +24,7 @@ def test_direct_path_matches_cg(g4):
     part = box_vertices(g4, 4)
     reused = DirichletSystem(g4, part.interior)
     # boundary vertices with an interior neighbor carry nonzero data
-    touching = [b for b in part.boundary if np.isin(g4.neighbors(int(b)), part.interior).any()]
+    touching = [b for b in part.boundary if np.isin(g4.rows([b])[1], part.interior).any()]
     for i, b in enumerate(touching[:: len(touching) // 6][:6]):
         g = np.zeros(g4.num_vertices)
         g[b] = 1.0
@@ -46,7 +46,7 @@ def test_poisson_rhs_on_direct_path(g3):
     system = DirichletSystem(g3, part.interior)
     rhs = g3.degrees[part.interior].astype(np.float64)
     first, _ = system.solve(np.zeros(g3.num_vertices), rhs=rhs)
-    border = np.setdiff1d(g3.adjacency()[part.interior].indices, part.interior)
+    border = np.setdiff1d(g3.rows(part.interior)[1], part.interior)
     assert len(border) < len(part.boundary)
     second, info = system.solve(held(g3, border, 0.0), rhs=rhs)
     assert info.iterations == 0
@@ -144,7 +144,7 @@ def test_data_must_be_finite(g4, level, path):
     # (singleton) orbits too, which a NaN would fail with a misleading message.
     part = box_vertices(g4, level)
     system = DirichletSystem(g4, part.interior)
-    border = np.setdiff1d(g4.adjacency()[part.interior].indices, part.interior)
+    border = np.setdiff1d(g4.rows(part.interior)[1], part.interior)
     for bad in (np.nan, np.inf, -np.inf):
         g = np.ones(g4.num_vertices)
         g[border[len(border) // 2]] = bad
@@ -267,7 +267,7 @@ def test_singular_coarsest_factor_raises():
         edges += [(index[c], index[c[:axis] + (c[axis] + 1,) + c[axis + 1:]])
                   for c in cells for axis in range(5) if c[axis] + 1 < (2, 3, 3, 3, 3)[axis]]
         coords += [(3 * block + c[0], *c[1:]) for c in cells]
-    graph = VertexGraph.from_edges(coords, edges)
+    graph = graph_from_edges(coords, edges)
     system = DirichletSystem(graph, np.arange(graph.num_vertices))
     rhs = np.zeros(graph.num_vertices)
     rhs[0] = 1.0
@@ -340,7 +340,7 @@ def test_orbit_data_must_be_constant_on_orbits(g3):
     # cell whose only neighbors lie on its face) they are never read.
     unknown, values, orbits = _face_orbits(g3)
     system = DirichletSystem(g3, unknown, orbits=orbits)
-    border = np.setdiff1d(g3.adjacency()[unknown].indices, unknown)
+    border = np.setdiff1d(g3.rows(unknown)[1], unknown)
     paired = np.flatnonzero(orbits != np.arange(g3.num_vertices))  # orbits with another vertex
     broken = values.copy()
     broken[np.intersect1d(paired, border)[0]] = 0.5
@@ -375,7 +375,7 @@ def test_vertex_basis_is_the_plain_assembly(g4):
     # 0.011391894344923562).
     # The coupling reads the border alone: 106 of the 161 boundary cells.
     part = box_vertices(g4, 4)
-    rows = g4.adjacency()[part.interior]
+    rows = adjacency(g4)[part.interior]
     lap = sp.diags(g4.degrees[part.interior].astype(np.float64)) - rows[:, part.interior]
     border = np.setdiff1d(rows.indices, part.interior)
     assert (len(border), len(part.boundary)) == (106, 161)

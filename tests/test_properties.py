@@ -15,7 +15,7 @@ from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, w
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
-from conftest import held
+from conftest import adjacency, held
 
 MAX_VERTICES = 5000
 
@@ -76,7 +76,7 @@ def _with_named_carpets(test):
 @_with_named_carpets
 def test_census_matches_formula_and_graph_is_connected(graph):
     assert graph.num_vertices == count_cells(graph.level, graph.params)
-    n_components, _ = connected_components(graph.adjacency(), directed=False)
+    n_components, _ = connected_components(adjacency(graph), directed=False)
     assert n_components == 1
 
     # Brute force: the surviving window cells, in lexicographic order, are
@@ -105,10 +105,10 @@ def test_levels_nest(graph):
     coarse = build_graph(graph.level - 1, graph.params)
     inside = (graph.coords < coarse.side).all(axis=1)
     np.testing.assert_array_equal(graph.coords[inside], coarse.coords)
-    edges = graph.edge_array()
-    keep = inside[edges[:, 0]] & inside[edges[:, 1]]
+    i, j = graph.edges()
+    keep = inside[i] & inside[j]
     relabel = np.cumsum(inside) - 1
-    np.testing.assert_array_equal(relabel[edges[keep]], coarse.edge_array())
+    np.testing.assert_array_equal((relabel[i[keep]], relabel[j[keep]]), coarse.edges())
 
 
 @settings(deadline=None)
@@ -197,7 +197,7 @@ def test_quotient_walk_matches_the_plain_walk(case):
 
     # Every symmetry fixing x is a graph automorphism: it permutes the
     # vertices, fixes x and carries the edge set onto itself.
-    edges = graph.edge_array()
+    edges = np.column_stack(graph.edges())
     for image in graph.symmetry_images(group):
         ids = graph.vertex_ids(image)
         np.testing.assert_array_equal(np.sort(ids), np.arange(graph.num_vertices))
@@ -259,7 +259,7 @@ def _orbit_problem(graph, kind, level, pick):
         dist = np.sqrt(((graph.coords - graph.coords[x]) ** 2).sum(axis=1))
         inside = dist < side / 3.0
         unknown = np.nonzero(inside)[0]
-        nbrs = np.unique(graph.adjacency()[unknown].indices)
+        nbrs = np.unique(graph.rows(unknown)[1])
         data = held(graph, nbrs[~inside[nbrs]], 0.0)
         rhs = graph.degrees[unknown] / (1.0 - HOLD)
         return unknown, data, rhs, graph.symmetries([x])
@@ -308,7 +308,7 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
         held[unknown] = 0.0
         u = held.copy()
         u[unknown] = values[unknown]
-        adj = graph.adjacency()
+        adj = adjacency(graph)
         poisson = 0.0 if rhs is None else rhs
         b = (adj @ held)[unknown] + poisson  # the data of (L u)_I = rhs on the unknowns
         residual = poisson - (graph.degrees * u - adj @ u)[unknown]

@@ -12,7 +12,7 @@ from carpetlab.resistance import (
     resistance_to_infinity,
 )
 
-from conftest import make_cycle, make_path, vid
+from conftest import graph_from_edges, make_cycle, make_path, vid
 from oracles import HypothesisError, theorem5_check
 
 
@@ -64,7 +64,7 @@ def test_ring_resistances(g1):
 
 def test_rayleigh_monotonicity():
     # Cutting an edge can only raise the resistance.
-    cut = VertexGraph.from_edges([(i, 0) for i in range(4)] , [(0, 1), (1, 2), (2, 3)])
+    cut = graph_from_edges([(i, 0) for i in range(4)] , [(0, 1), (1, 2), (2, 3)])
     ring = make_cycle(4)
     assert effective_resistance(cut, [0], [2]) > effective_resistance(ring, [0], [2])
 
@@ -85,7 +85,7 @@ def test_resistance_rejects_bad_terminals(g1):
 
 
 def test_disconnected_terminals():
-    g = VertexGraph.from_edges([(0, 0), (1, 0), (3, 0), (4, 0)], [(0, 1), (2, 3)])
+    g = graph_from_edges([(0, 0), (1, 0), (3, 0), (4, 0)], [(0, 1), (2, 3)])
     r = effective_resistance(g, [0], [2])
     assert r == np.inf or r > 1e12
 
