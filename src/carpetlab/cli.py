@@ -321,7 +321,7 @@ def _cmd_resist(args) -> int:
         source = read_graph(args.graph)
         if args.n > source.level:
             raise ValueError(f"--n {args.n} exceeds the graph's level {source.level}")
-        graph = build_graph(args.n, source.params)
+        graph = source if args.n == source.level else build_graph(args.n, source.params)
         value = face_resistance(graph, tolerance=args.tol)
         sys.stdout.write(json.dumps({"n": args.n, "resistance": value}) + "\n")
         return 0

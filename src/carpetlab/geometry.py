@@ -16,6 +16,7 @@ restricted to the corner box reproduces the level-n graph verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -233,20 +234,24 @@ class CarpetGraph(VertexGraph):
             steps[:, 2 * d - 1 - axis] = self._find(keys + self._strides[axis], column < self.side - 1)
         return steps
 
-    def symmetry_images(self, rows, ids=None) -> Iterator[np.ndarray]:
-        """Coordinates of the vertices ``ids`` (default all) under each window symmetry ``rows``.
+    def _image_keys(self, rows, ids=None) -> Iterator[np.ndarray]:
+        """Coordinate keys of the vertices ``ids`` (default all) under each window symmetry ``rows``.
 
         ``rows`` index :func:`signed_permutations`.  The window symmetries are
         the signed permutations of the axes about the window center, where a
         reflected axis maps c to side - 1 - c.  The carpet is invariant under
         every one of them: reflection reverses each base-k digit, and the
         removed digit range is symmetric under reversal because a + k is even.
+        Keys are summed axis by axis, with no image coordinate array.
         """
         perms, signs = signed_permutations(self.params.d)
         coords = self.coords if ids is None else self.coords[np.asarray(ids, dtype=np.int64)]
+        cols = np.ascontiguousarray(coords.T)
         for i in rows:
-            moved = coords[:, perms[i]]
-            yield np.where(signs[i] < 0, self.side - 1 - moved, moved)
+            keys = np.zeros(len(coords), dtype=np.int64)
+            for stride, axis, sign in zip(self._strides, perms[i], signs[i]):
+                keys += stride * (cols[axis] if sign > 0 else self.side - 1 - cols[axis])
+            yield keys
 
     def symmetries(self, *vertex_sets) -> np.ndarray:
         """Rows of :func:`signed_permutations` whose window symmetry keeps each vertex set.
@@ -261,9 +266,10 @@ class CarpetGraph(VertexGraph):
         for ids in vertex_sets:
             member = np.zeros(self.num_vertices + 1, dtype=bool)  # slot -1: not a vertex
             member[ids] = True
-            # an injective map of a finite set into itself is onto
-            images = self.symmetry_images(rows, ids)
-            rows = rows[np.array([member[self.vertex_ids(im)].all() for im in images], dtype=bool)]
+            # An injective map of a finite set into itself is onto.  Images
+            # stay in the window, so a key names a vertex iff it is found.
+            keys = self._image_keys(rows, ids)
+            rows = rows[np.array([member[self._find(k, True)].all() for k in keys], dtype=bool)]
         return rows
 
     def orbits(self, rows) -> np.ndarray:
@@ -271,21 +277,13 @@ class CarpetGraph(VertexGraph):
 
         The least coordinate key over a vertex's images is its orbit's key;
         vertex ids ascend with the key, so that key's vertex is the orbit's
-        least vertex.  Keys are summed axis by axis, which is faster than
-        keying :meth:`symmetry_images`.  The result is read-only and kept
-        per group, since the levels of one resistance series and the radii
-        of one exit-time fit share their group.
+        least vertex.  The result is read-only and kept per group, since the
+        levels of one resistance series and the radii of one exit-time fit
+        share their group.
         """
         group = tuple(int(i) for i in rows)
         if group not in self._orbits:
-            perms, signs = signed_permutations(self.params.d)
-            cols = np.ascontiguousarray(self.coords.T)
-            keys = None
-            for i in group:
-                image_keys = np.zeros(self.num_vertices, dtype=np.int64)
-                for stride, axis, sign in zip(self._strides, perms[i], signs[i]):
-                    image_keys += stride * (cols[axis] if sign > 0 else self.side - 1 - cols[axis])
-                keys = image_keys if keys is None else np.minimum(keys, image_keys, out=keys)
+            keys = functools.reduce(np.minimum, self._image_keys(group))
             least = np.searchsorted(self._keys, keys)
             least.setflags(write=False)
             self._orbits[group] = least

@@ -125,10 +125,7 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     config = ExperimentConfig(**data)
-    known = [name for name, _ in EXPERIMENT_ORDER]
-    unknown = [name for name in config.experiments if name not in known]
-    if unknown:
-        raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
+    _check_experiments(config)
     if config.trials < 1:
         raise ValueError(f"trials must be at least 1, got {config.trials}")
     if not 0.0 < config.tolerance < 1.0:
@@ -139,6 +136,14 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         raise ValueError(f"levels must be nonnegative, got {min(config.levels)}")
     _check_levels(config)
     return config
+
+
+def _check_experiments(config: ExperimentConfig) -> None:
+    """Reject an experiment name the suite does not know."""
+    known = [name for name, _ in EXPERIMENT_ORDER]
+    unknown = [name for name in config.experiments if name not in known]
+    if unknown:
+        raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
 
 
 def _check_levels(config: ExperimentConfig) -> None:
@@ -470,6 +475,7 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
     runs.
     """
     config.params()  # validate early
+    _check_experiments(config)
     manifest = RunManifest(
         config=config.to_dict(), config_hash=config_hash(config), version=__version__
     )

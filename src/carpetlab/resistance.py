@@ -1,5 +1,5 @@
-"""Electrical quantities on carpet graphs: energies, effective resistance,
-resistance to infinity and face resistance.
+"""Electrical quantities on carpet graphs: effective resistance, resistance
+to infinity and face resistance.
 
 Every edge has unit conductance.  Effective resistance between two vertex
 sets is 1/energy of the potential that is 1 on the source set, 0 on the
@@ -8,8 +8,8 @@ exhausted by grounding successively larger box boundaries and extrapolating
 the geometric tail of the resistance sequence; in the recurrent regime the
 sequence keeps growing and is flagged divergent instead.  Every potential
 is solved on the orbits of the graph symmetries that keep its source and
-its ground (see :mod:`carpetlab.linalg`); a plain vertex graph has only
-singleton orbits.
+its ground (see :mod:`carpetlab.linalg`), and its energy is read off the
+orbits' least vertices; a plain vertex graph has only singleton orbits.
 """
 
 from __future__ import annotations
@@ -20,14 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CarpetGraph, VertexGraph, box_vertices
+from .geometry import CarpetGraph, box_vertices
 from .linalg import DEFAULT_TOL, DirichletSystem
 
 __all__ = [
-    "FlowField",
     "ResistanceReport",
-    "dirichlet_energy",
-    "potential_flow",
     "effective_resistance",
     "resistance_to_infinity",
     "face_resistance",
@@ -36,13 +33,6 @@ __all__ = [
 # Successive resistance increments must shrink at least this fast before the
 # geometric extrapolation is trusted.
 MIN_DECAY = 1.05
-
-
-@dataclass
-class FlowField:
-    potential: np.ndarray
-    energy: float
-    solve: dict = field(default_factory=dict)  # counters of the potential's solve
 
 
 @dataclass
@@ -55,16 +45,6 @@ class ResistanceReport:
     gamma: Optional[float] = None
     note: str = ""
     solves: list = field(default_factory=list)  # counters of each level's solve
-
-
-def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:
-    """Sum of squared potential differences over edges, in fixed edge order."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (graph.num_vertices,):
-        raise ValueError("potential must assign a value to every vertex")
-    i, j = graph.edges()
-    diffs = f[i] - f[j]
-    return float(np.add.reduce(diffs * diffs))
 
 
 def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
@@ -91,33 +71,6 @@ def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     return reached, grounded
 
 
-def potential_flow(graph, source_ids, ground_ids, tolerance: float = DEFAULT_TOL) -> FlowField:
-    """Unit-potential solve: 1 on the source set, 0 on the ground set.
-
-    Only the vertices the source reaches without crossing the ground are
-    unknowns; every other vertex sits at potential 0 exactly.  When the
-    ground is out of reach, the potential is 1 on all of the reached set.
-    The solve runs on the orbits of ``graph.symmetries(source, ground)``,
-    the symmetries that map the source and the ground onto themselves.
-    ``FlowField.solve`` counts the solve: vertex unknowns, orbit unknowns,
-    group order, iterations and solver path.
-    """
-    source_ids = np.asarray(source_ids, dtype=np.int64)
-    ground_ids = np.asarray(ground_ids, dtype=np.int64)
-    reached, grounded = _reached(graph, source_ids, ground_ids)
-    pot = reached.astype(np.float64)
-    group = graph.symmetries(source_ids, ground_ids)
-    counters = _no_solve(len(group))
-    if grounded:
-        reached[source_ids] = False
-        unknown = np.nonzero(reached)[0]
-        system = DirichletSystem(graph, unknown, orbits=graph.orbits(group))
-        pot, info = system.solve(pot, tol=tolerance)
-        counters.update(unknowns=len(unknown), orbit_unknowns=system.orbit_unknowns,
-                        iterations=info.iterations, path=info.path)
-    return FlowField(potential=pot, energy=dirichlet_energy(graph, pot), solve=counters)
-
-
 def _no_solve(order: int) -> dict:
     """The solve counters of a potential that needed no solve."""
     return {"unknowns": 0, "orbit_unknowns": 0, "symmetry_order": order,
@@ -129,8 +82,16 @@ def effective_resistance(
 ) -> float:
     """Effective resistance between vertex sets A and B at unit conductance.
 
-    Returns inf when no path joins the sets.  A ``solves`` list receives the
-    counters of the solve (see :func:`potential_flow`).
+    Solves the unit potential, 1 on A and 0 on B.  Only the vertices A
+    reaches without crossing B are unknowns; every other vertex sits at
+    potential 0.  When B is out of reach no current flows, and the
+    resistance is inf.  The solve runs on the orbits of
+    ``graph.symmetries(A, B)``, the symmetries that map A and B onto
+    themselves, and the potential is constant on them, so the energy
+    E = 1/2 sum_O |O| sum_{y ~ rep(O)} (u_rep - u_y)^2 reads only the rows
+    of the orbits' least vertices; the resistance is 1/E.  A ``solves`` list
+    receives the counters of the solve: vertex unknowns, orbit unknowns,
+    group order, iterations and solver path.
     """
     A = np.unique(np.asarray(A, dtype=np.int64))
     B = np.unique(np.asarray(B, dtype=np.int64))
@@ -138,10 +99,28 @@ def effective_resistance(
         raise ValueError("resistance needs nonempty vertex sets")
     if np.intersect1d(A, B).size:
         raise ValueError("source and ground sets overlap")
-    flow = potential_flow(graph, A, B, tolerance=tolerance)
+    reached, grounded = _reached(graph, A, B)
+    group = graph.symmetries(A, B)
+    counters = _no_solve(len(group))
+    energy = 0.0
+    if grounded:
+        least = graph.orbits(group)
+        pot = reached.astype(np.float64)
+        reached[A] = False
+        system = DirichletSystem(graph, np.flatnonzero(reached), orbits=least)
+        pot, info = system.solve(pot, tol=tolerance)
+        counters.update(unknowns=len(system.unknown), orbit_unknowns=system.orbit_unknowns,
+                        iterations=info.iterations, path=info.path)
+        reps = np.flatnonzero(least == np.arange(graph.num_vertices))
+        indptr, nbrs = graph.rows(reps)
+        counts = np.diff(indptr)
+        diffs = np.repeat(pot[reps], counts) - pot[nbrs]
+        weights = np.repeat(np.bincount(least)[reps], counts)
+        # numpy's pairwise sum, not BLAS: no bit depends on the thread count
+        energy = 0.5 * float(np.add.reduce(weights * (diffs * diffs)))
     if solves is not None:
-        solves.append(flow.solve)
-    return 1.0 / flow.energy if flow.energy > 0.0 else float("inf")
+        solves.append(counters)
+    return 1.0 / energy if energy > 0.0 else float("inf")
 
 
 def resistance_to_infinity(

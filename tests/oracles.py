@@ -1,5 +1,6 @@
 """Second methods behind the acceptance claims: Monte Carlo exit times, the
-coupled walk's marginal law and the capacity-constant probe.
+coupled walk's marginal law, the capacity-constant probe and the edge-sum
+energy of a vertex potential.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -14,11 +15,38 @@ import numpy as np
 from carpetlab.coupling import _coupler
 from carpetlab.geometry import CarpetGraph, VertexGraph
 from carpetlab.harmonic import HOLD, _distances
-from carpetlab.linalg import DEFAULT_TOL
+from carpetlab.linalg import DEFAULT_TOL, DirichletSystem
 from carpetlab.resistance import resistance_to_infinity
 from carpetlab.seeding import derive_rng
 
 _EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
+
+
+def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:
+    """Sum of squared potential differences over edges, in fixed edge order."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (graph.num_vertices,):
+        raise ValueError("potential must assign a value to every vertex")
+    i, j = graph.edges()
+    diffs = f[i] - f[j]
+    return float(np.add.reduce(diffs * diffs))
+
+
+def unit_potential(graph: VertexGraph, source, ground, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The potential 1 on ``source``, 0 on ``ground``, harmonic at every other
+    vertex, solved on the vertices with no orbits and no reach pruning."""
+    values = np.zeros(graph.num_vertices)
+    values[source] = 1.0
+    free = np.ones(graph.num_vertices, dtype=bool)
+    free[source] = free[ground] = False
+    return DirichletSystem(graph, np.flatnonzero(free)).solve(values, tol=tol)[0]
+
+
+def source_flux(graph: VertexGraph, source, potential: np.ndarray) -> float:
+    """Current out of ``source`` at unit potential, sum_{a in A} sum_{y ~ a} (1 - u_y);
+    by Green's identity the energy of the exact harmonic potential."""
+    flux = 1.0 - potential[graph.rows(np.asarray(source, dtype=np.int64))[1]]
+    return float(np.add.reduce(flux))
 
 
 def sample_exit_times(

@@ -10,8 +10,9 @@ import carpetlab
 from carpetlab import cli
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
-from carpetlab.geometry import read_graph, write_graph
+from carpetlab.geometry import build_graph, read_graph, write_graph
 from carpetlab.heat import TransitionOperator
+from carpetlab.resistance import face_resistance
 
 from conftest import diag_fit, vid
 
@@ -452,6 +453,18 @@ def test_couple_upgrade(capsys, g3_file):
 def test_resist_face(capsys, g3_file):
     code, payload = run_json(capsys, ["resist", "face", "--graph", g3_file, "--n", "2"])
     assert code == 0
+    assert payload["resistance"] == pytest.approx(1.657261410788382, rel=1e-9)
+
+
+def test_resist_face_reuses_the_graph_it_read(capsys, monkeypatch, g3, g3_file):
+    # --n at the file's level solves on the graph read_graph built, with no second build.
+    builds = []
+    monkeypatch.setattr(cli, "build_graph", lambda *a, **kw: builds.append(a) or build_graph(*a, **kw))
+    code, payload = run_json(capsys, ["resist", "face", "--graph", g3_file, "--n", "3"])
+    assert (code, builds) == (0, [])
+    assert payload["resistance"] == face_resistance(g3)
+    code, payload = run_json(capsys, ["resist", "face", "--graph", g3_file, "--n", "2"])
+    assert (code, len(builds)) == (0, 1)
     assert payload["resistance"] == pytest.approx(1.657261410788382, rel=1e-9)
 
 

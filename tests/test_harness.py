@@ -125,6 +125,14 @@ def test_config_rejects_unknown_experiment(tmp_path):
     assert config_from_sources(overrides={"experiments": ()}).experiments == ()
 
 
+def test_suite_rejects_unknown_experiment(tmp_path):
+    # run_suite makes the check config_from_sources makes, before anything runs.
+    config = ExperimentConfig(experiments=("buidl",), levels=(2,), output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="unknown experiment 'buidl'; choose from build, "):
+        run_suite(config)
+    assert not os.listdir(tmp_path)
+
+
 def test_config_rejects_nonpositive_trials():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):

@@ -13,9 +13,9 @@ from carpetlab import linalg
 from carpetlab.geometry import box_vertices, build_graph, validate_params
 from carpetlab.harmonic import harnack_constant
 from carpetlab.linalg import ConvergenceError, DirichletSystem
-from carpetlab.resistance import dirichlet_energy
 
 from conftest import adjacency, graph_from_edges, held, make_path
+from oracles import dirichlet_energy
 
 
 def test_direct_path_matches_cg(g4):

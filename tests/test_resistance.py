@@ -5,15 +5,18 @@ import pytest
 
 from carpetlab.geometry import VertexGraph, box_vertices, build_graph
 from carpetlab.resistance import (
-    dirichlet_energy,
     effective_resistance,
     face_resistance,
-    potential_flow,
     resistance_to_infinity,
 )
 
 from conftest import graph_from_edges, make_cycle, make_path, vid
-from oracles import HypothesisError, theorem5_check
+from oracles import HypothesisError, dirichlet_energy, source_flux, theorem5_check, unit_potential
+
+# Worst relative gap between the source flux of a tolerance-1e-10 vertex
+# solve and the resistance, over the problems of
+# test_resistance_is_the_inverse_edge_energy: 9.1e-15 (2-D level-4 face).
+FLUX_GAP = 5e-14
 
 
 # -------------------------------------------------------------------- energy
@@ -27,18 +30,56 @@ def test_dirichlet_energy_single_edge():
 
 def test_energy_is_inverse_resistance(g1):
     v00, v22 = vid(g1, 0, 0), vid(g1, 2, 2)
-    flow = potential_flow(g1, [v00], [v22])
+    potential = unit_potential(g1, [v00], [v22])
     r = effective_resistance(g1, [v00], [v22])
-    assert flow.energy == pytest.approx(1.0 / r, rel=1e-9)
-    assert dirichlet_energy(g1, flow.potential) == pytest.approx(flow.energy, rel=1e-9)
+    assert dirichlet_energy(g1, potential) == pytest.approx(1.0 / r, rel=1e-9)
+    assert source_flux(g1, [v00], potential) == pytest.approx(
+        dirichlet_energy(g1, potential), rel=1e-9)
 
 
 def test_potential_respects_bounds(g2):
-    flow = potential_flow(g2, [vid(g2, 0, 0)], [vid(g2, 8, 8)])
-    assert flow.potential.min() >= -1e-10
-    assert flow.potential.max() <= 1.0 + 1e-10
-    assert flow.potential[vid(g2, 0, 0)] == pytest.approx(1.0)
-    assert flow.potential[vid(g2, 8, 8)] == pytest.approx(0.0)
+    potential = unit_potential(g2, [vid(g2, 0, 0)], [vid(g2, 8, 8)])
+    assert potential.min() >= -1e-10
+    assert potential.max() <= 1.0 + 1e-10
+    assert potential[vid(g2, 0, 0)] == pytest.approx(1.0)
+    assert potential[vid(g2, 8, 8)] == pytest.approx(0.0)
+
+
+def _energy_problems(graph):
+    """The face pair, the corner cell against every R_N ground, and a source
+    that touches its ground: the corner cell with the layer just inside the
+    level-2 box boundary, against that boundary."""
+    first, top = graph.coords[:, 0], graph.coords.max(axis=1)
+    problems = [(np.flatnonzero(first == 0), np.flatnonzero(first == graph.side - 1))]
+    problems += [(np.array([0]), box_vertices(graph, N).boundary) for N in range(1, graph.level + 1)]
+    return problems + [(np.flatnonzero((top == 0) | (top == 7)), box_vertices(graph, 2).boundary)]
+
+
+@pytest.mark.parametrize("carpet", ["g4", "g3d"])
+def test_resistance_is_the_inverse_edge_energy(carpet, request):
+    # Second methods for the orbit-row energy: the edge-sum energy and the
+    # source flux (Green's identity) of a plain vertex solve.
+    graph = request.getfixturevalue(carpet)
+    for A, B in _energy_problems(graph):
+        solves = []
+        r = effective_resistance(graph, A, B, solves=solves)
+        potential = unit_potential(graph, A, B)
+        assert r == pytest.approx(1.0 / dirichlet_energy(graph, potential), rel=1e-12)
+        assert r == pytest.approx(1.0 / source_flux(graph, A, potential), rel=FLUX_GAP)
+        assert solves[0]["symmetry_order"] > 1
+    touching = _energy_problems(graph)[-1]
+    assert np.intersect1d(graph.rows(touching[0])[1], touching[1]).size
+
+
+def test_resistance_never_lists_the_edges(params3, monkeypatch):
+    g = build_graph(2, params3)
+    expected = face_resistance(g), resistance_to_infinity(g, [0], [1, 2]).resistances
+
+    def refuse(self):
+        raise AssertionError("resistance listed the edges")
+
+    monkeypatch.setattr(VertexGraph, "edges", refuse)
+    assert (face_resistance(g), resistance_to_infinity(g, [0], [1, 2]).resistances) == expected
 
 
 # ---------------------------------------------------------------- resistance
