@@ -202,20 +202,21 @@ def _cmd_hitting(args) -> int:
             p = hitting_probability(graph, spec, args.y, tolerance=args.tol)
             _write_json_out({"x": args.x, "y": args.y, "r": args.r, "probability": p}, args.out)
             return 0
-        # One center, every admissible start in the annulus r <= dist <= c1*r.
+        # One center, every admissible start in the annulus r <= dist <= c1*r:
+        # one solve serves them all.
         dist = _distances(graph, args.x)
         starts = np.nonzero((dist >= args.r) & (dist <= args.c1 * args.r))[0]
         if starts.size == 0:
             raise ValueError(f"no start vertices in the [r, c1*r] annulus around {args.x}")
-        pairs = [(args.x, int(y)) for y in starts]
+        values = hitting_probability(graph, spec, starts, tolerance=args.tol).tolist()
+        probes = [{"x": args.x, "y": y, "probability": p} for y, p in zip(starts.tolist(), values)]
     else:
-        pairs = hitting_pair_catalog(graph, args.r, c1=args.c1, c2=args.c2,
-                                     count=args.count, seed=args.seed)
-    probes = []
-    for x, y in pairs:
-        spec = HittingSpec(x=x, r=args.r, c1=args.c1, c2=args.c2)
-        probes.append({"x": x, "y": y,
-                       "probability": hitting_probability(graph, spec, y, tolerance=args.tol)})
+        probes = []
+        for x, y in hitting_pair_catalog(graph, args.r, c1=args.c1, c2=args.c2,
+                                         count=args.count, seed=args.seed):
+            spec = HittingSpec(x=x, r=args.r, c1=args.c1, c2=args.c2)
+            probes.append({"x": x, "y": y,
+                           "probability": hitting_probability(graph, spec, y, tolerance=args.tol)})
     values = [p["probability"] for p in probes]
     _write_json_out(
         {"r": args.r, "count": len(probes), "min": min(values), "mean": sum(values) / len(values),

@@ -22,7 +22,8 @@ being the highest association level resolved.  Every walk stops once a
 walker leaves a box of side at most k^m_max, so no walker still under way
 goes past that layer, and the tables grow with the walk's reach instead of
 the graph: 60,588 rows instead of 456,976 on the 3-D level-4 carpet at
-m_max = 2.
+m_max = 2.  The tables live for one call: each public function builds its
+own and drops them when it returns, and nothing is stored on the graph.
 
 Trials run in lockstep on numpy tables indexed by vertex id, at most
 ``_POOL`` at a time, a stopped trial's slot going to the next one.  Stream
@@ -52,7 +53,6 @@ from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
     "run_coupled_walk",
-    "pair_catalog",
     "upgrade_statistics",
 ]
 
@@ -196,6 +196,13 @@ class _Coupler:
             span = graph.side // side_m
             self.cube_key[m] = (coords // side_m) @ span ** np.arange(d - 1, -1, -1)
         self.scale_sq = k ** (2 * np.arange(levels))
+
+    def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
+        """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, grouped by key."""
+        groups: dict[int, list[int]] = {}
+        for v in np.nonzero((self.coords < side).all(axis=1))[0]:
+            groups.setdefault(int(self.canon[m, v]), []).append(int(v))
+        return [(a, b) for members in groups.values() for a in members for b in members if a != b]
 
     def image(self, iso, vec: np.ndarray) -> np.ndarray:
         """Images of doubled local coordinates ``vec`` (..., d) under ``iso``."""
@@ -352,16 +359,6 @@ class _Coupler:
         return done
 
 
-def _coupler(graph: CarpetGraph, m_max: int) -> _Coupler:
-    cache = getattr(graph, "_coupler_cache", None)
-    if cache is None:
-        cache = {}
-        graph._coupler_cache = cache
-    if m_max not in cache:
-        cache[m_max] = _Coupler(graph, m_max)
-    return cache[m_max]
-
-
 def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:
     """Preconditions of ``trials`` walks stopped on leaving the level-n box."""
     if n < 1:
@@ -399,8 +396,7 @@ def run_coupled_walk(
     for v in (x0, y0):
         if any(c >= inner_side for c in graph.coords[v]):
             raise ValueError(f"vertex {v} is outside the level-{n - 1} box")
-    eng = _coupler(graph, n)
-    done = eng.run(
+    done = _Coupler(graph, n).run(
         seed, "coupled-walk", trials, max_steps,
         lambda states: (np.full(len(states), x0), np.full(len(states), y0)), box_side=k ** n,
     )
@@ -410,31 +406,6 @@ def run_coupled_walk(
         "steps": done["steps"],
         "digest": done["digest"],
     }
-
-
-def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
-    """All ordered m-associated pairs (x != y) inside the level-(n-1) box.
-
-    Cubes tile the window, so every S_{m+1} cube is decidable whenever
-    m + 1 <= build level; nothing near the window edge needs excluding.
-    """
-    if m < 0:
-        raise ValueError(f"association level m must be nonnegative, got {m}")
-    if graph.level < max(n, m + 1):
-        raise ValueError("built region too small for this catalog")
-    eng = _coupler(graph, min(graph.level, max(n, m + 1)))
-    inner_side = graph.params.k ** (n - 1)
-    ids = np.nonzero((graph.coords < inner_side).all(axis=1))[0]
-    groups: dict[int, list[int]] = {}
-    for v in ids:
-        groups.setdefault(int(eng.canon[m, v]), []).append(int(v))
-    pairs = []
-    for members in groups.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    pairs.append((a, b))
-    return pairs
 
 
 def upgrade_statistics(
@@ -459,11 +430,10 @@ def upgrade_statistics(
         raise ValueError(f"association level m must be nonnegative, got {m}")
     if j < 1:
         raise ValueError(f"renewal count j must be at least 1, got {j}")
-    catalog = pair_catalog(graph, m, n)  # checks that level m + 1 is built
-    if not catalog:
+    eng = _Coupler(graph, max(m + 1, n))  # checks that level m + 1 is built
+    catalog = np.array(eng.catalog(m, graph.params.k ** (n - 1)), dtype=np.int64)
+    if not len(catalog):
         raise ValueError(f"no m={m} associated pairs inside the level-{n - 1} box")
-    catalog = np.array(catalog, dtype=np.int64)
-    eng = _coupler(graph, max(m + 1, n))
     box_side = graph.params.k ** n
 
     def starts(states):

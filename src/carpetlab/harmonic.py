@@ -192,34 +192,35 @@ def _require_absorbing_shell(graph, x, radius):
 
 
 def hitting_probability(
-    graph, spec: HittingSpec, y: int, tolerance: float = DEFAULT_TOL, solves: Optional[list] = None
-) -> float:
+    graph, spec: HittingSpec, y, tolerance: float = DEFAULT_TOL, solves: Optional[list] = None
+):
     """Probability the walk from ``y`` enters B(x, r) before leaving B(x, c2*r).
 
     Solves the Dirichlet problem with value 1 on vertices strictly within
     distance ``r`` of ``x`` and value 0 at distance >= ``c2 * r`` (ties at the
-    exact radius count as outside the inner ball).  A ``solves`` list
-    receives the solve's unknowns, solver path and residual; a start inside
-    the inner ball or beyond the shell needs no solve and adds nothing.
+    exact radius count as outside the inner ball).  ``y`` is one start, which
+    gives a float, or an array of starts, which gives an array of its shape;
+    every start reads the same solve.  A ``solves`` list receives the
+    solve's unknowns, solver path and residual; starts that all lie inside
+    the inner ball or beyond the shell need no solve and add nothing.
     """
     dist = _require_absorbing_shell(graph, spec.x, spec.c2 * spec.r)
-    if dist[y] > spec.c1 * spec.r:
-        raise ValueError(
-            f"start vertex {y} at distance {dist[y]:.4g} exceeds c1*r = {spec.c1 * spec.r:.4g}"
-        )
+    starts = np.asarray(y)
+    far = starts[dist[starts] > spec.c1 * spec.r]
+    if far.size:
+        raise ValueError(f"start vertex {far[0]} at distance {dist[far[0]]:.4g} exceeds "
+                         f"c1*r = {spec.c1 * spec.r:.4g}")
     inner = dist < spec.r
     outer = dist >= spec.c2 * spec.r
-    if inner[y]:
-        return 1.0
-    if outer[y]:
-        return 0.0
-    unknown = np.nonzero(~(inner | outer))[0]
-    system = DirichletSystem(graph, unknown)
-    values, info = system.solve(inner.astype(np.float64), tol=tolerance)
-    _max_principle_check(values, unknown, 0.0, 1.0, tolerance)
-    if solves is not None:
-        solves.append({"unknowns": len(unknown), "path": info.path, "residual": info.residual})
-    return float(values[y])
+    values = inner.astype(np.float64)
+    if not (inner | outer)[starts].all():
+        unknown = np.nonzero(~(inner | outer))[0]
+        values, info = DirichletSystem(graph, unknown).solve(values, tol=tolerance)
+        _max_principle_check(values, unknown, 0.0, 1.0, tolerance)
+        if solves is not None:
+            solves.append({"unknowns": len(unknown), "path": info.path, "residual": info.residual})
+    p = values[starts]
+    return float(p) if p.ndim == 0 else p
 
 
 def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) -> float:

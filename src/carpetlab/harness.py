@@ -125,7 +125,17 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     config = ExperimentConfig(**data)
-    _check_experiments(config)
+    _check_config(config)
+    return config
+
+
+def _check_config(config: ExperimentConfig) -> None:
+    """Reject a config the suite cannot run, before any graph is built or file written."""
+    params = config.params()
+    known = [name for name, _ in EXPERIMENT_ORDER]
+    unknown = [name for name in config.experiments if name not in known]
+    if unknown:
+        raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
     if config.trials < 1:
         raise ValueError(f"trials must be at least 1, got {config.trials}")
     if not 0.0 < config.tolerance < 1.0:
@@ -134,27 +144,14 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
         raise ValueError("levels must name at least one level")
     if min(config.levels) < 0:
         raise ValueError(f"levels must be nonnegative, got {min(config.levels)}")
-    _check_levels(config)
-    return config
-
-
-def _check_experiments(config: ExperimentConfig) -> None:
-    """Reject an experiment name the suite does not know."""
-    known = [name for name, _ in EXPERIMENT_ORDER]
-    unknown = [name for name in config.experiments if name not in known]
-    if unknown:
-        raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
-
-
-def _check_levels(config: ExperimentConfig) -> None:
-    """Reject a top level that a selected experiment cannot use, before anything runs."""
+    # A top level that a selected experiment cannot use, checked from (d, k, n).
     top = max(config.levels)
     if "resist" in config.experiments and top < 1:
         raise ValueError(f"resist needs a top level of at least 1, got {top}")
     if "couple" in config.experiments and top < 2:
         raise ValueError(f"couple needs a top level of at least 2, got {top}")
     if "heat" in config.experiments:
-        cap = carpet_saturation_time(config.params(), top)
+        cap = carpet_saturation_time(params, top)
         fit_times = ds_fit_times(cap)
         if len(fit_times) < DS_MIN_POINTS:
             raise ValueError(
@@ -374,8 +371,6 @@ def exp_hitting(ctx: _SuiteContext) -> dict:
 def exp_couple(ctx: _SuiteContext) -> dict:
     top = max(ctx.config.levels)
     n = min(2, top - 1)
-    if n < 1:
-        raise ValueError("coupling experiment needs a graph of level >= 2")
     graph = ctx.graph(top)
     # adjacent 0-associated pair in the corner of the inner box
     x0 = int(graph.vertex_id(np.zeros(ctx.params.d, dtype=np.int64)))
@@ -469,13 +464,13 @@ EXPERIMENT_ORDER = [
 def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
     """Run the selected experiments in dependency order and write artifacts.
 
-    Failures are recorded in the manifest and the suite continues unless
-    ``fail_fast``.  The manifest itself is written as manifest.json; its
-    wall-clock field is the only output allowed to vary between identical
-    runs.
+    A config that ``config_from_sources`` would reject raises its
+    ``ValueError`` before anything is written.  Failures are recorded in
+    the manifest and the suite continues unless ``fail_fast``.  The
+    manifest itself is written as manifest.json; its wall-clock field is
+    the only output allowed to vary between identical runs.
     """
-    config.params()  # validate early
-    _check_experiments(config)
+    _check_config(config)
     manifest = RunManifest(
         config=config.to_dict(), config_hash=config_hash(config), version=__version__
     )

@@ -1,6 +1,6 @@
 """Second methods behind the acceptance claims: Monte Carlo exit times, the
-coupled walk's marginal law, the capacity-constant probe and the edge-sum
-energy of a vertex potential.
+coupled walk's marginal law and pair catalog, the capacity-constant probe
+and the edge-sum energy of a vertex potential.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from carpetlab.coupling import _coupler
+from carpetlab.coupling import _Coupler
 from carpetlab.geometry import CarpetGraph, VertexGraph
 from carpetlab.harmonic import HOLD, _distances
 from carpetlab.linalg import DEFAULT_TOL, DirichletSystem
@@ -101,10 +101,25 @@ def sample_marginal(
     length-|V| array counts where the mirrored walker landed, for comparison
     against the heat-kernel row (the marginal-law contract).
     """
-    eng = _coupler(graph, graph.level)
+    eng = _Coupler(graph, graph.level)
     done = eng.run(seed, "marginal-trial", trials, steps,
                    lambda states: (np.full(len(states), x0), np.full(len(states), y0)))
     return np.bincount(done["y"], minlength=graph.num_vertices)
+
+
+def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
+    """All ordered m-associated pairs (x != y) inside the level-(n-1) box,
+    read from an engine of its own (``upgrade_statistics`` reads the same
+    catalog from the engine it walks on).
+
+    Cubes tile the window, so every S_{m+1} cube is decidable whenever
+    m + 1 <= build level; nothing near the window edge needs excluding.
+    """
+    if m < 0:
+        raise ValueError(f"association level m must be nonnegative, got {m}")
+    if graph.level < max(n, m + 1):
+        raise ValueError("built region too small for this catalog")
+    return _Coupler(graph, max(n, m + 1)).catalog(m, graph.params.k ** (n - 1))
 
 
 class HypothesisError(RuntimeError):

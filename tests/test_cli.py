@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import carpetlab
-from carpetlab import cli
+from carpetlab import cli, harmonic
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import build_graph, read_graph, write_graph
+from carpetlab.harmonic import HittingSpec, hitting_probability
 from carpetlab.heat import TransitionOperator
 from carpetlab.resistance import face_resistance
 
@@ -182,6 +183,30 @@ def test_hitting_annulus_sweep(capsys, g4_file, g4):
     dist = np.sqrt((delta ** 2).sum(axis=1))
     assert payload["count"] == int(((dist >= 3) & (dist <= 6)).sum())
     assert 0.0 < payload["min"] <= payload["mean"] <= 1.0
+
+
+def test_hitting_annulus_sweep_solves_once(capsys, monkeypatch, g4_file, g4):
+    # Every start around one center reads one solve, and the sweep prints
+    # what one hitting_probability call per start gives, bit for bit.
+    x = vid(g4, 26, 26)
+    built = []
+
+    class CountingSystem(harmonic.DirichletSystem):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "DirichletSystem", CountingSystem)
+    code, payload = run_json(capsys, ["hitting", "--graph", g4_file, "--x", str(x), "--r", "3"])
+    assert code == 0
+    assert len(built) == 1
+    spec = HittingSpec(x=x, r=3.0)
+    values = [hitting_probability(g4, spec, p["y"], tolerance=1e-10) for p in payload["probes"]]
+    assert len(built) == 1 + len(values)
+    assert payload == {
+        "r": 3.0, "count": len(values), "min": min(values), "mean": sum(values) / len(values),
+        "probes": [{"x": x, "y": p["y"], "probability": v} for p, v in zip(payload["probes"], values)],
+    }
 
 
 def test_hitting_y_without_x(capsys, g4_file):

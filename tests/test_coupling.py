@@ -3,19 +3,14 @@ import pytest
 from scipy import stats
 
 from carpetlab import coupling
-from carpetlab.coupling import (
-    _Coupler,
-    _coupler,
-    pair_catalog,
-    run_coupled_walk,
-    upgrade_statistics,
-)
+from carpetlab.coupling import _Coupler, run_coupled_walk, upgrade_statistics
+from carpetlab.geometry import build_graph
 from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
 
 from conftest import kernel_row, vid
-from oracles import sample_marginal
+from oracles import pair_catalog, sample_marginal
 
 
 def witnesses(eng, x, y, m):
@@ -30,19 +25,19 @@ def witnesses(eng, x, y, m):
 
 
 def test_local_coords(g2):
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     v = vid(g2, 0, 0)
     np.testing.assert_allclose(np.array(eng.loc2[0][v]) / 2, [0.0, 0.0])
     np.testing.assert_allclose(np.array(eng.loc2[1][v]) / 2, [-1.0, -1.0])
     np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 2, 0)]) / 2, [1.0, -1.0])
     np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 4, 0)]) / 2, [0.0, -1.0])
     with pytest.raises(ValueError):
-        _coupler(g2, 3)
+        _Coupler(g2, 3)
 
 
 def test_isometry_preserves_the_carpet(g2):
     # Any witness between level-1 cubes permutes the surviving cells.
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     isos = witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     assert isos
     cube = {tuple(eng.loc2[1][v]) for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
@@ -52,7 +47,7 @@ def test_isometry_preserves_the_carpet(g2):
 
 def test_isometry_maps_across_cubes(g2):
     # Witness between different level-1 cubes lands in the target cube.
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     x, y = vid(g2, 1, 0), vid(g2, 4, 0)
     isos = witnesses(eng, x, y, 1)
     assert isos
@@ -65,7 +60,7 @@ def test_isometry_maps_across_cubes(g2):
 
 
 def test_identity_witness_for_met_pair(g2):
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     assert (tuple(eng.iso_perm[0]), tuple(eng.iso_sign[0])) == ((0, 1), (1, 1))  # identity
     v = vid(g2, 5, 2)
     assert witnesses(eng, v, v, 2)[0] == 0  # identity is canonically first
@@ -78,12 +73,12 @@ def test_identity_witness_for_met_pair(g2):
 def test_association_zero_is_universal(g2):
     # Every pair is 0-associated: all eight signed permutations fix the
     # center of a unit cube.
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     assert len(witnesses(eng, vid(g2, 0, 0), vid(g2, 7, 5), 0)) == 8
 
 
 def test_association_examples(g2):
-    eng = _coupler(g2, 2)
+    eng = _Coupler(g2, 2)
     # Mirror images through the central column: 1-associated.
     assert witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     # An adjacent off-axis pair is not 1-associated.
@@ -92,7 +87,7 @@ def test_association_examples(g2):
 
 def test_association_level(g3):
     # refresh reports the highest level at which each pair is associated.
-    eng = _coupler(g3, 3)
+    eng = _Coupler(g3, 3)
     x = np.array([vid(g3, 2, 2), vid(g3, 0, 0), vid(g3, 0, 0)])
     y = np.array([vid(g3, 2, 2), vid(g3, 2, 0), vid(g3, 0, 1)])
     assert eng.refresh(x, y)[0].tolist() == [3, 1, 0]
@@ -102,7 +97,7 @@ def test_association_level(g3):
 
 def test_association_is_monotone(g3):
     # Associated at m implies associated at every lower level.
-    eng = _coupler(g3, 3)
+    eng = _Coupler(g3, 3)
     rng = np.random.default_rng(2)
     ids = rng.integers(0, g3.num_vertices, size=40)
     for x, y in zip(ids[::2], ids[1::2]):
@@ -122,7 +117,7 @@ def test_association_is_monotone(g3):
 
 
 def test_coupling_is_absorbing(g3):
-    eng = _coupler(g3, 3)
+    eng = _Coupler(g3, 3)
     x = vid(g3, 2, 2)
     w = eng.start(np.array([x]), np.array([x]))  # no stopping rule
     rng = derive_rng(17, "absorbing-test")
@@ -135,7 +130,7 @@ def test_coupling_is_absorbing(g3):
 def test_witness_valid_until_met(g3):
     # A mirrored pair keeps its reflection witness at every step on the way
     # to meeting: the witness maps the first walker onto the second exactly.
-    eng = _coupler(g3, 3)
+    eng = _Coupler(g3, 3)
     w = eng.start(np.array([vid(g3, 0, 0)]), np.array([vid(g3, 2, 0)]))
     rng = derive_rng(23, "mirror-test")
     met = False
@@ -247,7 +242,7 @@ def test_batch_follows_the_stream_contract(g4):
     # hold-y, dir-y, with direction dirs[floor(u * len(dirs))].
     x, y = vid(g4, 0, 0), vid(g4, 8, 8)
     outs = run_coupled_walk(g4, x, y, 3, trials=40, max_steps=400, seed=3)
-    eng = _coupler(g4, 3)
+    eng = _Coupler(g4, 3)
     for t in range(40):
         rng = derive_rng(3, "coupled-walk", index=t)
         out = trial(outs, t)
@@ -308,11 +303,25 @@ def test_coupling_probability_positive(g3):
     assert hits / 200.0 >= 0.05
 
 
+def test_coupling_keeps_no_state_on_the_graph(params2):
+    # Each call builds its tables and drops them when it returns: a fresh
+    # graph has the same attributes after every public coupling call.
+    graph = build_graph(3, params2)
+    keys = set(vars(graph))
+    x, y = vid(graph, 0, 0), vid(graph, 0, 1)
+    run_coupled_walk(graph, x, y, 2, trials=20, seed=1)
+    assert set(vars(graph)) == keys
+    assert pair_catalog(graph, 1, 2)
+    assert set(vars(graph)) == keys
+    upgrade_statistics(graph, 0, 20, 2, seed=1)
+    assert set(vars(graph)) == keys
+
+
 # ------------------------------------------------------------------ catalogs
 
 
 def test_pair_catalog(g3):
-    eng = _coupler(g3, 3)
+    eng = _Coupler(g3, 3)
     pairs = pair_catalog(g3, 1, 2)
     assert pairs
     inner = set()
@@ -367,6 +376,8 @@ def test_upgrade_rejects_bad_inputs(g3):
         upgrade_statistics(g3, -1, 10, 2)
     with pytest.raises(ValueError, match="renewal count j"):
         upgrade_statistics(g3, 0, 10, 2, j=0)
+    with pytest.raises(ValueError, match="association level cap 4 exceeds the built region"):
+        upgrade_statistics(g3, 3, 10, 2)  # level m + 1 = 4 is not built
 
 
 # --------------------------------------------------------------- table reach
@@ -398,17 +409,25 @@ def test_prefix_tables_walk_as_full_tables(request, monkeypatch, graph_name, x, 
     graph = request.getfixturevalue(graph_name)
     x, y = vid(graph, *x), vid(graph, *y)
 
-    def outputs(cache):
-        monkeypatch.setattr(graph, "_coupler_cache", cache, raising=False)
+    def outputs(make):
+        # Every call builds its own engine, here through ``make``.
+        built = []
+
+        def engine(g, m_max):
+            built.append(make(g, m_max))
+            return built[-1]
+
+        monkeypatch.setattr(coupling, "_Coupler", engine)
         walks = run_coupled_walk(graph, x, y, 2, trials=600, seed=11)
         ups = [upgrade_statistics(graph, m, 300, 2, seed=12) for m in (0, 1)]
-        return walks, ups
+        assert [eng.m_max for eng in built] == [2, 2, 2]
+        return walks, ups, built
 
-    walks, ups = outputs({})
-    prefix = graph._coupler_cache[2]
-    assert len(prefix.nbr) < graph.num_vertices
-    assert (prefix.nbr < len(prefix.nbr)).all()
-    full_walks, full_ups = outputs({2: full_tables(graph, 2)})
+    walks, ups, built = outputs(_Coupler)
+    for prefix in built:
+        assert len(prefix.nbr) < graph.num_vertices
+        assert (prefix.nbr < len(prefix.nbr)).all()
+    full_walks, full_ups, _ = outputs(full_tables)
     assert walks.keys() == full_walks.keys()
     for name in walks:
         assert walks[name].dtype == full_walks[name].dtype
@@ -421,7 +440,7 @@ def test_prefix_tables_walk_as_full_tables(request, monkeypatch, graph_name, x, 
 
 def test_prefix_length_on_the_3d_level4_carpet(g3d4):
     # x_0 <= 9 keeps 10 of the 81 x_0 layers: 60,588 of 456,976 vertices.
-    eng = _coupler(g3d4, 2)
+    eng = _Coupler(g3d4, 2)
     assert eng.reach == 9
     assert eng.nbr.shape == (60_588, 6)
     assert eng.mask.shape == (60_588,)

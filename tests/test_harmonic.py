@@ -167,6 +167,23 @@ def test_hitting_trivial_regions(g5):
     assert 0.0 < p < 1.0
 
 
+def test_hitting_many_starts_read_one_solve(g5):
+    # An array of starts gives an array of its shape from one solve, each
+    # entry equal to the call for that start alone.
+    x = vid(g5, 80, 80)
+    spec = HittingSpec(x=x, r=3.0)
+    starts = np.array([[vid(g5, 80, 81), vid(g5, 80, 85)], [vid(g5, 84, 80), vid(g5, 76, 80)]])
+    solves = []
+    p = hitting_probability(g5, spec, starts, solves=solves)
+    assert p.shape == starts.shape and len(solves) == 1
+    assert p.tolist() == [[hitting_probability(g5, spec, int(y)) for y in row] for row in starts]
+    with pytest.raises(ValueError, match=f"start vertex {vid(g5, 80, 88)} at distance 8 exceeds c1"):
+        hitting_probability(g5, spec, np.array([vid(g5, 80, 85), vid(g5, 80, 88)]))
+    # Starts that all sit in the inner ball need no solve.
+    assert hitting_probability(g5, spec, starts[:1, :1], solves=solves).tolist() == [[1.0]]
+    assert len(solves) == 1
+
+
 def test_hitting_rejects_far_starts(g5):
     x = vid(g5, 80, 80)
     spec = HittingSpec(x=x, r=3.0)

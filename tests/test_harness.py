@@ -133,6 +133,24 @@ def test_suite_rejects_unknown_experiment(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("fields", [
+    {"trials": 0, "experiments": ("couple",)},
+    {"levels": ()},
+    {"levels": (-1,)},
+    {"tolerance": 2.0},
+    {"levels": (1,), "experiments": ("couple",)},
+    {"levels": (3,), "experiments": ("heat",)},
+])
+def test_suite_makes_the_config_checks(tmp_path, fields):
+    # run_suite raises config_from_sources' message before writing anything.
+    with pytest.raises(ValueError) as expected:
+        config_from_sources(overrides=fields)
+    config = ExperimentConfig(**{**fields, "output_dir": str(tmp_path / "out")})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        run_suite(config)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_nonpositive_trials():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -244,9 +262,10 @@ def test_suite_artifacts_embed_config_echo(suite_run):
 
 
 def test_suite_records_failures_and_continues(tmp_path):
-    # The heat experiment needs a level >= 4 build; at (2, 3) it must fail
-    # loudly in the manifest while later experiments still run.
-    cfg = tiny_config(tmp_path, levels=(2, 3), experiments=("build", "heat", "resist"))
+    # The (2, 5, 1) level-3 carpet passes the config checks, but its
+    # exit-time fit has only two radii, so heat must fail loudly in the
+    # manifest while later experiments still run.
+    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg)
     assert manifest.experiments["heat"]["status"] == "failed"
     assert "error" in manifest.experiments["heat"]
@@ -254,7 +273,7 @@ def test_suite_records_failures_and_continues(tmp_path):
 
 
 def test_suite_fail_fast_stops(tmp_path):
-    cfg = tiny_config(tmp_path, levels=(2, 3), experiments=("build", "heat", "resist"))
+    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg, fail_fast=True)
     assert manifest.experiments["heat"]["status"] == "failed"
     assert "resist" not in manifest.experiments
@@ -427,7 +446,7 @@ def test_export_report_names_gaps(tmp_path):
 
 
 def test_export_report_shows_failures(tmp_path):
-    cfg = tiny_config(tmp_path, levels=(2, 3), experiments=("build", "heat"))
+    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat"))
     run_suite(cfg)
     text, gaps = export_report(os.path.join(str(tmp_path), "manifest.json"))
     assert gaps == []  # a failed experiment wrote nothing, so nothing is missing
