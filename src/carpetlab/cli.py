@@ -29,12 +29,13 @@ from .harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
-from .heat import central_vertex, estimate_dw
-from .heat import carpet_saturation_time, ds_fit_times, fit_ds, fit_regimes, walk_kernel
-from .coupling import MAX_STEPS, run_coupled_walk, upgrade_statistics
-from .linalg import ConvergenceError
+from .heat import (carpet_saturation_time, central_vertex, ds_fit_times, estimate_dw, fit_ds,
+                   fit_regimes, walk_kernel)
+from .coupling import MAX_STEPS, origin_pair, run_coupled_walk, upgrade_statistics
+from .linalg import DEFAULT_TOL, ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
-from .harness import _parse_value, config_from_sources, export_report, run_suite
+from .harness import (ExperimentConfig, _check_top_level, _parse_value, _write_rows,
+                      config_from_sources, export_report, run_suite)
 
 
 def _add_graph_arg(p):
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harnack", help="boundary-sweep Harnack constant on a box level")
     _add_graph_arg(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("hitting", help="hit-the-inner-ball-before-the-shell probability")
@@ -80,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float, default=2.0)
     p.add_argument("--c2", type=float, default=4.0)
     p.add_argument("--count", type=int, default=50, help="catalog size when sampling")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("heat", help="heat-kernel diagnostics")
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", type=int, help="first walker (default: origin cell)")
     q.add_argument("--y", type=int, help="second walker (default: origin's axis-d neighbor)")
     q.add_argument("--trials", type=int, default=10000)
-    q.add_argument("--seed", type=int, default=42)
+    q.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     q.add_argument("--max-steps", type=int, default=MAX_STEPS)
     q.add_argument("--audit", action="store_true", help="include per-trial digests")
     q.add_argument("--out")
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--j", type=int, default=8)
     q.add_argument("--trials", type=int, default=10000)
-    q.add_argument("--seed", type=int, default=42)
+    q.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     q.add_argument("--out")
 
     p = sub.add_parser("resist", help="effective-resistance experiments")
@@ -125,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = resist_sub.add_parser("face", help="face-to-face resistance at one level")
     _add_graph_arg(q)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=float, default=DEFAULT_TOL)
     q = resist_sub.add_parser("infinity", help="resistance to growing box boundaries")
     _add_graph_arg(q)
     q.add_argument("--set", dest="set_file", required=True,
                    help="vertex ids, one per line; blank lines separate groups")
     q.add_argument("--levels", required=True, help="comma-separated ground levels")
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=float, default=DEFAULT_TOL)
     q.add_argument("--out")
 
     p = sub.add_parser("suite", help="run the experiment suite from a config")
@@ -150,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_sets(path: str) -> list[list[int]]:
+    """The groups of vertex ids in ``path``; a file with no id is a ``ValueError``."""
     groups: list[list[int]] = [[]]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -162,6 +164,8 @@ def _read_sets(path: str) -> list[list[int]]:
                 groups[-1].append(int(s))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected a vertex id, got {s!r}") from None
+    if not groups[0]:
+        raise ValueError(f"{path}: no vertex id")
     return [g for g in groups if g]
 
 
@@ -231,18 +235,18 @@ def _cmd_heat(args) -> int:
         raise ValueError(f"--tmax must be at least 1, got {args.tmax}")
     graph = read_graph(args.graph)
     _check_ids(graph, [args.x], "--x")
+    if args.heat_command == "diag" or args.dw is None:  # d_w is fitted, before the walk
+        _check_top_level("heat", graph.level)
     x = args.x if args.x is not None else central_vertex(graph)
     cap = carpet_saturation_time(graph.params, graph.level)
     if args.heat_command == "diag":
+        dw = estimate_dw(graph, x)
         # one walk covers the printed 1..tmax series and the d_s points
         walk = walk_kernel(graph, x, [x], range(1, args.tmax + 1), ds_fit_times(cap))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("t,p_tt\n")
-                for t in range(1, args.tmax + 1):
-                    fh.write(f"{t},{float(walk.entries[t][0])!r}\n")
+            _write_rows(args.out, ["t", "p_tt"],
+                        [(t, float(walk.entries[t][0])) for t in range(1, args.tmax + 1)])
         ds = fit_ds(walk.diag)
-        dw = estimate_dw(graph, x)
         summary = {"x": x, "ds": asdict(ds), "dw": asdict(dw)}
         sys.stdout.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
         return 0
@@ -258,13 +262,13 @@ def _cmd_heat(args) -> int:
             except ValueError:
                 raise ValueError(f"{args.pairs}:{lineno}: expected y,t, got {s!r}") from None
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
+    dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     # one walk covers the pair times and, without --ds, the d_s points
     walk = walk_kernel(graph, x, [y for y, _ in pairs], [t for _, t in pairs],
                        ds_fit_times(cap) if args.ds is None else [])
     samples = sorted(((y, t, float(walk.entries[t][i])) for i, (y, t) in enumerate(pairs)),
                      key=lambda sample: sample[1])  # by time, as the walk reads them
     ds = args.ds if args.ds is not None else fit_ds(walk.diag).value
-    dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     fit = fit_regimes(graph, x, samples, ds=ds, dw=dw)
     _write_json_out(
         {
@@ -289,12 +293,7 @@ def _cmd_couple(args) -> int:
         if x is None or y is None:
             if (x is None) != (y is None):
                 raise ValueError("give both --x and --y, or neither")
-            # Default: the origin cell and its neighbor one step along the
-            # last axis — an adjacent, 0-associated pair.
-            origin = np.zeros(graph.params.d, dtype=np.int64)
-            x = graph.vertex_id(origin)
-            origin[-1] = 1
-            y = graph.vertex_id(origin)
+            x, y = origin_pair(graph)
         walks = run_coupled_walk(graph, x, y, args.n, trials=args.trials,
                                  max_steps=args.max_steps, seed=args.seed)
         valid = int((~walks["truncated"]).sum())

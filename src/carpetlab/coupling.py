@@ -47,11 +47,12 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CarpetGraph, signed_permutations
+from .geometry import CarpetGraph, build_graph, signed_permutations
 from .harmonic import HOLD
 from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
+    "origin_pair",
     "run_coupled_walk",
     "upgrade_statistics",
 ]
@@ -174,8 +175,9 @@ class _Coupler:
         for b in range(n_dirs):
             self.mask_map |= bits[None, :, b] << self.dir_map[:, b, None]
 
-        # Per level: doubled local coordinates, orbit-canonical keys (one
-        # per position in an S_m cube, then gathered) and packed cube index.
+        # Per level: doubled local coordinates, association class and packed
+        # cube index.  Every nonempty S_m cube holds the level-m carpet, whose window
+        # symmetries are the cube's isometries, so the classes are its orbits.
         levels = m_max + 1
         self.loc2 = np.empty((levels, rows, d), dtype=np.int64)
         self.canon = np.empty((levels, rows), dtype=np.int64)
@@ -184,15 +186,8 @@ class _Coupler:
             side_m = k ** m
             local = coords % side_m
             self.loc2[m] = 2 * local + 1 - side_m
-            grid = np.indices((side_m,) * d).reshape(d, -1).T
-            l2 = 2 * grid + 1 - side_m
-            base = 2 * side_m + 1
-            best = None
-            for i in range(n_isos):
-                img = self.iso_sign[i] * l2[:, self.iso_perm[i]] + side_m
-                packed = img @ base ** np.arange(d - 1, -1, -1)
-                best = packed if best is None else np.minimum(best, packed)
-            self.canon[m] = best[local @ side_m ** np.arange(d - 1, -1, -1)]
+            cube = build_graph(m, graph.params)
+            self.canon[m] = cube.orbits(np.arange(n_isos))[cube.vertex_ids(local)]
             span = graph.side // side_m
             self.cube_key[m] = (coords // side_m) @ span ** np.arange(d - 1, -1, -1)
         self.scale_sq = k ** (2 * np.arange(levels))
@@ -357,6 +352,15 @@ class _Coupler:
                 continue
             self.advance(pool, draw_uniforms(streams, live))
         return done
+
+
+def origin_pair(graph: CarpetGraph) -> tuple[int, Optional[int]]:
+    """The origin cell and its neighbor one step along the last axis: the
+    default start pair of the coupled walk, adjacent and 0-associated."""
+    step = np.zeros(graph.params.d, dtype=np.int64)
+    origin = graph.vertex_id(step)
+    step[-1] = 1
+    return origin, graph.vertex_id(step)
 
 
 def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:

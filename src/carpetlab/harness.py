@@ -30,7 +30,6 @@ from .geometry import (
 from .harmonic import (_distances, harnack_constant, hitting_pair_catalog, hitting_probability,
                        HittingSpec)
 from .heat import (
-    DS_MIN_POINTS,
     _slope_fit,
     carpet_saturation_time,
     central_vertex,
@@ -40,7 +39,8 @@ from .heat import (
     fit_regimes,
     walk_kernel,
 )
-from .coupling import run_coupled_walk, upgrade_statistics
+from .coupling import origin_pair, run_coupled_walk, upgrade_statistics
+from .linalg import DEFAULT_TOL
 from .resistance import face_resistance, resistance_to_infinity
 
 __all__ = [
@@ -62,7 +62,7 @@ class ExperimentConfig:
     a: int = 1
     levels: tuple = (2, 3, 4)
     seed: int = 42
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOL
     experiments: tuple = ("build", "harnack", "heat", "hitting", "couple", "resist")
     output_dir: str = "artifacts"
     trials: int = 2000
@@ -131,7 +131,7 @@ def config_from_sources(path: Optional[str] = None, overrides: Optional[dict] = 
 
 def _check_config(config: ExperimentConfig) -> None:
     """Reject a config the suite cannot run, before any graph is built or file written."""
-    params = config.params()
+    config.params()
     known = [name for name, _ in EXPERIMENT_ORDER]
     unknown = [name for name in config.experiments if name not in known]
     if unknown:
@@ -144,20 +144,26 @@ def _check_config(config: ExperimentConfig) -> None:
         raise ValueError("levels must name at least one level")
     if min(config.levels) < 0:
         raise ValueError(f"levels must be nonnegative, got {min(config.levels)}")
-    # A top level that a selected experiment cannot use, checked from (d, k, n).
     top = max(config.levels)
-    if "resist" in config.experiments and top < 1:
-        raise ValueError(f"resist needs a top level of at least 1, got {top}")
-    if "couple" in config.experiments and top < 2:
-        raise ValueError(f"couple needs a top level of at least 2, got {top}")
-    if "heat" in config.experiments:
-        cap = carpet_saturation_time(params, top)
-        fit_times = ds_fit_times(cap)
-        if len(fit_times) < DS_MIN_POINTS:
-            raise ValueError(
-                f"heat needs at least {DS_MIN_POINTS} dyadic times in 16..{cap} for the d_s "
-                f"fit; top level {top} gives {len(fit_times)}"
-            )
+    for name in config.experiments:
+        _check_top_level(name, top)
+
+
+# The lowest top level each experiment can use on any carpet.  resist: face
+# resistance and R_N run over the levels 1..top.  couple: the walk runs at
+# n = min(2, top - 1) from the origin pair, whose second cell lies in the
+# level-(n - 1) box only when n >= 2.  heat: the central cell is
+# ((k - a)/2 k^(n-1) - 1)(1, ..., 1), so the d_w radii around it are k, ...,
+# k^(n-1), and three radii need n >= 4; from level 4 on, the d_s fit has at
+# least 6 times.
+MIN_TOP_LEVEL = {"resist": 1, "couple": 3, "heat": 4}
+
+
+def _check_top_level(experiment: str, top: int) -> None:
+    """Reject a top level below ``experiment``'s entry in :data:`MIN_TOP_LEVEL`."""
+    need = MIN_TOP_LEVEL.get(experiment, 0)
+    if top < need:
+        raise ValueError(f"{experiment} needs a top level of at least {need}, got {top}")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -372,11 +378,7 @@ def exp_couple(ctx: _SuiteContext) -> dict:
     top = max(ctx.config.levels)
     n = min(2, top - 1)
     graph = ctx.graph(top)
-    # adjacent 0-associated pair in the corner of the inner box
-    x0 = int(graph.vertex_id(np.zeros(ctx.params.d, dtype=np.int64)))
-    first_dir = np.zeros(ctx.params.d, dtype=np.int64)
-    first_dir[-1] = 1
-    y0 = int(graph.vertex_id(first_dir))
+    x0, y0 = origin_pair(graph)
 
     walks = run_coupled_walk(graph, x0, y0, n, trials=ctx.config.trials, seed=ctx.config.seed)
     valid = int((~walks["truncated"]).sum())

@@ -135,14 +135,11 @@ class DirichletSystem:
         inside[self.unknown] = True
 
         # The system's unknowns: one representative vertex per orbit.
-        if orbits is None:
-            least = np.arange(graph.num_vertices)  # every vertex its own orbit
-        else:
-            least = np.asarray(orbits, dtype=np.int64)
-            if least.shape != (graph.num_vertices,):
-                raise ValueError("orbits must give every vertex its orbit")
-            if not np.array_equal(inside[least], inside):
-                raise ValueError("the unknown vertex set is not a union of orbits")
+        least = np.arange(graph.num_vertices) if orbits is None else np.asarray(orbits, dtype=np.int64)
+        if least.shape != (graph.num_vertices,):
+            raise ValueError("orbits must give every vertex its orbit")
+        if not np.array_equal(inside[least], inside):
+            raise ValueError("the unknown vertex set is not a union of orbits")
         self._least = least
         self._reps = reps = self.unknown[least[self.unknown] == self.unknown]
 
@@ -162,12 +159,12 @@ class DirichletSystem:
         hit = np.zeros(graph.num_vertices, dtype=bool)
         hit[least[self._coupling.indices]] = True
         self._read = np.flatnonzero(hit[least])  # the whole border, a union of orbits
-        self._orbit = self._root = None
-        if len(reps) < len(self.unknown):  # singleton orbits need no merge or scaling
-            self._orbit = column[self.unknown]  # orbit of each unknown
-            self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
-            offdiag.sum_duplicates()  # merge each row's columns by orbit
-            offdiag = sp.diags(self._root) @ offdiag @ sp.diags(1.0 / self._root)
+        self._orbit = column[self.unknown]  # orbit of each unknown
+        self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
+        offdiag.sum_duplicates()  # merge each row's columns by orbit
+        # Row O times sqrt|O|, column O' over sqrt|O'|: exact on singleton orbits.
+        row = np.repeat(np.arange(len(reps)), np.diff(offdiag.indptr))
+        offdiag.data = self._root[row] * offdiag.data * (1.0 / self._root)[offdiag.indices]
         deg = graph.degrees[reps].astype(np.float64)
         self._lap = sp.diags(deg) - offdiag
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))
@@ -204,8 +201,7 @@ class DirichletSystem:
             values[self.unknown] = rhs
             self._check_data(values, self.unknown, "rhs", "unknowns")
             b = b + values[self._reps]
-        if self._root is not None:
-            b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
+        b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
         bnorm = math.sqrt(_dot(b, b))
         if bnorm == 0.0:
             values[self.unknown] = 0.0
@@ -221,9 +217,7 @@ class DirichletSystem:
         if path == "SuperLU" and not residual <= tol:
             raise ConvergenceError(f"SuperLU solve reached relative residual {residual:.3e} on "
                                    f"{len(u)} unknowns (tol {tol:.1e})", [residual])
-        if self._root is not None:
-            u = (u / self._root)[self._orbit]
-        values[self.unknown] = u
+        values[self.unknown] = (u / self._root)[self._orbit]
         return values, SolveInfo(residual=residual, iterations=iters, path=path)
 
     def _check_data(self, values, ids, what, where):
@@ -266,12 +260,7 @@ class DirichletSystem:
     def _factored(self):
         """The SuperLU factor of the operator, computed on first use."""
         if self._factor is None:
-            try:
-                self._factor = _spd_factor(self._lap)
-            except RuntimeError as exc:
-                raise ConvergenceError(
-                    f"SuperLU factor failed on {self._lap.shape[0]} unknowns: {exc}"
-                ) from exc
+            self._factor = _spd_factor(self._lap, f"SuperLU factor failed on {len(self._reps)} unknowns")
         return self._factor
 
 
@@ -280,11 +269,15 @@ def _dot(u, v, out=None) -> float:
     return float(np.add.reduce(np.multiply(u, v, out=out)))
 
 
-def _spd_factor(a):
+def _spd_factor(a, failure: str):
     """SuperLU's symmetric mode for an SPD operator: one ``MMD_AT_PLUS_A``
-    ordering for rows and columns, and pivots on the diagonal."""
-    return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    ordering for rows and columns, and pivots on the diagonal.  A failed
+    factor raises :class:`ConvergenceError` as ``failure: <SuperLU's reason>``."""
+    try:
+        return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ConvergenceError(f"{failure}: {exc}") from exc
 
 
 def _aggregate(a, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,13 +342,8 @@ def _hierarchy(lap, coords):
         coarse = sum(p[lo:hi].T @ (a[lo:hi] @ p) for lo, hi in zip(bounds[:-1], bounds[1:]))
         levels.append((a, p, scale))
         a = coarse.tocsr()
-    try:
-        coarsest = _spd_factor(a)
-    except RuntimeError as exc:
-        raise ConvergenceError(
-            f"multigrid coarsest factor failed on {a.shape[0]} of {lap.shape[0]} unknowns: {exc}"
-        ) from exc
-    return levels, coarsest
+    return levels, _spd_factor(a, f"multigrid coarsest factor failed on {a.shape[0]} of "
+                                  f"{lap.shape[0]} unknowns")
 
 
 def _v_cycle(levels, coarsest, r: np.ndarray) -> np.ndarray:

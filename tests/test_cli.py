@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import carpetlab
-from carpetlab import cli, harmonic
+from carpetlab import cli, harmonic, harness
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import build_graph, read_graph, write_graph
 from carpetlab.harmonic import HittingSpec, hitting_probability
-from carpetlab.heat import TransitionOperator
+from carpetlab.heat import FitError, TransitionOperator
 from carpetlab.resistance import face_resistance
 
 from conftest import diag_fit, vid
@@ -389,6 +389,27 @@ def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     assert "vertex id -3 outside" in capsys.readouterr().err
 
 
+def test_heat_refuses_before_the_walk(tmp_path, capsys, monkeypatch, g3_file, g4_file, g4):
+    # The level rule and the d_w fit both come before the walk: a level-3
+    # file used to walk all of --tmax before its fit failed.
+    steps = []
+    step = TransitionOperator.step
+    monkeypatch.setattr(TransitionOperator, "step", lambda op, d: steps.append(1) or step(op, d))
+    csv = tmp_path / "diag.csv"
+    assert main(["heat", "diag", "--graph", g3_file, "--tmax", "2000", "--out", str(csv)]) == 2
+    assert capsys.readouterr().err == "usage error: heat needs a top level of at least 4, got 3\n"
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,16\n")
+    assert main(["heat", "regime", "--graph", g3_file, "--pairs", str(pairs), "--ds", "1.78"]) == 2
+    assert capsys.readouterr().err == "usage error: heat needs a top level of at least 4, got 3\n"
+    # (78, 78) has no room for a radius k^m on the level-4 window.
+    x = vid(g4, 78, 78)
+    assert main(["heat", "diag", "--graph", g4_file, "--x", str(x), "--tmax", "2000"]) == 1
+    assert capsys.readouterr().err == "experiment failure: need at least 3 radii, have 0\n"
+    assert steps == []
+    assert not csv.exists()
+
+
 # -------------------------------------------------------------------- couple
 
 
@@ -528,6 +549,16 @@ def test_resist_infinity_rejects_bad_vertex_ids(tmp_path, capsys, g3_file):
     assert "usage error: --levels: invalid literal for int() with base 10: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_resist_infinity_rejects_a_set_file_without_ids(tmp_path, capsys, g3_file, text):
+    # It used to exit 0 with "reports": [].
+    sets = tmp_path / "sets.txt"
+    sets.write_text(text)
+    argv = ["resist", "infinity", "--graph", g3_file, "--set", str(sets), "--levels", "1,2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {sets}: no vertex id\n"
+
+
 def test_resist_infinity_divergent(tmp_path, capsys, g4_file):
     sets = tmp_path / "targets.txt"
     sets.write_text("0\n")
@@ -570,19 +601,35 @@ def test_suite_and_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_suite_reports_failures(tmp_path, capsys):
-    # The (2, 5, 1) level-3 carpet passes the config checks, but its
-    # exit-time fit has only two radii (5 and 25), so heat fails at run time.
+def test_suite_reports_failures(tmp_path, capsys, monkeypatch):
+    # A heat experiment whose exit-time fit fails at run time.
+    def fail_dw(*args, **kwargs):
+        raise FitError("need at least 3 radii, have 2")
+
+    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
     out = tmp_path / "artifacts"
     out.mkdir()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 5\n")
     code = main([
-        "suite", "--config", str(cfg), "--levels", "2,3", "--experiments", "build,heat",
-        "--trials", "30", "--out", str(out),
+        "suite", "--levels", "2,4", "--experiments", "build,heat", "--trials", "30", "--out", str(out),
     ])
     assert code == 1
     assert "failed: heat" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, message", [
+    # Both used to pass the config check and fail at run time: heat with
+    # "need at least 3 radii, have 2", couple with "vertex 1 is outside the
+    # level-0 box".
+    ("k = 5\nlevels = 3\nexperiments = build,heat\n", "heat needs a top level of at least 4, got 3"),
+    ("levels = 2\nexperiments = build,couple\n", "couple needs a top level of at least 3, got 2"),
+])
+def test_suite_refuses_levels_that_fail_at_run_time(tmp_path, capsys, config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "artifacts"
+    assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -591,8 +638,8 @@ def test_suite_reports_failures(tmp_path, capsys):
     (["--levels", ","], "levels must name at least one level"),
     (["--levels=-1"], "levels must be nonnegative"),
     (["--levels", "0", "--experiments", "build,resist"], "resist needs a top level of at least 1"),
-    (["--levels", "1", "--experiments", "couple"], "couple needs a top level of at least 2"),
-    (["--levels", "3", "--experiments", "heat"], "heat needs at least 4 dyadic times"),
+    (["--levels", "1", "--experiments", "couple"], "couple needs a top level of at least 3"),
+    (["--levels", "3", "--experiments", "heat"], "heat needs a top level of at least 4"),
     (["--levels", "2,x"], "usage error: levels: invalid literal for int() with base 10: 'x'"),
 ])
 def test_suite_rejects_bad_config_before_running(tmp_path, capsys, argv, message):

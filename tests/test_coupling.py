@@ -4,7 +4,7 @@ from scipy import stats
 
 from carpetlab import coupling
 from carpetlab.coupling import _Coupler, run_coupled_walk, upgrade_statistics
-from carpetlab.geometry import build_graph
+from carpetlab.geometry import build_graph, validate_params
 from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
@@ -111,6 +111,21 @@ def test_association_is_monotone(g3):
     box = np.nonzero((g3.coords < 9).all(axis=1))[0]
     eq = eng.canon[:, box, None] == eng.canon[:, None, box]
     assert not (eq[1:] & ~eq[:-1]).any()
+
+
+@pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 3), (2, 5, 3, 2), (2, 7, 3, 2), (3, 3, 1, 2)])
+def test_association_classes_are_the_cube_carpets_orbits(d, k, a, n):
+    # The tables name each class by its least vertex in the level-m carpet,
+    # whose orbits must be the classes of the definition: positions in an
+    # S_m cube that a signed permutation carries onto each other.
+    graph = build_graph(n, validate_params(d, k, a))
+    eng = _Coupler(graph, n)
+    for m in range(n + 1):
+        images = eng.loc2[m][:, eng.iso_perm] * eng.iso_sign[None]  # (rows, isos, d)
+        packed = (images + k ** m) @ (2 * k ** m + 1) ** np.arange(d)
+        key = packed.min(axis=1)
+        pairs = set(zip(eng.canon[m].tolist(), key.tolist()))
+        assert len(pairs) == len(set(key.tolist())) == len(set(eng.canon[m].tolist()))
 
 
 # ------------------------------------------------------------- coupled steps

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carpetlab import linalg
+from carpetlab import harness, linalg
 from carpetlab.harness import (
     ExperimentConfig,
     config_from_sources,
@@ -16,7 +16,7 @@ from carpetlab.harness import (
     parse_config_file,
     run_suite,
 )
-from carpetlab.heat import TransitionOperator
+from carpetlab.heat import FitError, TransitionOperator
 
 
 def tiny_config(tmp_path, **kw) -> ExperimentConfig:
@@ -178,21 +178,28 @@ def test_config_rejects_empty_or_negative_levels(tmp_path):
 
 
 def test_config_rejects_levels_an_experiment_cannot_use():
-    # Checked from (d, k, n) before any graph is built.
+    # Read off the level table before any graph is built.
     cases = [
-        ((0,), ("build", "resist"), "resist needs a top level of at least 1, got 0"),
-        ((1,), ("couple",), "couple needs a top level of at least 2, got 1"),
-        ((2, 3), ("heat",), "heat needs at least 4 dyadic times in 16..84 .* gives 3"),
+        ({"levels": (0,), "experiments": ("build", "resist")},
+         "resist needs a top level of at least 1, got 0"),
+        ({"levels": (1,), "experiments": ("couple",)}, "couple needs a top level of at least 3, got 1"),
+        ({"levels": (2, 3), "experiments": ("heat",)}, "heat needs a top level of at least 4, got 3"),
+        # A level-2 couple walks at n = 1, where the origin pair's second
+        # cell lies outside the level-0 box.
+        ({"levels": (2,), "experiments": ("couple",)}, "couple needs a top level of at least 3, got 2"),
+        # The (2, 5, 1) level-3 carpet has 7 d_s fit times but only the d_w
+        # radii 5 and 25.
+        ({"k": 5, "levels": (3,), "experiments": ("heat",)},
+         "heat needs a top level of at least 4, got 3"),
+        ({"d": 3, "levels": (3,), "experiments": ("heat",)},
+         "heat needs a top level of at least 4, got 3"),
     ]
-    for levels, experiments, message in cases:
-        with pytest.raises(ValueError, match=message):
-            config_from_sources(overrides={"levels": levels, "experiments": experiments})
-    for levels, experiments in [((1,), ("resist",)), ((2,), ("couple",)), ((4,), ("heat",)),
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_sources(overrides=fields)
+    for levels, experiments in [((1,), ("resist",)), ((3,), ("couple",)), ((4,), ("heat",)),
                                 ((0,), ("build", "harnack", "hitting"))]:
         config_from_sources(overrides={"levels": levels, "experiments": experiments})
-    # 3-D level 3 gives 16, 32, 64 below its cap of 126: still too few.
-    with pytest.raises(ValueError, match="16..126"):
-        config_from_sources(overrides={"d": 3, "levels": (3,), "experiments": ("heat",)})
 
 
 def test_readme_config_table_matches_fields():
@@ -261,19 +268,24 @@ def test_suite_artifacts_embed_config_echo(suite_run):
     assert "output_dir" not in payload["config"]
 
 
-def test_suite_records_failures_and_continues(tmp_path):
-    # The (2, 5, 1) level-3 carpet passes the config checks, but its
-    # exit-time fit has only two radii, so heat must fail loudly in the
+def fail_dw(*args, **kwargs):
+    raise FitError("need at least 3 radii, have 2")
+
+
+def test_suite_records_failures_and_continues(tmp_path, monkeypatch):
+    # A heat experiment whose exit-time fit fails must fail loudly in the
     # manifest while later experiments still run.
-    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat", "resist"))
+    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    cfg = tiny_config(tmp_path, experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg)
     assert manifest.experiments["heat"]["status"] == "failed"
     assert "error" in manifest.experiments["heat"]
     assert manifest.experiments["resist"]["status"] == "ok"
 
 
-def test_suite_fail_fast_stops(tmp_path):
-    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat", "resist"))
+def test_suite_fail_fast_stops(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    cfg = tiny_config(tmp_path, experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg, fail_fast=True)
     assert manifest.experiments["heat"]["status"] == "failed"
     assert "resist" not in manifest.experiments
@@ -445,8 +457,9 @@ def test_export_report_names_gaps(tmp_path):
     assert "build.csv" in text or gaps  # the gap list is the contract
 
 
-def test_export_report_shows_failures(tmp_path):
-    cfg = tiny_config(tmp_path, k=5, levels=(2, 3), experiments=("build", "heat"))
+def test_export_report_shows_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    cfg = tiny_config(tmp_path, experiments=("build", "heat"))
     run_suite(cfg)
     text, gaps = export_report(os.path.join(str(tmp_path), "manifest.json"))
     assert gaps == []  # a failed experiment wrote nothing, so nothing is missing

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carpetlab import heat
-from carpetlab.geometry import build_graph, validate_params
+from carpetlab.geometry import build_graph, count_cells, validate_params
 from carpetlab.heat import (
     FitError,
     TransitionOperator,
@@ -246,6 +246,26 @@ def test_walk_kernel_sums_squares_only_at_half_times(g4, monkeypatch):
 def test_central_vertex(g4, g5):
     assert tuple(g4.coords[central_vertex(g4)]) == (26, 26)
     assert tuple(g5.coords[central_vertex(g5)]) == (80, 80)
+
+
+def test_central_vertex_closed_form():
+    # The premise of the heat level rule: the central cell is
+    # ((k - a)/2 k^(n-1) - 1)(1, ..., 1), on every valid carpet with d <= 3,
+    # k <= 7 and n <= 3 that has at most 200,000 cells (all but the 3-D
+    # level-3 carpets with k >= 5).
+    checked = 0
+    for d in (2, 3):
+        for k in range(3, 8):
+            for a in range(k % 2 or 2, k, 2):
+                params = validate_params(d, k, a)
+                for n in (1, 2, 3):
+                    if count_cells(n, params) > 200_000:
+                        continue
+                    graph = build_graph(n, params)
+                    c = (k - a) // 2 * k ** (n - 1) - 1
+                    assert tuple(graph.coords[central_vertex(graph)]) == (c,) * d, (d, k, a, n)
+                    checked += 1
+    assert checked == 47
 
 
 def test_saturation_time(g4, g5):
