@@ -29,8 +29,8 @@ from .harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
-from .heat import (carpet_saturation_time, central_vertex, ds_fit_times, estimate_dw, fit_ds,
-                   fit_regimes, walk_kernel)
+from .heat import (DS_MIN_POINTS, FitError, carpet_saturation_time, central_vertex, ds_fit_times,
+                   estimate_dw, fit_ds, fit_regimes, walk_kernel)
 from .coupling import MAX_STEPS, origin_pair, run_coupled_walk, upgrade_statistics
 from .linalg import DEFAULT_TOL, ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
@@ -262,10 +262,12 @@ def _cmd_heat(args) -> int:
             except ValueError:
                 raise ValueError(f"{args.pairs}:{lineno}: expected y,t, got {s!r}") from None
     _check_ids(graph, [y for y, _ in pairs], args.pairs)
+    ds_times = ds_fit_times(cap) if args.ds is None else []
+    if args.ds is None and len(ds_times) < DS_MIN_POINTS:  # the d_s fit would fail after the walk
+        raise FitError(f"need at least {DS_MIN_POINTS} fit points, have {len(ds_times)}")
     dw = args.dw if args.dw is not None else estimate_dw(graph, x).value
     # one walk covers the pair times and, without --ds, the d_s points
-    walk = walk_kernel(graph, x, [y for y, _ in pairs], [t for _, t in pairs],
-                       ds_fit_times(cap) if args.ds is None else [])
+    walk = walk_kernel(graph, x, [y for y, _ in pairs], [t for _, t in pairs], ds_times)
     samples = sorted(((y, t, float(walk.entries[t][i])) for i, (y, t) in enumerate(pairs)),
                      key=lambda sample: sample[1])  # by time, as the walk reads them
     ds = args.ds if args.ds is not None else fit_ds(walk.diag).value

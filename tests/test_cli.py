@@ -372,6 +372,21 @@ def test_heat_regime_rejects_non_finite_exponents(tmp_path, capsys, g4_file, g4,
     assert capsys.readouterr().err == f"usage error: exponents must be finite, got {message}\n"
 
 
+def test_heat_regime_refuses_a_short_ds_fit_before_the_walk(tmp_path, capsys, monkeypatch, g3_file):
+    # With --dw but no --ds the level rule does not apply, and the level-3
+    # file's saturation time leaves only the d_s fit times 16, 32 and 64:
+    # the fit is refused before the walk to t = 100000, not after it.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk_kernel was called")
+
+    monkeypatch.setattr(cli, "walk_kernel", no_walk)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("40,100000\n")
+    argv = ["heat", "regime", "--graph", g3_file, "--x", "40", "--pairs", str(pairs), "--dw", "2.09"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "experiment failure: need at least 4 fit points, have 3\n"
+
+
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
     assert "--x: vertex id 99999 outside [0, 4096)" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from scipy import stats
 
 from carpetlab import coupling
 from carpetlab.coupling import _Coupler, run_coupled_walk, upgrade_statistics
-from carpetlab.geometry import build_graph, validate_params
+from carpetlab.geometry import build_graph, count_cells, validate_params
 from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
@@ -126,6 +126,38 @@ def test_association_classes_are_the_cube_carpets_orbits(d, k, a, n):
         key = packed.min(axis=1)
         pairs = set(zip(eng.canon[m].tolist(), key.tolist()))
         assert len(pairs) == len(set(key.tolist())) == len(set(eng.canon[m].tolist()))
+
+
+def lowest_witnesses(eng, x, y, m):
+    """Brute force: the lowest signed permutation carrying each x's S_m cube
+    position onto its y's, over all 2^d d! of them (-1 where none does)."""
+    images = eng.loc2[m][x][:, eng.iso_perm] * eng.iso_sign  # (pairs, isos, d)
+    match = (images == eng.loc2[m][y][:, None, :]).all(axis=2)
+    return np.where(match.any(axis=1), np.argmax(match, axis=1), -1)
+
+
+@pytest.mark.parametrize("d, k, a", [(2, 3, 1), (3, 3, 1), (2, 4, 2), (2, 5, 3), (4, 3, 1)])
+def test_witness_table_holds_the_lowest_witness(d, k, a):
+    # For seeded pairs of each class, the table's entry is the lowest
+    # isometry a search over every signed permutation finds, at every level
+    # m <= 2; refresh reads it at the pair's highest level.
+    graph = build_graph(2, validate_params(d, k, a))
+    eng = _Coupler(graph, 2)
+    n_isos = len(eng.iso_perm)
+    # each orbit of s cells owns an s x s block: at most 2^d d! entries per cube cell
+    assert len(eng.witness) <= n_isos * sum(count_cells(m, graph.params) for m in range(3))
+    rng = np.random.default_rng(7)
+    for m in range(3):
+        x = rng.integers(0, len(eng.nbr), size=150)
+        # y: a random vertex of x's class at level m
+        y = np.array([rng.choice(np.nonzero(eng.canon[m] == eng.canon[m, v])[0]) for v in x])
+        brute = lowest_witnesses(eng, x, y, m)
+        assert (brute >= 0).all()
+        np.testing.assert_array_equal(eng.witness[eng.row[m, x] + eng.slot[m, y]], brute)
+        top, iso = eng.refresh(x, y)
+        assert (top >= m).all()
+        np.testing.assert_array_equal(iso, [lowest_witnesses(eng, [u], [v], t)[0]
+                                            for u, v, t in zip(x, y, top)])
 
 
 # ------------------------------------------------------------- coupled steps
@@ -266,16 +298,21 @@ def test_batch_follows_the_stream_contract(g4):
         )
 
 
-def test_outcome_does_not_depend_on_batch(g3):
+def test_outcome_does_not_depend_on_batch(g3, monkeypatch):
     # A trial's outcome, digest included, depends only on (seed, trial).
     x, y = vid(g3, 0, 0), vid(g3, 0, 1)
+    whole = run_coupled_walk(g3, x, y, 2, trials=300, seed=5)  # one pool, no refill
+    monkeypatch.setattr(coupling, "_POOL", 16)
+    refilled = run_coupled_walk(g3, x, y, 2, trials=300, seed=5)
+    for name in whole:
+        assert np.array_equal(whole[name], refilled[name]), name
+    # Fewer trials than _POOL: the pool is sized to the run.
     short = run_coupled_walk(g3, x, y, 2, trials=5, seed=5)
-    assert trial(short, 3) == trial(run_coupled_walk(g3, x, y, 2, trials=5000, seed=5), 3)
-    # The same for a trial admitted after the first batch fills the pool.
+    assert trial(short, 3) == trial(whole, 3)
+    # A trial admitted after the first batch fills the pool.
     t = coupling._POOL + 3
-    a = run_coupled_walk(g3, x, y, 2, trials=t + 1, seed=5)
-    b = run_coupled_walk(g3, x, y, 2, trials=2 * coupling._POOL + 100, seed=5)
-    assert trial(a, t) == trial(b, t)
+    late = run_coupled_walk(g3, x, y, 2, trials=t + 1, seed=5)
+    assert trial(late, t) == trial(whole, t)
 
 
 def test_aggregates_do_not_depend_on_chunking(g4, monkeypatch):
@@ -410,6 +447,7 @@ def full_tables(graph, m_max):
     eng.m_max = m_max
     levels = slice(0, m_max + 1)
     eng.loc2, eng.canon, eng.cube_key = eng.loc2[levels], eng.canon[levels], eng.cube_key[levels]
+    eng.row, eng.slot = eng.row[levels], eng.slot[levels]
     eng.scale_sq = eng.scale_sq[levels]
     return eng
 
