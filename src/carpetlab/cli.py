@@ -34,21 +34,12 @@ from .heat import (DS_MIN_POINTS, FitError, carpet_saturation_time, central_vert
 from .coupling import MAX_STEPS, origin_pair, run_coupled_walk, upgrade_statistics
 from .linalg import DEFAULT_TOL, ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
-from .harness import (ExperimentConfig, _check_top_level, _parse_value, _write_rows,
+from .harness import (ExperimentConfig, _check_top_level, _parse_value, _write_json, _write_rows,
                       config_from_sources, export_report, run_suite)
 
 
 def _add_graph_arg(p):
     p.add_argument("--graph", required=True, help="graph file produced by `carpet build`")
-
-
-def _write_json_out(payload: dict, out: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +180,7 @@ def _cmd_build(args) -> int:
 def _cmd_harnack(args) -> int:
     graph = read_graph(args.graph)
     report = harnack_constant(graph, args.level, tolerance=args.tol)
-    _write_json_out(asdict(report), args.out)
+    _write_json(asdict(report), args.out)
     return 0
 
 
@@ -204,7 +195,7 @@ def _cmd_hitting(args) -> int:
         spec = HittingSpec(x=args.x, r=args.r, c1=args.c1, c2=args.c2)
         if args.y is not None:
             p = hitting_probability(graph, spec, args.y, tolerance=args.tol)
-            _write_json_out({"x": args.x, "y": args.y, "r": args.r, "probability": p}, args.out)
+            _write_json({"x": args.x, "y": args.y, "r": args.r, "probability": p}, args.out)
             return 0
         # One center, every admissible start in the annulus r <= dist <= c1*r:
         # one solve serves them all.
@@ -222,7 +213,7 @@ def _cmd_hitting(args) -> int:
             probes.append({"x": x, "y": y,
                            "probability": hitting_probability(graph, spec, y, tolerance=args.tol)})
     values = [p["probability"] for p in probes]
-    _write_json_out(
+    _write_json(
         {"r": args.r, "count": len(probes), "min": min(values), "mean": sum(values) / len(values),
          "probes": probes},
         args.out,
@@ -248,7 +239,7 @@ def _cmd_heat(args) -> int:
                         [(t, float(walk.entries[t][0])) for t in range(1, args.tmax + 1)])
         ds = fit_ds(walk.diag)
         summary = {"x": x, "ds": asdict(ds), "dw": asdict(dw)}
-        sys.stdout.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        _write_json(summary)
         return 0
     pairs = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
@@ -272,7 +263,7 @@ def _cmd_heat(args) -> int:
                      key=lambda sample: sample[1])  # by time, as the walk reads them
     ds = args.ds if args.ds is not None else fit_ds(walk.diag).value
     fit = fit_regimes(graph, x, samples, ds=ds, dw=dw)
-    _write_json_out(
+    _write_json(
         {
             "x": x,
             "ds": ds,
@@ -310,11 +301,11 @@ def _cmd_couple(args) -> int:
         }
         if args.audit:
             payload["digests"] = [f"{d:016x}" for d in walks["digest"].tolist()]
-        _write_json_out(payload, args.out)
+        _write_json(payload, args.out)
         return 0
     stats = upgrade_statistics(graph, m=args.m, trials=args.trials, n=args.n,
                                seed=args.seed, j=args.j)
-    _write_json_out(stats, args.out)
+    _write_json(stats, args.out)
     return 0
 
 
@@ -335,7 +326,7 @@ def _cmd_resist(args) -> int:
         asdict(resistance_to_infinity(graph, group, levels, tolerance=args.tol))
         for group in groups
     ]
-    _write_json_out({"levels": levels, "reports": reports}, args.out)
+    _write_json({"levels": levels, "reports": reports}, args.out)
     return 0
 
 

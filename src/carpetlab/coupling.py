@@ -12,10 +12,13 @@ increment.  Either way each walker, viewed alone, is a lazy simple random
 walk.
 
 Association is refreshed after every step (upgrades can only be found
-earlier that way).  The refresh searches no isometry: each level's table,
-built once per call, holds the lowest isometry between every two cells of
-each orbit of the level-m carpet, and a pair's witness is one read from it,
-checked by one image.  ``upgrade_statistics`` also counts renewals (the renewal
+earlier that way).  Association depends only on each vertex's cell in the
+level-m carpet (its position in its S_m cube), so per vertex and level the
+tables hold that cell and the cube's key, and every other table is over
+cells.  The refresh searches no isometry: each level's table, built once
+per call, holds the lowest isometry between every two cells of each orbit
+of the level-m carpet, and a pair's witness is one read from it, checked
+by one image.  ``upgrade_statistics`` also counts renewals (the renewal
 step of the Barlow-Bass coupling argument): one fires whenever the first
 walker has moved k^m from the last renewal point, m being the association
 level of the pairs it draws.
@@ -124,26 +127,29 @@ class _Walks:
             getattr(self, name)[at] = getattr(src, name)
 
 
-def _cube_witnesses(cube: CarpetGraph, iso_perm: np.ndarray, iso_sign: np.ndarray):
-    """The lowest witness between every two cells of one orbit of the level-m carpet ``cube``.
+def _cube_tables(cube: CarpetGraph, n_isos: int):
+    """Association tables over the cells of the level-m carpet ``cube``.
 
     Every nonempty S_m cube holds that carpet, whose window symmetries are
-    the cube's isometries, so its orbits are the association classes.  Each
-    cell gets a slot, its rank in its orbit.  An orbit of s cells owns an
-    s x s block of the table, so the table has at most 2^d d! entries per
-    cell, and a cell's row starts at its block plus s times its slot.
-    Entry ``row[c] + slot[c']`` is the lowest isometry carrying cell c onto c'.
+    the cube's isometries, so its orbits are the association classes.
+    ``image[i, c]`` is the cell that isometry i carries cell c onto, and
+    ``least`` the least cell of c's orbit (cell ids ascend with the key).
+    Each cell gets a slot, its rank in its orbit.  An orbit of s cells owns
+    an s x s block of ``table``, so the table has at most 2^d d! entries per
+    cell, and a cell's row starts at its block plus s times its slot.  Entry
+    ``row[c] + slot[c']`` is the lowest isometry carrying cell c onto c'.
 
-    Returns ``(cells, least, row, slot, table)``: ``cells`` maps the packed
-    position key of each of the k^(md) cube positions to its cell (-1 where
-    removed), ``least`` is the least cell of each cell's orbit.
+    Returns ``(cells, image, least, row, slot, table)``: ``cells`` maps the
+    coordinate key of each of the k^(md) cube positions to its cell (-1
+    where removed).
     """
-    d, side = cube.params.d, cube.side
-    strides = side ** np.arange(d - 1, -1, -1)
-    count = cube.num_vertices
+    d, side, count = cube.params.d, cube.side, cube.num_vertices
     cells = np.full(side ** d, -1, dtype=np.int64)
-    cells[cube.coords @ strides] = np.arange(count)
-    least = cube.orbits(np.arange(len(iso_perm)))
+    cells[cube.coords @ side ** np.arange(d - 1, -1, -1)] = np.arange(count)
+    image = np.empty((n_isos, count), dtype=np.int64)
+    for i, keys in enumerate(cube.image_keys(range(n_isos))):
+        image[i] = cells[keys]
+    least = image.min(axis=0)
     # Orbit by orbit, members ascending: an orbit's first member is its least.
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(least, kind="stable")] = np.arange(count)
@@ -152,12 +158,10 @@ def _cube_witnesses(cube: CarpetGraph, iso_perm: np.ndarray, iso_sign: np.ndarra
     block = np.cumsum(size ** 2) - size ** 2
     row = block[least] + slot * size[least]
     # Lowest id last, so it overwrites every higher witness of the same pair.
-    table = np.empty(int((size ** 2).sum()), dtype=np.min_scalar_type(len(iso_perm) - 1))
-    loc2 = 2 * cube.coords + 1 - side
-    for i in range(len(iso_perm) - 1, -1, -1):
-        image = (iso_sign[i] * loc2[:, iso_perm[i]] + side - 1) // 2
-        table[row + slot[cells[image @ strides]]] = i
-    return cells, least, row, slot, table
+    table = np.empty(int((size ** 2).sum()), dtype=np.min_scalar_type(n_isos - 1))
+    for i in range(n_isos - 1, -1, -1):
+        table[row + slot[image[i]]] = i
+    return cells, image, least, row, slot, table
 
 
 class _Coupler:
@@ -189,10 +193,9 @@ class _Coupler:
         n_dirs = 2 * d
 
         # Signed permutations, identity first, so the lowest valid id is the
-        # canonical witness.  Isometry i maps a vector v to
-        # iso_sign[i] * v[iso_perm[i]].
-        self.iso_perm, self.iso_sign = signed_permutations(d)
-        n_isos = len(self.iso_perm)
+        # canonical witness.  Isometry i maps a vector v to sign[i] * v[perm[i]].
+        perm, sign = signed_permutations(d)
+        n_isos = len(perm)
 
         # Direction tables: dir index 2*axis for +1, 2*axis + 1 for -1, taken
         # from the graph's unit-step columns 2d - 1 - axis and axis.
@@ -206,10 +209,10 @@ class _Coupler:
         self.dir_table = np.argsort(1 - bits, axis=1, kind="stable")
 
         # Isometry action on directions: e = (axis j, sign s) goes to axis
-        # i with perm[i] == j and sign iso_sign[i] * s.
-        inv = np.argsort(self.iso_perm, axis=1)
+        # i with perm[i] == j and sign sign[i] * s.
+        inv = np.argsort(perm, axis=1)
         axis = inv[:, np.arange(n_dirs) // 2]
-        out_sign = np.take_along_axis(self.iso_sign, axis, axis=1) * (
+        out_sign = np.take_along_axis(sign, axis, axis=1) * (
             1 - 2 * (np.arange(n_dirs) % 2)
         )
         self.dir_map = 2 * axis + (out_sign < 0)
@@ -217,55 +220,51 @@ class _Coupler:
         for b in range(n_dirs):
             self.mask_map |= bits[None, :, b] << self.dir_map[:, b, None]
 
-        # Per level: doubled local coordinates, association class, packed
-        # cube index, and the witness row and slot of the cell each vertex
-        # occupies in its cube (see _cube_witnesses); every level's witness
-        # table goes into one flat array.
+        # Per vertex and level: its cell in the level-m carpet and its packed
+        # cube index.  The cells of all levels are numbered once, and the
+        # per-cell tables of every level (see _cube_tables) go into one flat
+        # array each.
         levels = m_max + 1
-        self.loc2 = np.empty((levels, rows, d), dtype=np.int64)
-        self.canon = np.empty((levels, rows), dtype=np.int64)
+        self.cell = np.empty((levels, rows), dtype=np.int64)
         self.cube_key = np.empty((levels, rows), dtype=np.int64)
-        self.row = np.empty((levels, rows), dtype=np.int64)
-        self.slot = np.empty((levels, rows), dtype=np.int64)
-        tables = []
-        base = 0
+        parts = []
+        first = base = 0  # the level's first cell id and witness entry
         for m in range(levels):
             side_m = k ** m
-            local = coords % side_m
-            self.loc2[m] = 2 * local + 1 - side_m
-            cells, least, row, slot, table = _cube_witnesses(
-                build_graph(m, graph.params), self.iso_perm, self.iso_sign)
-            cell = cells[local @ side_m ** np.arange(d - 1, -1, -1)]
-            self.canon[m], self.row[m], self.slot[m] = least[cell], base + row[cell], slot[cell]
-            tables.append(table)
+            cells, image, least, row, slot, table = _cube_tables(build_graph(m, graph.params), n_isos)
+            self.cell[m] = first + cells[(coords % side_m) @ side_m ** np.arange(d - 1, -1, -1)]
+            parts.append((first + image, first + least, base + row, slot, table))
+            first += len(least)
             base += len(table)
             span = graph.side // side_m
             self.cube_key[m] = (coords // side_m) @ span ** np.arange(d - 1, -1, -1)
-        self.witness = np.concatenate(tables)
+        image, self.canon, self.row, self.slot, self.witness = (
+            np.concatenate(level, axis=-1) for level in zip(*parts))
+        # ``image`` takes the smallest type that holds a cell id; ``cell``
+        # stays int64, since refresh gathers with it and a uint16 index made
+        # those gathers about a quarter slower.
+        self.image = image.astype(np.min_scalar_type(first - 1))
         self.scale_sq = k ** (2 * np.arange(levels))
 
     def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
         """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, grouped by key."""
         groups: dict[int, list[int]] = {}
         for v in np.nonzero((self.coords < side).all(axis=1))[0]:
-            groups.setdefault(int(self.canon[m, v]), []).append(int(v))
+            groups.setdefault(int(self.canon[self.cell[m, v]]), []).append(int(v))
         return [(a, b) for members in groups.values() for a in members for b in members if a != b]
-
-    def image(self, iso, vec: np.ndarray) -> np.ndarray:
-        """Images of doubled local coordinates ``vec`` (..., d) under ``iso``."""
-        return self.iso_sign[iso] * np.take_along_axis(vec, self.iso_perm[iso], axis=-1)
 
     def refresh(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest association level and canonical witness id of each pair.
 
         The witness is read from the table and checked: it must carry x's
-        cube position onto y's.
+        cell onto y's.
         """
-        eq = self.canon[:, x] == self.canon[:, y]
+        eq = self.canon[self.cell[:, x]] == self.canon[self.cell[:, y]]
         m = self.m_max - np.argmax(eq[::-1], axis=0)
+        cx, cy = self.cell[m, x], self.cell[m, y]
         # A corrupt class table can point past the end; the check then fails.
-        iso = self.witness.take(self.row[m, x] + self.slot[m, y], mode="clip").astype(np.int64)
-        if not (self.image(iso, self.loc2[m, x]) == self.loc2[m, y]).all():
+        iso = self.witness.take(self.row[cx] + self.slot[cy], mode="clip").astype(np.int64)
+        if not (self.image[iso, cx] == cy).all():
             raise RuntimeError("witness table misses an associated pair; tables are corrupt")
         return m, iso
 
@@ -335,8 +334,7 @@ class _Coupler:
         )
         if inside.any():
             c = np.nonzero(inside)[0]
-            img = self.image(iso[c], self.loc2[m[c], nx[c]])
-            if not (img == self.loc2[m[c], ny[c]]).all():
+            if not (self.image[iso[c], self.cell[m[c], nx[c]]] == self.cell[m[c], ny[c]]).all():
                 raise RuntimeError("mirrored in-cube step broke its witness")
         mv = np.nonzero(moved)[0]
         if mv.size:

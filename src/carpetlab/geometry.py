@@ -234,9 +234,10 @@ class CarpetGraph(VertexGraph):
             steps[:, 2 * d - 1 - axis] = self._find(keys + self._strides[axis], column < self.side - 1)
         return steps
 
-    def _image_keys(self, rows, ids=None) -> Iterator[np.ndarray]:
+    def image_keys(self, rows, ids=None) -> Iterator[np.ndarray]:
         """Coordinate keys of the vertices ``ids`` (default all) under each window symmetry ``rows``.
 
+        A key is sum_i c_i side^(d-1-i), so keys ascend with the vertex ids.
         ``rows`` index :func:`signed_permutations`.  The window symmetries are
         the signed permutations of the axes about the window center, where a
         reflected axis maps c to side - 1 - c.  The carpet is invariant under
@@ -268,7 +269,7 @@ class CarpetGraph(VertexGraph):
             member[ids] = True
             # An injective map of a finite set into itself is onto.  Images
             # stay in the window, so a key names a vertex iff it is found.
-            keys = self._image_keys(rows, ids)
+            keys = self.image_keys(rows, ids)
             rows = rows[np.array([member[self._find(k, True)].all() for k in keys], dtype=bool)]
         return rows
 
@@ -283,7 +284,7 @@ class CarpetGraph(VertexGraph):
         """
         group = tuple(int(i) for i in rows)
         if group not in self._orbits:
-            keys = functools.reduce(np.minimum, self._image_keys(group))
+            keys = functools.reduce(np.minimum, self.image_keys(group))
             least = np.searchsorted(self._keys, keys)
             least.setflags(write=False)
             self._orbits[group] = least
@@ -330,30 +331,26 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
 
 @dataclass(frozen=True)
 class BoxPartition:
-    """Partition of the level-j corner box into inner / annulus / boundary."""
+    """The level-j corner box: interior (the Dirichlet unknowns), boundary layer, and inner box."""
 
     level: int
     inner: np.ndarray
-    annulus: np.ndarray
+    interior: np.ndarray
     boundary: np.ndarray
     box: np.ndarray = field(repr=False)
 
-    @property
-    def interior(self) -> np.ndarray:
-        """Box minus boundary (= inner + annulus), the Dirichlet unknowns."""
-        return np.setdiff1d(self.box, self.boundary, assume_unique=True)
-
 
 def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
-    """Split the corner box [0, k^j)^d into inner box, annulus and boundary.
+    """Split the corner box [0, k^j)^d into interior and boundary, and find its inner box.
 
     The box holds the cells whose largest coordinate c is below k^j.  The
     boundary layer is the set of box cells on the outer faces (c = k^j - 1);
     these are exactly the cells from which the walk can leave the box in one
     step, since the face-adjacent cell across each outer face always survives
     and the low faces border the global corner where the carpet ends.  The
-    inner set is the level-(j-1) corner box (c < k^(j-1)).  The three sets are
-    disjoint and cover the box.  c is computed once per graph.
+    interior is the rest of the box (c < k^j - 1), and the inner set is the
+    level-(j-1) corner box (c < k^(j-1)) inside it.  All four are sorted ids.
+    c is computed once per graph.
     """
     if not (0 <= j <= graph.level):
         raise ValueError(f"box level must be in [0, {graph.level}], got {j}")
@@ -364,7 +361,7 @@ def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
     return BoxPartition(
         level=j,
         inner=np.flatnonzero(top < inner_side),
-        annulus=np.flatnonzero((top >= inner_side) & (top < side - 1)),
+        interior=np.flatnonzero(top < side - 1),
         boundary=np.flatnonzero(top == side - 1),
         box=np.flatnonzero(top < side),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -198,11 +199,8 @@ class _SuiteContext:
         return self._graphs[level]
 
     def write_json(self, name: str, payload: dict) -> str:
-        path = os.path.join(self.config.output_dir, name)
         body = {"config": self.config.echo_dict(), **payload}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(body, os.path.join(self.config.output_dir, name))
         self.manifest.artifacts.append(name)
         return name
 
@@ -211,6 +209,16 @@ class _SuiteContext:
         _write_rows(os.path.join(self.config.output_dir, name), header, rows, f"# config {cfg}\n")
         self.manifest.artifacts.append(name)
         return name
+
+
+def _write_json(payload: dict, path: Optional[str] = None) -> None:
+    """Write ``payload`` as JSON (keys sorted, indent 1, a closing newline) to ``path``, or to stdout."""
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_rows(path: str, header: list, rows: list, preamble: str = "") -> None:
@@ -498,10 +506,7 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
             if fail_fast:
                 break
     manifest.wall_clock_seconds = time.monotonic() - started
-    path = os.path.join(config.output_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(asdict(manifest), os.path.join(config.output_dir, "manifest.json"))
     return manifest
 
 

@@ -1,10 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from carpetlab import coupling
-from carpetlab.coupling import _Coupler, run_coupled_walk, upgrade_statistics
-from carpetlab.geometry import build_graph, count_cells, validate_params
+from carpetlab.coupling import _Coupler, origin_pair, run_coupled_walk, upgrade_statistics
+from carpetlab.geometry import build_graph, count_cells, signed_permutations, validate_params
 from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
@@ -13,12 +16,29 @@ from conftest import kernel_row, vid
 from oracles import pair_catalog, sample_marginal
 
 
-def witnesses(eng, x, y, m):
+def loc2(graph, m, v):
+    """Doubled coordinates of ``v`` within its S_m cube, about the cube's center."""
+    side = graph.params.k ** m
+    return 2 * (graph.coords[v] % side) + 1 - side
+
+
+def act(graph, i, vec):
+    """Image of doubled local coordinates ``vec`` (..., d) under signed permutation ``i``."""
+    perm, sign = signed_permutations(graph.params.d)
+    return sign[i] * vec[..., perm[i]]
+
+
+def witnesses(graph, x, y, m):
     """Ids of the signed permutations carrying x's S_m cube position onto y's."""
     return [
-        i for i in range(len(eng.iso_perm))
-        if (eng.image(i, eng.loc2[m][x]) == eng.loc2[m][y]).all()
+        i for i in range(len(signed_permutations(graph.params.d)[0]))
+        if (act(graph, i, loc2(graph, m, x)) == loc2(graph, m, y)).all()
     ]
+
+
+def cls(eng, m, v):
+    """The engine's association class of ``v`` at level m: its cell's least orbit-mate."""
+    return eng.canon[eng.cell[m, v]]
 
 
 # ------------------------------------------------------------- cube geometry
@@ -27,45 +47,50 @@ def witnesses(eng, x, y, m):
 def test_local_coords(g2):
     eng = _Coupler(g2, 2)
     v = vid(g2, 0, 0)
-    np.testing.assert_allclose(np.array(eng.loc2[0][v]) / 2, [0.0, 0.0])
-    np.testing.assert_allclose(np.array(eng.loc2[1][v]) / 2, [-1.0, -1.0])
-    np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 2, 0)]) / 2, [1.0, -1.0])
-    np.testing.assert_allclose(np.array(eng.loc2[1][vid(g2, 4, 0)]) / 2, [0.0, -1.0])
+    np.testing.assert_allclose(loc2(g2, 0, v) / 2, [0.0, 0.0])
+    np.testing.assert_allclose(loc2(g2, 1, v) / 2, [-1.0, -1.0])
+    np.testing.assert_allclose(loc2(g2, 1, vid(g2, 2, 0)) / 2, [1.0, -1.0])
+    np.testing.assert_allclose(loc2(g2, 1, vid(g2, 4, 0)) / 2, [0.0, -1.0])
+    # The engine's cell of a vertex names its local position: two vertices
+    # share a cell at level m exactly when their local coordinates agree.
+    for m in range(3):
+        local = loc2(g2, m, np.arange(g2.num_vertices))
+        same_cell = eng.cell[m, :, None] == eng.cell[m, None, :]
+        np.testing.assert_array_equal(same_cell, (local[:, None] == local[None, :]).all(axis=2))
     with pytest.raises(ValueError):
         _Coupler(g2, 3)
 
 
 def test_isometry_preserves_the_carpet(g2):
     # Any witness between level-1 cubes permutes the surviving cells.
-    eng = _Coupler(g2, 2)
-    isos = witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
+    isos = witnesses(g2, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     assert isos
-    cube = {tuple(eng.loc2[1][v]) for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
+    cube = {tuple(loc2(g2, 1, v)) for v in np.nonzero((g2.coords < 3).all(axis=1))[0]}
     for i in isos:
-        assert {tuple(eng.image(i, np.array(c))) for c in cube} == cube
+        assert {tuple(act(g2, i, np.array(c))) for c in cube} == cube
 
 
 def test_isometry_maps_across_cubes(g2):
     # Witness between different level-1 cubes lands in the target cube.
-    eng = _Coupler(g2, 2)
     x, y = vid(g2, 1, 0), vid(g2, 4, 0)
-    isos = witnesses(eng, x, y, 1)
+    isos = witnesses(g2, x, y, 1)
     assert isos
     assert tuple(g2.coords[x] // 3) == (0, 0)
     assert tuple(g2.coords[y] // 3) == (1, 0)
     for i in isos:
-        img2 = eng.image(i, eng.loc2[1][x])
+        img2 = act(g2, i, loc2(g2, 1, x))
         image = (g2.coords[y] // 3) * 3 + (img2 + 2) // 2
         assert tuple(image) == tuple(g2.coords[y])
 
 
 def test_identity_witness_for_met_pair(g2):
-    eng = _Coupler(g2, 2)
-    assert (tuple(eng.iso_perm[0]), tuple(eng.iso_sign[0])) == ((0, 1), (1, 1))  # identity
+    perm, sign = signed_permutations(2)
+    assert (tuple(perm[0]), tuple(sign[0])) == ((0, 1), (1, 1))  # identity
     v = vid(g2, 5, 2)
-    assert witnesses(eng, v, v, 2)[0] == 0  # identity is canonically first
+    assert witnesses(g2, v, v, 2)[0] == 0  # identity is canonically first
+    assert _Coupler(g2, 2).refresh(np.array([v]), np.array([v]))[1][0] == 0
     # A diagonal cell is also fixed by the axis swap, nothing else.
-    diag = witnesses(eng, vid(g2, 0, 0), vid(g2, 0, 0), 1)
+    diag = witnesses(g2, vid(g2, 0, 0), vid(g2, 0, 0), 1)
     assert diag[0] == 0
     assert len(diag) == 2
 
@@ -73,16 +98,14 @@ def test_identity_witness_for_met_pair(g2):
 def test_association_zero_is_universal(g2):
     # Every pair is 0-associated: all eight signed permutations fix the
     # center of a unit cube.
-    eng = _Coupler(g2, 2)
-    assert len(witnesses(eng, vid(g2, 0, 0), vid(g2, 7, 5), 0)) == 8
+    assert len(witnesses(g2, vid(g2, 0, 0), vid(g2, 7, 5), 0)) == 8
 
 
 def test_association_examples(g2):
-    eng = _Coupler(g2, 2)
     # Mirror images through the central column: 1-associated.
-    assert witnesses(eng, vid(g2, 0, 0), vid(g2, 2, 0), 1)
+    assert witnesses(g2, vid(g2, 0, 0), vid(g2, 2, 0), 1)
     # An adjacent off-axis pair is not 1-associated.
-    assert witnesses(eng, vid(g2, 0, 0), vid(g2, 0, 1), 1) == []
+    assert witnesses(g2, vid(g2, 0, 0), vid(g2, 0, 1), 1) == []
 
 
 def test_association_level(g3):
@@ -102,37 +125,50 @@ def test_association_is_monotone(g3):
     ids = rng.integers(0, g3.num_vertices, size=40)
     for x, y in zip(ids[::2], ids[1::2]):
         x, y = int(x), int(y)
-        levels = [bool(witnesses(eng, x, y, m)) for m in range(4)]
-        assert levels == [eng.canon[m][x] == eng.canon[m][y] for m in range(4)]
+        levels = [bool(witnesses(g3, x, y, m)) for m in range(4)]
+        assert levels == [cls(eng, m, x) == cls(eng, m, y) for m in range(4)]
         for m in range(1, 4):
             if levels[m]:
                 assert all(levels[:m])
     # Every pair of the level-2 box: canon equality at m forces it below m.
     box = np.nonzero((g3.coords < 9).all(axis=1))[0]
-    eq = eng.canon[:, box, None] == eng.canon[:, None, box]
+    canon = eng.canon[eng.cell[:, box]]
+    eq = canon[:, :, None] == canon[:, None, :]
     assert not (eq[1:] & ~eq[:-1]).any()
 
 
 @pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 3), (2, 5, 3, 2), (2, 7, 3, 2), (3, 3, 1, 2)])
 def test_association_classes_are_the_cube_carpets_orbits(d, k, a, n):
-    # The tables name each class by its least vertex in the level-m carpet,
+    # The tables name each class by its least cell in the level-m carpet,
     # whose orbits must be the classes of the definition: positions in an
-    # S_m cube that a signed permutation carries onto each other.
+    # S_m cube that a signed permutation carries onto each other.  Each
+    # cell's image under isometry i is the cell of the position i carries
+    # it onto.
     graph = build_graph(n, validate_params(d, k, a))
     eng = _Coupler(graph, n)
+    perm, sign = signed_permutations(d)
+    ids = np.arange(graph.num_vertices)
     for m in range(n + 1):
-        images = eng.loc2[m][:, eng.iso_perm] * eng.iso_sign[None]  # (rows, isos, d)
-        packed = (images + k ** m) @ (2 * k ** m + 1) ** np.arange(d)
+        side = k ** m
+        local = loc2(graph, m, ids)
+        images = local[:, perm] * sign[None]  # (rows, isos, d)
+        packed = (images + side) @ (2 * side + 1) ** np.arange(d)
         key = packed.min(axis=1)
-        pairs = set(zip(eng.canon[m].tolist(), key.tolist()))
-        assert len(pairs) == len(set(key.tolist())) == len(set(eng.canon[m].tolist()))
+        canon = cls(eng, m, ids)
+        pairs = set(zip(canon.tolist(), key.tolist()))
+        assert len(pairs) == len(set(key.tolist())) == len(set(canon.tolist()))
+        corner = graph.coords - graph.coords % side
+        for i in range(len(perm)):
+            onto = graph.vertex_ids(corner + (images[:, i] + side - 1) // 2)
+            np.testing.assert_array_equal(eng.image[i, eng.cell[m]], eng.cell[m, onto])
 
 
-def lowest_witnesses(eng, x, y, m):
+def lowest_witnesses(graph, x, y, m):
     """Brute force: the lowest signed permutation carrying each x's S_m cube
     position onto its y's, over all 2^d d! of them (-1 where none does)."""
-    images = eng.loc2[m][x][:, eng.iso_perm] * eng.iso_sign  # (pairs, isos, d)
-    match = (images == eng.loc2[m][y][:, None, :]).all(axis=2)
+    perm, sign = signed_permutations(graph.params.d)
+    images = loc2(graph, m, x)[:, perm] * sign  # (pairs, isos, d)
+    match = (images == loc2(graph, m, y)[:, None, :]).all(axis=2)
     return np.where(match.any(axis=1), np.argmax(match, axis=1), -1)
 
 
@@ -143,20 +179,21 @@ def test_witness_table_holds_the_lowest_witness(d, k, a):
     # m <= 2; refresh reads it at the pair's highest level.
     graph = build_graph(2, validate_params(d, k, a))
     eng = _Coupler(graph, 2)
-    n_isos = len(eng.iso_perm)
+    n_isos = len(signed_permutations(d)[0])
     # each orbit of s cells owns an s x s block: at most 2^d d! entries per cube cell
     assert len(eng.witness) <= n_isos * sum(count_cells(m, graph.params) for m in range(3))
     rng = np.random.default_rng(7)
     for m in range(3):
         x = rng.integers(0, len(eng.nbr), size=150)
         # y: a random vertex of x's class at level m
-        y = np.array([rng.choice(np.nonzero(eng.canon[m] == eng.canon[m, v])[0]) for v in x])
-        brute = lowest_witnesses(eng, x, y, m)
+        y = np.array([rng.choice(np.nonzero(eng.canon[eng.cell[m]] == cls(eng, m, v))[0]) for v in x])
+        brute = lowest_witnesses(graph, x, y, m)
         assert (brute >= 0).all()
-        np.testing.assert_array_equal(eng.witness[eng.row[m, x] + eng.slot[m, y]], brute)
+        np.testing.assert_array_equal(
+            eng.witness[eng.row[eng.cell[m, x]] + eng.slot[eng.cell[m, y]]], brute)
         top, iso = eng.refresh(x, y)
         assert (top >= m).all()
-        np.testing.assert_array_equal(iso, [lowest_witnesses(eng, [u], [v], t)[0]
+        np.testing.assert_array_equal(iso, [lowest_witnesses(graph, [u], [v], t)[0]
                                             for u, v, t in zip(x, y, top)])
 
 
@@ -186,7 +223,7 @@ def test_witness_valid_until_met(g3):
         if x == y:
             met = True
             break
-        assert (eng.image(i, eng.loc2[m][x]) == eng.loc2[m][y]).all()
+        assert (act(g3, i, loc2(g3, m, x)) == loc2(g3, m, y)).all()
         eng.advance(w, rng.random((1, 4)))
     assert met, "mirror pair failed to meet in 2000 steps"
 
@@ -196,7 +233,7 @@ def test_corrupt_tables_are_caught(g2):
     # the keys claim one, and a mirrored in-cube move leaving its witness.
     eng = _Coupler(g2, 2)
     x, y = np.array([vid(g2, 0, 0)]), np.array([vid(g2, 0, 1)])
-    eng.canon[1, y] = eng.canon[1, x]  # claims 1-association
+    eng.canon[eng.cell[1, y]] = eng.canon[eng.cell[1, x]]  # claims 1-association
     with pytest.raises(RuntimeError, match="tables are corrupt"):
         eng.refresh(x, y)
 
@@ -348,6 +385,22 @@ def test_run_preconditions(g3):
         run_coupled_walk(g3, 0, 0, 2, trials=1, max_steps=0)
 
 
+@pytest.mark.parametrize("d, k, a, fingerprint", [
+    (3, 3, 1, "227eb6e811abea38"),
+    (2, 5, 3, "191a50fd8506835a"),
+])
+def test_trajectories_are_frozen(d, k, a, fingerprint):
+    # Every digest of 2,000 walks from the origin pair and both upgrade
+    # statistics (m = 0, 1) at seed 42, hashed together: a table change that
+    # moves any walker by one step changes the hash.
+    graph = build_graph(3, validate_params(d, k, a))
+    walks = run_coupled_walk(graph, *origin_pair(graph), 2, trials=2000, seed=42)
+    ups = [upgrade_statistics(graph, m, 1000, 2, seed=42) for m in (0, 1)]
+    h = hashlib.sha256(walks["digest"].astype("<u8").tobytes())
+    h.update(json.dumps(ups, sort_keys=True).encode())
+    assert h.hexdigest()[:16] == fingerprint
+
+
 def test_coupling_probability_positive(g3):
     # Adjacent 0-associated pair, level-2 box: most trials couple.
     x, y = vid(g3, 0, 0), vid(g3, 0, 1)
@@ -380,7 +433,7 @@ def test_pair_catalog(g3):
     for x, y in pairs:
         assert x != y
         assert (y, x) in set(pairs)
-        assert witnesses(eng, x, y, 1)
+        assert witnesses(g3, x, y, 1)
         inner.add(x)
     assert all((g3.coords[v] < 3).all() for v in inner)
     with pytest.raises(ValueError):
@@ -440,14 +493,14 @@ def full_tables(graph, m_max):
 
     At the graph's own level the prefix x_0 <= k^level is the whole graph;
     the levels above ``m_max`` are then dropped, which leaves the tables of
-    a cap-``m_max`` engine (each level's rows depend only on that level).
+    a cap-``m_max`` engine (each level's rows depend only on that level;
+    the per-cell tables keep the dropped levels' cells, which no row names).
     """
     eng = _Coupler(graph, graph.level)
     assert len(eng.nbr) == graph.num_vertices
     eng.m_max = m_max
     levels = slice(0, m_max + 1)
-    eng.loc2, eng.canon, eng.cube_key = eng.loc2[levels], eng.canon[levels], eng.cube_key[levels]
-    eng.row, eng.slot = eng.row[levels], eng.slot[levels]
+    eng.cell, eng.cube_key = eng.cell[levels], eng.cube_key[levels]
     eng.scale_sq = eng.scale_sq[levels]
     return eng
 
@@ -497,8 +550,15 @@ def test_prefix_length_on_the_3d_level4_carpet(g3d4):
     assert eng.reach == 9
     assert eng.nbr.shape == (60_588, 6)
     assert eng.mask.shape == (60_588,)
-    assert eng.loc2.shape == (3, 60_588, 3)
-    assert eng.canon.shape == eng.cube_key.shape == (3, 60_588)
+    assert eng.cell.shape == eng.cube_key.shape == (3, 60_588)
+    # Cells are numbered once over the level-0, 1 and 2 cube carpets, and
+    # every cell of each is some prefix vertex's position.
+    counts = [1, 26, 676]
+    assert eng.canon.shape == eng.row.shape == eng.slot.shape == (sum(counts),)
+    assert eng.image.shape == (48, sum(counts)) and eng.image.dtype == np.uint16
+    first = np.cumsum([0] + counts)
+    for m in range(3):
+        np.testing.assert_array_equal(np.unique(eng.cell[m]), np.arange(first[m], first[m + 1]))
     assert g3d4.coords[60_587, 0] == 9 and g3d4.coords[60_588, 0] == 10
 
 

@@ -228,8 +228,9 @@ def test_box_partition(g3):
     sizes = {}
     for j in (1, 2, 3):
         bp = box_vertices(g3, j)
-        sizes[j] = (len(bp.inner), len(bp.annulus), len(bp.boundary))
-        combined = np.concatenate([bp.inner, bp.annulus, bp.boundary])
+        annulus = np.setdiff1d(bp.interior, bp.inner)
+        sizes[j] = (len(bp.inner), len(annulus), len(bp.boundary))
+        combined = np.concatenate([bp.inner, annulus, bp.boundary])
         assert len(np.unique(combined)) == len(combined) == len(bp.box)
         assert set(combined.tolist()) == set(bp.box.tolist())
         # Boundary layer = box cells on the high faces.
@@ -255,7 +256,9 @@ def test_box_sets_follow_the_coordinate_rule(d, k, a, n):
         np.testing.assert_array_equal(bp.box, np.flatnonzero(in_box))
         np.testing.assert_array_equal(bp.boundary, np.flatnonzero(on_face))
         np.testing.assert_array_equal(bp.inner, np.flatnonzero(inner))
-        np.testing.assert_array_equal(bp.annulus, np.flatnonzero(in_box & ~on_face & ~inner))
+        np.testing.assert_array_equal(bp.interior, np.flatnonzero(in_box & ~on_face))
+        annulus = np.setdiff1d(bp.interior, bp.inner)
+        np.testing.assert_array_equal(annulus, np.flatnonzero(in_box & ~on_face & ~inner))
 
 
 def test_boundary_is_one_step_exit_layer(g4):
