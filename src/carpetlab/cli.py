@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 experiment failure, 2 usage error, 3 capacity error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -34,8 +33,8 @@ from .heat import (DS_MIN_POINTS, FitError, carpet_saturation_time, central_vert
 from .coupling import MAX_STEPS, origin_pair, run_coupled_walk, upgrade_statistics
 from .linalg import DEFAULT_TOL, ConvergenceError
 from .resistance import face_resistance, resistance_to_infinity
-from .harness import (ExperimentConfig, _check_top_level, _parse_value, _write_json, _write_rows,
-                      config_from_sources, export_report, run_suite)
+from .harness import (ExperimentConfig, _check_top_level, _parse_value, _read_record, _write_json,
+                      _write_rows, config_from_sources, export_report, run_suite)
 
 
 def _add_graph_arg(p):
@@ -316,7 +315,7 @@ def _cmd_resist(args) -> int:
             raise ValueError(f"--n {args.n} exceeds the graph's level {source.level}")
         graph = source if args.n == source.level else build_graph(args.n, source.params)
         value = face_resistance(graph, tolerance=args.tol)
-        sys.stdout.write(json.dumps({"n": args.n, "resistance": value}) + "\n")
+        _write_json({"n": args.n, "resistance": value})
         return 0
     graph = read_graph(args.graph)
     levels = list(_parse_value("levels", args.levels, "--"))
@@ -354,7 +353,7 @@ def _cmd_suite(args) -> int:
 def _cmd_report(args) -> int:
     text, gaps = export_report(args.manifest)
     sys.stdout.write(text)
-    if "nothing to report" in text:
+    if not _read_record(args.manifest, [])["experiments"]:
         return 2
     return 1 if gaps else 0
 

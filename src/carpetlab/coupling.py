@@ -13,15 +13,14 @@ walk.
 
 Association is refreshed after every step (upgrades can only be found
 earlier that way).  Association depends only on each vertex's cell in the
-level-m carpet (its position in its S_m cube), so per vertex and level the
-tables hold that cell and the cube's key, and every other table is over
-cells.  The refresh searches no isometry: each level's table, built once
-per call, holds the lowest isometry between every two cells of each orbit
-of the level-m carpet, and a pair's witness is one read from it, checked
-by one image.  ``upgrade_statistics`` also counts renewals (the renewal
-step of the Barlow-Bass coupling argument): one fires whenever the first
-walker has moved k^m from the last renewal point, m being the association
-level of the pairs it draws.
+level-m carpet (its position in its S_m cube), so the one per-vertex table
+of a level is that cell, and every other table is over cells: the cube
+walls a step from the cell crosses, and the lowest isometry onto each of
+its orbit-mates.  The refresh searches no isometry: a pair's witness is one
+read from the table, checked by one image.  ``upgrade_statistics`` also
+counts renewals (the renewal step of the Barlow-Bass coupling argument):
+one fires whenever the first walker has moved k^m from the last renewal
+point, m being the association level of the pairs it draws.
 
 The per-vertex tables span only the vertices with x_0 <= k^m_max, m_max
 being the highest association level resolved.  Every walk stops once a
@@ -134,13 +133,14 @@ def _cube_tables(cube: CarpetGraph, n_isos: int):
     the cube's isometries, so its orbits are the association classes.
     ``image[i, c]`` is the cell that isometry i carries cell c onto, and
     ``least`` the least cell of c's orbit (cell ids ascend with the key).
-    Each cell gets a slot, its rank in its orbit.  An orbit of s cells owns
-    an s x s block of ``table``, so the table has at most 2^d d! entries per
-    cell, and a cell's row starts at its block plus s times its slot.  Entry
-    ``row[c] + slot[c']`` is the lowest isometry carrying cell c onto c'.
+    Each cell gets a slot, its rank in its orbit, which is below the
+    2^d d! isometries; ``witness[c, slot[c']]`` is the lowest isometry
+    carrying cell c onto c' (0 in the slots past c's orbit).  ``wall[c, e]``
+    is true when a step from c along direction e (2*axis for +1, 2*axis + 1
+    for -1) leaves the S_m cube.
 
-    Returns ``(cells, image, least, row, slot, table)``: ``cells`` maps the
-    coordinate key of each of the k^(md) cube positions to its cell (-1
+    Returns ``(cells, image, least, slot, witness, wall)``: ``cells`` maps
+    the coordinate key of each of the k^(md) cube positions to its cell (-1
     where removed).
     """
     d, side, count = cube.params.d, cube.side, cube.num_vertices
@@ -154,14 +154,12 @@ def _cube_tables(cube: CarpetGraph, n_isos: int):
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(least, kind="stable")] = np.arange(count)
     slot = rank - rank[least]
-    size = np.bincount(least, minlength=count)  # orbit size, at the orbit's least cell
-    block = np.cumsum(size ** 2) - size ** 2
-    row = block[least] + slot * size[least]
     # Lowest id last, so it overwrites every higher witness of the same pair.
-    table = np.empty(int((size ** 2).sum()), dtype=np.min_scalar_type(n_isos - 1))
+    witness = np.zeros((count, n_isos), dtype=np.min_scalar_type(n_isos - 1))
     for i in range(n_isos - 1, -1, -1):
-        table[row + slot[image[i]]] = i
-    return cells, image, least, row, slot, table
+        witness[np.arange(count), slot[image[i]]] = i
+    wall = np.stack([cube.coords == side - 1, cube.coords == 0], axis=2).reshape(count, 2 * d)
+    return cells, image, least, slot, witness, wall
 
 
 class _Coupler:
@@ -220,30 +218,25 @@ class _Coupler:
         for b in range(n_dirs):
             self.mask_map |= bits[None, :, b] << self.dir_map[:, b, None]
 
-        # Per vertex and level: its cell in the level-m carpet and its packed
-        # cube index.  The cells of all levels are numbered once, and the
-        # per-cell tables of every level (see _cube_tables) go into one flat
-        # array each.
+        # Per vertex and level: its cell in the level-m carpet.  The cells of
+        # all levels are numbered once, and the per-cell tables of every
+        # level (see _cube_tables) are stacked along the cell axis.
         levels = m_max + 1
         self.cell = np.empty((levels, rows), dtype=np.int64)
-        self.cube_key = np.empty((levels, rows), dtype=np.int64)
         parts = []
-        first = base = 0  # the level's first cell id and witness entry
+        first = 0  # the level's first cell id
         for m in range(levels):
             side_m = k ** m
-            cells, image, least, row, slot, table = _cube_tables(build_graph(m, graph.params), n_isos)
+            cells, image, least, slot, witness, wall = _cube_tables(build_graph(m, graph.params), n_isos)
             self.cell[m] = first + cells[(coords % side_m) @ side_m ** np.arange(d - 1, -1, -1)]
-            parts.append((first + image, first + least, base + row, slot, table))
+            parts.append((first + image, first + least, slot, witness, wall))
             first += len(least)
-            base += len(table)
-            span = graph.side // side_m
-            self.cube_key[m] = (coords // side_m) @ span ** np.arange(d - 1, -1, -1)
-        image, self.canon, self.row, self.slot, self.witness = (
-            np.concatenate(level, axis=-1) for level in zip(*parts))
+        image, canon, slot, witness, wall = zip(*parts)
+        self.canon, self.slot, self.witness, self.wall = map(np.concatenate, (canon, slot, witness, wall))
         # ``image`` takes the smallest type that holds a cell id; ``cell``
         # stays int64, since refresh gathers with it and a uint16 index made
         # those gathers about a quarter slower.
-        self.image = image.astype(np.min_scalar_type(first - 1))
+        self.image = np.hstack(image).astype(np.min_scalar_type(first - 1))
         self.scale_sq = k ** (2 * np.arange(levels))
 
     def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
@@ -262,8 +255,7 @@ class _Coupler:
         eq = self.canon[self.cell[:, x]] == self.canon[self.cell[:, y]]
         m = self.m_max - np.argmax(eq[::-1], axis=0)
         cx, cy = self.cell[m, x], self.cell[m, y]
-        # A corrupt class table can point past the end; the check then fails.
-        iso = self.witness.take(self.row[cx] + self.slot[cy], mode="clip").astype(np.int64)
+        iso = self.witness[cx, self.slot[cy]].astype(np.int64)
         if not (self.image[iso, cx] == cy).all():
             raise RuntimeError("witness table misses an associated pair; tables are corrupt")
         return m, iso
@@ -326,11 +318,11 @@ class _Coupler:
         moved = ~(hold_x & hold_y)
 
         # In-step invariance: a mirrored move that crosses no S_m cube wall
-        # must leave the witness valid verbatim.
+        # must leave the witness valid verbatim.  Mirrored walkers hold
+        # together, so a mirrored move steps both along ex and ey.
         inside = (
             mirrored & moved
-            & (self.cube_key[m, nx] == self.cube_key[m, x])
-            & (self.cube_key[m, ny] == self.cube_key[m, y])
+            & ~self.wall[self.cell[m, x], ex] & ~self.wall[self.cell[m, y], ey]
         )
         if inside.any():
             c = np.nonzero(inside)[0]

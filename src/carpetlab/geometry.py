@@ -261,10 +261,14 @@ class CarpetGraph(VertexGraph):
         x_0 = 0 and x_0 = side - 1 give the 2^(d-1) (d-1)! rows that keep
         axis 0 and its direction; a target in a corner box together with that
         box's outer faces gives the axis permutations that map the target
-        onto itself.
+        onto itself.  An id outside [0, |V|) is a ``ValueError``.
         """
         rows = np.arange(2 ** self.params.d * math.factorial(self.params.d))
         for ids in vertex_sets:
+            ids = np.asarray(ids, dtype=np.int64)
+            bad = ids[(ids < 0) | (ids >= self.num_vertices)]
+            if bad.size:
+                raise ValueError(f"vertex id {bad[0]} is outside [0, {self.num_vertices})")
             member = np.zeros(self.num_vertices + 1, dtype=bool)  # slot -1: not a vertex
             member[ids] = True
             # An injective map of a finite set into itself is onto.  Images

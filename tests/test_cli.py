@@ -517,6 +517,15 @@ def test_resist_face(capsys, g3_file):
     assert payload["resistance"] == pytest.approx(1.657261410788382, rel=1e-9)
 
 
+def test_resist_face_prints_the_shared_json_format(capsys, g3, g3_file):
+    # Keys sorted, indent 1 and a closing newline, as every other subcommand prints.
+    assert main(["resist", "face", "--graph", g3_file, "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    payload = {"n": 3, "resistance": face_resistance(g3)}
+    assert out == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert out.startswith('{\n "n": 3,\n "resistance": ')
+
+
 def test_resist_face_reuses_the_graph_it_read(capsys, monkeypatch, g3, g3_file):
     # --n at the file's level solves on the graph read_graph built, with no second build.
     builds = []
@@ -701,6 +710,18 @@ def test_report_empty_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--manifest", str(out / "manifest.json")]) == 2
     assert "nothing to report" in capsys.readouterr().out
+
+
+def test_report_exit_code_follows_the_manifest_not_the_text(tmp_path, capsys):
+    # A complete manifest exits 0 even when an error it quotes reads like the
+    # empty-manifest line; only a manifest without experiments exits 2.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "config_hash": "0" * 16, "version": carpetlab.__version__, "artifacts": [],
+        "experiments": {"build": {"status": "failed", "error": "ValueError: nothing to report here"}},
+    }))
+    assert main(["report", "--manifest", str(manifest)]) == 0
+    assert "  error: ValueError: nothing to report here" in capsys.readouterr().out
 
 
 def test_report_missing_manifest(capsys):

@@ -180,8 +180,8 @@ def test_witness_table_holds_the_lowest_witness(d, k, a):
     graph = build_graph(2, validate_params(d, k, a))
     eng = _Coupler(graph, 2)
     n_isos = len(signed_permutations(d)[0])
-    # each orbit of s cells owns an s x s block: at most 2^d d! entries per cube cell
-    assert len(eng.witness) <= n_isos * sum(count_cells(m, graph.params) for m in range(3))
+    # one dense row of 2^d d! slots per cube cell, over the cells of every level
+    assert eng.witness.shape == (sum(count_cells(m, graph.params) for m in range(3)), n_isos)
     rng = np.random.default_rng(7)
     for m in range(3):
         x = rng.integers(0, len(eng.nbr), size=150)
@@ -190,11 +190,28 @@ def test_witness_table_holds_the_lowest_witness(d, k, a):
         brute = lowest_witnesses(graph, x, y, m)
         assert (brute >= 0).all()
         np.testing.assert_array_equal(
-            eng.witness[eng.row[eng.cell[m, x]] + eng.slot[eng.cell[m, y]]], brute)
+            eng.witness[eng.cell[m, x], eng.slot[eng.cell[m, y]]], brute)
         top, iso = eng.refresh(x, y)
         assert (top >= m).all()
         np.testing.assert_array_equal(iso, [lowest_witnesses(graph, [u], [v], t)[0]
                                             for u, v, t in zip(x, y, top)])
+
+
+@pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 3), (3, 3, 1, 3), (2, 5, 3, 3), (4, 3, 1, 2)])
+def test_wall_table_marks_the_steps_that_leave_the_cube(d, k, a, n):
+    # For every table row v, present direction e and level m: the step
+    # crosses a wall exactly when v and its neighbor lie in different S_m
+    # cubes, on a prefix (cap n - 1) and on the whole graph (cap n).
+    graph = build_graph(n, validate_params(d, k, a))
+    for m_max in (n - 1, n):
+        eng = _Coupler(graph, m_max)
+        v, e = np.nonzero(eng.nbr >= 0)
+        for m in range(m_max + 1):
+            cube = graph.coords // k ** m
+            crosses = (cube[v] != cube[eng.nbr[v, e]]).any(axis=1)
+            np.testing.assert_array_equal(eng.wall[eng.cell[m, v], e], crosses)
+            # every step leaves an S_0 cube; none leaves the one S_n cube
+            assert crosses.all() == (m == 0) and crosses.any() == (m < n)
 
 
 # ------------------------------------------------------------- coupled steps
@@ -500,7 +517,7 @@ def full_tables(graph, m_max):
     assert len(eng.nbr) == graph.num_vertices
     eng.m_max = m_max
     levels = slice(0, m_max + 1)
-    eng.cell, eng.cube_key = eng.cell[levels], eng.cube_key[levels]
+    eng.cell = eng.cell[levels]
     eng.scale_sq = eng.scale_sq[levels]
     return eng
 
@@ -550,11 +567,12 @@ def test_prefix_length_on_the_3d_level4_carpet(g3d4):
     assert eng.reach == 9
     assert eng.nbr.shape == (60_588, 6)
     assert eng.mask.shape == (60_588,)
-    assert eng.cell.shape == eng.cube_key.shape == (3, 60_588)
+    assert eng.cell.shape == (3, 60_588)
     # Cells are numbered once over the level-0, 1 and 2 cube carpets, and
     # every cell of each is some prefix vertex's position.
     counts = [1, 26, 676]
-    assert eng.canon.shape == eng.row.shape == eng.slot.shape == (sum(counts),)
+    assert eng.canon.shape == eng.slot.shape == (sum(counts),)
+    assert eng.witness.shape == (sum(counts), 48) and eng.wall.shape == (sum(counts), 6)
     assert eng.image.shape == (48, sum(counts)) and eng.image.dtype == np.uint16
     first = np.cumsum([0] + counts)
     for m in range(3):

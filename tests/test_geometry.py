@@ -21,6 +21,7 @@ from carpetlab.geometry import (
     validate_params,
     write_graph,
 )
+from carpetlab.harmonic import expected_exit_time
 from carpetlab.heat import central_vertex, walk_kernel
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import face_resistance, resistance_to_infinity
@@ -222,6 +223,22 @@ def test_orbits_are_least_vertices(g3d):
     path = make_path(5)
     np.testing.assert_array_equal(path.symmetries([2]), [0])
     np.testing.assert_array_equal(path.orbits(path.symmetries([2])), np.arange(5))
+
+
+def test_symmetries_reject_ids_outside_the_graph(g4):
+    # An id outside [0, |V|) is named, not wrapped to the last vertex or
+    # left to empty the group.
+    for ids in ([-1], [0, g4.num_vertices]):
+        with pytest.raises(ValueError, match=rf"vertex id {ids[-1]} is outside \[0, 4096\)"):
+            g4.symmetries(ids)
+    with pytest.raises(ValueError, match=r"vertex id -1 is outside \[0, 4096\)"):
+        g4.symmetries([0], [-1, 1])
+    # The solvers that take their group from the ids they are given.
+    for call in (lambda: expected_exit_time(g4, -1, 3.0),
+                 lambda: resistance_to_infinity(g4, [-1], [1, 2, 3]),
+                 lambda: walk_kernel(g4, -1, [], [4], [16])):
+        with pytest.raises(ValueError, match=r"vertex id -1 is outside \[0, 4096\)"):
+            call()
 
 
 def test_box_partition(g3):
