@@ -52,8 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CarpetGraph, build_graph, signed_permutations
-from .harmonic import HOLD
+from .geometry import HOLD, CarpetGraph, build_graph, signed_permutations
 from .seeding import draw_uniforms, stream_integers, stream_states
 
 __all__ = [
@@ -183,7 +182,7 @@ class _Coupler:
         self.m_max = m_max
         d = graph.params.d
         k = graph.params.k
-        self.coords = graph.coords
+        self.coords, self.top = graph.coords, graph.top
         self.reach = k ** m_max
         # Ids ascend lexicographically, so x_0 <= reach is an id prefix.
         rows = int(np.searchsorted(graph.coords[:, 0], self.reach, side="right"))
@@ -242,7 +241,7 @@ class _Coupler:
     def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
         """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, grouped by key."""
         groups: dict[int, list[int]] = {}
-        for v in np.nonzero((self.coords < side).all(axis=1))[0]:
+        for v in np.flatnonzero(self.top < side):
             groups.setdefault(int(self.canon[self.cell[m, v]]), []).append(int(v))
         return [(a, b) for members in groups.values() for a in members for b in members if a != b]
 
@@ -340,8 +339,7 @@ class _Coupler:
         if w.target is not None:
             status[m >= w.target] = UPGRADED
         if w.box_side is not None:
-            out = (self.coords[nx] >= w.box_side).any(axis=1)
-            out |= (self.coords[ny] >= w.box_side).any(axis=1)
+            out = (self.top[nx] >= w.box_side) | (self.top[ny] >= w.box_side)
             status[(status == ACTIVE) & out] = EXITED
             status[(status == ACTIVE) & (nx == ny)] = COUPLED
         if w.max_renewals is not None:
@@ -444,8 +442,8 @@ def run_coupled_walk(
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     k = graph.params.k
     inner_side = k ** (n - 1)
-    for v in (x0, y0):
-        if any(c >= inner_side for c in graph.coords[v]):
+    for v in graph.check_ids([x0, y0]):
+        if graph.top[v] >= inner_side:
             raise ValueError(f"vertex {v} is outside the level-{n - 1} box")
     done = _Coupler(graph, n).run(
         seed, "coupled-walk", trials, max_steps,

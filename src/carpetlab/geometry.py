@@ -44,6 +44,10 @@ __all__ = [
 
 DEFAULT_VERTEX_BUDGET = 50_000_000
 
+# Holding probability of the lazy walk (kills bipartite parity); the heat
+# kernel, the exit times and the coupling all walk with it.
+HOLD = 0.5
+
 # int64 coordinate keys must not overflow: side^d < 2^62.
 _KEY_BITS = 62
 
@@ -161,11 +165,22 @@ class VertexGraph:
         upper = rows < self.indices
         return rows[upper], self.indices[upper]
 
+    def check_ids(self, ids) -> np.ndarray:
+        """``ids`` as int64; an id outside [0, |V|) is a ``ValueError``, not a wrapped index."""
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= self.num_vertices)]
+        if bad.size:
+            raise ValueError(f"vertex id {bad[0]} is outside [0, {self.num_vertices})")
+        return ids
+
     def symmetries(self, *vertex_sets) -> np.ndarray:
         """Rows of :func:`signed_permutations` that act on this graph and map each set onto itself.
 
-        A plain vertex graph knows no symmetry but the identity, row 0.
+        A plain vertex graph knows no symmetry but the identity, row 0.  An
+        id outside [0, |V|) is a ``ValueError``.
         """
+        for ids in vertex_sets:
+            self.check_ids(ids)
         return np.zeros(1, dtype=np.int64)
 
     def orbits(self, rows) -> np.ndarray:
@@ -179,6 +194,10 @@ class VertexGraph:
 
 class CarpetGraph(VertexGraph):
     """Level-n graphical carpet on the cells ``coords``, in lexicographic order; immutable.
+
+    ``top`` is each cell's largest coordinate: a cell lies in the corner box
+    ``[0, s)^d`` iff its ``top`` is below s, the one box rule that every
+    box test reads.
 
     Its adjacency comes from one lookup of every cell's unit steps
     (:meth:`unit_steps`).  The step columns run -e_0 .. -e_{d-1},
@@ -195,13 +214,14 @@ class CarpetGraph(VertexGraph):
         self.coords = np.ascontiguousarray(coords, dtype=np.int64)
         self._keys = self.coords @ self._strides
         self._keys.setflags(write=False)
+        self.top = self.coords.max(axis=1)
+        self.top.setflags(write=False)
         steps = self.unit_steps()
         present = steps >= 0
         indptr = np.zeros(len(steps) + 1, dtype=np.int64)
         np.cumsum(present.sum(axis=1), out=indptr[1:])
         super().__init__(self.coords, indptr, steps[present])
         self._orbits: dict[tuple, np.ndarray] = {}
-        self._top: Optional[np.ndarray] = None  # largest coordinate per vertex, see box_vertices
 
     def _find(self, keys: np.ndarray, inside: np.ndarray) -> np.ndarray:
         """Vertex id of each coordinate key, or -1 where absent or not ``inside`` the window."""
@@ -265,10 +285,7 @@ class CarpetGraph(VertexGraph):
         """
         rows = np.arange(2 ** self.params.d * math.factorial(self.params.d))
         for ids in vertex_sets:
-            ids = np.asarray(ids, dtype=np.int64)
-            bad = ids[(ids < 0) | (ids >= self.num_vertices)]
-            if bad.size:
-                raise ValueError(f"vertex id {bad[0]} is outside [0, {self.num_vertices})")
+            ids = self.check_ids(ids)
             member = np.zeros(self.num_vertices + 1, dtype=bool)  # slot -1: not a vertex
             member[ids] = True
             # An injective map of a finite set into itself is onto.  Images
@@ -347,20 +364,18 @@ class BoxPartition:
 def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
     """Split the corner box [0, k^j)^d into interior and boundary, and find its inner box.
 
-    The box holds the cells whose largest coordinate c is below k^j.  The
-    boundary layer is the set of box cells on the outer faces (c = k^j - 1);
-    these are exactly the cells from which the walk can leave the box in one
-    step, since the face-adjacent cell across each outer face always survives
-    and the low faces border the global corner where the carpet ends.  The
-    interior is the rest of the box (c < k^j - 1), and the inner set is the
-    level-(j-1) corner box (c < k^(j-1)) inside it.  All four are sorted ids.
-    c is computed once per graph.
+    The box holds the cells whose largest coordinate c (``graph.top``) is
+    below k^j.  The boundary layer is the set of box cells on the outer faces
+    (c = k^j - 1); these are exactly the cells from which the walk can leave
+    the box in one step, since the face-adjacent cell across each outer face
+    always survives and the low faces border the global corner where the
+    carpet ends.  The interior is the rest of the box (c < k^j - 1), and the
+    inner set is the level-(j-1) corner box (c < k^(j-1)) inside it.  All
+    four are sorted ids.
     """
     if not (0 <= j <= graph.level):
         raise ValueError(f"box level must be in [0, {graph.level}], got {j}")
-    if graph._top is None:
-        graph._top = graph.coords.max(axis=1)
-    top, side = graph._top, graph.params.k**j
+    top, side = graph.top, graph.params.k**j
     inner_side = side // graph.params.k  # 0 at j = 0: no inner box
     return BoxPartition(
         level=j,

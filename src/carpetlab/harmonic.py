@@ -9,7 +9,7 @@ through :class:`carpetlab.linalg.DirichletSystem`, the only solve entry
 point; a solve reads only the vertices that border its unknowns.
 
 The walk is the lazy nearest-neighbour walk that holds with probability
-``HOLD`` = 1/2; the heat kernel and the coupling use the same constant.
+``HOLD`` = 1/2, geometry's constant, which the heat kernel and coupling share.
 
 Ball-based quantities (hitting probability, exit time) are computed for the
 random walk on the *built* graph.  When every non-fixed vertex of the problem
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CarpetGraph, box_vertices
+from .geometry import HOLD, CarpetGraph, box_vertices
 from .linalg import DEFAULT_TOL, DirichletSystem
 from .seeding import derive_rng
 
@@ -37,9 +37,6 @@ __all__ = [
     "expected_exit_time",
     "hitting_pair_catalog",
 ]
-
-# Holding probability of the lazy walk (kills bipartite parity).
-HOLD = 0.5
 
 DEGENERATE_FLOOR = 1e-300
 # Sweep values within this relative distance of an extremum count as ties, so
@@ -174,7 +171,7 @@ def _first_near(scores: np.ndarray, best: float) -> int:
 
 def _distances(graph, x: int) -> np.ndarray:
     """Euclidean distance of every vertex from vertex ``x``."""
-    delta = graph.coords - graph.coords[x]
+    delta = graph.coords - graph.coords[graph.check_ids(x)]
     return np.sqrt((delta.astype(np.float64) ** 2).sum(axis=1))
 
 
@@ -185,7 +182,7 @@ def _require_absorbing_shell(graph, x, radius):
         hint = ""
         if isinstance(graph, CarpetGraph):
             k = graph.params.k
-            need = int(np.ceil(np.log(graph.coords[x].max() + radius + 1) / np.log(k)))
+            need = int(np.ceil(np.log(graph.top[x] + radius + 1) / np.log(k)))
             hint = f"; build level >= {need}"
         raise ValueError(f"no vertex at distance >= {radius:g} from vertex {x}{hint}")
     return dist
@@ -205,7 +202,7 @@ def hitting_probability(
     the inner ball or beyond the shell need no solve and add nothing.
     """
     dist = _require_absorbing_shell(graph, spec.x, spec.c2 * spec.r)
-    starts = np.asarray(y)
+    starts = graph.check_ids(y)
     far = starts[dist[starts] > spec.c1 * spec.r]
     if far.size:
         raise ValueError(f"start vertex {far[0]} at distance {dist[far[0]]:.4g} exceeds "
@@ -261,9 +258,7 @@ def hitting_pair_catalog(
         raise ValueError(f"count must be at least 1, got {count}")
     HittingSpec(x=0, r=r, c1=c1, c2=c2)  # checks the radii before any draw
     rng = derive_rng(seed, "hitting-pair-catalog", index=int(round(r)))
-    side = graph.side
-    margin = (graph.coords + c2 * r <= side - 1).all(axis=1)
-    eligible = np.nonzero(margin)[0]
+    eligible = np.flatnonzero(graph.top + c2 * r <= graph.side - 1)
     if eligible.size == 0:
         raise ValueError(f"no admissible centers at r={r:g}; build a larger graph")
     pairs: list[tuple[int, int]] = []

@@ -350,8 +350,8 @@ def exp_hitting(ctx: _SuiteContext) -> dict:
     counters = {}
     for m in (1, 2, 3):
         r = float(k ** m)
-        if not ((graph.coords + c2 * r <= graph.side - 1).all(axis=1)).any():
-            continue  # no admissible centers at this radius in this build
+        if c2 * r > graph.side - 1:  # not even the origin cell is an admissible center
+            continue
         pairs = hitting_pair_catalog(graph, r, c1=c1, c2=c2, count=50, seed=ctx.config.seed)
         solves: list = []
         probs = [

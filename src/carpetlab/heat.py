@@ -41,8 +41,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CarpetGraph, CarpetParams, VertexGraph
-from .harmonic import HOLD, expected_exit_time
+from .geometry import HOLD, CarpetGraph, CarpetParams, VertexGraph
+from .harmonic import expected_exit_time
 from .linalg import DEFAULT_TOL
 
 __all__ = [
@@ -118,9 +118,9 @@ def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) ->
     advances between consecutive times, and gathers only the vertices
     ``ids`` from the orbit values.
     """
-    if np.count_nonzero(op.orbit == op.orbit[x]) != 1:
+    if np.count_nonzero(op.orbit == op.orbit[op.graph.check_ids(x)]) != 1:
         raise ValueError(f"the walk's symmetries move the source {x}")
-    read = op.orbit[np.asarray(ids, dtype=np.int64)]
+    read = op.orbit[op.graph.check_ids(ids)]
     values = np.zeros(op.states)
     values[op.orbit[x]] = 1.0
     t_cur = 0
@@ -277,28 +277,14 @@ def fit_ds(diag: Sequence[tuple[int, float]]) -> ExponentEstimate:
     return _estimate(usable, xs, ys, scale=-2.0)
 
 
-def estimate_dw(
-    graph: VertexGraph,
-    x: Optional[int] = None,
-    radii: Optional[Sequence[float]] = None,
-    tolerance: float = DEFAULT_TOL,
-) -> ExponentEstimate:
+def estimate_dw(graph: CarpetGraph, x: int, tolerance: float = DEFAULT_TOL) -> ExponentEstimate:
     """Walk dimension from exit-time scaling: slope of log E[tau] vs log r.
 
-    Exit times come from deterministic Poisson solves, not sampling.  For
-    carpet graphs the default radii are k^m up to the window margin.
+    Exit times come from deterministic Poisson solves, not sampling, at the
+    radii k^m that fit between ``x`` and the window's high faces.
     """
-    if x is None:
-        if not isinstance(graph, CarpetGraph):
-            raise ValueError("source vertex required for non-carpet graphs")
-        x = central_vertex(graph)
-    if radii is None:
-        if not isinstance(graph, CarpetGraph):
-            raise ValueError("radii required for non-carpet graphs")
-        k = graph.params.k
-        room = float(graph.side - 1 - graph.coords[x].max())
-        radii = [float(k ** m) for m in range(1, graph.level + 1) if k ** m <= room]
-    radii = [float(r) for r in radii]
+    k, room = graph.params.k, graph.side - 1 - graph.top[graph.check_ids(x)]
+    radii = [float(k ** m) for m in range(1, graph.level + 1) if k ** m <= room]
     if len(radii) < 3:
         raise FitError(f"need at least 3 radii, have {len(radii)}")
     taus = [expected_exit_time(graph, x, r, tolerance=tolerance) for r in radii]
@@ -342,6 +328,7 @@ def fit_regimes(
     early = [t for _, t, _ in samples if t < 1]
     if early:
         raise ValueError(f"sample times must be at least 1, got {early[0]}")
+    graph.check_ids([x, *(y for y, _, _ in samples)])
     coords = graph.coords.astype(np.float64)
     sub_pts: list[tuple[float, float]] = []
     gauss_pts: list[tuple[float, float]] = []

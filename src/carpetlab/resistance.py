@@ -99,8 +99,8 @@ def effective_resistance(
         raise ValueError("resistance needs nonempty vertex sets")
     if np.intersect1d(A, B).size:
         raise ValueError("source and ground sets overlap")
+    group = graph.symmetries(A, B)  # checks every id before _reached indexes with it
     reached, grounded = _reached(graph, A, B)
-    group = graph.symmetries(A, B)
     counters = _no_solve(len(group))
     energy = 0.0
     if grounded:

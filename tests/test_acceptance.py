@@ -103,7 +103,7 @@ def test_criterion_3_harnack_stability(harnack_reports):
 def test_criterion_4_exponent_chain(g5, params2):
     df = hausdorff_dimension(params2)
     ds = diag_fit(g5)
-    dw = estimate_dw(g5)
+    dw = estimate_dw(g5, central_vertex(g5))
     gap = abs(dw.value - 2.0 * df / ds.value)
     ok = (
         abs(df - 1.892789) <= 1e-6
@@ -136,7 +136,7 @@ def regime_report(g4):
     op = TransitionOperator(g4)
     x = central_vertex(g4)
     ds = diag_fit(g4)
-    dw = estimate_dw(g4)
+    dw = estimate_dw(g4, x)
     return fit_regimes(g4, x, kernel_samples(op, x, _regime_pairs(g4, x)), ds.value, dw.value)
 
 

@@ -7,8 +7,7 @@ from scipy import stats
 
 from carpetlab import coupling
 from carpetlab.coupling import _Coupler, origin_pair, run_coupled_walk, upgrade_statistics
-from carpetlab.geometry import build_graph, count_cells, signed_permutations, validate_params
-from carpetlab.harmonic import HOLD
+from carpetlab.geometry import HOLD, build_graph, count_cells, signed_permutations, validate_params
 from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
 

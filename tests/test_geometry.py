@@ -21,10 +21,11 @@ from carpetlab.geometry import (
     validate_params,
     write_graph,
 )
-from carpetlab.harmonic import expected_exit_time
-from carpetlab.heat import central_vertex, walk_kernel
+from carpetlab.coupling import run_coupled_walk
+from carpetlab.harmonic import HittingSpec, expected_exit_time, hitting_probability
+from carpetlab.heat import TransitionOperator, central_vertex, fit_regimes, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
-from carpetlab.resistance import face_resistance, resistance_to_infinity
+from carpetlab.resistance import effective_resistance, face_resistance, resistance_to_infinity
 
 from conftest import adjacency, graph_from_edges, make_path, vid
 
@@ -241,6 +242,39 @@ def test_symmetries_reject_ids_outside_the_graph(g4):
             call()
 
 
+ENTRY_POINTS = {
+    "hitting x": lambda g, v: hitting_probability(g, HittingSpec(x=v, r=3.0), 4091),
+    "hitting y": lambda g, v: hitting_probability(g, HittingSpec(x=0, r=3.0), [10, v]),
+    "exit time": lambda g, v: expected_exit_time(g, v, 3.0),
+    "effective resistance": lambda g, v: effective_resistance(g, [v], [0]),
+    "resistance to infinity": lambda g, v: resistance_to_infinity(g, [v], [1, 2, 3]),
+    "coupled walk x": lambda g, v: run_coupled_walk(g, v, 0, 2, trials=1),
+    "coupled walk y": lambda g, v: run_coupled_walk(g, 0, v, 2, trials=1),
+    "kernel source": lambda g, v: next(kernel_entries(TransitionOperator(g), v, [0], [1])),
+    "kernel ids": lambda g, v: walk_kernel(g, 0, [v], [64], []),
+    "regime source": lambda g, v: fit_regimes(g, v, [(1, 16, 0.01)], ds=1.8, dw=2.1),
+    "regime samples": lambda g, v: fit_regimes(g, 0, [(1, 16, 0.01), (v, 16, 0.01)], ds=1.8, dw=2.1),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [-1, 4096])
+def test_entry_points_reject_ids_outside_the_graph(g4, entry, bad):
+    # Every library call that indexes with a vertex id names a bad one: a
+    # negative id is not wrapped to the last vertex, nor |V| left to numpy.
+    with pytest.raises(ValueError, match=rf"vertex id {bad} is outside \[0, 4096\)"):
+        ENTRY_POINTS[entry](g4, bad)
+
+
+def test_vertex_graph_symmetries_reject_ids_outside_the_graph():
+    path = make_path(5)
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=rf"vertex id {bad} is outside \[0, 5\)"):
+            path.symmetries([2], [bad])
+        with pytest.raises(ValueError, match=rf"vertex id {bad} is outside \[0, 5\)"):
+            walk_kernel(path, bad, [], [4], [16])
+
+
 def test_box_partition(g3):
     sizes = {}
     for j in (1, 2, 3):
@@ -259,7 +293,8 @@ def test_box_partition(g3):
         box_vertices(g3, 4)
 
 
-@pytest.mark.parametrize("d,k,a,n", [(3, 3, 1, 3), (2, 5, 3, 2), (2, 5, 1, 2), (4, 3, 1, 2)])
+@pytest.mark.parametrize("d,k,a,n", [(3, 3, 1, 3), (2, 5, 3, 2), (2, 5, 1, 2), (4, 3, 1, 2),
+                                     (2, 3, 1, 4), (2, 5, 3, 3), (2, 4, 2, 3)])
 def test_box_sets_follow_the_coordinate_rule(d, k, a, n):
     # Read off each cell's largest coordinate, the sets must be the sorted
     # ids of the coordinate-wise definitions.
@@ -325,12 +360,23 @@ def test_the_csr_is_the_only_adjacency(params3):
         assert not (isinstance(value, np.ndarray) and value.size >= len(graph.indices)), name
 
 
-def test_geometry_imports_no_scipy():
+def scipy_modules_after_import(*modules) -> str:
+    """The scipy modules loaded by importing ``modules`` in a fresh interpreter, as printed."""
     src = os.path.dirname(os.path.dirname(geometry.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, carpetlab.geometry\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys, {', '.join(modules)}\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_geometry_imports_no_scipy():
+    assert scipy_modules_after_import("carpetlab.geometry") == "[]\n"
+
+
+def test_building_and_coupling_import_no_scipy():
+    # The coupled walk needs no solver: its modules leave scipy unloaded.
+    modules = ("carpetlab.geometry", "carpetlab.seeding", "carpetlab.coupling")
+    assert scipy_modules_after_import(*modules) == "[]\n"
 
 
 # ------------------------------------------------------------------ capacity

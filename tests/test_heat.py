@@ -334,16 +334,18 @@ def test_ds_degenerate_flat_series():
 def test_dw_on_path_exact():
     # From the midpoint of a long path the lazy exit time is 2 r^2: slope 2.
     path = make_path(81)
-    est = estimate_dw(path, x=40, radii=[3.0, 9.0, 27.0])
-    assert est.value == pytest.approx(2.0, abs=1e-9)
-    assert est.standard_error == pytest.approx(0.0, abs=1e-9)
-    taus = dict(est.points)
-    assert taus[3.0] == pytest.approx(18.0, abs=1e-8)
-    assert taus[27.0] == pytest.approx(1458.0, abs=1e-6)
+    radii = [3.0, 9.0, 27.0]
+    taus = [expected_exit_time(path, 40, r) for r in radii]
+    assert taus[0] == pytest.approx(18.0, abs=1e-8)
+    assert taus[1] == pytest.approx(162.0, abs=1e-7)
+    assert taus[2] == pytest.approx(1458.0, abs=1e-6)
+    slope, standard_error, _ = heat._slope_fit(np.log(radii), np.log(taus))
+    assert slope == pytest.approx(2.0, abs=1e-9)
+    assert standard_error == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dw_on_carpet_frozen(g5):
-    est = estimate_dw(g5)
+    est = estimate_dw(g5, central_vertex(g5))
     assert est.value == pytest.approx(2.0885094806339244, rel=1e-6)
     assert [r for r, _ in est.points] == [3.0, 9.0, 27.0, 81.0]
     assert est.points[0][1] == pytest.approx(20.649915, rel=1e-6)
@@ -351,7 +353,7 @@ def test_dw_on_carpet_frozen(g5):
 
 def test_dw_needs_three_radii(g3):
     with pytest.raises(FitError, match="have 2"):
-        estimate_dw(g3)
+        estimate_dw(g3, central_vertex(g3))
 
 
 def test_exponent_relation(g5):
@@ -359,7 +361,7 @@ def test_exponent_relation(g5):
     from carpetlab.geometry import hausdorff_dimension
 
     ds = diag_fit(g5).value
-    dw = estimate_dw(g5).value
+    dw = estimate_dw(g5, central_vertex(g5)).value
     df = hausdorff_dimension(g5.params)
     assert abs(dw - 2.0 * df / ds) <= 0.10 * dw
 

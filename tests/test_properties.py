@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from carpetlab import linalg
 from carpetlab.geometry import (
+    HOLD,
     box_vertices,
     build_graph,
     count_cells,
@@ -17,7 +18,6 @@ from carpetlab.geometry import (
     survival_mask,
     validate_params,
 )
-from carpetlab.harmonic import HOLD
 from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
