@@ -238,12 +238,25 @@ class _Coupler:
         self.image = np.hstack(image).astype(np.min_scalar_type(first - 1))
         self.scale_sq = k ** (2 * np.arange(levels))
 
+    def pairs(self, m: int, side: int) -> np.ndarray:
+        """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, as rows of an array.
+
+        Classes come in the order of their least member, and each class
+        lists x ascending, then y ascending.
+        """
+        box = np.flatnonzero(self.top < side)
+        _, first, cls = np.unique(self.canon[self.cell[m, box]], return_index=True, return_inverse=True)
+        cls = np.argsort(np.argsort(first))[cls]  # classes renumbered by their least member
+        order = np.argsort(cls, kind="stable")
+        out = [np.zeros((0, 2), dtype=np.int64)]
+        for members in np.split(box[order], np.cumsum(np.bincount(cls))[:-1]):
+            x, y = np.repeat(members, len(members)), np.tile(members, len(members))
+            out.append(np.column_stack((x, y))[x != y])
+        return np.concatenate(out)
+
     def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
-        """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, grouped by key."""
-        groups: dict[int, list[int]] = {}
-        for v in np.flatnonzero(self.top < side):
-            groups.setdefault(int(self.canon[self.cell[m, v]]), []).append(int(v))
-        return [(a, b) for members in groups.values() for a in members for b in members if a != b]
+        """:meth:`pairs` as a list of ``(x, y)`` tuples."""
+        return list(zip(*self.pairs(m, side).T.tolist()))
 
     def refresh(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest association level and canonical witness id of each pair.
@@ -480,7 +493,7 @@ def upgrade_statistics(
     if j < 1:
         raise ValueError(f"renewal count j must be at least 1, got {j}")
     eng = _Coupler(graph, max(m + 1, n))  # checks that level m + 1 is built
-    catalog = np.array(eng.catalog(m, graph.params.k ** (n - 1)), dtype=np.int64)
+    catalog = eng.pairs(m, graph.params.k ** (n - 1))
     if not len(catalog):
         raise ValueError(f"no m={m} associated pairs inside the level-{n - 1} box")
     box_side = graph.params.k ** n

@@ -193,7 +193,19 @@ class VertexGraph:
 
 
 class CarpetGraph(VertexGraph):
-    """Level-n graphical carpet on the cells ``coords``, in lexicographic order; immutable.
+    """Level-n graphical carpet on its surviving cells, in lexicographic order; immutable.
+
+    A *line* is the set of cells that share their first d - 1 coordinates;
+    lines are numbered lexicographically.  Survival is decided digit by
+    digit, so the last coordinates that survive on a line depend only on
+    ``pattern[line]``, the bitmask of the levels j at which all d - 1 of the
+    line's coordinates have a central digit.  ``within[pattern, x]`` is x's
+    rank among the last coordinates that survive that pattern, -1 where x is
+    cut, and ``start[line]`` is the line's first vertex id (every line is
+    nonempty, since digit 0 is never central).  The cell x on a line is
+    vertex ``start[line] + within[pattern[line], x]``: every coordinate
+    lookup is O(1), from tables of side^(d-1) and 2^n side entries, each at
+    most |V|.  The constructor writes the coordinates from the same tables.
 
     ``top`` is each cell's largest coordinate: a cell lies in the corner box
     ``[0, s)^d`` iff its ``top`` is below s, the one box rule that every
@@ -201,33 +213,60 @@ class CarpetGraph(VertexGraph):
 
     Its adjacency comes from one lookup of every cell's unit steps
     (:meth:`unit_steps`).  The step columns run -e_0 .. -e_{d-1},
-    +e_{d-1} .. +e_0, in ascending key offset, so each row's neighbors
-    already ascend and compress straight into CSR.
+    +e_{d-1} .. +e_0, in ascending id, so each row's neighbors already
+    ascend and compress straight into CSR.
     """
 
-    def __init__(self, params: CarpetParams, level: int, coords):
+    def __init__(self, params: CarpetParams, level: int):
         self.params = params
         self.level = int(level)
-        self.side = params.k**self.level
-        strides = [self.side ** (params.d - 1 - i) for i in range(params.d)]
-        self._strides = np.array(strides, dtype=np.int64)
-        self.coords = np.ascontiguousarray(coords, dtype=np.int64)
-        self._keys = self.coords @ self._strides
-        self._keys.setflags(write=False)
-        self.top = self.coords.max(axis=1)
+        d, k, side = params.d, params.k, params.k**self.level
+        self.side = side
+        self._strides = np.array([side ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+        # central[c]: the levels at which coordinate c has a central digit
+        lo, hi = params.central_range.start, params.central_range.stop
+        c = np.arange(side, dtype=np.int64)
+        central = np.zeros(side, dtype=np.int64)
+        for j in range(self.level):
+            digit = c // k**j % k
+            central |= ((digit >= lo) & (digit < hi)) << j
+        self.pattern = functools.reduce(np.bitwise_and.outer, [central] * (d - 1)).ravel()
+        alive = (central & np.arange(2**self.level)[:, None]) == 0
+        self.within = np.where(alive, alive.cumsum(axis=1) - 1, -1)
+        count = alive.sum(axis=1)[self.pattern]
+        self.start = np.zeros(len(count), dtype=np.int64)
+        np.cumsum(count[:-1], out=self.start[1:])
+        for arr in (self.pattern, self.within, self.start):
+            arr.setflags(write=False)
+
+        # Each line's cells: its d - 1 leading coordinates, then the
+        # survivors of its pattern (alive's row) in ascending order.
+        self.coords = np.empty((int(count.sum()), d), dtype=np.int64)
+        self.coords[:, :-1] = np.repeat(np.indices((side,) * (d - 1)).reshape(d - 1, -1).T, count, axis=0)
+        survivors = np.argsort(~alive, axis=1, kind="stable").ravel()
+        pick = np.repeat(self.pattern * side - self.start, count)
+        pick += np.arange(len(self.coords))
+        self.coords[:, -1] = survivors[pick]
+        del pick  # before the step lookup, which sets the peak
+        # Column by column: a reduction along the short rows is several times slower.
+        self.top = functools.reduce(np.maximum, self.coords.T)
         self.top.setflags(write=False)
         steps = self.unit_steps()
         present = steps >= 0
         indptr = np.zeros(len(steps) + 1, dtype=np.int64)
-        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        np.cumsum(functools.reduce(np.add, present.T, 0), out=indptr[1:])
         super().__init__(self.coords, indptr, steps[present])
         self._orbits: dict[tuple, np.ndarray] = {}
 
-    def _find(self, keys: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        """Vertex id of each coordinate key, or -1 where absent or not ``inside`` the window."""
-        pos = np.searchsorted(self._keys, keys)
-        np.minimum(pos, len(self._keys) - 1, out=pos)
-        return np.where(inside & (self._keys[pos] == keys), pos, -1)
+    def _find(self, line: np.ndarray, x: np.ndarray, inside=True) -> np.ndarray:
+        """Vertex id of the cell ``x`` on each ``line``, or -1 where it is cut or not ``inside`` the window.
+
+        A line outside the table reads as its nearest line, so ``inside``
+        must be false there; ``x`` must lie in [0, side).
+        """
+        # within[pattern[line], x], read from the flat table
+        rank = self.within.take(self.pattern.take(line, mode="clip") * self.side + x)
+        return np.where(inside & (rank >= 0), self.start.take(line, mode="clip") + rank, -1)
 
     def vertex_id(self, coords: Sequence[int]) -> Optional[int]:
         """Vertex id for a coordinate tuple, or None if absent."""
@@ -238,7 +277,8 @@ class CarpetGraph(VertexGraph):
         """Vectorized lookup; -1 marks coordinates not in the graph."""
         coords = np.asarray(coords, dtype=np.int64)
         inside = ((coords >= 0) & (coords < self.side)).all(axis=1)
-        return self._find(coords @ self._strides, inside)
+        coords = np.where(inside[:, None], coords, 0)
+        return self._find(coords[:, :-1] @ self._strides[1:], coords[:, -1], inside)
 
     def unit_steps(self, count: Optional[int] = None) -> np.ndarray:
         """Neighbor ids of the vertices ``0 .. count - 1`` (default all), -1 where absent.
@@ -246,12 +286,21 @@ class CarpetGraph(VertexGraph):
         Column c < d steps by -e_c and column 2d - 1 - c by +e_c.
         """
         d = self.params.d
-        coords, keys = self.coords[:count], self._keys[:count]
-        steps = np.empty((len(keys), 2 * d), dtype=np.int64)
-        for axis in range(d):
-            column = coords[:, axis]
-            steps[:, axis] = self._find(keys - self._strides[axis], column > 0)
-            steps[:, 2 * d - 1 - axis] = self._find(keys + self._strides[axis], column < self.side - 1)
+        coords = self.coords[:count]
+        n = len(coords)
+        steps = np.empty((n, 2 * d), dtype=np.int64)
+        line, x = coords[:, :-1] @ self._strides[1:], coords[:, -1]
+        for axis in range(d - 1):
+            column, stride = coords[:, axis], self._strides[axis + 1]
+            steps[:, axis] = self._find(line - stride, x, column > 0)
+            steps[:, 2 * d - 1 - axis] = self._find(line + stride, x, column < self.side - 1)
+        # Along e_{d-1} a neighbor is the next id on the line, and every line
+        # starts at x = 0, so v and v + 1 are neighbors iff x rises by 1.
+        rise = np.diff(self.coords[:n + 1, -1]) == 1
+        steps[:, d - 1] = -1
+        steps[1:, d - 1][rise[:n - 1]] = np.flatnonzero(rise[:n - 1])
+        steps[:, d] = -1
+        steps[:len(rise), d][rise] = np.flatnonzero(rise) + 1
         return steps
 
     def image_keys(self, rows, ids=None) -> Iterator[np.ndarray]:
@@ -291,7 +340,7 @@ class CarpetGraph(VertexGraph):
             # An injective map of a finite set into itself is onto.  Images
             # stay in the window, so a key names a vertex iff it is found.
             keys = self.image_keys(rows, ids)
-            rows = rows[np.array([member[self._find(k, True)].all() for k in keys], dtype=bool)]
+            rows = rows[np.array([member[self._find(*divmod(k, self.side))].all() for k in keys], dtype=bool)]
         return rows
 
     def orbits(self, rows) -> np.ndarray:
@@ -306,26 +355,18 @@ class CarpetGraph(VertexGraph):
         group = tuple(int(i) for i in rows)
         if group not in self._orbits:
             keys = functools.reduce(np.minimum, self.image_keys(group))
-            least = np.searchsorted(self._keys, keys)
+            least = self._find(*divmod(keys, self.side))
             least.setflags(write=False)
             self._orbits[group] = least
         return self._orbits[group]
 
 
-def _digit_block(params: CarpetParams) -> np.ndarray:
-    """All non-central digit vectors, lexicographically sorted."""
-    central = params.central_range
-    rows = [row for row in product(range(params.k), repeat=params.d) if not all(x in central for x in row)]
-    return np.array(rows, dtype=np.int64)
-
-
 def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGET) -> CarpetGraph:
     """Construct the level-n graphical carpet.
 
-    Enumerates surviving cells by recursive subdivision (children of survivors
-    minus the central block) in O(|V| d), then sorts the parent-major cells
-    by coordinate key once, in O(|V| log |V|), into the lexicographic vertex
-    order.  Refuses to build above ``budget`` vertices with a CapacityError
+    Writes the surviving cells line by line, in lexicographic vertex order,
+    from :class:`CarpetGraph`'s line tables, in O(|V| d) with no sort and no
+    search.  Refuses to build above ``budget`` vertices with a CapacityError
     naming the limit.
     """
     expected = count_cells(n, params)  # rejects a negative level
@@ -339,15 +380,7 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
             f"coordinate keys for side {side}^{params.d} exceed the 62-bit key budget"
         )
 
-    block = _digit_block(params)
-    cells = np.zeros((1, params.d), dtype=np.int64)
-    for _ in range(n):
-        cells = (cells[:, None, :] * params.k + block[None, :, :]).reshape(-1, params.d)
-    assert cells.shape[0] == expected
-
-    strides = np.array([side ** (params.d - 1 - i) for i in range(params.d)], dtype=np.int64)
-    cells = cells[np.argsort(cells @ strides)]  # frees the parent-major cells before the lookup
-    return CarpetGraph(params, n, cells)
+    return CarpetGraph(params, n)
 
 
 @dataclass(frozen=True)

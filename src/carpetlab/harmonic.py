@@ -220,23 +220,31 @@ def hitting_probability(
     return float(p) if p.ndim == 0 else p
 
 
-def expected_exit_time(graph, x: int, r: float, tolerance: float = DEFAULT_TOL) -> float:
+def expected_exit_time(graph, x: int, r, tolerance: float = DEFAULT_TOL):
     """Mean number of lazy-walk steps for the walk from ``x`` to reach distance ``r``.
 
     Solves the Poisson problem (L u = degree / (1 - HOLD) inside the ball,
     u = 0 at distance >= r) on the orbits of the graph symmetries that fix
     ``x``: they keep the ball, its border and the degrees.  A non-positive
-    radius puts ``x`` itself on the exit set, so the answer is 0.
+    radius puts ``x`` itself on the exit set, so the answer is 0.  ``r`` is
+    one radius, which gives a float, or an array of radii, which gives an
+    array of its shape; the radii share one distance pass and one orbit
+    partition, and each positive radius takes one solve.
     """
-    if r <= 0:
-        return 0.0
-    dist = _require_absorbing_shell(graph, x, r)
-    inside = dist < r
-    unknown = np.nonzero(inside)[0]
-    rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - HOLD)
-    system = DirichletSystem(graph, unknown, orbits=graph.orbits(graph.symmetries([x])))
-    values, _ = system.solve(np.zeros(graph.num_vertices), rhs=rhs, tol=tolerance)
-    return float(values[x])
+    radii = np.asarray(r, dtype=np.float64)
+    times = np.zeros(radii.shape)
+    if (radii > 0).any():
+        dist = _require_absorbing_shell(graph, x, radii[radii > 0].max())
+        orbits = graph.orbits(graph.symmetries([x]))
+        for i in np.ndindex(radii.shape):
+            if not radii[i] > 0:
+                continue
+            unknown = np.nonzero(dist < radii[i])[0]
+            rhs = graph.degrees[unknown].astype(np.float64) / (1.0 - HOLD)
+            values, _ = DirichletSystem(graph, unknown, orbits=orbits).solve(
+                np.zeros(graph.num_vertices), rhs=rhs, tol=tolerance)
+            times[i] = values[x]
+    return float(times) if times.ndim == 0 else times
 
 
 def hitting_pair_catalog(

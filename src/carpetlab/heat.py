@@ -34,6 +34,7 @@ targets and times.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -83,9 +84,10 @@ class TransitionOperator:
     instead, with the similar matrix ``diag(1/|O|) S Q S^T``, whose row O is
     Q's row at O's least vertex with columns relabelled by orbit and left
     unmerged, so each step's sum is the plain step's sum at that vertex,
-    term by term, and no division enters it.  A step is ``hold * p + Q @ p``
-    with ``hold`` HOLD (1 on an isolated vertex); folding ``hold`` into
-    ``Q`` would reorder each sum and move last digits.
+    term by term, and no division enters it.  A step is one product with
+    ``Q`` plus the hold, HOLD (1 on an isolated vertex), as the last entry of
+    each row: the product sums each row left to right from 0, so the step is
+    ``hold * p + Q @ p`` to the last digit.
     """
 
     def __init__(self, graph: VertexGraph, orbits=None):
@@ -94,19 +96,21 @@ class TransitionOperator:
         least = np.arange(n) if orbits is None else np.asarray(orbits, dtype=np.int64)
         if least.shape != (n,):
             raise ValueError("orbits must give every vertex its orbit")
-        self.reps = np.flatnonzero(least == np.arange(n))
-        self.orbit = np.searchsorted(self.reps, least)
+        is_rep = least == np.arange(n)
+        self.reps = np.flatnonzero(is_rep)
+        self.orbit = (np.cumsum(is_rep) - 1)[least]  # the rank of v's least vertex among the reps
         self.states = len(self.reps)
         deg = graph.degrees.astype(np.float64)
         indptr, nbrs = graph.rows(self.reps)
-        # The entry at neighbor j is (1 - HOLD) / deg(j); an isolated vertex's row is empty.
-        self._q = sp.csr_matrix(((1.0 - HOLD) / deg[nbrs], self.orbit[nbrs], indptr), shape=(self.states,) * 2)
-        self._hold = np.where(deg[self.reps] > 0, HOLD, 1.0)
+        # The entry at neighbor j is (1 - HOLD) / deg(j), and each row ends with its hold.
+        ends = indptr[1:]
+        data = np.insert((1.0 - HOLD) / deg[nbrs], ends, np.where(deg[self.reps] > 0, HOLD, 1.0))
+        cols = np.insert(self.orbit[nbrs], ends, np.arange(self.states))
+        self._q = sp.csr_matrix((data, cols, indptr + np.arange(self.states + 1)), shape=(self.states,) * 2)
 
     def step(self, dist: np.ndarray) -> np.ndarray:
         """Apply one lazy-walk step to the orbit values ``dist``."""
-        dist = np.asarray(dist, dtype=np.float64)
-        return self._hold * dist + self._q @ dist
+        return self._q @ np.asarray(dist, dtype=np.float64)
 
 
 def kernel_entries(op: TransitionOperator, x: int, ids, times: Iterable[int]) -> Iterator[tuple]:
@@ -195,11 +199,11 @@ def central_vertex(graph: CarpetGraph) -> int:
     Default source for on-diagonal estimates, minimizing boundary
     contamination of the kernel.
     """
-    coords = graph.coords
-    side = graph.side
     # distance from cell center to the nearest window wall, doubled to stay
-    # in integers: min(2c+1, 2(side-c)-1) per axis
-    near = np.minimum(2 * coords + 1, 2 * (side - coords) - 1).min(axis=1)
+    # in integers: min(2c+1, 2(side-c)-1) over the axes, read off the least
+    # coordinate and the largest (``top``)
+    least = functools.reduce(np.minimum, graph.coords.T)
+    near = np.minimum(2 * least + 1, 2 * (graph.side - graph.top) - 1)
     return int(np.argmax(near))
 
 
@@ -287,7 +291,7 @@ def estimate_dw(graph: CarpetGraph, x: int, tolerance: float = DEFAULT_TOL) -> E
     radii = [float(k ** m) for m in range(1, graph.level + 1) if k ** m <= room]
     if len(radii) < 3:
         raise FitError(f"need at least 3 radii, have {len(radii)}")
-    taus = [expected_exit_time(graph, x, r, tolerance=tolerance) for r in radii]
+    taus = expected_exit_time(graph, x, radii, tolerance=tolerance).tolist()
     if any(t <= 0 for t in taus):
         raise FitError("non-positive exit time in the radius list")
     return _estimate(list(zip(radii, taus)), np.log(radii), np.log(taus))

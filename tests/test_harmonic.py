@@ -10,6 +10,7 @@ from carpetlab.harmonic import (
     hitting_pair_catalog,
     hitting_probability,
 )
+from carpetlab.heat import central_vertex
 from carpetlab.linalg import DirichletSystem
 
 from conftest import held, make_path, vid
@@ -265,6 +266,18 @@ def test_exit_time_path_interval():
     # exit time is 4 non-lazy steps, so 8 lazy ones.
     path = make_path(5)
     assert expected_exit_time(path, 2, 2.0) == pytest.approx(8.0, abs=1e-9)
+
+
+def test_exit_time_takes_an_array_of_radii(g4, g3d):
+    # One call over many radii equals the scalar calls bit for bit, in the
+    # array's shape, and a non-positive radius gives 0.
+    for graph, x in ((g4, vid(g4, 26, 26)), (g3d, central_vertex(g3d))):
+        radii = np.array([[3.0, 0.0, 1.5], [-2.0, 9.0, 4.5]])
+        times = expected_exit_time(graph, x, radii)
+        assert times.shape == radii.shape
+        assert times.tolist() == [[expected_exit_time(graph, x, r) for r in row] for row in radii.tolist()]
+        assert times[0, 1] == times[1, 0] == 0.0
+        assert (times[radii > 0] > 0).all()
 
 
 def test_exit_time_monotone_in_radius(g5):

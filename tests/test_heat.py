@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carpetlab import heat
-from carpetlab.geometry import build_graph, count_cells, validate_params
+from carpetlab.geometry import HOLD, build_graph, count_cells, validate_params
 from carpetlab.heat import (
     FitError,
     TransitionOperator,
@@ -24,6 +25,24 @@ from oracles import sample_exit_times
 
 
 # ------------------------------------------------------------------- operator
+
+
+def test_step_matches_the_hold_plus_product_oracle(g3d):
+    # The step is one sparse product with the hold last in each row; it must
+    # equal HOLD * p + Q @ p, with Q the lumped walk's off-diagonal part,
+    # bit for bit, on the plain walk and on the orbits of a stabilizer.
+    x = central_vertex(g3d)
+    for orbits in (None, g3d.orbits(g3d.symmetries([x]))):
+        op = TransitionOperator(g3d, orbits)
+        indptr, nbrs = g3d.rows(op.reps)
+        deg = g3d.degrees.astype(np.float64)
+        q = sp.csr_matrix(((1.0 - HOLD) / deg[nbrs], op.orbit[nbrs], indptr), shape=(op.states,) * 2)
+        p = np.zeros(op.states)
+        p[op.orbit[x]] = 1.0
+        for _ in range(40):
+            stepped = op.step(p)
+            p = HOLD * p + q @ p
+            assert np.array_equal(stepped, p)
 
 
 def test_one_step_distribution(g2):

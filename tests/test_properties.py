@@ -328,3 +328,33 @@ def test_orbit_solve_matches_the_plain_solve(graph, kind, pick, data):
         size = np.linalg.norm((graph.degrees * np.abs(u) + adj @ np.abs(u))[unknown])
         rounding = 100 * np.finfo(float).eps * (size + np.linalg.norm(b)) / np.linalg.norm(b)
         assert abs(info.residual - full) <= 1e-3 * full + rounding
+
+
+@settings(deadline=None)
+@given(carpets(), st.integers(0, 2**32 - 1))
+def test_vertex_ids_match_a_dictionary(graph, seed):
+    # The line tables against a plain dict of every cell, on removed cells,
+    # cells outside the window and negative coordinates too.
+    table = {tuple(c): v for v, c in enumerate(graph.coords.tolist())}
+    rng = np.random.default_rng(seed)
+    d, side = graph.params.d, graph.side
+    queries = np.vstack([
+        graph.coords,
+        rng.integers(0, side, size=(200, d)),
+        rng.integers(-2 * side, 2 * side, size=(200, d)),
+        np.full((1, d), -1), np.full((1, d), side),
+    ])
+    want = [table.get(tuple(q), -1) for q in queries.tolist()]
+    assert graph.vertex_ids(queries).tolist() == want
+
+
+@settings(deadline=None)
+@given(carpets())
+def test_line_tables_hold_at_most_one_entry_per_vertex(graph):
+    d, side, n = graph.params.d, graph.side, graph.level
+    assert graph.pattern.shape == (side ** (d - 1),)
+    assert graph.within.shape == (2 ** n, side)
+    assert graph.start.shape == (side ** (d - 1),)
+    for table in (graph.pattern, graph.within, graph.start):
+        assert table.size <= graph.num_vertices
+        assert not table.flags.writeable
