@@ -238,25 +238,19 @@ class _Coupler:
         self.image = np.hstack(image).astype(np.min_scalar_type(first - 1))
         self.scale_sq = k ** (2 * np.arange(levels))
 
-    def pairs(self, m: int, side: int) -> np.ndarray:
-        """All ordered m-associated pairs (x != y) inside ``[0, side)^d``, as rows of an array.
+    def classes(self, m: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+        """The m-association classes inside ``[0, side)^d``: ``(members, sizes)``.
 
-        Classes come in the order of their least member, and each class
-        lists x ascending, then y ascending.
+        ``members`` lists the box's vertices class by class, classes in the
+        order of their least member and members ascending; ``sizes`` gives
+        each class's member count.  The catalog of ordered pairs (x != y) that
+        :func:`_catalog_pairs` reads lists each class's pairs x ascending,
+        then y ascending.
         """
         box = np.flatnonzero(self.top < side)
         _, first, cls = np.unique(self.canon[self.cell[m, box]], return_index=True, return_inverse=True)
         cls = np.argsort(np.argsort(first))[cls]  # classes renumbered by their least member
-        order = np.argsort(cls, kind="stable")
-        out = [np.zeros((0, 2), dtype=np.int64)]
-        for members in np.split(box[order], np.cumsum(np.bincount(cls))[:-1]):
-            x, y = np.repeat(members, len(members)), np.tile(members, len(members))
-            out.append(np.column_stack((x, y))[x != y])
-        return np.concatenate(out)
-
-    def catalog(self, m: int, side: int) -> list[tuple[int, int]]:
-        """:meth:`pairs` as a list of ``(x, y)`` tuples."""
-        return list(zip(*self.pairs(m, side).T.tolist()))
+        return box[np.argsort(cls, kind="stable")], np.bincount(cls)
 
     def refresh(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest association level and canonical witness id of each pair.
@@ -359,7 +353,9 @@ class _Coupler:
             # The first walker's displacement changes only when it moves, and
             # it was below the scale after the previous step, so testing
             # every active entry finds exactly the renewals of the movers.
-            disp = ((self.coords[nx] - self.coords[w.ref[idx]]) ** 2).sum(axis=1)
+            # int64 before squaring: a displacement can reach the side k^n.
+            delta = (self.coords[nx] - self.coords[w.ref[idx]]).astype(np.int64)
+            disp = (delta * delta).sum(axis=1)
             renew = (status == ACTIVE) & (disp >= self.scale_sq[w.target - 1])
             if renew.any():
                 r = idx[renew]
@@ -410,6 +406,23 @@ class _Coupler:
                 continue
             self.advance(pool, draw_uniforms(streams, live))
         return done
+
+
+def _catalog_pairs(members: np.ndarray, sizes: np.ndarray,
+                   index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``index`` of the pair catalog of the classes ``(members, sizes)``
+    (see :meth:`_Coupler.classes`), decoded without listing the catalog.
+
+    A class of s members holds s(s - 1) pairs; its pair i has x its member
+    i // (s - 1) and y its member j = i % (s - 1), or j + 1 from x's on,
+    which skips y = x.
+    """
+    count = sizes * (sizes - 1)
+    ends = np.cumsum(count)
+    cls = np.searchsorted(ends, index, side="right")  # a class with no pair ends where the one before does
+    first = np.cumsum(sizes)[cls] - sizes[cls]  # the class's offset in members
+    xi, j = np.divmod(index - (ends[cls] - count[cls]), sizes[cls] - 1)
+    return members[first + xi], members[first + j + (j >= xi)]
 
 
 def origin_pair(graph: CarpetGraph) -> tuple[int, Optional[int]]:
@@ -493,14 +506,14 @@ def upgrade_statistics(
     if j < 1:
         raise ValueError(f"renewal count j must be at least 1, got {j}")
     eng = _Coupler(graph, max(m + 1, n))  # checks that level m + 1 is built
-    catalog = eng.pairs(m, graph.params.k ** (n - 1))
-    if not len(catalog):
+    members, sizes = eng.classes(m, graph.params.k ** (n - 1))
+    total = int((sizes * (sizes - 1)).sum())  # the catalog's length
+    if not total:
         raise ValueError(f"no m={m} associated pairs inside the level-{n - 1} box")
     box_side = graph.params.k ** n
 
     def starts(states):
-        pairs = catalog[stream_integers(states, len(catalog))]
-        return pairs[:, 0], pairs[:, 1]
+        return _catalog_pairs(members, sizes, stream_integers(states, total))
 
     # A met pair is associated at every level, so it stops as an upgrade
     # before it can count as coupled.

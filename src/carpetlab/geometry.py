@@ -50,6 +50,9 @@ HOLD = 0.5
 
 # int64 coordinate keys must not overflow: side^d < 2^62.
 _KEY_BITS = 62
+# Vertex ids, CSR offsets and coordinates are int32, so a carpet's 2d |V|
+# bound on its CSR entries must stay below 2^31.
+_ID_LIMIT = 2**31
 
 
 class CapacityError(RuntimeError):
@@ -135,12 +138,14 @@ class VertexGraph:
     only adjacency: :meth:`rows` gathers rows of it and :meth:`edges` lists
     the edges, and neither keeps a copy.  The carpet graph and the synthetic
     test graphs share this container so solvers can be exercised on both.
+    Coordinates, ``indptr``, ``indices`` and every id array the graph hands
+    out are int32, half the bytes of int64; coordinate keys are int64.
     """
 
     def __init__(self, coords: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-        self.coords = np.ascontiguousarray(coords, dtype=np.int64)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.coords = np.ascontiguousarray(coords, dtype=np.int32)
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
         for arr in (self.coords, self.indptr, self.indices):
             arr.setflags(write=False)
         self.num_vertices = int(self.coords.shape[0])
@@ -152,16 +157,16 @@ class VertexGraph:
 
     def rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the rows ``ids``, in the order given."""
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.intp)
         starts = self.indptr[ids]
         counts = self.indptr[ids + 1] - starts
-        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
         return indptr, self.indices[np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)]
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The endpoints ``(i, j)`` of every edge, i < j, in lexicographic order (not cached)."""
-        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
+        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int32), self.degrees)
         upper = rows < self.indices
         return rows[upper], self.indices[upper]
 
@@ -189,7 +194,7 @@ class VertexGraph:
         A plain vertex graph knows no symmetry but the identity, so every
         vertex is its own orbit.
         """
-        return np.arange(self.num_vertices, dtype=np.int64)
+        return np.arange(self.num_vertices, dtype=np.int32)
 
 
 class CarpetGraph(VertexGraph):
@@ -232,17 +237,18 @@ class CarpetGraph(VertexGraph):
             central |= ((digit >= lo) & (digit < hi)) << j
         self.pattern = functools.reduce(np.bitwise_and.outer, [central] * (d - 1)).ravel()
         alive = (central & np.arange(2**self.level)[:, None]) == 0
-        self.within = np.where(alive, alive.cumsum(axis=1) - 1, -1)
+        self.within = np.where(alive, alive.cumsum(axis=1, dtype=np.int32) - 1, -1)
         count = alive.sum(axis=1)[self.pattern]
-        self.start = np.zeros(len(count), dtype=np.int64)
+        self.start = np.zeros(len(count), dtype=np.int32)
         np.cumsum(count[:-1], out=self.start[1:])
         for arr in (self.pattern, self.within, self.start):
             arr.setflags(write=False)
 
         # Each line's cells: its d - 1 leading coordinates, then the
         # survivors of its pattern (alive's row) in ascending order.
-        self.coords = np.empty((int(count.sum()), d), dtype=np.int64)
-        self.coords[:, :-1] = np.repeat(np.indices((side,) * (d - 1)).reshape(d - 1, -1).T, count, axis=0)
+        self.coords = np.empty((int(count.sum()), d), dtype=np.int32)
+        self.coords[:, :-1] = np.repeat(np.indices((side,) * (d - 1), dtype=np.int32).reshape(d - 1, -1).T,
+                                        count, axis=0)
         survivors = np.argsort(~alive, axis=1, kind="stable").ravel()
         pick = np.repeat(self.pattern * side - self.start, count)
         pick += np.arange(len(self.coords))
@@ -253,7 +259,7 @@ class CarpetGraph(VertexGraph):
         self.top.setflags(write=False)
         steps = self.unit_steps()
         present = steps >= 0
-        indptr = np.zeros(len(steps) + 1, dtype=np.int64)
+        indptr = np.zeros(len(steps) + 1, dtype=np.int32)
         np.cumsum(functools.reduce(np.add, present.T, 0), out=indptr[1:])
         super().__init__(self.coords, indptr, steps[present])
         self._orbits: dict[tuple, np.ndarray] = {}
@@ -288,7 +294,7 @@ class CarpetGraph(VertexGraph):
         d = self.params.d
         coords = self.coords[:count]
         n = len(coords)
-        steps = np.empty((n, 2 * d), dtype=np.int64)
+        steps = np.empty((n, 2 * d), dtype=np.int32)
         line, x = coords[:, :-1] @ self._strides[1:], coords[:, -1]
         for axis in range(d - 1):
             column, stride = coords[:, axis], self._strides[axis + 1]
@@ -312,7 +318,8 @@ class CarpetGraph(VertexGraph):
         reflected axis maps c to side - 1 - c.  The carpet is invariant under
         every one of them: reflection reverses each base-k digit, and the
         removed digit range is symmetric under reversal because a + k is even.
-        Keys are summed axis by axis, with no image coordinate array.
+        Keys are summed axis by axis, with no image coordinate array, and in
+        int64 (``_strides`` is int64), since side^d can pass 2^31.
         """
         perms, signs = signed_permutations(self.params.d)
         coords = self.coords if ids is None else self.coords[np.asarray(ids, dtype=np.int64)]
@@ -366,8 +373,9 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
 
     Writes the surviving cells line by line, in lexicographic vertex order,
     from :class:`CarpetGraph`'s line tables, in O(|V| d) with no sort and no
-    search.  Refuses to build above ``budget`` vertices with a CapacityError
-    naming the limit.
+    search.  Refuses, with a CapacityError naming the limit and before it
+    allocates anything, to build above ``budget`` vertices, or a carpet
+    whose int32 ids or CSR entries (at most 2d per vertex) would reach 2^31.
     """
     expected = count_cells(n, params)  # rejects a negative level
     if expected > budget:
@@ -378,6 +386,11 @@ def build_graph(n: int, params: CarpetParams, budget: int = DEFAULT_VERTEX_BUDGE
     if side**params.d >= 2**_KEY_BITS:
         raise CapacityError(
             f"coordinate keys for side {side}^{params.d} exceed the 62-bit key budget"
+        )
+    if 2 * params.d * expected >= _ID_LIMIT:
+        raise CapacityError(
+            f"level-{n} carpet needs up to {2 * params.d * expected} CSR entries "
+            f"({expected} vertices), beyond int32 ids (below 2^31)"
         )
 
     return CarpetGraph(params, n)
@@ -404,19 +417,17 @@ def box_vertices(graph: CarpetGraph, j: int) -> BoxPartition:
     always survives and the low faces border the global corner where the
     carpet ends.  The interior is the rest of the box (c < k^j - 1), and the
     inner set is the level-(j-1) corner box (c < k^(j-1)) inside it.  All
-    four are sorted ids.
+    four are sorted int32 ids.
     """
     if not (0 <= j <= graph.level):
         raise ValueError(f"box level must be in [0, {graph.level}], got {j}")
     top, side = graph.top, graph.params.k**j
     inner_side = side // graph.params.k  # 0 at j = 0: no inner box
-    return BoxPartition(
-        level=j,
-        inner=np.flatnonzero(top < inner_side),
-        interior=np.flatnonzero(top < side - 1),
-        boundary=np.flatnonzero(top == side - 1),
-        box=np.flatnonzero(top < side),
+    inner, interior, boundary, box = (
+        np.flatnonzero(mask).astype(np.int32)
+        for mask in (top < inner_side, top < side - 1, top == side - 1, top < side)
     )
+    return BoxPartition(level=j, inner=inner, interior=interior, boundary=boundary, box=box)
 
 
 _WRITE_ROWS = 1 << 16  # graph file records formatted at once

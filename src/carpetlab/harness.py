@@ -329,12 +329,15 @@ def exp_heat(ctx: _SuiteContext) -> dict:
 
 
 def _regime_targets(graph, x, count: int = 24) -> list:
-    """Deterministic spread of targets by distance ring around x."""
+    """Deterministic spread of targets by distance ring around x.
+
+    Only the vertices within half the window are sorted, by distance and
+    stably, so ties keep id order as in a sort of every vertex.
+    """
     dist = _distances(graph, x)
-    order = np.argsort(dist, kind="stable")
+    near = np.flatnonzero(dist <= graph.side / 2.0)
     # skip x itself, then take evenly spaced targets out to half the window
-    reach = dist[order] <= graph.side / 2.0
-    pool = order[reach][1:]
+    pool = near[np.argsort(dist[near], kind="stable")][1:]
     if len(pool) <= count:
         return [int(v) for v in pool]
     idx = np.linspace(0, len(pool) - 1, count).astype(np.int64)

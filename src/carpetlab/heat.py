@@ -93,12 +93,13 @@ class TransitionOperator:
     def __init__(self, graph: VertexGraph, orbits=None):
         self.graph = graph
         n = graph.num_vertices
-        least = np.arange(n) if orbits is None else np.asarray(orbits, dtype=np.int64)
+        least = np.arange(n) if orbits is None else np.asarray(orbits)
         if least.shape != (n,):
             raise ValueError("orbits must give every vertex its orbit")
         is_rep = least == np.arange(n)
         self.reps = np.flatnonzero(is_rep)
-        self.orbit = (np.cumsum(is_rep) - 1)[least]  # the rank of v's least vertex among the reps
+        # the rank of v's least vertex among the reps
+        self.orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
         self.states = len(self.reps)
         deg = graph.degrees.astype(np.float64)
         indptr, nbrs = graph.rows(self.reps)

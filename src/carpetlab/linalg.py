@@ -130,15 +130,20 @@ class DirichletSystem:
 
     def __init__(self, graph, unknown_ids, orbits=None):
         self.graph = graph
-        self.unknown = np.asarray(unknown_ids, dtype=np.int64)
+        # intp, not the graph's int32: every solve indexes with the unknowns,
+        # and numpy recasts an int32 index array at each use.
+        self.unknown = np.asarray(unknown_ids, dtype=np.intp)
         inside = np.zeros(graph.num_vertices, dtype=bool)
         inside[self.unknown] = True
 
-        # The system's unknowns: one representative vertex per orbit.
-        least = np.arange(graph.num_vertices) if orbits is None else np.asarray(orbits, dtype=np.int64)
+        # The system's unknowns: one representative vertex per orbit.  The
+        # graph's int32 orbit table is kept as it is, not copied; ``index`` is
+        # that table cast to intp once, for the three gathers over every vertex.
+        least = np.arange(graph.num_vertices) if orbits is None else np.asarray(orbits)
         if least.shape != (graph.num_vertices,):
             raise ValueError("orbits must give every vertex its orbit")
-        if not np.array_equal(inside[least], inside):
+        index = least.astype(np.intp, copy=False)
+        if not np.array_equal(inside[index], inside):
             raise ValueError("the unknown vertex set is not a union of orbits")
         self._least = least
         self._reps = reps = self.unknown[least[self.unknown] == self.unknown]
@@ -151,20 +156,22 @@ class DirichletSystem:
         split = np.concatenate([[0], np.cumsum(into)])[indptr]  # row starts in the operator
         column = np.empty(graph.num_vertices, dtype=np.int64)
         column[reps] = np.arange(len(reps))
-        column = column[least]  # an orbit's unknowns share their representative's column
-        ones = np.ones(len(nbrs))
-        offdiag = sp.csr_matrix((ones[into], column[nbrs[into]], split), shape=(len(reps),) * 2)
-        self._coupling = sp.csr_matrix((ones[~into], nbrs[~into], indptr - split),
+        column = column[index]  # an orbit's unknowns share their representative's column
+        offdiag = sp.csr_matrix((np.ones(split[-1]), column[nbrs[into]], split), shape=(len(reps),) * 2)
+        self._coupling = sp.csr_matrix((np.ones(len(nbrs) - split[-1]), nbrs[~into], indptr - split),
                                        shape=(len(reps), graph.num_vertices))
         hit = np.zeros(graph.num_vertices, dtype=bool)
         hit[least[self._coupling.indices]] = True
-        self._read = np.flatnonzero(hit[least])  # the whole border, a union of orbits
+        self._read = np.flatnonzero(hit[index])  # the whole border, a union of orbits
         self._orbit = column[self.unknown]  # orbit of each unknown
+        del column, index  # the |V|-long tables go before the operator's temporaries: a lower peak
         self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
         offdiag.sum_duplicates()  # merge each row's columns by orbit
         # Row O times sqrt|O|, column O' over sqrt|O'|: exact on singleton orbits.
+        # In place: the same products in the same order, two temporaries fewer.
         row = np.repeat(np.arange(len(reps)), np.diff(offdiag.indptr))
-        offdiag.data = self._root[row] * offdiag.data * (1.0 / self._root)[offdiag.indices]
+        offdiag.data *= self._root[row]
+        offdiag.data *= (1.0 / self._root)[offdiag.indices]
         deg = graph.degrees[reps].astype(np.float64)
         self._lap = sp.diags(deg) - offdiag
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))

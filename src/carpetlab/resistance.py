@@ -57,14 +57,16 @@ def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     # Each ring keeps one copy of every new vertex, with no sort: every copy
     # writes its own stamp, and whichever copy's stamp survives is kept, so
     # the ring does not depend on the order NumPy assigns repeated indices.
-    stamp = np.empty(graph.num_vertices, dtype=np.int64)
+    stamp = np.empty(graph.num_vertices, dtype=np.int32)
     frontier = np.flatnonzero(reached)
     grounded = False
     while frontier.size:
-        nbrs = graph.rows(frontier)[1]
+        # Cast once to intp: a ring indexes with its neighbors five times,
+        # and numpy recasts an int32 index array at each use.
+        nbrs = graph.rows(frontier)[1].astype(np.intp)
         grounded = grounded or bool(ground[nbrs].any())
         nbrs = nbrs[~reached[nbrs] & ~ground[nbrs]]
-        order = np.arange(nbrs.size)
+        order = np.arange(nbrs.size, dtype=np.int32)
         stamp[nbrs] = order
         frontier = nbrs[stamp[nbrs] == order]
         reached[frontier] = True

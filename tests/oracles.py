@@ -1,6 +1,7 @@
 """Second methods behind the acceptance claims: Monte Carlo exit times, the
-coupled walk's marginal law and pair catalog, the capacity-constant probe
-and the edge-sum energy of a vertex potential.
+coupled walk's marginal law and pair catalog, the capacity-constant probe,
+the edge-sum energy of a vertex potential and the heat experiment's targets
+by a full sort.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -107,10 +108,19 @@ def sample_marginal(
     return np.bincount(done["y"], minlength=graph.num_vertices)
 
 
+def catalog(eng: _Coupler, m: int, side: int) -> list[tuple[int, int]]:
+    """Every ordered m-associated pair (x != y) inside ``[0, side)^d``, listed
+    class by class from ``eng.classes``: x ascending, then y ascending.  The
+    listing that ``upgrade_statistics`` decodes its drawn indices from."""
+    members, sizes = eng.classes(m, side)
+    return [(x, y) for cls in np.split(members, np.cumsum(sizes)[:-1])
+            for x in cls.tolist() for y in cls.tolist() if x != y]
+
+
 def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
     """All ordered m-associated pairs (x != y) inside the level-(n-1) box,
-    read from an engine of its own (``upgrade_statistics`` reads the same
-    catalog from the engine it walks on).
+    read from an engine of its own (``upgrade_statistics`` decodes its draws
+    from the same catalog of the engine it walks on).
 
     Cubes tile the window, so every S_{m+1} cube is decidable whenever
     m + 1 <= build level; nothing near the window edge needs excluding.
@@ -119,7 +129,19 @@ def pair_catalog(graph: CarpetGraph, m: int, n: int) -> list[tuple[int, int]]:
         raise ValueError(f"association level m must be nonnegative, got {m}")
     if graph.level < max(n, m + 1):
         raise ValueError("built region too small for this catalog")
-    return _Coupler(graph, max(n, m + 1)).catalog(m, graph.params.k ** (n - 1))
+    return catalog(_Coupler(graph, max(n, m + 1)), m, graph.params.k ** (n - 1))
+
+
+def regime_targets_by_full_sort(graph: VertexGraph, x: int, count: int = 24) -> list[int]:
+    """The heat experiment's targets from a stable sort of every vertex by
+    distance from x: x itself skipped, then ``count`` evenly spaced targets
+    out to half the window (all of them if there are no more)."""
+    dist = _distances(graph, x)
+    order = np.argsort(dist, kind="stable")
+    pool = order[dist[order] <= graph.side / 2.0][1:]
+    if len(pool) <= count:
+        return pool.tolist()
+    return pool[np.linspace(0, len(pool) - 1, count).astype(np.int64)].tolist()
 
 
 class HypothesisError(RuntimeError):

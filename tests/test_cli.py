@@ -95,6 +95,16 @@ def test_build_over_budget(tmp_path, capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_build_beyond_int32_ids(tmp_path, capsys):
+    # A budget raised past the int32 id limit still refuses the level-11
+    # planar carpet (8^11 vertices) before any allocation.
+    out = tmp_path / "x.txt"
+    code = main(["build", "--n", "11", "--out", str(out), "--budget", str(10**10)])
+    assert code == 3
+    assert "beyond int32 ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error, detail", [
     (MemoryError("Unable to allocate 4.58 GiB for an array"), ": Unable to allocate 4.58 GiB for an array"),
     (MemoryError(), ""),

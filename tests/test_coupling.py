@@ -12,7 +12,7 @@ from carpetlab.heat import TransitionOperator
 from carpetlab.seeding import derive_rng
 
 from conftest import kernel_row, vid
-from oracles import pair_catalog, sample_marginal
+from oracles import catalog, pair_catalog, sample_marginal
 
 
 def loc2(graph, m, v):
@@ -458,6 +458,20 @@ def test_pair_catalog(g3):
         pair_catalog(g3, -1, 2)  # would read the top level's keys
 
 
+@pytest.mark.parametrize("d, k, a, n", [(2, 3, 1, 3), (3, 3, 1, 2), (2, 5, 3, 2), (2, 4, 2, 2)])
+def test_drawn_pairs_decode_the_catalog(d, k, a, n):
+    # upgrade_statistics decodes each drawn index from the class sizes,
+    # without listing the catalog: index i decodes to the catalog's entry i.
+    graph = build_graph(n, validate_params(d, k, a))
+    eng = _Coupler(graph, n)
+    for m in range(n + 1):
+        for side in (k ** (n - 1), k ** n):
+            members, sizes = eng.classes(m, side)
+            want = catalog(eng, m, side)
+            x, y = coupling._catalog_pairs(members, sizes, np.arange(len(want)))
+            assert list(zip(x.tolist(), y.tolist())) == want
+
+
 def test_upgrade_statistics(g4):
     up = upgrade_statistics(g4, 0, 400, 2, seed=42)
     assert up["trials"] == 400
@@ -593,7 +607,7 @@ def test_neighbor_table_is_the_per_direction_lookup(request, graph_name):
             shifted[:, e // 2] += 1 - 2 * (e % 2)
             expect[:, e] = graph.vertex_ids(shifted)
         expect[expect >= rows] = -1
-        assert eng.nbr.dtype == np.int64
+        assert eng.nbr.dtype == np.int32
         np.testing.assert_array_equal(eng.nbr, expect)
 
 

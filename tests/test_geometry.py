@@ -337,7 +337,7 @@ def test_rows_gather_as_scipy_indexes(g3):
     for graph, ids in cases:
         want = adjacency(graph)[np.asarray(ids, dtype=np.int64)]
         indptr, indices = graph.rows(ids)
-        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.dtype == indices.dtype == np.int32
         np.testing.assert_array_equal(indptr, want.indptr)
         np.testing.assert_array_equal(indices, want.indices)
 
@@ -390,6 +390,40 @@ def test_budget_guard(params2):
 def test_key_width_guard(params3):
     with pytest.raises(CapacityError, match="key"):
         build_graph(14, params3, budget=10**30)
+
+
+def test_int32_id_guard(params2, params3, monkeypatch):
+    # A carpet whose 2d |V| bound on its CSR entries reaches 2^31 is refused
+    # before anything is allocated, however large the budget; one just below
+    # the limit passes the guard.  CarpetGraph is stubbed, so nothing is built.
+    built = []
+    monkeypatch.setattr(geometry, "CarpetGraph", lambda params, n: built.append((params, n)))
+    with pytest.raises(CapacityError, match="int32"):
+        build_graph(11, params2, budget=10**10)  # 8^11 vertices
+    with pytest.raises(CapacityError, match="4294967296 CSR entries"):
+        build_graph(10, params2, budget=10**10)  # 4 * 8^10 = 2^32
+    with pytest.raises(CapacityError, match="int32"):
+        build_graph(7, params3, budget=10**10)
+    with pytest.raises(CapacityError, match="int32"):
+        build_graph(5, validate_params(2, 8, 2), budget=10**10)  # d |V| < 2^31 <= 2d |V|
+    assert built == []
+    build_graph(9, params2, budget=10**10)  # 4 * 8^9 < 2^31
+    build_graph(6, params3, budget=10**10)  # 6 * 26^6 < 2^31
+    assert built == [(params2, 9), (params3, 6)]
+
+
+def test_ids_and_coordinates_are_int32(tmp_path, g2, g3d):
+    # Every vertex id and coordinate array is int32, also after a graph file
+    # round trip; coordinate keys stay int64, since side^d can pass 2^31.
+    path = tmp_path / "g.txt"
+    write_graph(g2, path)
+    part = box_vertices(g3d, 2)
+    arrays = [*g3d.rows([0, 5, 5]), g3d.orbits(g3d.symmetries([0])), g3d.unit_steps(),
+              g3d.vertex_ids(g3d.coords[:4]), part.inner, part.interior, part.boundary, part.box]
+    for graph in (g3d, read_graph(path)):
+        arrays += [graph.coords, graph.indptr, graph.indices, graph.top, graph.start, *graph.edges()]
+    assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
+    assert all(keys.dtype == np.int64 for keys in g3d.image_keys([0, 1]))
 
 
 def test_negative_level_rejected(params2):

@@ -18,11 +18,13 @@ from carpetlab.geometry import (
     survival_mask,
     validate_params,
 )
+from carpetlab.harness import _regime_targets
 from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
 from conftest import adjacency, held
+from oracles import regime_targets_by_full_sort
 
 MAX_VERTICES = 5000
 
@@ -98,7 +100,7 @@ def test_census_matches_formula_and_graph_is_connected(graph):
         unit = np.abs(cells[start:start + 128, None, :] - cells[None, :, :]).sum(axis=2) == 1
         degrees.append(unit.sum(axis=1))
         cols.append(np.nonzero(unit)[1])  # row by row, ascending
-    assert graph.indices.dtype == graph.indptr.dtype == np.int64
+    assert graph.indices.dtype == graph.indptr.dtype == np.int32
     np.testing.assert_array_equal(graph.indptr, np.cumsum([0, *np.concatenate(degrees)]))
     np.testing.assert_array_equal(graph.indices, np.concatenate(cols))
 
@@ -358,3 +360,12 @@ def test_line_tables_hold_at_most_one_entry_per_vertex(graph):
     for table in (graph.pattern, graph.within, graph.start):
         assert table.size <= graph.num_vertices
         assert not table.flags.writeable
+
+
+@settings(deadline=None)
+@given(carpet_and_source(), st.sampled_from([3, 24]))
+def test_regime_targets_sort_only_the_near_vertices(case, count):
+    # The heat experiment's targets, sorted only within half the window, are
+    # the targets of a stable sort of every vertex.
+    graph, x = case
+    assert _regime_targets(graph, x, count) == regime_targets_by_full_sort(graph, x, count)
