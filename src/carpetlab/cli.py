@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 experiment failure, 2 usage error, 3 capacity error
 (graph too large for the configured budget, or out of memory).
+
+The subcommands that solve (harnack, hitting, heat, resist) import their
+modules in their handlers, so build, couple, report and a suite that only
+builds and couples load no scipy.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    DEFAULT_TOL,
     CapacityError,
     DEFAULT_VERTEX_BUDGET,
     build_graph,
@@ -21,18 +26,7 @@ from .geometry import (
     validate_params,
     write_graph,
 )
-from .harmonic import (
-    HittingSpec,
-    _distances,
-    harnack_constant,
-    hitting_pair_catalog,
-    hitting_probability,
-)
-from .heat import (DS_MIN_POINTS, FitError, carpet_saturation_time, central_vertex, ds_fit_times,
-                   estimate_dw, fit_ds, fit_regimes, walk_kernel)
 from .coupling import MAX_STEPS, origin_pair, run_coupled_walk, upgrade_statistics
-from .linalg import DEFAULT_TOL, ConvergenceError
-from .resistance import face_resistance, resistance_to_infinity
 from .harness import (ExperimentConfig, _check_top_level, _parse_value, _read_record, _write_json,
                       _write_rows, config_from_sources, export_report, run_suite)
 
@@ -177,6 +171,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_harnack(args) -> int:
+    from .harmonic import harnack_constant
+
     graph = read_graph(args.graph)
     report = harnack_constant(graph, args.level, tolerance=args.tol)
     _write_json(asdict(report), args.out)
@@ -184,6 +180,8 @@ def _cmd_harnack(args) -> int:
 
 
 def _cmd_hitting(args) -> int:
+    from .harmonic import HittingSpec, _distances, hitting_pair_catalog, hitting_probability
+
     graph = read_graph(args.graph)
     if args.y is not None and args.x is None:
         raise ValueError("--y requires --x")
@@ -221,6 +219,9 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_heat(args) -> int:
+    from .heat import (DS_MIN_POINTS, FitError, carpet_saturation_time, central_vertex,
+                       ds_fit_times, estimate_dw, fit_ds, fit_regimes, walk_kernel)
+
     if args.heat_command == "diag" and args.tmax < 1:
         raise ValueError(f"--tmax must be at least 1, got {args.tmax}")
     graph = read_graph(args.graph)
@@ -309,6 +310,8 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_resist(args) -> int:
+    from .resistance import face_resistance, resistance_to_infinity
+
     if args.resist_command == "face":
         source = read_graph(args.graph)
         if args.n > source.level:
@@ -385,7 +388,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:  # ConvergenceError and FitError among them
         print(f"experiment failure: {exc}", file=sys.stderr)
         return 1
 

@@ -48,6 +48,10 @@ DEFAULT_VERTEX_BUDGET = 50_000_000
 # kernel, the exit times and the coupling all walk with it.
 HOLD = 0.5
 
+# Relative residual every Dirichlet solve must reach unless told otherwise;
+# the suite config, the CLI's --tol and the solver all default to it.
+DEFAULT_TOL = 1e-10
+
 # int64 coordinate keys must not overflow: side^d < 2^62.
 _KEY_BITS = 62
 # Vertex ids, CSR offsets and coordinates are int32, so a carpet's 2d |V|

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HOLD, CarpetGraph, box_vertices
-from .linalg import DEFAULT_TOL, DirichletSystem
+from .geometry import DEFAULT_TOL, HOLD, CarpetGraph, box_vertices
+from .linalg import DirichletSystem
 from .seeding import derive_rng
 
 __all__ = [

@@ -11,6 +11,7 @@ field allowed to differ between runs).
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -22,27 +23,14 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    DEFAULT_TOL,
     CarpetParams,
     build_graph,
     count_cells,
     hausdorff_dimension,
     validate_params,
 )
-from .harmonic import (_distances, harnack_constant, hitting_pair_catalog, hitting_probability,
-                       HittingSpec)
-from .heat import (
-    _slope_fit,
-    carpet_saturation_time,
-    central_vertex,
-    ds_fit_times,
-    estimate_dw,
-    fit_ds,
-    fit_regimes,
-    walk_kernel,
-)
 from .coupling import origin_pair, run_coupled_walk, upgrade_statistics
-from .linalg import DEFAULT_TOL
-from .resistance import face_resistance, resistance_to_infinity
 
 __all__ = [
     "ExperimentConfig",
@@ -148,6 +136,8 @@ def _check_config(config: ExperimentConfig) -> None:
     top = max(config.levels)
     for name in config.experiments:
         _check_top_level(name, top)
+        if name in SOLVER_MODULES:  # a missing or broken solver fails here, before any work
+            importlib.import_module(f"{__package__}.{SOLVER_MODULES[name]}")
 
 
 # The lowest top level each experiment can use on any carpet.  resist: face
@@ -158,6 +148,13 @@ def _check_config(config: ExperimentConfig) -> None:
 # k^(n-1), and three radii need n >= 4; from level 4 on, the d_s fit has at
 # least 6 times.
 MIN_TOP_LEVEL = {"resist": 1, "couple": 3, "heat": 4}
+
+# The module behind each experiment that solves.  The config check imports
+# those of the selected experiments, so scipy loads before the suite starts,
+# and only when a selected experiment solves; each experiment reads its
+# functions from its module when it runs.
+SOLVER_MODULES = {"harnack": "harmonic", "hitting": "harmonic", "heat": "heat",
+                  "resist": "resistance"}
 
 
 def _check_top_level(experiment: str, top: int) -> None:
@@ -250,6 +247,8 @@ def exp_build(ctx: _SuiteContext) -> dict:
 
 
 def exp_harnack(ctx: _SuiteContext) -> dict:
+    from .harmonic import harnack_constant
+
     levels = [n for n in sorted(set(ctx.config.levels)) if n >= 2]
     graph = ctx.graph(max(ctx.config.levels))
     reports = [harnack_constant(graph, n, tolerance=ctx.config.tolerance) for n in levels]
@@ -278,6 +277,9 @@ def exp_harnack(ctx: _SuiteContext) -> dict:
 
 
 def exp_heat(ctx: _SuiteContext) -> dict:
+    from .heat import (carpet_saturation_time, central_vertex, ds_fit_times, estimate_dw, fit_ds,
+                       fit_regimes, walk_kernel)
+
     graph = ctx.graph(max(ctx.config.levels))
     x = central_vertex(graph)
     cap = carpet_saturation_time(ctx.params, graph.level)
@@ -334,6 +336,8 @@ def _regime_targets(graph, x, count: int = 24) -> list:
     Only the vertices within half the window are sorted, by distance and
     stably, so ties keep id order as in a sort of every vertex.
     """
+    from .harmonic import _distances
+
     dist = _distances(graph, x)
     near = np.flatnonzero(dist <= graph.side / 2.0)
     # skip x itself, then take evenly spaced targets out to half the window
@@ -345,6 +349,8 @@ def _regime_targets(graph, x, count: int = 24) -> list:
 
 
 def exp_hitting(ctx: _SuiteContext) -> dict:
+    from .harmonic import HittingSpec, hitting_pair_catalog, hitting_probability
+
     graph = ctx.graph(max(ctx.config.levels))
     k = ctx.params.k
     c1, c2 = 2.0, 4.0
@@ -423,6 +429,8 @@ def exp_couple(ctx: _SuiteContext) -> dict:
 
 
 def exp_resist(ctx: _SuiteContext) -> dict:
+    from .resistance import face_resistance, resistance_to_infinity
+
     top = max(ctx.config.levels)
     ns = list(range(1, top + 1))
     face_solves: list = []
@@ -515,6 +523,8 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
 
 def _figure_fit(fig_dir: str, name: str, header: list, rows: list, xs, ys) -> str:
     """Per-figure data: each row, then the OLS fit line of ``ys`` on ``xs`` and its residual."""
+    from .heat import _slope_fit
+
     slope = _slope_fit(xs, ys)[0]
     icept = float(ys.mean() - slope * xs.mean())
     fits = [icept + slope * x for x in xs.tolist()]

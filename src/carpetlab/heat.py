@@ -42,9 +42,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import HOLD, CarpetGraph, CarpetParams, VertexGraph
+from .geometry import DEFAULT_TOL, HOLD, CarpetGraph, CarpetParams, VertexGraph
 from .harmonic import expected_exit_time
-from .linalg import DEFAULT_TOL
 
 __all__ = [
     "TransitionOperator",

@@ -55,9 +55,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .geometry import DEFAULT_TOL
+
 __all__ = ["SolveInfo", "ConvergenceError", "DirichletSystem"]
 
-DEFAULT_TOL = 1e-10
 # The V-cycle beats plain CG from about 4,000 unknowns in 2-D (4x at 34k in a
 # sweep of carpet ball systems).  In 3-D, on the level-4 face and R_N orbit
 # systems (57,454 and 74,894 unknowns, one BLAS thread), it takes 30-31
@@ -150,14 +151,22 @@ class DirichletSystem:
 
         # One pass over the representatives' rows, whose neighbors are images
         # of every unknown's: the unknown neighbors make the operator, merged
-        # by orbit, and the others are the border, coupled by vertex id.
+        # by orbit, and the others are the border, coupled by vertex id.  Each
+        # operator row starts with a 0 on its diagonal, so that after the
+        # merge every row holds its diagonal entry for the degree to join.
         indptr, nbrs = graph.rows(reps)
         into = inside[nbrs]
-        split = np.concatenate([[0], np.cumsum(into)])[indptr]  # row starts in the operator
+        split = np.concatenate([[0], np.cumsum(into)])[indptr]  # row starts of the neighbors
         column = np.empty(graph.num_vertices, dtype=np.int64)
         column[reps] = np.arange(len(reps))
         column = column[index]  # an orbit's unknowns share their representative's column
-        offdiag = sp.csr_matrix((np.ones(split[-1]), column[nbrs[into]], split), shape=(len(reps),) * 2)
+        starts = split + np.arange(len(reps) + 1)  # row starts in the operator
+        off = np.ones(starts[-1], dtype=bool)
+        off[starts[:-1]] = False
+        cols = np.empty(starts[-1], dtype=np.int64)
+        cols[starts[:-1]] = np.arange(len(reps))
+        cols[off] = column[nbrs[into]]
+        lap = sp.csr_matrix((off.astype(np.float64), cols, starts), shape=(len(reps),) * 2)
         self._coupling = sp.csr_matrix((np.ones(len(nbrs) - split[-1]), nbrs[~into], indptr - split),
                                        shape=(len(reps), graph.num_vertices))
         hit = np.zeros(graph.num_vertices, dtype=bool)
@@ -166,14 +175,18 @@ class DirichletSystem:
         self._orbit = column[self.unknown]  # orbit of each unknown
         del column, index  # the |V|-long tables go before the operator's temporaries: a lower peak
         self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
-        offdiag.sum_duplicates()  # merge each row's columns by orbit
+        lap.sum_duplicates()  # merge each row's columns by orbit: integer counts, exact
         # Row O times sqrt|O|, column O' over sqrt|O'|: exact on singleton orbits.
         # In place: the same products in the same order, two temporaries fewer.
-        row = np.repeat(np.arange(len(reps)), np.diff(offdiag.indptr))
-        offdiag.data *= self._root[row]
-        offdiag.data *= (1.0 / self._root)[offdiag.indices]
-        deg = graph.degrees[reps].astype(np.float64)
-        self._lap = sp.diags(deg) - offdiag
+        row = np.repeat(np.arange(len(reps)), np.diff(lap.indptr))
+        lap.data *= self._root[row]
+        lap.data *= (1.0 / self._root)[lap.indices]
+        # L = D - A with the bits of scipy's sparse difference: -a off the
+        # diagonal, deg + (-a) = deg - a on it, and an entry that is 0 dropped.
+        np.negative(lap.data, out=lap.data)
+        lap.data[lap.indices == row] += graph.degrees[reps]
+        lap.eliminate_zeros()
+        self._lap = lap
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))
         self._solves = 0
         self._factor = None

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CarpetGraph, box_vertices
-from .linalg import DEFAULT_TOL, DirichletSystem
+from .geometry import DEFAULT_TOL, CarpetGraph, box_vertices
+from .linalg import DirichletSystem
 
 __all__ = [
     "ResistanceReport",
@@ -47,14 +47,18 @@ class ResistanceReport:
     solves: list = field(default_factory=list)  # counters of each level's solve
 
 
-def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
+def _reached(graph, least, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     """Mask of the vertices the source reaches without crossing the ground
-    (source included), found breadth first, and whether it met the ground."""
+    (source included), found breadth first, and whether it met the ground.
+
+    Source and ground are unions of the orbits ``least`` (each vertex's least
+    orbit vertex), so the reached set is one too: the search runs over the
+    orbits' least vertices, taking each neighbor to its orbit's."""
     ground = np.zeros(graph.num_vertices, dtype=bool)
     ground[ground_ids] = True
     reached = np.zeros(graph.num_vertices, dtype=bool)
-    reached[source_ids] = True
-    # Each ring keeps one copy of every new vertex, with no sort: every copy
+    reached[least[source_ids]] = True
+    # Each ring keeps one copy of every new orbit, with no sort: every copy
     # writes its own stamp, and whichever copy's stamp survives is kept, so
     # the ring does not depend on the order NumPy assigns repeated indices.
     stamp = np.empty(graph.num_vertices, dtype=np.int32)
@@ -63,14 +67,14 @@ def _reached(graph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
     while frontier.size:
         # Cast once to intp: a ring indexes with its neighbors five times,
         # and numpy recasts an int32 index array at each use.
-        nbrs = graph.rows(frontier)[1].astype(np.intp)
+        nbrs = least[graph.rows(frontier)[1]].astype(np.intp)
         grounded = grounded or bool(ground[nbrs].any())
         nbrs = nbrs[~reached[nbrs] & ~ground[nbrs]]
         order = np.arange(nbrs.size, dtype=np.int32)
         stamp[nbrs] = order
         frontier = nbrs[stamp[nbrs] == order]
         reached[frontier] = True
-    return reached, grounded
+    return reached[least], grounded
 
 
 def _no_solve(order: int) -> dict:
@@ -102,11 +106,11 @@ def effective_resistance(
     if np.intersect1d(A, B).size:
         raise ValueError("source and ground sets overlap")
     group = graph.symmetries(A, B)  # checks every id before _reached indexes with it
-    reached, grounded = _reached(graph, A, B)
+    least = graph.orbits(group)
+    reached, grounded = _reached(graph, least, A, B)
     counters = _no_solve(len(group))
     energy = 0.0
     if grounded:
-        least = graph.orbits(group)
         pot = reached.astype(np.float64)
         reached[A] = False
         system = DirichletSystem(graph, np.flatnonzero(reached), orbits=least)

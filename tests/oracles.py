@@ -1,7 +1,8 @@
 """Second methods behind the acceptance claims: Monte Carlo exit times, the
 coupled walk's marginal law and pair catalog, the capacity-constant probe,
-the edge-sum energy of a vertex potential and the heat experiment's targets
-by a full sort.
+the edge-sum energy of a vertex potential, the heat experiment's targets
+by a full sort, the resistance search vertex by vertex and the solver's
+operator as a sparse difference.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from carpetlab.coupling import _Coupler
 from carpetlab.geometry import CarpetGraph, VertexGraph
@@ -142,6 +144,48 @@ def regime_targets_by_full_sort(graph: VertexGraph, x: int, count: int = 24) -> 
     if len(pool) <= count:
         return pool.tolist()
     return pool[np.linspace(0, len(pool) - 1, count).astype(np.int64)].tolist()
+
+
+def reached_by_vertex_bfs(graph: VertexGraph, source_ids, ground_ids) -> tuple[np.ndarray, bool]:
+    """Mask of the vertices the source reaches without crossing the ground
+    (source included), breadth first over every vertex, and whether it met
+    the ground; the orbit search in ``resistance`` must give the same."""
+    ground = np.zeros(graph.num_vertices, dtype=bool)
+    ground[ground_ids] = True
+    reached = np.zeros(graph.num_vertices, dtype=bool)
+    reached[source_ids] = True
+    frontier = np.flatnonzero(reached)
+    grounded = False
+    while frontier.size:
+        nbrs = graph.rows(frontier)[1]
+        grounded = grounded or bool(ground[nbrs].any())
+        frontier = np.unique(nbrs[~reached[nbrs] & ~ground[nbrs]])
+        reached[frontier] = True
+    return reached, grounded
+
+
+def operator_by_diags(graph: VertexGraph, unknown_ids, orbits=None):
+    """The orbit operator of ``DirichletSystem(graph, unknown_ids, orbits)`` as
+    ``diags(deg) - offdiag``: the off-diagonal counts merged by orbit and
+    scaled by ``sqrt(|O| / |O'|)``, then subtracted from the degrees by scipy."""
+    unknown = np.asarray(unknown_ids, dtype=np.intp)
+    inside = np.zeros(graph.num_vertices, dtype=bool)
+    inside[unknown] = True
+    least = np.arange(graph.num_vertices) if orbits is None else np.asarray(orbits, dtype=np.intp)
+    reps = unknown[least[unknown] == unknown]
+    column = np.empty(graph.num_vertices, dtype=np.int64)
+    column[reps] = np.arange(len(reps))
+    column = column[least]
+    indptr, nbrs = graph.rows(reps)
+    into = inside[nbrs]
+    split = np.concatenate([[0], np.cumsum(into)])[indptr]
+    offdiag = sp.csr_matrix((np.ones(split[-1]), column[nbrs[into]], split), shape=(len(reps),) * 2)
+    root = np.sqrt(np.bincount(column[unknown], minlength=len(reps)))
+    offdiag.sum_duplicates()
+    row = np.repeat(np.arange(len(reps)), np.diff(offdiag.indptr))
+    offdiag.data *= root[row]
+    offdiag.data *= (1.0 / root)[offdiag.indices]
+    return sp.diags(graph.degrees[reps].astype(np.float64)) - offdiag
 
 
 class HypothesisError(RuntimeError):

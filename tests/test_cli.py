@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import carpetlab
-from carpetlab import cli, harmonic, harness
+from carpetlab import cli, harmonic, heat
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import build_graph, read_graph, write_graph
@@ -389,7 +389,7 @@ def test_heat_regime_refuses_a_short_ds_fit_before_the_walk(tmp_path, capsys, mo
     def no_walk(*args, **kwargs):
         raise AssertionError("walk_kernel was called")
 
-    monkeypatch.setattr(cli, "walk_kernel", no_walk)
+    monkeypatch.setattr(heat, "walk_kernel", no_walk)
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("40,100000\n")
     argv = ["heat", "regime", "--graph", g3_file, "--x", "40", "--pairs", str(pairs), "--dw", "2.09"]
@@ -640,7 +640,7 @@ def test_suite_reports_failures(tmp_path, capsys, monkeypatch):
     def fail_dw(*args, **kwargs):
         raise FitError("need at least 3 radii, have 2")
 
-    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    monkeypatch.setattr(heat, "estimate_dw", fail_dw)
     out = tmp_path / "artifacts"
     out.mkdir()
     code = main([

@@ -360,23 +360,50 @@ def test_the_csr_is_the_only_adjacency(params3):
         assert not (isinstance(value, np.ndarray) and value.size >= len(graph.indices)), name
 
 
-def scipy_modules_after_import(*modules) -> str:
-    """The scipy modules loaded by importing ``modules`` in a fresh interpreter, as printed."""
+def scipy_modules_after_import(*modules, then: str = "") -> str:
+    """The scipy modules loaded by importing ``modules`` in a fresh interpreter
+    and then running the statements ``then``, as the last line printed."""
     src = os.path.dirname(os.path.dirname(geometry.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, {', '.join(modules)}\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (f"import sys, {', '.join(modules)}\n{then}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return proc.stdout
+    return proc.stdout.splitlines(keepends=True)[-1]
 
 
 def test_geometry_imports_no_scipy():
     assert scipy_modules_after_import("carpetlab.geometry") == "[]\n"
 
 
-def test_building_and_coupling_import_no_scipy():
-    # The coupled walk needs no solver: its modules leave scipy unloaded.
-    modules = ("carpetlab.geometry", "carpetlab.seeding", "carpetlab.coupling")
-    assert scipy_modules_after_import(*modules) == "[]\n"
+def _config(tmp_path, experiments: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(f"levels = 2,3,4\nexperiments = {experiments}\n")
+    return repr(str(path))
+
+
+def test_building_and_coupling_import_no_scipy(tmp_path):
+    # The coupled walk needs no solver: its modules leave scipy unloaded, and
+    # so do the command line and the suite until something solves.
+    graph = repr(str(tmp_path / "g.txt"))
+    build = f"carpetlab.cli.main(['build', '--n', '3', '--out', {graph}])"
+    cases = [
+        (("carpetlab.geometry", "carpetlab.seeding", "carpetlab.coupling"), ""),
+        (("carpetlab.cli", "carpetlab.harness"),
+         f"carpetlab.harness.config_from_sources({_config(tmp_path, 'build,couple')})"),
+        (("carpetlab.cli",), build),
+        (("carpetlab.cli",),
+         f"{build}\ncarpetlab.cli.main(['couple', 'run', '--graph', {graph}, '--n', '2', '--trials', '20'])"),
+    ]
+    for modules, then in cases:
+        assert scipy_modules_after_import(*modules, then=then) == "[]\n", then
+
+
+@pytest.mark.parametrize("experiment", ["harnack", "heat", "hitting", "resist"])
+def test_a_solving_config_loads_the_solver_at_the_check(tmp_path, experiment):
+    # The config check imports the solver, so no suite phase pays for it.
+    then = (f"carpetlab.harness.config_from_sources({_config(tmp_path, 'build,' + experiment)})\n"
+            "assert 'carpetlab.linalg' in sys.modules")
+    assert "'scipy.sparse'" in scipy_modules_after_import("carpetlab.harness", then=then)
 
 
 # ------------------------------------------------------------------ capacity

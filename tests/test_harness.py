@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carpetlab import harness, linalg
+from carpetlab import heat, linalg
 from carpetlab.harness import (
     ExperimentConfig,
     config_from_sources,
@@ -275,7 +275,7 @@ def fail_dw(*args, **kwargs):
 def test_suite_records_failures_and_continues(tmp_path, monkeypatch):
     # A heat experiment whose exit-time fit fails must fail loudly in the
     # manifest while later experiments still run.
-    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    monkeypatch.setattr(heat, "estimate_dw", fail_dw)
     cfg = tiny_config(tmp_path, experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg)
     assert manifest.experiments["heat"]["status"] == "failed"
@@ -284,7 +284,7 @@ def test_suite_records_failures_and_continues(tmp_path, monkeypatch):
 
 
 def test_suite_fail_fast_stops(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    monkeypatch.setattr(heat, "estimate_dw", fail_dw)
     cfg = tiny_config(tmp_path, experiments=("build", "heat", "resist"))
     manifest = run_suite(cfg, fail_fast=True)
     assert manifest.experiments["heat"]["status"] == "failed"
@@ -458,7 +458,7 @@ def test_export_report_names_gaps(tmp_path):
 
 
 def test_export_report_shows_failures(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "estimate_dw", fail_dw)
+    monkeypatch.setattr(heat, "estimate_dw", fail_dw)
     cfg = tiny_config(tmp_path, experiments=("build", "heat"))
     run_suite(cfg)
     text, gaps = export_report(os.path.join(str(tmp_path), "manifest.json"))

@@ -24,7 +24,7 @@ from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
 from conftest import adjacency, held
-from oracles import regime_targets_by_full_sort
+from oracles import operator_by_diags, reached_by_vertex_bfs, regime_targets_by_full_sort
 
 MAX_VERTICES = 5000
 
@@ -274,7 +274,7 @@ def _orbit_problem(graph, kind, level, pick):
         data = held(graph, nbrs[~inside[nbrs]], 0.0)
         rhs = graph.degrees[unknown] / (1.0 - HOLD)
         return unknown, data, rhs, graph.symmetries([x])
-    reached, _ = _reached(graph, source, ground)
+    reached, _ = reached_by_vertex_bfs(graph, source, ground)
     reached[source] = False
     data = held(graph, ground, 0.0)
     data[source] = 1.0
@@ -369,3 +369,87 @@ def test_regime_targets_sort_only_the_near_vertices(case, count):
     # the targets of a stable sort of every vertex.
     graph, x = case
     assert _regime_targets(graph, x, count) == regime_targets_by_full_sort(graph, x, count)
+
+
+def _random_pair(graph, rng, kind):
+    """Disjoint source and ground sets: the two faces, the corner cell or the
+    corner cube of side 2 against a box's boundary, or random vertices."""
+    if kind == "face":
+        return (np.nonzero(graph.coords[:, 0] == 0)[0],
+                np.nonzero(graph.coords[:, 0] == graph.side - 1)[0])
+    if kind == "corner":
+        ground = box_vertices(graph, int(rng.integers(1, graph.level + 1))).boundary
+        source = [0] if rng.integers(2) else np.nonzero((graph.coords < 2).all(axis=1))[0]
+        return np.setdiff1d(source, ground), ground
+    ids = rng.permutation(graph.num_vertices)[:int(rng.integers(2, 12))]
+    cut = int(rng.integers(1, len(ids)))
+    return ids[:cut], ids[cut:]
+
+
+@settings(deadline=None)
+@given(carpets(), st.sampled_from(["face", "corner", "random"]), st.integers(0, 2**32 - 1))
+def test_orbit_search_matches_the_vertex_search(graph, kind, seed):
+    # The resistance search steps over the orbits of the symmetries that keep
+    # source and ground; it must reach what a search over every vertex reaches.
+    source, ground = _random_pair(graph, np.random.default_rng(seed), kind)
+    assume(len(source) and len(ground))
+    least = graph.orbits(graph.symmetries(source, ground))
+    reached, grounded = _reached(graph, least, source, ground)
+    want, want_grounded = reached_by_vertex_bfs(graph, source, ground)
+    np.testing.assert_array_equal(reached, want)
+    assert grounded == want_grounded
+
+
+def _assert_same_csr(lap, oracle):
+    """The same CSR arrays, dtype and bits, entry for entry."""
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(lap, name), getattr(oracle, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@settings(deadline=None)
+@given(carpets(), st.sampled_from(["plain", "face", "corner", "classes"]), st.integers(0, 2**32 - 1))
+@example(build_graph(2, validate_params(2, 4, 2)), "face", 0)
+def test_operator_matches_the_sparse_difference(graph, kind, seed):
+    # The operator built in one pass is, bit for bit, diags(deg) - offdiag:
+    # on plain systems, on symmetry orbits (on a carpet of even side, the
+    # mirror pairs across the middle are neighbors in one orbit, so their
+    # row merges a count into its diagonal), and on random vertex classes,
+    # whose rows can merge every neighbor into the diagonal and cancel it.
+    rng = np.random.default_rng(seed)
+    if kind == "classes":
+        labels = rng.integers(0, max(1, graph.num_vertices // int(rng.integers(1, 5))),
+                              graph.num_vertices)
+        first = np.full(labels.max() + 1, graph.num_vertices)
+        np.minimum.at(first, labels, np.arange(graph.num_vertices))
+        orbits = first[labels]
+        kept = np.flatnonzero(rng.random(len(first)) < 0.7)
+        unknown = np.flatnonzero(np.isin(labels, kept))  # a union of classes
+    else:
+        source, ground = _random_pair(graph, rng, "face" if kind == "plain" else kind)
+        assume(len(source))
+        free = np.ones(graph.num_vertices, dtype=bool)
+        free[source] = free[ground] = False
+        unknown = np.flatnonzero(free)
+        orbits = None if kind == "plain" else graph.orbits(graph.symmetries(source, ground))
+    assume(unknown.size)
+    _assert_same_csr(DirichletSystem(graph, unknown, orbits=orbits)._lap,
+                     operator_by_diags(graph, unknown, orbits))
+
+
+def test_operator_merges_and_drops_diagonals_as_the_sparse_difference():
+    # The level-0 cell alone has degree 0, so its diagonal is 0 and dropped;
+    # (2,4,2)'s face system has rows whose diagonal takes a merged neighbor.
+    single = build_graph(0, validate_params(2, 3, 1))
+    lap = DirichletSystem(single, [0])._lap
+    assert lap.nnz == 0
+    _assert_same_csr(lap, operator_by_diags(single, [0]))
+    graph = build_graph(2, validate_params(2, 4, 2))
+    inner = np.flatnonzero((graph.coords[:, 0] > 0) & (graph.coords[:, 0] < graph.side - 1))
+    faces = [np.flatnonzero(graph.coords[:, 0] == x) for x in (0, graph.side - 1)]
+    orbits = graph.orbits(graph.symmetries(*faces))
+    system = DirichletSystem(graph, inner, orbits=orbits)
+    reps = system._reps
+    assert (system._lap.diagonal() != graph.degrees[reps]).any()
+    _assert_same_csr(system._lap, operator_by_diags(graph, inner, orbits))
