@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import HOLD, CarpetGraph, build_graph, signed_permutations
-from .seeding import draw_uniforms, stream_integers, stream_states
+from .seeding import STREAM_LIMIT, draw_uniforms, stream_integers, stream_states
 
 __all__ = [
     "origin_pair",
@@ -440,6 +440,8 @@ def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:
         raise ValueError(f"box level n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > STREAM_LIMIT:  # trial i walks on stream i
+        raise ValueError(f"trials must be at most 2^32, got {trials}")
     if graph.level < n + 1:
         raise ValueError(f"need graph level >= {n + 1} for box level {n}")
 

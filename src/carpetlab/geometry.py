@@ -28,7 +28,6 @@ __all__ = [
     "CapacityError",
     "CarpetParams",
     "validate_params",
-    "survival_mask",
     "count_cells",
     "hausdorff_dimension",
     "signed_permutations",
@@ -95,20 +94,6 @@ def validate_params(d: int, k: int, a: int) -> CarpetParams:
     if (a + k) % 2 != 0:
         raise ValueError(f"a + k must be even so the removed block is centered, got a={a}, k={k}")
     return CarpetParams(d=d, k=k, a=a)
-
-
-def survival_mask(coords: np.ndarray, level: int, params: CarpetParams) -> np.ndarray:
-    """Vectorized survival test for an (N, d) integer coordinate array."""
-    lo = params.central_range.start
-    hi = params.central_range.stop
-    rem = np.asarray(coords, dtype=np.int64).copy()
-    alive = np.ones(rem.shape[0], dtype=bool)
-    for _ in range(level):
-        digits = rem % params.k
-        central = ((digits >= lo) & (digits < hi)).all(axis=1)
-        alive &= ~central
-        rem //= params.k
-    return alive
 
 
 def count_cells(n: int, params: CarpetParams) -> int:
@@ -508,8 +493,6 @@ def read_graph(path) -> CarpetGraph:
         raise ValueError(f"edge endpoint out of range for {nv} vertices")
     if (np.abs(coords[edges[:, 0]] - coords[edges[:, 1]]).sum(axis=1) != 1).any():
         raise ValueError("edges must join cells at unit distance")
-    if not survival_mask(coords, n, params).all():
-        raise ValueError("file lists cells outside the carpet")
     cells = count_cells(n, params)
     if nv != cells:
         raise ValueError(f"header lists {nv} cells; the level-{n} carpet has {cells}")

@@ -31,6 +31,7 @@ from .geometry import (
     validate_params,
 )
 from .coupling import origin_pair, run_coupled_walk, upgrade_statistics
+from .seeding import STREAM_LIMIT
 
 __all__ = [
     "ExperimentConfig",
@@ -127,6 +128,8 @@ def _check_config(config: ExperimentConfig) -> None:
         raise ValueError(f"unknown experiment {unknown[0]!r}; choose from {', '.join(known)}")
     if config.trials < 1:
         raise ValueError(f"trials must be at least 1, got {config.trials}")
+    if config.trials > STREAM_LIMIT:  # trial i walks on stream i
+        raise ValueError(f"trials must be at most 2^32, got {config.trials}")
     if not 0.0 < config.tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {config.tolerance}")
     if not config.levels:
@@ -521,11 +524,9 @@ def run_suite(config: ExperimentConfig, fail_fast: bool = False) -> RunManifest:
     return manifest
 
 
-def _figure_fit(fig_dir: str, name: str, header: list, rows: list, xs, ys) -> str:
-    """Per-figure data: each row, then the OLS fit line of ``ys`` on ``xs`` and its residual."""
-    from .heat import _slope_fit
-
-    slope = _slope_fit(xs, ys)[0]
+def _figure_fit(fig_dir: str, name: str, header: list, rows: list, xs, ys, slope: float) -> str:
+    """Per-figure data: each row, then the fit line of ``ys`` on ``xs`` with the
+    fitted ``slope``, through the means, and its residual."""
     icept = float(ys.mean() - slope * xs.mean())
     fits = [icept + slope * x for x in xs.tolist()]
     out = [(*row, fit, y - fit) for row, fit, y in zip(rows, fits, ys.tolist())]
@@ -533,12 +534,15 @@ def _figure_fit(fig_dir: str, name: str, header: list, rows: list, xs, ys) -> st
     return name
 
 
-def _figure_loglog(fig_dir: str, name: str, points, xlab: str, ylab: str) -> str:
-    """Per-figure data: the log-log series, its fit line, and residuals."""
+def _figure_loglog(fig_dir: str, name: str, fit, scale: float, xlab: str, ylab: str) -> str:
+    """Per-figure data: the log-log series of a suite ``fit``, whose value is
+    ``scale`` times its slope, the fit line and residuals."""
+    points = fit["points"]
     xs = np.log([p[0] for p in points])
     ys = np.log([p[1] for p in points])
     rows = [(x, y, lx, ly) for (x, y), lx, ly in zip(points, xs.tolist(), ys.tolist())]
-    return _figure_fit(fig_dir, name, [xlab, ylab, f"log_{xlab}", f"log_{ylab}"], rows, xs, ys)
+    return _figure_fit(fig_dir, name, [xlab, ylab, f"log_{xlab}", f"log_{ylab}"], rows, xs, ys,
+                       fit["value"] / scale)
 
 
 def _solves_line(series: str, solves) -> str:
@@ -660,8 +664,8 @@ def _report(manifest_path: str, trail: list) -> tuple[str, list]:
                 f" {walk['vertices']} vertices (symmetry order {walk['symmetry_order']}),"
                 f" squared-sum gap {walk['reversibility_gap']:.1e}"
             )
-            figures.append(_figure_loglog(base, "report_heat_diag.csv", ds["points"], "t", "p_t"))
-            figures.append(_figure_loglog(base, "report_heat_exit.csv", dw["points"], "r", "exit_time"))
+            figures.append(_figure_loglog(base, "report_heat_diag.csv", ds, -2.0, "t", "p_t"))
+            figures.append(_figure_loglog(base, "report_heat_exit.csv", dw, 1.0, "r", "exit_time"))
             if sub := data["sub_gaussian"]:
                 lines.append(
                     f"  sub-gaussian fit: slope {sub['value']:.6f} +- {sub['standard_error']:.6f}"
@@ -669,7 +673,7 @@ def _report(manifest_path: str, trail: list) -> tuple[str, list]:
                 )
                 us, vs = np.array(sub["points"], dtype=np.float64).T
                 figures.append(_figure_fit(base, "report_subgaussian.csv", ["abscissa", "neg_log_p"],
-                                           sub["points"], us, vs))
+                                           sub["points"], us, vs, sub["value"]))
             lines.append(
                 "  gaussian regime: "
                 + ("fitted" if data["gaussian"] else "empty (unit-step walk reaches nothing beyond t)")

@@ -230,9 +230,12 @@ class ExponentEstimate:
     degenerate: bool = False
 
 
-def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """OLS slope, slope standard error, and r^2 for y against x."""
-    n = len(xs)
+def _estimate(points: list, xs: np.ndarray, ys: np.ndarray, scale: float = 1.0) -> ExponentEstimate:
+    """The OLS fit of ``ys`` on ``xs`` as an exponent: ``scale`` times the slope,
+    with its standard error and r^2.
+
+    The window spans the first entries of ``points``, in their own type.
+    """
     xbar = xs.mean()
     ybar = ys.mean()
     sxx = float(((xs - xbar) ** 2).sum())
@@ -243,19 +246,7 @@ def _slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     ss_res = float((resid ** 2).sum())
     ss_tot = float(((ys - ybar) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    if n > 2:
-        se = math.sqrt(ss_res / (n - 2) / sxx)
-    else:
-        se = 0.0
-    return slope, se, r2
-
-
-def _estimate(points: list, xs: np.ndarray, ys: np.ndarray, scale: float = 1.0) -> ExponentEstimate:
-    """The OLS fit of ``ys`` on ``xs`` as an exponent: ``scale`` times the slope.
-
-    The window spans the first entries of ``points``, in their own type.
-    """
-    slope, se, r2 = _slope_fit(xs, ys)
+    se = math.sqrt(ss_res / (len(xs) - 2) / sxx) if len(xs) > 2 else 0.0
     absc = [a for a, _ in points]
     return ExponentEstimate(value=scale * slope, standard_error=abs(scale) * se,
                             window=(min(absc), max(absc)), r_squared=r2,

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = ["derive_seed", "derive_rng"]
 
+STREAM_LIMIT = 1 << 32  # stream_states' indices lie below it, so a coupled run has at most this many trials
 _MASK64 = (1 << 64) - 1
 _M32 = 0xFFFFFFFF
 # numpy.random.SeedSequence hash constants, and the PCG64 multiplier.
@@ -86,7 +87,7 @@ def stream_states(seed: int, purpose: str, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and idx.min() < 0:
         raise ValueError("stream index must be nonnegative")
-    if idx.size and idx.max() > _M32:
+    if idx.size and idx.max() >= STREAM_LIMIT:
         raise ValueError("batched stream indices must be below 2^32")
     s, tag, _ = derive_seed(seed, purpose)
     entropy = [np.full(len(idx), w, dtype=np.uint64) for w in _words(s) + _words(tag)]

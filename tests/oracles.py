@@ -1,8 +1,9 @@
-"""Second methods behind the acceptance claims: Monte Carlo exit times, the
-coupled walk's marginal law and pair catalog, the capacity-constant probe,
-the edge-sum energy of a vertex potential, the heat experiment's targets
-by a full sort, the resistance search vertex by vertex and the solver's
-operator as a sparse difference.
+"""Second methods behind the acceptance claims: the carpet's cells by a
+digit-by-digit survival test, Monte Carlo exit times, the coupled walk's
+marginal law and pair catalog, the capacity-constant probe, the edge-sum
+energy of a vertex potential, the heat experiment's targets by a full sort,
+the resistance search vertex by vertex and the solver's operator as a
+sparse difference.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -16,13 +17,29 @@ import numpy as np
 import scipy.sparse as sp
 
 from carpetlab.coupling import _Coupler
-from carpetlab.geometry import CarpetGraph, VertexGraph
+from carpetlab.geometry import CarpetGraph, CarpetParams, VertexGraph
 from carpetlab.harmonic import HOLD, _distances
 from carpetlab.linalg import DEFAULT_TOL, DirichletSystem
 from carpetlab.resistance import resistance_to_infinity
 from carpetlab.seeding import derive_rng
 
 _EXIT_STEP_CAP = 1_000_000  # sample_exit_times gives up on walkers still inside
+
+
+def survival_mask(coords: np.ndarray, level: int, params: CarpetParams) -> np.ndarray:
+    """Which of the (N, d) integer cells survive to ``level``: a cell dies iff
+    at some base-k digit position every coordinate's digit is central.  The
+    line tables of ``CarpetGraph`` must keep exactly these cells."""
+    lo = params.central_range.start
+    hi = params.central_range.stop
+    rem = np.asarray(coords, dtype=np.int64).copy()
+    alive = np.ones(rem.shape[0], dtype=bool)
+    for _ in range(level):
+        digits = rem % params.k
+        central = ((digits >= lo) & (digits < hi)).all(axis=1)
+        alive &= ~central
+        rem //= params.k
+    return alive
 
 
 def dirichlet_energy(graph: VertexGraph, f: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import carpetlab
-from carpetlab import cli, harmonic, heat
+from carpetlab import cli, coupling, harmonic, heat
 from carpetlab.cli import main
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.geometry import build_graph, read_graph, write_graph
@@ -495,6 +495,21 @@ def test_couple_run_rejects_bad_counts(capsys, g3_file):
     ):
         assert main([*base, *extra]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_more_trials_than_streams_are_a_usage_error(capsys, g3_file, tmp_path, monkeypatch):
+    # Refused by the checks, before any coupler or trial array exists.
+    def no_coupler(*args, **kwargs):
+        pytest.fail("built a coupler for a run it must refuse")
+
+    monkeypatch.setattr(coupling, "_Coupler", no_coupler)
+    out = tmp_path / "artifacts"
+    for argv in (["couple", "run", "--graph", g3_file, "--n", "2"],
+                 ["couple", "upgrade", "--graph", g3_file, "--m", "0", "--n", "2"],
+                 ["suite", "--levels", "2,3", "--experiments", "couple", "--out", str(out)]):
+        assert main([*argv, "--trials", "4294967297"]) == 2
+        assert capsys.readouterr().err == "usage error: trials must be at most 2^32, got 4294967297\n"
+    assert not out.exists()
 
 
 def test_couple_upgrade_rejects_bad_levels(capsys, g3_file):

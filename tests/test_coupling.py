@@ -401,6 +401,20 @@ def test_run_preconditions(g3):
         run_coupled_walk(g3, 0, 0, 2, trials=1, max_steps=0)
 
 
+def test_more_trials_than_streams_are_refused_before_the_walk(g3, monkeypatch):
+    # Trial i walks on stream i, and stream indices lie below 2^32: a run of
+    # 2^32 + 1 trials is refused before a coupler allocates its trial arrays.
+    def no_coupler(*args, **kwargs):
+        pytest.fail("built a coupler for a run it must refuse")
+
+    monkeypatch.setattr(coupling, "_Coupler", no_coupler)
+    message = r"trials must be at most 2\^32, got 4294967297"
+    with pytest.raises(ValueError, match=message):
+        run_coupled_walk(g3, 0, 0, 2, trials=2**32 + 1)
+    with pytest.raises(ValueError, match=message):
+        upgrade_statistics(g3, 0, 2**32 + 1, 2)
+
+
 @pytest.mark.parametrize("d, k, a, fingerprint", [
     (3, 3, 1, "227eb6e811abea38"),
     (2, 5, 3, "191a50fd8506835a"),

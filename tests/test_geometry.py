@@ -17,17 +17,18 @@ from carpetlab.geometry import (
     hausdorff_dimension,
     read_graph,
     signed_permutations,
-    survival_mask,
     validate_params,
     write_graph,
 )
 from carpetlab.coupling import run_coupled_walk
 from carpetlab.harmonic import HittingSpec, expected_exit_time, hitting_probability
+from carpetlab.harness import ExperimentConfig, run_suite
 from carpetlab.heat import TransitionOperator, central_vertex, fit_regimes, kernel_entries, walk_kernel
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import effective_resistance, face_resistance, resistance_to_infinity
 
 from conftest import adjacency, graph_from_edges, make_path, vid
+from oracles import survival_mask
 
 
 # ---------------------------------------------------------------- parameters
@@ -81,8 +82,8 @@ def test_survival_is_checked_at_every_level(params2):
 
 
 def test_survival_mask_matches_pointwise():
-    # The two survival rules in use agree: survival_mask (read_graph's check)
-    # over the whole window marks exactly the cells build_graph keeps.
+    # The brute-force survival test over the whole window marks exactly the
+    # cells that build_graph's line tables keep.
     for d, k, a, n in [(2, 3, 1, 2), (2, 3, 1, 3), (2, 4, 2, 2), (2, 5, 1, 2), (2, 5, 3, 2), (3, 3, 1, 2)]:
         params = validate_params(d, k, a)
         window = np.indices((k**n,) * d).reshape(d, -1).T
@@ -398,6 +399,16 @@ def test_building_and_coupling_import_no_scipy(tmp_path):
         assert scipy_modules_after_import(*modules, then=then) == "[]\n", then
 
 
+def test_the_report_loads_no_solver(tmp_path):
+    # The report quotes the fits the suite wrote: a manifest of every solving
+    # experiment renders, figure files included, with scipy unloaded.
+    run_suite(ExperimentConfig(levels=(2, 4), experiments=("harnack", "heat", "hitting", "resist"),
+                               output_dir=str(tmp_path)))
+    report = f"assert carpetlab.cli.main(['report', '--manifest', {str(tmp_path / 'manifest.json')!r}]) == 0"
+    assert scipy_modules_after_import("carpetlab.cli", then=report) == "[]\n"
+    assert (tmp_path / "report_heat_diag.csv").exists()
+
+
 @pytest.mark.parametrize("experiment", ["harnack", "heat", "hitting", "resist"])
 def test_a_solving_config_loads_the_solver_at_the_check(tmp_path, experiment):
     # The config check imports the solver, so no suite phase pays for it.
@@ -559,8 +570,12 @@ def test_graph_file_parses_in_chunks_of_whole_lines(tmp_path, g3, monkeypatch):
 
 
 def test_graph_file_rejects_dead_cells(tmp_path):
-    # Unit-distance edges, consecutive ids, but (1, 1) is a removed cell.
+    # The header's count of 8 cells, consecutive ids in lexicographic order
+    # and unit-distance edges, but the removed cell (1, 1) stands in for (2, 2).
+    cells = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+    edges = [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (3, 6), (4, 5), (6, 7)]
     path = tmp_path / "dead.txt"
-    path.write_text("carpet 2 3 1 1 3 2\nv 0 0 0\nv 1 1 0\nv 2 1 1\ne 0 1\ne 1 2\n")
-    with pytest.raises(ValueError, match="outside the carpet"):
+    path.write_text("carpet 2 3 1 1 8 8\n" + "".join(f"v {i} {x} {y}\n" for i, (x, y) in enumerate(cells))
+                    + "".join(f"e {i} {j}\n" for i, j in edges))
+    with pytest.raises(ValueError, match="cells differ from the carpet named in the header"):
         read_graph(path)

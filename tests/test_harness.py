@@ -158,6 +158,13 @@ def test_config_rejects_nonpositive_trials():
     assert config_from_sources(overrides={"trials": 1}).trials == 1
 
 
+def test_config_refuses_more_trials_than_streams():
+    # One stream per trial, each index below 2^32.
+    with pytest.raises(ValueError, match=r"trials must be at most 2\^32, got 4294967297"):
+        config_from_sources(overrides={"trials": 2**32 + 1})
+    assert config_from_sources(overrides={"trials": 2**32}).trials == 2**32
+
+
 def test_config_rejects_tolerance_outside_the_unit_interval(tmp_path):
     path = tmp_path / "run.cfg"
     for raw in ("0", "-1", "nan", "inf", "1"):
@@ -427,15 +434,18 @@ def test_export_report(suite_run):
 
 
 def test_report_figures_hold_their_fit_lines(tmp_path):
-    # Each fit figure's residual is its ordinate minus its fit, the fit lies
-    # on one line, and the residuals of an OLS fit with intercept sum to 0.
+    # Each fit figure's residual is its ordinate minus its fit, the fit is the
+    # line through the means with the slope heat.json holds, bit for bit, and
+    # the residuals of that OLS fit with intercept sum to 0.
     cfg = tiny_config(tmp_path, levels=(4,), experiments=("heat",))
     run_suite(cfg)
     export_report(os.path.join(cfg.output_dir, "manifest.json"))
-    for name, x_col, y_col in [
-        ("report_heat_diag.csv", "log_t", "log_p_t"),
-        ("report_heat_exit.csv", "log_r", "log_exit_time"),
-        ("report_subgaussian.csv", "abscissa", "neg_log_p"),
+    with open(os.path.join(cfg.output_dir, "heat.json"), encoding="utf-8") as fh:
+        fits = json.load(fh)
+    for name, x_col, y_col, slope in [
+        ("report_heat_diag.csv", "log_t", "log_p_t", fits["ds"]["value"] / -2),
+        ("report_heat_exit.csv", "log_r", "log_exit_time", fits["dw"]["value"]),
+        ("report_subgaussian.csv", "abscissa", "neg_log_p", fits["sub_gaussian"]["value"]),
     ]:
         with open(os.path.join(cfg.output_dir, name), encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -443,8 +453,7 @@ def test_report_figures_hold_their_fit_lines(tmp_path):
         xs, ys, fit, resid = cols[x_col], cols[y_col], cols["fit"], cols["residual"]
         assert len(xs) >= 3, name
         np.testing.assert_array_equal(resid, ys - fit)
-        slope, icept = np.polyfit(xs, fit, 1)
-        np.testing.assert_allclose(fit, icept + slope * xs, rtol=0, atol=1e-12 * np.abs(fit).max())
+        np.testing.assert_array_equal(fit, float(ys.mean() - slope * xs.mean()) + slope * xs, err_msg=name)
         assert abs(resid.sum()) <= 1e-9 * np.abs(ys).sum(), name
 
 

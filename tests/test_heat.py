@@ -358,9 +358,9 @@ def test_dw_on_path_exact():
     assert taus[0] == pytest.approx(18.0, abs=1e-8)
     assert taus[1] == pytest.approx(162.0, abs=1e-7)
     assert taus[2] == pytest.approx(1458.0, abs=1e-6)
-    slope, standard_error, _ = heat._slope_fit(np.log(radii), np.log(taus))
-    assert slope == pytest.approx(2.0, abs=1e-9)
-    assert standard_error == pytest.approx(0.0, abs=1e-9)
+    est = heat._estimate(list(zip(radii, taus)), np.log(radii), np.log(taus))
+    assert est.value == pytest.approx(2.0, abs=1e-9)
+    assert est.standard_error == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dw_on_carpet_frozen(g5):

@@ -15,7 +15,6 @@ from carpetlab.geometry import (
     build_graph,
     count_cells,
     signed_permutations,
-    survival_mask,
     validate_params,
 )
 from carpetlab.harness import _regime_targets
@@ -24,7 +23,7 @@ from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
 from conftest import adjacency, held
-from oracles import operator_by_diags, reached_by_vertex_bfs, regime_targets_by_full_sort
+from oracles import operator_by_diags, reached_by_vertex_bfs, regime_targets_by_full_sort, survival_mask
 
 MAX_VERTICES = 5000
 
