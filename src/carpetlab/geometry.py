@@ -151,7 +151,10 @@ class VertexGraph:
         counts = self.indptr[ids + 1] - starts
         indptr = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        return indptr, self.indices[np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)]
+        # int32 gather positions (every CSR offset fits): each row's shift plus a running count
+        at = np.repeat(starts - indptr[:-1], counts)
+        at += np.arange(indptr[-1], dtype=np.int32)
+        return indptr, self.indices[at]
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The endpoints ``(i, j)`` of every edge, i < j, in lexicographic order (not cached)."""

@@ -170,9 +170,18 @@ def _first_near(scores: np.ndarray, best: float) -> int:
 
 
 def _distances(graph, x: int) -> np.ndarray:
-    """Euclidean distance of every vertex from vertex ``x``."""
-    delta = graph.coords - graph.coords[graph.check_ids(x)]
-    return np.sqrt((delta.astype(np.float64) ** 2).sum(axis=1))
+    """Euclidean distance of every vertex from vertex ``x``.
+
+    The squared offsets are summed axis by axis in int64, exactly (the
+    float64 sum of the same squares is exact too while it stays below
+    2^53), and one float64 ``sqrt`` follows: no (|V|, d) temporary."""
+    origin = graph.coords[graph.check_ids(x)]
+    square = np.zeros(graph.num_vertices, dtype=np.int64)
+    for axis, at in enumerate(origin.tolist()):
+        delta = graph.coords[:, axis] - np.int64(at)
+        delta *= delta
+        square += delta
+    return np.sqrt(square, dtype=np.float64)
 
 
 def _require_absorbing_shell(graph, x, radius):

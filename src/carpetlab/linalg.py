@@ -42,6 +42,15 @@ reduction that applies to each:
   residual norm is the full system's.  The 3-D level-4 face system shrinks
   from 443,854 to 57,454 unknowns under the 8 symmetries that keep both
   faces.
+
+The set-up holds ids in int32 wherever a count fits (vertex ids, orbit
+columns, CSR offsets, the aggregation's row ids and block keys) and drops
+every |V|-long or entry-long temporary after its last use.  On the 3-D
+level-4 face and R_4 systems (57,454 and 74,894 orbit unknowns) a system
+keeps 8 bytes per unknown vertex and about 100 per orbit unknown; its
+constructor peaks at 31-38 bytes per graph vertex, and the multigrid
+hierarchy keeps about 85 bytes per orbit unknown and peaks at about 170
+while it builds (tracemalloc).
 """
 
 from __future__ import annotations
@@ -131,62 +140,50 @@ class DirichletSystem:
 
     def __init__(self, graph, unknown_ids, orbits=None):
         self.graph = graph
-        # intp, not the graph's int32: every solve indexes with the unknowns,
-        # and numpy recasts an int32 index array at each use.
-        self.unknown = np.asarray(unknown_ids, dtype=np.intp)
-        inside = np.zeros(graph.num_vertices, dtype=bool)
+        self.unknown = np.asarray(unknown_ids, dtype=np.int32)  # like every vertex id of the graph
+        num = graph.num_vertices
+        inside = np.zeros(num, dtype=bool)
         inside[self.unknown] = True
 
         # The system's unknowns: one representative vertex per orbit.  The
-        # graph's int32 orbit table is kept as it is, not copied; ``index`` is
-        # that table cast to intp once, for the three gathers over every vertex.
-        least = np.arange(graph.num_vertices) if orbits is None else np.asarray(orbits)
-        if least.shape != (graph.num_vertices,):
+        # graph's int32 orbit table is kept as it is, not copied, and read
+        # only where an id needs its orbit: no |V|-long id table is made.
+        least = np.arange(num, dtype=np.int32) if orbits is None else np.asarray(orbits)
+        if least.shape != (num,):
             raise ValueError("orbits must give every vertex its orbit")
-        index = least.astype(np.intp, copy=False)
-        if not np.array_equal(inside[index], inside):
+        if not np.array_equal(inside[least], inside):
             raise ValueError("the unknown vertex set is not a union of orbits")
         self._least = least
         self._reps = reps = self.unknown[least[self.unknown] == self.unknown]
+        column = np.empty(num, dtype=np.int32)  # set at the representatives only
+        column[reps] = np.arange(len(reps), dtype=np.int32)
+        self._orbit = column[least[self.unknown]]  # an orbit's unknowns share their representative's column
 
         # One pass over the representatives' rows, whose neighbors are images
         # of every unknown's: the unknown neighbors make the operator, merged
-        # by orbit, and the others are the border, coupled by vertex id.  Each
-        # operator row starts with a 0 on its diagonal, so that after the
-        # merge every row holds its diagonal entry for the degree to join.
+        # by orbit, and the others are the border, coupled by vertex id.
         indptr, nbrs = graph.rows(reps)
         into = inside[nbrs]
-        split = np.concatenate([[0], np.cumsum(into)])[indptr]  # row starts of the neighbors
-        column = np.empty(graph.num_vertices, dtype=np.int64)
-        column[reps] = np.arange(len(reps))
-        column = column[index]  # an orbit's unknowns share their representative's column
-        starts = split + np.arange(len(reps) + 1)  # row starts in the operator
-        off = np.ones(starts[-1], dtype=bool)
-        off[starts[:-1]] = False
-        cols = np.empty(starts[-1], dtype=np.int64)
-        cols[starts[:-1]] = np.arange(len(reps))
-        cols[off] = column[nbrs[into]]
-        lap = sp.csr_matrix((off.astype(np.float64), cols, starts), shape=(len(reps),) * 2)
+        del inside
+        split = _kept_indptr(indptr, into)  # row starts of the unknown neighbors
         self._coupling = sp.csr_matrix((np.ones(len(nbrs) - split[-1]), nbrs[~into], indptr - split),
-                                       shape=(len(reps), graph.num_vertices))
-        hit = np.zeros(graph.num_vertices, dtype=bool)
+                                       shape=(len(reps), num))
+        hit = np.zeros(num, dtype=bool)
         hit[least[self._coupling.indices]] = True
-        self._read = np.flatnonzero(hit[index])  # the whole border, a union of orbits
-        self._orbit = column[self.unknown]  # orbit of each unknown
-        del column, index  # the |V|-long tables go before the operator's temporaries: a lower peak
-        self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
-        lap.sum_duplicates()  # merge each row's columns by orbit: integer counts, exact
+        self._read = np.flatnonzero(hit[least])  # the whole border, a union of orbits
+        offdiag = sp.csr_matrix((np.ones(split[-1]), column[least[nbrs[into]]], split),
+                                shape=(len(reps),) * 2)
+        del hit, column, nbrs, into, split  # the id temporaries go before the operator's: a lower peak
+        offdiag.sum_duplicates()  # merge each row's columns by orbit: integer counts, exact
         # Row O times sqrt|O|, column O' over sqrt|O'|: exact on singleton orbits.
-        # In place: the same products in the same order, two temporaries fewer.
-        row = np.repeat(np.arange(len(reps)), np.diff(lap.indptr))
-        lap.data *= self._root[row]
-        lap.data *= (1.0 / self._root)[lap.indices]
-        # L = D - A with the bits of scipy's sparse difference: -a off the
-        # diagonal, deg + (-a) = deg - a on it, and an entry that is 0 dropped.
-        np.negative(lap.data, out=lap.data)
-        lap.data[lap.indices == row] += graph.degrees[reps]
-        lap.eliminate_zeros()
-        self._lap = lap
+        self._root = np.sqrt(np.bincount(self._orbit, minlength=len(reps)))
+        offdiag.data *= np.repeat(self._root, np.diff(offdiag.indptr))
+        offdiag.data *= (1.0 / self._root)[offdiag.indices]
+        # L = D - A as scipy's difference of two canonical CSR matrices, one
+        # C merge: -a off the diagonal, deg - a on it, an entry that is 0 dropped.
+        diagonal = np.arange(len(reps) + 1, dtype=np.int32)
+        self._lap = sp.csr_matrix((np.diff(indptr).astype(np.float64), diagonal[:-1], diagonal),
+                                  shape=offdiag.shape) - offdiag
         self._cap = max(1, math.ceil(50.0 * math.sqrt(len(reps))))
         self._solves = 0
         self._factor = None
@@ -207,23 +204,35 @@ class DirichletSystem:
 
         Only the border values are read, and must be finite; the rest may be
         anything, NaN included.  ``tol``, the relative residual to reach,
-        must lie in (0, 1).  Returns a copy of ``values`` with the unknowns
-        filled in.
+        must lie in (0, 1).  Returns a float64 copy of ``values`` with the
+        unknowns filled in.
         """
         if not 0.0 < tol < 1.0:
             raise ValueError(f"tolerance must be in (0, 1), got {tol!r}")
-        values = np.array(values, dtype=np.float64)
-        self._check_data(values, self._read, "fixed values", "border")
+        # Read in place, in the caller's dtype (a mask will do): the float64
+        # copy that is returned is made after the solve, so it never sits
+        # beside the solver's temporaries.
+        values = np.asarray(values)
+        border = values[self._read]
+        if not np.isfinite(border).all():
+            raise ValueError("fixed values must be finite on the border")
+        if not np.array_equal(values[self._least[self._read]], border):
+            raise ValueError("fixed values are not constant on orbits")
         b = self._coupling @ values
         if rhs is not None:
             if np.shape(rhs) != (len(self.unknown),):
                 raise ValueError("rhs must align with the unknown vertex set")
-            values[self.unknown] = rhs
-            self._check_data(values, self.unknown, "rhs", "unknowns")
-            b = b + values[self._reps]
+            rhs = np.asarray(rhs, dtype=np.float64)
+            if not np.isfinite(rhs).all():
+                raise ValueError("rhs must be finite on the unknowns")
+            at_reps = rhs[self._least[self.unknown] == self.unknown]  # in column order
+            if not np.array_equal(at_reps[self._orbit], rhs):
+                raise ValueError("rhs are not constant on orbits")
+            b = b + at_reps
         b = self._root * b  # coordinates of the orbit-constant b in the orthonormal basis
         bnorm = math.sqrt(_dot(b, b))
         if bnorm == 0.0:
+            values = values.astype(np.float64)
             values[self.unknown] = 0.0
             return values, SolveInfo(residual=0.0, iterations=0)
 
@@ -237,14 +246,9 @@ class DirichletSystem:
         if path == "SuperLU" and not residual <= tol:
             raise ConvergenceError(f"SuperLU solve reached relative residual {residual:.3e} on "
                                    f"{len(u)} unknowns (tol {tol:.1e})", [residual])
+        values = values.astype(np.float64)
         values[self.unknown] = (u / self._root)[self._orbit]
         return values, SolveInfo(residual=residual, iterations=iters, path=path)
-
-    def _check_data(self, values, ids, what, where):
-        if not np.isfinite(values[ids]).all():
-            raise ValueError(f"{what} must be finite on the {where}")
-        if not np.array_equal(values[self._least[ids]], values[ids]):
-            raise ValueError(f"{what} are not constant on orbits")
 
     def _solve_cg(self, b, bnorm, tol) -> tuple[np.ndarray, int, str]:
         """Preconditioned CG from zero (Saad 2003, section 9.2) until ``||r|| <
@@ -267,6 +271,7 @@ class DirichletSystem:
             alpha = rho / pq
             u += np.multiply(p, alpha, out=buf)
             r -= np.multiply(q, alpha, out=buf)
+            del z, q  # the next V-cycle runs without them: a lower peak
             rr = _dot(r, r, buf)
             history.append(math.sqrt(rr) / bnorm)
             if math.sqrt(rr) < tol * bnorm:
@@ -300,6 +305,14 @@ def _spd_factor(a, failure: str):
         raise ConvergenceError(f"{failure}: {exc}") from exc
 
 
+def _kept_indptr(indptr, keep) -> np.ndarray:
+    """CSR row starts of the entries that the mask ``keep`` selects from the rows ``indptr``."""
+    # int32: no operator has more off-diagonal entries than the graph's int32 CSR
+    before = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep, dtype=np.int32, out=before[1:])
+    return before[indptr]
+
+
 def _aggregate(a, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate number of each row, and the block coordinates of each aggregate.
 
@@ -310,41 +323,46 @@ def _aggregate(a, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows would otherwise smooth to equal prolongator columns and a singular
     coarse operator.  Each aggregate takes the block of its least row,
     preferring rows that were not alone, and aggregates are numbered by
-    block key, then by that row.
+    block key, then by that row.  Row ids and block keys are int32 when
+    they fit, and the links within blocks go straight into a CSR matrix.
     """
     blocks = coords // 3
-    shifted = blocks - blocks.min(axis=0)  # keys from offsets keep the blocks aligned
-    keys = np.zeros(len(blocks), dtype=np.int64)
-    for column, extent in zip(shifted.T, shifted.max(axis=0) + 1):
-        keys = keys * extent + column
+    low, high = blocks.min(axis=0).tolist(), blocks.max(axis=0).tolist()
+    extents = [hi - lo + 1 for lo, hi in zip(low, high)]  # keys from offsets keep the blocks aligned
+    keys = np.zeros(len(blocks), dtype=np.int32 if math.prod(extents) < 2**31 else np.int64)
+    for column, lo, extent in zip(blocks.T, low, extents):
+        keys = keys * extent + (column - lo)
     n = len(keys)
-    row = np.repeat(np.arange(n), np.diff(a.indptr))
-    col, weight = a.indices, np.abs(a.data)
-    link = (row != col) & (weight != 0)
+    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+    col = a.indices
+    link = (row != col) & (a.data != 0)
     inside = link & (keys[row] == keys[col])
-    piece = _components(n, row[inside], col[inside])
+    piece = _components(sp.csr_matrix((np.ones(np.count_nonzero(inside)), col[inside],
+                                       _kept_indptr(a.indptr, inside)), shape=(n, n)))
+    del inside
     lone = np.bincount(piece)[piece] == 1
     out = np.flatnonzero(link & lone[row])  # the links of lone rows, strongest first per row
-    out = out[np.lexsort((col[out], -weight[out], row[out]))]
+    out = out[np.lexsort((col[out], -np.abs(a.data[out]), row[out]))]
     out = out[np.diff(row[out], prepend=-1) != 0]
-    piece = _components(piece.max() + 1, piece[row[out]], piece[col[out]])[piece]
+    m = piece.max() + 1
+    piece = _components(sp.csr_matrix((np.ones(len(out)), (piece[row[out]], piece[col[out]])),
+                                      shape=(m, m)))[piece]
     ranked = np.argsort(lone, kind="stable")  # rows that were not alone first, in row order
     rep = ranked[np.unique(piece[ranked], return_index=True)[1]]  # first ranked row per aggregate
     order = np.lexsort((rep, keys[rep]))
     return np.argsort(order)[piece], blocks[rep[order]]
 
 
-def _components(n, i, j):
-    """Connected component of each of ``n`` nodes joined by the links ``i[k] -- j[k]``."""
+def _components(links) -> np.ndarray:
+    """Connected component of each node of the graph of the sparse matrix ``links``."""
     # imported here: csgraph adds about 1 MB to every run that never aggregates
     from scipy.sparse.csgraph import connected_components
 
-    links = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     return connected_components(links, directed=False)[1]
 
 
 def _hierarchy(lap, coords):
-    """Smoothed-aggregation levels ``(A, P, omega / diag A)``, fine to coarse,
+    """Smoothed-aggregation levels ``(A, P, P^T, omega / diag A)``, fine to coarse,
     and the SuperLU factor of the coarsest operator.  The hierarchy stops
     early where aggregation no longer merges rows."""
     levels = []
@@ -360,7 +378,7 @@ def _hierarchy(lap, coords):
         p = (tentative - sp.diags(scale) @ (a @ tentative)).tocsr()
         bounds = np.linspace(0, n, _GALERKIN_BLOCKS + 1).astype(np.int64)
         coarse = sum(p[lo:hi].T @ (a[lo:hi] @ p) for lo, hi in zip(bounds[:-1], bounds[1:]))
-        levels.append((a, p, scale))
+        levels.append((a, p, p.T.tocsr(), scale))  # P^T as CSR once: one row pass per restriction
         a = coarse.tocsr()
     return levels, _spd_factor(a, f"multigrid coarsest factor failed on {a.shape[0]} of "
                                   f"{lap.shape[0]} unknowns")
@@ -375,12 +393,21 @@ def _v_cycle(levels, coarsest, r: np.ndarray) -> np.ndarray:
     garbage collector runs.
     """
     down = []
-    for a, p, scale in levels:
+    for a, _, pt, scale in levels:
         x = scale * r
         down.append((r, x))
-        r = p.T @ (r - a @ x)
+        r = pt @ _residual(a, x, r)
     x = coarsest.solve(r)
-    for (a, p, scale), (r, x_pre) in zip(reversed(levels), reversed(down)):
-        x = x_pre + p @ x
-        x += scale * (r - a @ x)
+    for (a, p, _, scale), (r, x_pre) in zip(reversed(levels), reversed(down)):
+        x_pre += p @ x  # the same sums as x_pre + p @ x, in the pre-smoothed vector itself
+        x = x_pre
+        correction = _residual(a, x, r)
+        correction *= scale
+        x += correction
     return x
+
+
+def _residual(a, x, r) -> np.ndarray:
+    """r - a @ x, in the array of the product."""
+    ax = a @ x
+    return np.subtract(r, ax, out=ax)

@@ -111,19 +111,26 @@ def effective_resistance(
     counters = _no_solve(len(group))
     energy = 0.0
     if grounded:
-        pot = reached.astype(np.float64)
         reached[A] = False
-        system = DirichletSystem(graph, np.flatnonzero(reached), orbits=least)
-        pot, info = system.solve(pot, tol=tolerance)
+        unknown = np.flatnonzero(reached)
+        reached[A] = True  # the border data: 1 on A, 0 on the ground and beyond reach
+        system = DirichletSystem(graph, unknown, orbits=least)
+        del unknown
+        pot, info = system.solve(reached, tol=tolerance)
         counters.update(unknowns=len(system.unknown), orbit_unknowns=system.orbit_unknowns,
                         iterations=info.iterations, path=info.path)
-        reps = np.flatnonzero(least == np.arange(graph.num_vertices))
+        del system, reached  # the solver's arrays go before the energy pass's: a lower peak
+        reps = np.flatnonzero(least == np.arange(graph.num_vertices, dtype=np.int32))
+        size = np.bincount(least)[reps].astype(np.int32)  # |O| of each orbit
         indptr, nbrs = graph.rows(reps)
         counts = np.diff(indptr)
-        diffs = np.repeat(pot[reps], counts) - pot[nbrs]
-        weights = np.repeat(np.bincount(least)[reps], counts)
+        # |O| (u_rep - u_y)^2 in place: the same products as |O| * (diff * diff)
+        terms = np.repeat(pot[reps], counts)
+        terms -= pot[nbrs]
+        terms *= terms
+        terms *= np.repeat(size, counts)
         # numpy's pairwise sum, not BLAS: no bit depends on the thread count
-        energy = 0.5 * float(np.add.reduce(weights * (diffs * diffs)))
+        energy = 0.5 * float(np.add.reduce(terms))
     if solves is not None:
         solves.append(counters)
     return 1.0 / energy if energy > 0.0 else float("inf")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carpetlab import linalg
 from carpetlab.geometry import CarpetParams, VertexGraph, build_graph, validate_params
 from carpetlab.heat import (
     TransitionOperator,
@@ -19,6 +20,8 @@ from carpetlab.heat import (
     kernel_entries,
     walk_kernel,
 )
+
+from oracles import aggregate_by_link_lists
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +87,24 @@ def adjacency(graph) -> sp.csr_matrix:
     """The graph's 0/1 adjacency as a scipy CSR matrix, built from its ``indptr`` and ``indices``."""
     n = graph.num_vertices
     return sp.csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(n, n))
+
+
+def checked_aggregates(monkeypatch) -> list:
+    """Make every ``linalg._aggregate`` call compare its aggregates and block
+    coordinates with ``oracles.aggregate_by_link_lists``; the returned list
+    collects the size of each operator aggregated."""
+    sizes, aggregate = [], linalg._aggregate
+
+    def checked(a, coords):
+        agg, blocks = aggregate(a, coords)
+        want_agg, want_blocks = aggregate_by_link_lists(a, coords)
+        np.testing.assert_array_equal(agg, want_agg)
+        np.testing.assert_array_equal(blocks, want_blocks)
+        sizes.append(a.shape[0])
+        return agg, blocks
+
+    monkeypatch.setattr(linalg, "_aggregate", checked)
+    return sizes
 
 
 def make_path(n: int) -> VertexGraph:

@@ -2,8 +2,9 @@
 digit-by-digit survival test, Monte Carlo exit times, the coupled walk's
 marginal law and pair catalog, the capacity-constant probe, the edge-sum
 energy of a vertex potential, the heat experiment's targets by a full sort,
-the resistance search vertex by vertex and the solver's operator as a
-sparse difference.
+the resistance search vertex by vertex, the solver's operator as a
+sparse difference and its multigrid aggregates from int64 and float64
+link lists.
 
 The suite and the CLI do not run these; tests compare them against what the
 package computes (solver exit times, heat-kernel rows, frozen capacity
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from carpetlab.coupling import _Coupler
 from carpetlab.geometry import CarpetGraph, CarpetParams, VertexGraph
@@ -203,6 +205,42 @@ def operator_by_diags(graph: VertexGraph, unknown_ids, orbits=None):
     offdiag.data *= root[row]
     offdiag.data *= (1.0 / root)[offdiag.indices]
     return sp.diags(graph.degrees[reps].astype(np.float64)) - offdiag
+
+
+def aggregate_by_link_lists(a, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The aggregates of ``linalg._aggregate(a, coords)``, from int64 row ids,
+    int64 block keys and a float64 weight for every entry of ``a``, with each
+    link set handed to ``connected_components`` as a COO list.
+
+    An aggregate is a connected piece of a 3^d block ``coords // 3`` in the
+    graph of ``a``'s off-diagonal nonzeros; a row alone in its piece joins
+    the piece of its strongest neighbor (lowest row on ties); aggregates are
+    numbered by block key, then by their least row, preferring rows that
+    were not alone, and take that row's block."""
+    def components(n, i, j):
+        links = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        return connected_components(links, directed=False)[1]
+
+    blocks = coords // 3
+    shifted = blocks - blocks.min(axis=0)
+    keys = np.zeros(len(blocks), dtype=np.int64)
+    for column, extent in zip(shifted.T, shifted.max(axis=0) + 1):
+        keys = keys * extent + column
+    n = len(keys)
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    col, weight = a.indices, np.abs(a.data)
+    link = (row != col) & (weight != 0)
+    inside = link & (keys[row] == keys[col])
+    piece = components(n, row[inside], col[inside])
+    lone = np.bincount(piece)[piece] == 1
+    out = np.flatnonzero(link & lone[row])
+    out = out[np.lexsort((col[out], -weight[out], row[out]))]
+    out = out[np.diff(row[out], prepend=-1) != 0]
+    piece = components(piece.max() + 1, piece[row[out]], piece[col[out]])[piece]
+    ranked = np.argsort(lone, kind="stable")
+    rep = ranked[np.unique(piece[ranked], return_index=True)[1]]
+    order = np.lexsort((rep, keys[rep]))
+    return np.argsort(order)[piece], blocks[rep[order]]
 
 
 class HypothesisError(RuntimeError):

@@ -5,6 +5,7 @@ from carpetlab import linalg
 from carpetlab.geometry import box_vertices
 from carpetlab.harmonic import (
     HittingSpec,
+    _distances,
     expected_exit_time,
     harnack_constant,
     hitting_pair_catalog,
@@ -285,3 +286,13 @@ def test_exit_time_monotone_in_radius(g5):
     times = [expected_exit_time(g5, x, r) for r in (2.0, 4.0, 8.0)]
     assert times[0] < times[1] < times[2]
 
+
+def test_distances_are_the_float_sum_of_squares(g3d4):
+    # Squared offsets summed in int64 and one float64 sqrt give the bits of
+    # the float64 sum of the squared float offsets: at the corner, the
+    # central cell and the last cell of the 3-D level-4 carpet.
+    for x in (0, central_vertex(g3d4), g3d4.num_vertices - 1):
+        delta = (g3d4.coords - g3d4.coords[x]).astype(np.float64)
+        want = np.sqrt((delta**2).sum(axis=1))
+        got = _distances(g3d4, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,10 @@ from carpetlab import linalg
 from carpetlab.geometry import box_vertices, build_graph, validate_params
 from carpetlab.harmonic import harnack_constant
 from carpetlab.linalg import ConvergenceError, DirichletSystem
+from carpetlab.resistance import _reached
 
-from conftest import adjacency, graph_from_edges, held, make_path
-from oracles import dirichlet_energy
+from conftest import adjacency, checked_aggregates, graph_from_edges, held, make_path
+from oracles import dirichlet_energy, operator_by_diags
 
 
 def test_direct_path_matches_cg(g4):
@@ -303,6 +305,55 @@ def test_aggregates_are_connected():
     assert blocks.tolist() == [[0, 0], [0, 0], [1, 0]]
 
 
+def _resistance_layout(graph, source, ground):
+    """Unknowns and orbits of ``effective_resistance(graph, source, ground)``'s solve."""
+    source = np.asarray(source)
+    least = graph.orbits(graph.symmetries(source, ground))
+    reached = _reached(graph, least, source, ground)[0]
+    reached[source] = False
+    return np.flatnonzero(reached), least
+
+
+def _3d_layout(graph, name):
+    """One of the resist experiment's two multigrid systems on the 3-D level-4
+    carpet: "face", or "R_4", the corner cell grounded at the level-4 box faces."""
+    if name == "R_4":
+        return _resistance_layout(graph, [0], box_vertices(graph, 4).boundary)
+    first = graph.coords[:, 0]
+    return _resistance_layout(graph, np.flatnonzero(first == 0), np.flatnonzero(first == graph.side - 1))
+
+
+@pytest.mark.parametrize("layout, sizes", [("face", [57_454, 2_456]), ("R_4", [74_894, 3_188])])
+def test_aggregates_match_the_link_list_reference(g3d4, layout, sizes, monkeypatch):
+    # At both levels of each hierarchy, the aggregation that builds its
+    # links in int32 and straight into CSR numbers the same aggregates as
+    # the one from int64 rows, int64 keys and float64 weights.
+    unknown, orbits = _3d_layout(g3d4, layout)
+    system = DirichletSystem(g3d4, unknown, orbits=orbits)
+    seen = checked_aggregates(monkeypatch)
+    linalg._hierarchy(system._lap, g3d4.coords[system._reps])
+    assert seen == sizes
+
+
+def test_setup_memory_stays_in_its_budget(g3d4):
+    # Python-heap peak (tracemalloc) of building the 3-D level-4 face system
+    # (443,854 unknowns, 57,454 orbits) and its multigrid hierarchy, the
+    # resist experiment's set-up.  Measured at 18.7 MB; the bound adds 15%.
+    # With int64 ids, int64/float64 link lists in the aggregation and
+    # |V|-long int64 tables in the constructor it peaked at 26.9 MB.
+    unknown, orbits = _3d_layout(g3d4, "face")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = DirichletSystem(g3d4, unknown, orbits=orbits)
+        hierarchy = linalg._hierarchy(system._lap, g3d4.coords[system._reps])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(hierarchy[0]) == 2
+    assert peak < 1.15 * 18.7e6, f"set-up peaked at {peak / 1e6:.1f} MB"
+
+
 # ------------------------------------------------------------- orbit quotient
 
 
@@ -391,3 +442,22 @@ def test_vertex_basis_is_the_plain_assembly(g4):
     assert report.witness == report.rho_witness == (98, 1456, 80)
     assert report.max_residual == 9.556978180121467e-11
     assert len(report.degenerate) == 55
+
+
+@pytest.mark.parametrize("layout", ["face", "R_4"])
+def test_orbit_basis_is_the_sparse_assembly(g3d4, layout):
+    # On the 3-D level-4 orbit systems the operator is diags(deg) - offdiag
+    # bit for bit, dtypes included, and each orbit's coupling row is its
+    # representative's adjacency row on the border, by vertex id.
+    unknown, orbits = _3d_layout(g3d4, layout)
+    system = DirichletSystem(g3d4, unknown, orbits=orbits)
+    assert system.orbit_unknowns < len(unknown)
+    rows = adjacency(g3d4)[system._reps]
+    border = np.setdiff1d(rows.indices, unknown)
+    np.testing.assert_array_equal(np.unique(system._coupling.indices), border)
+    want = operator_by_diags(g3d4, unknown, orbits)
+    for attr in ("indptr", "indices", "data"):
+        got, expect = getattr(system._lap, attr), getattr(want, attr)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), attr
+        np.testing.assert_array_equal(getattr(system._coupling[:, border], attr),
+                                      getattr(rows[:, border], attr))

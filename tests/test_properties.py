@@ -22,7 +22,7 @@ from carpetlab.heat import TransitionOperator, central_vertex, kernel_entries, w
 from carpetlab.linalg import DirichletSystem
 from carpetlab.resistance import _reached
 
-from conftest import adjacency, held
+from conftest import adjacency, checked_aggregates, held
 from oracles import operator_by_diags, reached_by_vertex_bfs, regime_targets_by_full_sort, survival_mask
 
 MAX_VERTICES = 5000
@@ -435,6 +435,26 @@ def test_operator_matches_the_sparse_difference(graph, kind, seed):
     assume(unknown.size)
     _assert_same_csr(DirichletSystem(graph, unknown, orbits=orbits)._lap,
                      operator_by_diags(graph, unknown, orbits))
+
+
+@settings(deadline=None)
+@given(carpets(), st.sampled_from(["plain", "face", "corner", "random"]), st.integers(0, 2**32 - 1))
+def test_aggregates_match_the_link_list_reference(graph, kind, seed):
+    # At every level of a small carpet's hierarchy, built down to where the
+    # aggregation stops merging rows, the int32 aggregation with its CSR
+    # link matrix gives the reference's aggregates and block coordinates.
+    source, ground = _random_pair(graph, np.random.default_rng(seed), "face" if kind == "plain" else kind)
+    assume(len(source) and len(ground))
+    free = np.ones(graph.num_vertices, dtype=bool)
+    free[source] = free[ground] = False
+    orbits = None if kind == "plain" else graph.orbits(graph.symmetries(source, ground))
+    system = DirichletSystem(graph, np.flatnonzero(free), orbits=orbits)
+    assume(system.orbit_unknowns > 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "MULTIGRID_COARSEST", 1)
+        sizes = checked_aggregates(patch)
+        linalg._hierarchy(system._lap, graph.coords[system._reps])
+    assert sizes[0] == system.orbit_unknowns
 
 
 def test_operator_merges_and_drops_diagonals_as_the_sparse_difference():
