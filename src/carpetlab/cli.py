@@ -154,11 +154,11 @@ def _read_sets(path: str) -> list[list[int]]:
 
 
 def _check_ids(graph, ids, source: str) -> None:
-    """Reject ids outside [0, |V|), which numpy would wrap or fail on; skip None."""
-    ids = np.asarray([v for v in ids if v is not None], dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= graph.num_vertices)]
-    if bad.size:
-        raise ValueError(f"{source}: vertex id {bad[0]} outside [0, {graph.num_vertices})")
+    """``graph.check_ids`` on the ids given, None skipped, its message prefixed with their ``source``."""
+    try:
+        graph.check_ids([v for v in ids if v is not None])
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
 def _cmd_build(args) -> int:

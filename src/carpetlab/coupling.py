@@ -425,13 +425,13 @@ def _catalog_pairs(members: np.ndarray, sizes: np.ndarray,
     return members[first + xi], members[first + j + (j >= xi)]
 
 
-def origin_pair(graph: CarpetGraph) -> tuple[int, Optional[int]]:
+def origin_pair(graph: CarpetGraph) -> tuple[int, int]:
     """The origin cell and its neighbor one step along the last axis: the
-    default start pair of the coupled walk, adjacent and 0-associated."""
-    step = np.zeros(graph.params.d, dtype=np.int64)
-    origin = graph.vertex_id(step)
-    step[-1] = 1
-    return origin, graph.vertex_id(step)
+    default start pair of the coupled walk, adjacent and 0-associated.  At
+    level 0 the neighbor is absent and reads -1; every walk refuses that level."""
+    cells = np.zeros((2, graph.params.d), dtype=np.int64)
+    cells[1, -1] = 1
+    return tuple(graph.vertex_ids(cells).tolist())
 
 
 def _check_box_run(graph: CarpetGraph, n: int, trials: int) -> None:

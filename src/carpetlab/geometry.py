@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -266,13 +266,8 @@ class CarpetGraph(VertexGraph):
         rank = self.within.take(self.pattern.take(line, mode="clip") * self.side + x)
         return np.where(inside & (rank >= 0), self.start.take(line, mode="clip") + rank, -1)
 
-    def vertex_id(self, coords: Sequence[int]) -> Optional[int]:
-        """Vertex id for a coordinate tuple, or None if absent."""
-        v = int(self.vertex_ids(np.asarray(coords, dtype=np.int64)[None])[0])
-        return v if v >= 0 else None
-
     def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized lookup; -1 marks coordinates not in the graph."""
+        """The one cell lookup: vertex ids of the coordinate rows ``coords``, -1 where absent."""
         coords = np.asarray(coords, dtype=np.int64)
         inside = ((coords >= 0) & (coords < self.side)).all(axis=1)
         coords = np.where(inside[:, None], coords, 0)

@@ -324,13 +324,13 @@ def fit_regimes(
     if early:
         raise ValueError(f"sample times must be at least 1, got {early[0]}")
     graph.check_ids([x, *(y for y, _, _ in samples)])
-    coords = graph.coords.astype(np.float64)
+    origin = graph.coords[x].astype(np.float64)  # only the rows read go to float64, not the carpet
     sub_pts: list[tuple[float, float]] = []
     gauss_pts: list[tuple[float, float]] = []
     floored = 0
 
     for y, t, p in samples:
-        sep = float(np.linalg.norm(coords[y] - coords[x]))
+        sep = float(np.linalg.norm(graph.coords[y] - origin))
         if p <= PROB_FLOOR:
             floored += 1
             continue

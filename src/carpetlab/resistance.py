@@ -95,16 +95,20 @@ def effective_resistance(
     ``graph.symmetries(A, B)``, the symmetries that map A and B onto
     themselves, and the potential is constant on them, so the energy
     E = 1/2 sum_O |O| sum_{y ~ rep(O)} (u_rep - u_y)^2 reads only the rows
-    of the orbits' least vertices; the resistance is 1/E.  A ``solves`` list
-    receives the counters of the solve: vertex unknowns, orbit unknowns,
-    group order, iterations and solver path.
+    of the orbits' least vertices; the resistance is 1/E.  Sets that share
+    a vertex are a short: 0, with no solve and no group, once every id is
+    checked.  A ``solves`` list receives the counters of the solve: vertex
+    unknowns, orbit unknowns, group order, iterations and solver path.
     """
     A = np.unique(np.asarray(A, dtype=np.int64))
     B = np.unique(np.asarray(B, dtype=np.int64))
     if A.size == 0 or B.size == 0:
         raise ValueError("resistance needs nonempty vertex sets")
     if np.intersect1d(A, B).size:
-        raise ValueError("source and ground sets overlap")
+        graph.check_ids(np.concatenate([A, B]))
+        if solves is not None:
+            solves.append(_no_solve(1))
+        return 0.0
     group = graph.symmetries(A, B)  # checks every id before _reached indexes with it
     least = graph.orbits(group)
     reached, grounded = _reached(graph, least, A, B)
@@ -145,11 +149,12 @@ def resistance_to_infinity(
     """Resistance from A to the boundaries of growing boxes, extrapolated.
 
     R_N grounds the face cells of the level-N box; whenever the target meets
-    the ground the resistance is 0 by definition.  With at least three levels
-    the geometric tail R_inf = R_last + delta * gamma / (1 - gamma) is
-    extrapolated from the last two increments, unless the increments decay
-    slower than the trust factor — then the sequence is flagged divergent
-    (the recurrent regime) and no finite value is fabricated.
+    the ground, :func:`effective_resistance` reads a short: 0.  With at
+    least three levels the geometric tail R_inf = R_last + delta * gamma /
+    (1 - gamma) is extrapolated from the last two increments, unless the
+    increments decay slower than the trust factor — then the sequence is
+    flagged divergent (the recurrent regime) and no finite value is
+    fabricated.
     """
     A = np.unique(np.asarray(A, dtype=np.int64))
     if A.size == 0:
@@ -164,14 +169,9 @@ def resistance_to_infinity(
     if levels[-1] > graph.level:
         raise ValueError(f"ground level {levels[-1]} exceeds the built graph")
 
-    resistances, solves = [], []
-    for N in levels:
-        ground = box_vertices(graph, N).boundary
-        if np.intersect1d(A, ground).size:
-            resistances.append(0.0)
-            solves.append(_no_solve(1))
-        else:
-            resistances.append(effective_resistance(graph, A, ground, tolerance, solves))
+    solves = []
+    resistances = [effective_resistance(graph, A, box_vertices(graph, N).boundary, tolerance, solves)
+                   for N in levels]
     report = functools.partial(ResistanceReport, target=A.tolist(), levels=levels,
                                resistances=resistances, solves=solves)
 
@@ -200,15 +200,11 @@ def face_resistance(
 
     The source is every cell with first coordinate 0, the ground every cell
     with first coordinate k^n - 1, n = ``graph.level``.  At n = 0 the two
-    faces coincide in the single cell, a degenerate short: 0 by convention.
-    The potential is solved on the orbits of the window symmetries that keep
-    both faces (those that fix axis 0 and its direction).  A ``solves`` list
-    receives the counters of the solve.
+    faces coincide in the single cell, which :func:`effective_resistance`
+    reads as a short: 0.  The potential is solved on the orbits of the
+    window symmetries that keep both faces (those that fix axis 0 and its
+    direction).  A ``solves`` list receives the counters of the solve.
     """
-    if graph.level == 0:
-        if solves is not None:
-            solves.append(_no_solve(1))
-        return 0.0
     A = np.nonzero(graph.coords[:, 0] == 0)[0]
     B = np.nonzero(graph.coords[:, 0] == graph.side - 1)[0]
     return effective_resistance(graph, A, B, tolerance=tolerance, solves=solves)

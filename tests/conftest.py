@@ -162,6 +162,6 @@ def held(graph, ids, data) -> np.ndarray:
 
 def vid(graph, *coords) -> int:
     """Vertex id at integer coordinates; fails the test if absent."""
-    v = graph.vertex_id(np.asarray(coords, dtype=np.int64))
-    assert v is not None, f"no vertex at {coords}"
+    v = int(graph.vertex_ids(np.asarray([coords], dtype=np.int64))[0])
+    assert v >= 0, f"no vertex at {coords}"
     return v

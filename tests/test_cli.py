@@ -399,7 +399,7 @@ def test_heat_regime_refuses_a_short_ds_fit_before_the_walk(tmp_path, capsys, mo
 
 def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
-    assert "--x: vertex id 99999 outside [0, 4096)" in capsys.readouterr().err
+    assert "--x: vertex id 99999 is outside [0, 4096)" in capsys.readouterr().err
     # A negative --tmax would slice the series from its end instead of failing.
     for tmax in ("0", "-5"):
         assert main(["heat", "diag", "--graph", g4_file, "--tmax", tmax, "--out",
@@ -411,7 +411,15 @@ def test_heat_rejects_bad_vertex_ids(tmp_path, capsys, g4_file):
     argv = ["heat", "regime", "--graph", g4_file, "--x", "0", "--pairs", str(pairs),
             "--ds", "1.78", "--dw", "2.09"]
     assert main(argv) == 2
-    assert "vertex id -3 outside" in capsys.readouterr().err
+    assert "vertex id -3 is outside" in capsys.readouterr().err
+
+
+def test_id_errors_are_the_library_check_named_by_flag(capsys, g4_file, g4):
+    # The CLI runs the graph's own range check and only names the flag.
+    with pytest.raises(ValueError) as library:
+        g4.check_ids([99999])
+    assert main(["heat", "diag", "--graph", g4_file, "--x", "99999", "--tmax", "8"]) == 2
+    assert capsys.readouterr().err == f"usage error: --x: {library.value}\n"
 
 
 def test_heat_refuses_before_the_walk(tmp_path, capsys, monkeypatch, g3_file, g4_file, g4):
@@ -589,7 +597,7 @@ def test_resist_infinity_rejects_bad_vertex_ids(tmp_path, capsys, g3_file):
     sets.write_text("0\n\n999\n")
     argv = ["resist", "infinity", "--graph", g3_file, "--set", str(sets), "--levels", "1,2"]
     assert main(argv) == 2
-    assert "vertex id 999 outside [0, 512)" in capsys.readouterr().err
+    assert "vertex id 999 is outside [0, 512)" in capsys.readouterr().err
     sets.write_text("0\n\nx\n")
     assert main(argv) == 2
     assert f"usage error: {sets}:3: expected a vertex id, got 'x'" in capsys.readouterr().err

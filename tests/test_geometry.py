@@ -159,9 +159,10 @@ def test_degrees_bounded_by_2d(g4, g3d):
 def test_vertex_id_round_trip(g2):
     for i in range(g2.num_vertices):
         assert vid(g2, *g2.coords[i]) == i
-    assert g2.vertex_id(np.array([1, 1])) is None  # removed cell
-    assert g2.vertex_id(np.array([9, 0])) is None  # outside the window
-    assert g2.vertex_id(np.array([-1, 10])) is None  # outside, with the key of (0, 1)
+    absent = [[1, 1],  # removed cell
+              [9, 0],  # outside the window
+              [-1, 10]]  # outside, with the key of (0, 1)
+    assert g2.vertex_ids(np.array(absent)).tolist() == [-1, -1, -1]
 
 
 def test_vertex_ids_vectorized(g2):

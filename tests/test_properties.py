@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from carpetlab import linalg
+from carpetlab.coupling import origin_pair
 from carpetlab.geometry import (
     HOLD,
     box_vertices,
@@ -260,7 +261,7 @@ def _orbit_problem(graph, kind, level, pick):
         # or the corner cube of side 2.
         ground = box_vertices(graph, level).boundary
         source = [np.array([0]),
-                  np.array([0, graph.vertex_id([1] + [0] * (d - 1))]),
+                  graph.vertex_ids([[0] * d, [1] + [0] * (d - 1)]),
                   np.nonzero((graph.coords < 2).all(axis=1))[0]][pick]
         rows = graph.symmetries(source, ground)
     else:
@@ -347,6 +348,19 @@ def test_vertex_ids_match_a_dictionary(graph, seed):
     ])
     want = [table.get(tuple(q), -1) for q in queries.tolist()]
     assert graph.vertex_ids(queries).tolist() == want
+
+
+@settings(deadline=None)
+@given(carpets())
+def test_origin_pair_is_the_origin_and_its_last_axis_neighbor(graph):
+    # From level 1 on the pair is the origin and e_{d-1}; at level 0 the neighbor is absent.
+    d = graph.params.d
+    assert origin_pair(build_graph(0, graph.params)) == (0, -1)
+    for n in range(1, min(graph.level, 2) + 1):
+        carpet = build_graph(n, graph.params)
+        pair = origin_pair(carpet)
+        assert pair == (0, 1) and all(type(v) is int for v in pair)
+        assert carpet.coords[list(pair)].tolist() == [[0] * d, [0] * (d - 1) + [1]]
 
 
 @settings(deadline=None)

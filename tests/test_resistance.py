@@ -119,8 +119,15 @@ def test_multivertex_terminals(g2):
 
 
 def test_resistance_rejects_bad_terminals(g1):
-    with pytest.raises(ValueError):
-        effective_resistance(g1, [0], [0])
+    # Touching sets are a short: 0 with no solve, decided by effective_resistance alone.
+    solves = []
+    assert effective_resistance(g1, [0], [0], solves=solves) == 0.0
+    assert solves == [{"unknowns": 0, "orbit_unknowns": 0, "symmetry_order": 1,
+                       "iterations": 0, "path": "none"}]
+    # A short still checks every id of both sets.
+    for A, B in (([0, g1.num_vertices], [0]), ([0], [0, -1])):
+        with pytest.raises(ValueError, match="is outside"):
+            effective_resistance(g1, A, B)
     with pytest.raises(ValueError):
         effective_resistance(g1, [], [1])
 
